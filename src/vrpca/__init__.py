@@ -19,8 +19,8 @@ from .io import load_dataset, save_dataset
 from .matrix import (DataMatrix, OrthonormalFrame, Rotation, covariance_apply,
                      polar_normalize, potential, procrustes_rotation,
                      rayleigh_residual, rescale_dataset)
-from .oracle import (Spectrum, SpectrumSpec, dense_eigh, jacobi_eigh,
-                     leading_subspace, synthesize_dataset)
+from .oracle import (Spectrum, SpectrumSpec, dense_eigh, leading_subspace,
+                     synthesize_dataset)
 from .solvers import (DEFAULT_CONSTANTS, ConvergenceTrace, SolverConfig,
                       SolverConstants, TraceRecord, burn_in, deflation_solve,
                       oja_baseline, orthogonal_iteration, select_parameters,
@@ -37,7 +37,7 @@ __all__ = [
     "TightnessCounterexample", "TraceRecord", "VrpcaError",
     "build_convex_region", "burn_in", "compare_baselines", "covariance_apply",
     "deflation_solve", "dense_eigh", "directional_curvature", "gaussian_init",
-    "geometry_report", "jacobi_eigh", "leading_subspace", "load_dataset",
+    "geometry_report", "leading_subspace", "load_dataset",
     "nonconvexity_certificate", "numerical_rank", "oja_baseline",
     "orthogonal_iteration", "polar_normalize", "potential",
     "power_warm_start", "probe_strong_convexity", "procrustes_rotation",

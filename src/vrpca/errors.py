@@ -16,14 +16,16 @@ class DegenerateIterateError(VrpcaError):
 class NonConvergenceError(VrpcaError):
     """An iteration budget was exhausted before the stopping rule was met.
 
-    Carries the partial convergence trace (when one was being recorded) and
-    the last iterate, so callers can inspect what happened.
+    Carries the partial convergence trace (when one was being recorded),
+    the last iterate and the number of iterations performed (when counted),
+    so callers can inspect what happened.
     """
 
-    def __init__(self, message, trace=None, frame=None):
+    def __init__(self, message, trace=None, frame=None, iterations=None):
         super().__init__(message)
         self.trace = trace
         self.frame = frame
+        self.iterations = iterations
 
 
 class DatasetFormatError(VrpcaError):

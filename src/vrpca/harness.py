@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +137,35 @@ def runtime_model(d: int, k: int, n: int, r: float, eigengap: float,
                  * np.log(1.0 / epsilon))
 
 
-def _materialize(cfg: ExperimentConfig) -> DataMatrix:
+def _prepare(cfg: ExperimentConfig) -> tuple:
+    """Shared front half of every pipeline: load or synthesize -> optional
+    rescale -> exact oracle at desk scale (when cfg.oracle_check) ->
+    reference frame and eigengap, else the user estimate lambda_hat.
+
+    Returns (X, original_r, scale, reference, gap); reference and gap are
+    None when neither source is available.
+    """
     if cfg.dataset_path is not None:
-        return load_dataset(cfg.dataset_path, cfg.dataset_format)
-    spec = SpectrumSpec(eigenvalues=cfg.spectrum, k=cfg.gap_index)
-    return synthesize_dataset(spec, cfg.n, cfg.synth_seed)
+        X0 = load_dataset(cfg.dataset_path, cfg.dataset_format)
+    else:
+        X0 = synthesize_dataset(
+            SpectrumSpec(eigenvalues=cfg.spectrum, k=cfg.gap_index),
+            cfg.n, cfg.synth_seed)
+    X, scale = rescale_dataset(X0) if cfg.rescale else (X0, 1.0)
+
+    reference = None
+    gap = None
+    if cfg.oracle_check and X.d <= DENSE_GUARD:
+        spec = dense_eigh(X)
+        if cfg.k < X.d:
+            reference = leading_subspace(spec, cfg.k)
+            gap = spec.gap_at(cfg.k)
+        else:
+            reference = spec.eigenvectors
+            gap = float(spec.eigenvalues[-1])
+    elif cfg.lambda_hat is not None:
+        gap = cfg.lambda_hat / scale  # estimate refers to the original data
+    return X, X0.r, scale, reference, gap
 
 
 def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
@@ -206,7 +230,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
                                         reference=reference)
         except NonConvergenceError as exc:
             burn_ok = False
-            burn_iters = len(exc.trace.records) if exc.trace else 0
+            burn_iters = exc.iterations
             if exc.frame is not None:
                 frame = exc.frame
 
@@ -275,34 +299,12 @@ def run_experiment(cfg: ExperimentConfig):
 
     Burn-in non-convergence is reported in the run report, not raised.
     """
-    X0 = _materialize(cfg)
-    original_r = X0.r
-    if cfg.rescale:
-        X, scale = rescale_dataset(X0)
-    else:
-        X, scale = X0, 1.0
-
-    reference = None
-    gap = None
-    if cfg.oracle_check and X.d <= DENSE_GUARD:
-        spec = dense_eigh(X)
-        if cfg.k < X.d:
-            reference = leading_subspace(spec, cfg.k)
-            gap = spec.gap_at(cfg.k)
-        else:
-            reference = spec.eigenvectors
-            gap = float(spec.eigenvalues[-1])
-    elif cfg.lambda_hat is not None:
-        gap = cfg.lambda_hat / scale  # estimate refers to the original data
-
-    runs = []
+    prep = _prepare(cfg)
     if len(cfg.seeds) == 1:
-        runs.append(_single_run(X, original_r, scale, reference, gap, cfg,
-                                cfg.seeds[0]))
+        runs = [_single_run(*prep, cfg, cfg.seeds[0])]
     else:
         with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), 8)) as pool:
-            futures = [pool.submit(_single_run, X, original_r, scale,
-                                   reference, gap, cfg, s)
+            futures = [pool.submit(_single_run, *prep, cfg, s)
                        for s in cfg.seeds]
             runs = [f.result() for f in futures]
 
@@ -322,14 +324,10 @@ def compare_baselines(cfg: ExperimentConfig):
     """Run the variance-reduced solver, the Oja baseline, and orthogonal
     iteration at matched sample budgets; returns aligned potential-vs-samples
     series plus the k=1 block/vector equivalence check."""
-    X0 = _materialize(cfg)
-    original_r = X0.r
-    X, scale = rescale_dataset(X0) if cfg.rescale else (X0, 1.0)
-    if X.d > DENSE_GUARD:
+    X, original_r, scale, reference, gap = _prepare(
+        replace(cfg, oracle_check=True))
+    if reference is None:
         raise ConfigError("baseline comparison is desk-scale only")
-    spec = dense_eigh(X)
-    reference = leading_subspace(spec, cfg.k)
-    gap = spec.gap_at(cfg.k)
     eta, m = (cfg.eta, cfg.m) if (cfg.eta is not None and cfg.m is not None) \
         else select_parameters(gap, X.r, cfg.k, cfg.delta)
     seed = cfg.seeds[0]

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -78,20 +79,32 @@ def _load_csv(path: Path) -> DataMatrix:
 
 
 def _load_binary(path: Path) -> DataMatrix:
-    blob = path.read_bytes()
-    if len(blob) < 12:
+    with path.open("rb") as fh:
+        header = fh.read(12)
+        if len(header) < 12:
+            raise DatasetFormatError(
+                f"{path}: truncated header at offset {len(header)} "
+                "(need 12 bytes)")
+        if header[:4] != MAGIC:
+            raise DatasetFormatError(
+                f"{path}: bad magic {header[:4]!r} at offset 0 "
+                f"(expected {MAGIC!r})")
+        d, n = struct.unpack("<II", header[4:12])
+        expected = 12 + 8 * d * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise DatasetFormatError(
+                f"{path}: payload ends at offset {size}, expected {expected} "
+                f"for d={d}, n={n}")
+        # read straight into a freshly allocated (hence aligned) array: a
+        # view into the file bytes would sit 12 bytes in, off the 8-byte
+        # alignment BLAS needs
+        values = np.empty(d * n, dtype="<f8")
+        got = fh.readinto(memoryview(values).cast("B"))
+    if got != 8 * d * n:
         raise DatasetFormatError(
-            f"{path}: truncated header at offset {len(blob)} (need 12 bytes)")
-    if blob[:4] != MAGIC:
-        raise DatasetFormatError(
-            f"{path}: bad magic {blob[:4]!r} at offset 0 (expected {MAGIC!r})")
-    d, n = struct.unpack("<II", blob[4:12])
-    expected = 12 + 8 * d * n
-    if len(blob) != expected:
-        raise DatasetFormatError(
-            f"{path}: payload ends at offset {len(blob)}, expected {expected} "
+            f"{path}: payload ends at offset {12 + got}, expected {expected} "
             f"for d={d}, n={n}")
-    values = np.frombuffer(blob, dtype="<f8", count=d * n, offset=12)
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DatasetFormatError(

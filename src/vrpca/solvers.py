@@ -263,7 +263,9 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     orthogonal B minimizing ||W - anchor B||_F (recomputed every step, as
     the k x k cost is absorbed by the d x k work); otherwise B = I, the
     variant that historically worked well in practice. For k = 1 the
-    iterate sequence coincides with vrpca_vector under the same seed.
+    iterate sequence coincides with vrpca_vector under the same seed when
+    use_rotation is off, or while the overlap w^T anchor stays >= 0; once
+    it turns negative the rotation is B = -I and the two runs part.
     """
     k = cfg.k
     _check_frame(X, W0, k)
@@ -342,7 +344,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     The iteration budget is 10x the burn-in horizon
     T = floor(burn_c' log(2/delta) / (eta lambda_hat zeta)); exhausting it
-    raises NonConvergenceError carrying the partial trace.
+    raises NonConvergenceError carrying the partial trace, the last iterate
+    and the iteration count.
 
     Returns (frame, iterations_performed).
     """
@@ -407,7 +410,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     raise NonConvergenceError(
         f"burn-in budget of {budget} iterations exhausted "
         f"(eta={eta:.3e}, horizon={horizon})",
-        trace=rec.trace(w), frame=OrthonormalFrame(w[:, None]))
+        trace=rec.trace(w), frame=OrthonormalFrame(w[:, None]),
+        iterations=done)
 
 
 def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,

@@ -12,13 +12,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from vrpca import (DataMatrix, OrthonormalFrame, SolverConfig, SpectrumSpec,
-                   covariance_apply, dense_eigh, gaussian_init, jacobi_eigh,
+                   covariance_apply, dense_eigh, gaussian_init,
                    numerical_rank, potential, power_warm_start,
                    procrustes_rotation, rayleigh_grad, rayleigh_hessian,
                    build_convex_region, probe_strong_convexity,
                    select_parameters, synthesize_dataset,
                    tightness_counterexample, vrpca_block, vrpca_vector)
 from conftest import random_orthogonal
+from jacobi_reference import jacobi_eigh
 
 
 @contextmanager
@@ -53,7 +54,8 @@ def test_geometric_convergence_vector(std_k1):
 
 def test_block_solver_and_k1_equivalence(std_k3, std_k1):
     """Block solver reaches 1e-6 within 15 epochs on the k=3 instance;
-    its k=1 specialization is iterate-identical to the vector solver."""
+    its k=1 specialization is iterate-identical to the vector solver (the
+    anchor overlap stays nonnegative on this instance, so B = I)."""
     with criterion("block solver convergence + k=1 equivalence"):
         ref3 = std_k3.reference(3)
         w0 = power_warm_start(std_k3.Xs, seed=1, k=3).frame
@@ -255,15 +257,21 @@ def test_procrustes_optimality():
 
 
 def test_oracle_soundness():
-    """Jacobi reconstruction error stays below 1e-10 on random instances up
-    to d=50, and synthesize -> decompose reproduces requested spectra."""
-    with criterion("oracle soundness (Jacobi + synthesizer round-trip)"):
+    """LAPACK oracle and test-side Jacobi reconstruction errors stay below
+    1e-10 on random instances up to d=50, and synthesize -> decompose
+    reproduces requested spectra."""
+    with criterion("oracle soundness (LAPACK + Jacobi + synthesizer "
+                   "round-trip)"):
         rng = np.random.default_rng(41)
         for d in (2, 5, 13, 30, 50):
             X = DataMatrix(rng.standard_normal((d, 2 * d + 5)))
             a = X.data @ X.data.T / X.n
             evals, evecs, _ = jacobi_eigh(a)
             recon = (evecs * evals) @ evecs.T
+            assert float(np.linalg.norm(recon - a)) <= 1e-10
+            spec = dense_eigh(X)
+            v = spec.eigenvectors.entries
+            recon = (v * spec.eigenvalues) @ v.T
             assert float(np.linalg.norm(recon - a)) <= 1e-10
 
         for seed, eigs in ((1, (1.0, 0.7, 0.4)),

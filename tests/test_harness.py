@@ -97,6 +97,27 @@ class TestRunExperiment:
         assert rep.burn_in_iterations > 0
         assert rep.final_potential <= 1e-8
 
+    def test_failed_burn_in_reports_iterations(self, monkeypatch):
+        from vrpca import NonConvergenceError, SolverConstants, burn_in
+        import vrpca.harness
+
+        raised = []
+
+        def short_burn_in(*args, **kw):
+            try:
+                return burn_in(*args, **kw,
+                               constants=SolverConstants(burn_c_prime=0.01))
+            except NonConvergenceError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(vrpca.harness, "burn_in", short_burn_in)
+        cfg = synth_cfg(run_burn_in=True, init="gaussian", epochs=1)
+        rep = run_experiment(cfg)[0]
+        assert not rep.burn_in_converged
+        assert rep.burn_in_iterations == raised[0].iterations
+        assert rep.burn_in_iterations > len(raised[0].trace.records)
+
     def test_explicit_parameters_skip_selection(self):
         cfg = synth_cfg(eta=0.01, m=400, epochs=3, oracle_check=True)
         rep = run_experiment(cfg)[0]

@@ -58,6 +58,8 @@ class TestBinary:
         Y = load_dataset(p, "f64le")
         assert np.array_equal(X.data, Y.data)
         assert X.r == Y.r
+        # the 12-byte header must not leave the payload off 8-byte alignment
+        assert Y.data.flags.aligned and Y.data.flags.f_contiguous
 
     def test_layout(self, tmp_path):
         X = DataMatrix(np.array([[1.0, 3.0], [2.0, 4.0]]))

@@ -31,6 +31,15 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             X.data[0, 0] = 2.0
 
+    def test_misaligned_buffer_is_realigned(self):
+        vals = np.arange(1.0, 7.0)
+        blob = bytes(4) + vals.tobytes()
+        skewed = np.frombuffer(blob, dtype=np.float64, offset=4)
+        assert not skewed.flags.aligned
+        X = DataMatrix(skewed.reshape((2, 3), order="F"))
+        assert X.data.flags.aligned and X.data.flags.f_contiguous
+        assert np.array_equal(X.data, vals.reshape((2, 3), order="F"))
+
 
 class TestCovarianceApply:
     def test_rank_one_projector(self):

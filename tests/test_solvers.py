@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from vrpca import (ConfigError, GapWarning, NonConvergenceError,
-                   OrthonormalFrame, SolverConfig, burn_in, deflation_solve,
+                   OrthonormalFrame, SolverConfig, SolverConstants, burn_in,
+                   deflation_solve,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, select_parameters,
                    vrpca_block, vrpca_vector)
@@ -138,6 +139,19 @@ class TestBlockSolver:
         diff = np.max(np.abs(tv.final_frame.entries - tb.final_frame.entries))
         assert diff <= 1e-12
 
+    def test_k1_plain_variant_matches_vector(self, std_k1):
+        # with B = I the k=1 block update is the vector update, whatever
+        # the sign of the anchor overlap
+        ref = std_k1.reference(1)
+        w0 = power_warm_start(std_k1.Xs, seed=1, reference=ref).frame
+        eta, m = select_parameters(std_k1.gap, 1.0, 1, 0.25)
+        cfg = SolverConfig(k=1, eta=eta, m=m, epochs=3, seed=1,
+                           use_rotation=False)
+        tv = vrpca_vector(std_k1.Xs, w0, cfg, ref)
+        tb = vrpca_block(std_k1.Xs, w0, cfg, ref)
+        diff = np.max(np.abs(tv.final_frame.entries - tb.final_frame.entries))
+        assert diff <= 1e-12
+
     def test_rotation_variants_both_converge(self, std_k3):
         ref = std_k3.reference(3)
         w0 = power_warm_start(std_k3.Xs, seed=2, k=3).frame
@@ -214,6 +228,25 @@ class TestBurnIn:
         assert err.value.trace is not None
         assert err.value.trace.records
         assert err.value.frame is not None
+
+    def test_exhausted_budget_reports_iterations(self, small_k1):
+        # a tiny horizon constant shrinks the budget below what this start
+        # needs; the error counts steps taken, not trace checkpoints
+        ref = small_k1.reference(1)
+        w0 = gaussian_init(small_k1.Xs.d, 1, seed=1)
+        zeta, delta = 1.0 / small_k1.Xs.d, 0.25
+        consts = SolverConstants(burn_c_prime=0.01)
+        with pytest.raises(NonConvergenceError) as err:
+            burn_in(small_k1.Xs, w0, zeta=zeta, delta=delta,
+                    lambda_hat=small_k1.gap, reference=ref,
+                    constants=consts)
+        big_l = np.log(2.0 / delta)
+        eta = consts.burn_c * delta**2 * small_k1.gap * zeta**3 / (
+            small_k1.Xs.r**2 * big_l**2)
+        budget = 10 * int(consts.burn_c_prime * big_l
+                          / (eta * small_k1.gap * zeta))
+        assert err.value.iterations == budget
+        assert len(err.value.trace.records) < budget
 
     def test_invalid_zeta(self, burn_instance):
         w0 = gaussian_init(burn_instance.Xs.d, 1, seed=1)
