@@ -22,8 +22,8 @@ from .matrix import (DataMatrix, OrthonormalFrame, potential,
                      rayleigh_residual, rescale_dataset)
 from .oracle import (DENSE_GUARD, SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (ConvergenceTrace, SolverConfig, burn_in,
-                      deflation_solve, oja_baseline, orthogonal_iteration,
+from .solvers import (ConvergenceTrace, SolverConfig, _deflation_stages,
+                      burn_in, oja_baseline, orthogonal_iteration,
                       select_parameters, vrpca_block, vrpca_vector)
 
 SOLVERS = ("vrpca_vector", "vrpca_block", "oja", "orthogonal_iteration",
@@ -246,6 +246,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     solver_cfg = SolverConfig(k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed,
                               delta=cfg.delta, epsilon=cfg.epsilon,
                               use_rotation=cfg.use_rotation)
+    stages = None
     if cfg.solver == "vrpca_vector":
         trace = vrpca_vector(X, frame, solver_cfg, reference)
     elif cfg.solver == "vrpca_block":
@@ -257,9 +258,11 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         trace = oja_baseline(X, frame, eta0, iters, reference)
     elif cfg.solver == "orthogonal_iteration":
         trace = orthogonal_iteration(X, frame, cfg.sweeps, reference)
-    else:  # deflation returns a frame; wrap the final state minimally
-        final = deflation_solve(X, k, solver_cfg)
+    else:  # deflation's k-frame trace holds the final state only; its
+        # samples and epochs are those of the k stage runs
+        final, stages = _deflation_stages(X, k, solver_cfg)
         trace = ConvergenceTrace(records=[], final_frame=final, inner_len=m)
+    runs = stages or [trace]
 
     boundaries = trace.boundary_records()
     final_pot = None
@@ -282,10 +285,11 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         init_alignment_sq=align,
         burn_in_iterations=burn_iters, burn_in_converged=burn_ok,
         eta=eta, m=m,
-        epochs_run=max((r.epoch for r in trace.records), default=0),
+        epochs_run=sum(max((r.epoch for r in t.records), default=0)
+                       for t in runs),
         epoch_potentials=[b.potential for b in boundaries],
         final_potential=final_pot, final_residual=final_res,
-        samples=trace.samples,
+        samples=sum(t.samples for t in runs),
         elapsed_s=time.perf_counter() - t_start,
         runtime_model=model)
     return report, trace

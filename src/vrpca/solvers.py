@@ -5,19 +5,171 @@ wrapper. Every solver emits a ConvergenceTrace."""
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
 from .initialization import gaussian_init
-from .matrix import DataMatrix, OrthonormalFrame, _polar, covariance_apply
+from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
+                     covariance_apply)
 
-_DEBUG = os.environ.get("VRPCA_DEBUG", "") not in ("", "0")
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
+_UNIT_TOL = 1e-10  # a k=1 iterate farther than this from norm 1 is corrupt
+
+_KERNEL_SRC = Path(__file__).with_name("_kernel.c")
+#: no -ffast-math and no -march=native: the kernel's bits must not depend on
+#: the machine it was built on or on the compiler reordering sums
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_kernel_lock = threading.Lock()
+_kernel_fn = None  # the loaded step function; False once it proved unavailable
+
+
+# The modules the kernel's build and load need are imported inside the
+# functions below, so that importing vrpca does not pay for them.
+
+
+def _compiler():
+    """The C compiler command: the one Python was built with, else cc;
+    None when neither is on PATH."""
+    import shlex
+    import shutil
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if cc and shutil.which(cc[0]):
+        return cc
+    return ["cc"] if shutil.which("cc") else None
+
+
+def _kernel_cache():
+    return Path.home() / ".cache" / "vrpca"
+
+
+def _build_kernel(cache_dir, cc):
+    """Path of the compiled kernel in ``cache_dir``, compiling it first
+    unless a build of the same source, compiler and flags is there.
+
+    The library is written to a temporary file and renamed into place, so
+    concurrent builders (threads or processes) never load a partial file.
+    """
+    import hashlib
+    import platform
+    import subprocess
+    import tempfile
+
+    key = hashlib.sha256(_KERNEL_SRC.read_bytes() + repr(
+        (cc, _KERNEL_FLAGS, platform.machine())).encode()).hexdigest()[:16]
+    path = Path(cache_dir) / f"kernel-{key}.so"
+    if path.exists():
+        return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SRC),
+                        "-lm"], check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _kernel():
+    """The compiled k=1 step function, built and loaded on first use; None
+    when no compiler is found or the build or load fails (a RuntimeWarning
+    says why, once), in which case _steps_k1 runs the numpy steps."""
+    import ctypes
+    import subprocess
+
+    global _kernel_fn
+    with _kernel_lock:
+        if _kernel_fn is None:
+            cc = _compiler()
+            try:
+                if cc is None:
+                    raise OSError("no C compiler on PATH")
+                lib = ctypes.CDLL(str(_build_kernel(_kernel_cache(), cc)))
+            except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+                warnings.warn(f"vrpca: compiled k=1 kernel unavailable ({exc}); "
+                              "using the numpy steps", RuntimeWarning,
+                              stacklevel=3)
+                _kernel_fn = False
+            else:
+                fn = lib.vrpca_steps_k1
+                p = ctypes.c_void_p
+                i64 = ctypes.c_int64
+                fn.argtypes = [p, i64, p, i64, p, p, ctypes.c_double, p, p, p,
+                               i64, p, p, ctypes.c_double]
+                fn.restype = i64
+                _kernel_fn = fn
+        return _kernel_fn or None
+
+
+def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
+                    btx=None):
+    """Reference for _steps_k1, one interpreted step at a time."""
+    for t, i in enumerate(idx, 1):
+        x = xd[:, i] if basis is None else xd[:, i] - basis @ btx[i]
+        if anchor is None or w @ anchor >= 0.0:
+            wp = w + (eta * (x @ w - a[i])) * x + eu
+        else:  # the aligning rotation of the 1x1 overlap is -1
+            wp = w + (eta * (x @ w + a[i])) * x - eu
+        nrm2 = wp @ wp
+        w[:] = wp
+        if nrm2 < _NORM_FLOOR**2:
+            return t
+        w /= np.sqrt(nrm2)
+    return 0
+
+
+def _steps_k1(xd, idx, a, eu, eta, w, anchor=None, basis=None, btx=None):
+    """Run len(idx) k=1 VR-PCA steps on the unit vector ``w`` in place:
+    w <- normalize(w + eta (x_i^T w - a_i) x_i + eu), i over ``idx``.
+
+    ``xd`` is the F-ordered d x n data, ``a`` the n anchor projections
+    X^T w~ and ``eu`` = eta * u. With ``anchor`` = w~, each step first takes
+    s = sign(w^T w~) (+1 at zero) and uses s a_i and s eu: the block
+    solver's aligning rotation at k=1. With a C-ordered d x j deflation
+    ``basis`` B and ``btx`` = X^T B (n x j, C-ordered), x_i is replaced by
+    x_i - B B^T x_i. Returns 0, or the 1-based step whose candidate norm
+    fell below _NORM_FLOOR; ``w`` then holds that unnormalized candidate.
+
+    Runs the compiled kernel when it is available and otherwise the numpy
+    reference; the two agree to 1e-12 (they sum in different orders).
+    """
+    fn = _kernel()
+    if fn is None:
+        return _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor, basis, btx)
+    d, n = xd.shape
+    j = 0 if basis is None else basis.shape[1]
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    buf = np.empty(d if basis is not None else 0)
+    ops = (a, eu, w, anchor, basis, btx)
+    if not (xd.dtype == np.float64 and xd.flags.f_contiguous
+            and all(v is None or (v.dtype == np.float64
+                                  and v.flags.c_contiguous) for v in ops)
+            and a.shape == (n,) and eu.shape == w.shape == (d,)
+            and w.flags.writeable
+            and (anchor is None or anchor.shape == (d,))
+            and (basis is None or (basis.shape == (d, j)
+                                   and btx.shape == (n, j)))
+            and (len(idx) == 0 or (idx.min() >= 0 and idx.max() < n))):
+        raise DimensionMismatchError("k=1 kernel operands violate its contract")
+
+    def ptr(v):
+        return None if v is None else v.ctypes.data
+
+    return fn(xd.ctypes.data, d, idx.ctypes.data, len(idx), ptr(a), ptr(eu),
+              eta, ptr(anchor), ptr(basis), ptr(btx), j, ptr(w), ptr(buf),
+              _NORM_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -173,13 +325,27 @@ def _check_frame(X, w0, k):
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={X.d}")
 
 
-def _vector_epochs(X, w_start, cfg, reference, deflate=None, rng=None):
-    """Shared inner machinery of vrpca_vector and the deflation stages.
+def _check_unit(w, where):
+    dev = abs(float(np.sqrt(w @ w)) - 1.0)
+    if not dev <= _UNIT_TOL:
+        raise DegenerateIterateError(
+            f"iterate left the unit sphere {where}: | ||w|| - 1 | = {dev:.3e}")
+
+
+def _vector_epochs(X, w_start, cfg, reference, deflate=None, rng=None,
+                   rotate=False):
+    """Shared inner machinery of vrpca_vector, the k=1 block solver and the
+    deflation stages.
 
     ``deflate`` is an optional d x j orthonormal basis; sampled columns and
     the epoch anchor are projected against it on the fly, so the stage
     solves the covariance operator restricted to its orthogonal complement.
-    ``rng`` overrides the default run stream Philox(cfg.seed).
+    ``rng`` overrides the default run stream Philox(cfg.seed). ``rotate``
+    applies the block solver's aligning rotation sign(w^T anchor).
+
+    The m steps of an epoch run as one _steps_k1 segment per trace
+    checkpoint (every max(m // 10, 1) steps, and the epoch end); after each
+    segment the iterate must have unit norm to within _UNIT_TOL.
     """
     xd = X.data
     n = X.n
@@ -188,47 +354,44 @@ def _vector_epochs(X, w_start, cfg, reference, deflate=None, rng=None):
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     rec = _Recorder(X, reference, m)
-    proj_basis = deflate
-    vtx = proj_basis.T @ xd if proj_basis is not None else None
+    basis = btx = None
+    if deflate is not None:
+        basis = np.ascontiguousarray(deflate)
+        btx = xd.T @ basis
 
     w = w_start.copy()
-    if proj_basis is not None:
-        w -= proj_basis @ (proj_basis.T @ w)
+    if basis is not None:
+        w -= basis @ (basis.T @ w)
         w /= np.linalg.norm(w)
     samples = 0
     rec.add(0, 0, w, samples)
     stride = max(m // 10, 1)
     wt = w.copy()
     for s in range(1, cfg.epochs + 1):
-        if proj_basis is not None:
-            wt -= proj_basis @ (proj_basis.T @ wt)
+        if basis is not None:
+            wt -= basis @ (basis.T @ wt)
             wt /= np.linalg.norm(wt)
-        u = xd @ (xd.T @ wt) / n
         anchor_proj = xd.T @ wt
-        if proj_basis is not None:
-            u -= proj_basis @ (proj_basis.T @ u)
+        u = xd @ anchor_proj / n
+        if basis is not None:
+            u -= basis @ (basis.T @ u)
         samples += n
         eu = eta * u
         w = wt.copy()
         idx = rng.integers(0, n, size=m)
-        for t in range(1, m + 1):
-            i = idx[t - 1]
-            if proj_basis is None:
-                x = xd[:, i]
-            else:
-                x = xd[:, i] - proj_basis @ vtx[:, i]
-            wp = w + (eta * (x @ w - anchor_proj[i])) * x + eu
-            nrm2 = wp @ wp
-            if nrm2 < _NORM_FLOOR**2:
+        for t0 in range(0, m, stride):
+            t1 = min(t0 + stride, m)
+            bad = _steps_k1(xd, idx[t0:t1], anchor_proj, eu, eta, w,
+                            anchor=wt if rotate else None, basis=basis,
+                            btx=btx)
+            if bad:
                 raise DegenerateIterateError(
-                    f"degenerate iterate at epoch {s}, step {t}: "
-                    f"norm {np.sqrt(nrm2):.3e}")
-            w = wp / np.sqrt(nrm2)
-            samples += 1
-            if _DEBUG:
-                assert abs(w @ w - 1.0) <= 1e-10
-            if t % stride == 0 and t != m:
-                rec.add(s, t, w, samples)
+                    f"degenerate iterate at epoch {s}, step {t0 + bad}: "
+                    f"norm {np.sqrt(w @ w):.3e}")
+            _check_unit(w, f"at epoch {s}, step {t1}")
+            if t1 != m:
+                rec.add(s, t1, w, samples + t1)
+        samples += m
         wt = w
         rec.add(s, m, wt, samples)
         if cfg.epsilon is not None and rec.records[-1].potential is not None \
@@ -245,8 +408,12 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     runs m stochastic steps
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
     with uniform with-replacement sampling from one Philox stream keyed by
-    cfg.seed (one block of m indices drawn per epoch). The trace records
-    epoch boundaries and every m/10 inner steps.
+    cfg.seed (one block of m indices drawn per epoch). The steps run in the
+    compiled k=1 kernel (numpy where it cannot be built; the two agree to
+    1e-12), one call per trace checkpoint. The trace records epoch
+    boundaries and every m/10 inner steps; at each record the iterate's
+    norm is checked against 1 (to 1e-10), and a step whose norm falls
+    below 1e-12, or a failed check, raises DegenerateIterateError.
     """
     _check_frame(X, w0, 1)
     if cfg.k != 1:
@@ -262,13 +429,21 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     With cfg.use_rotation the anchor is rotated each inner step by the
     orthogonal B minimizing ||W - anchor B||_F (recomputed every step, as
     the k x k cost is absorbed by the d x k work); otherwise B = I, the
-    variant that historically worked well in practice. For k = 1 the
-    iterate sequence coincides with vrpca_vector under the same seed when
-    use_rotation is off, or while the overlap w^T anchor stays >= 0; once
-    it turns negative the rotation is B = -I and the two runs part.
+    variant that historically worked well in practice. At every trace
+    checkpoint the frame must satisfy max |W^T W - I| <= ORTHO_TOL, else
+    DegenerateIterateError is raised.
+
+    k = 1 runs the vector solver's epochs (the compiled k=1 kernel), with
+    the rotation reduced to the sign of the overlap w^T anchor. The iterate
+    sequence therefore coincides with vrpca_vector under the same seed when
+    use_rotation is off, or while that overlap stays >= 0; once it turns
+    negative the rotation is B = -I and the two runs part.
     """
     k = cfg.k
     _check_frame(X, W0, k)
+    if k == 1:
+        return _vector_epochs(X, W0.entries[:, 0].copy(), cfg, reference,
+                              rotate=cfg.use_rotation)
     xd = X.data
     n = X.n
     eta = cfg.eta
@@ -282,21 +457,17 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     stride = max(m // 10, 1)
     eye_k = np.eye(k)
     for s in range(1, cfg.epochs + 1):
-        u = xd @ (xd.T @ wt) / n
         anchor_proj = xd.T @ wt  # n x k
+        u = xd @ anchor_proj / n
         samples += n
         w = wt.copy()
         idx = rng.integers(0, n, size=m)
         ub_static = eta * u  # valid whenever B = I
         for t in range(1, m + 1):
             if cfg.use_rotation:
-                if k == 1:
-                    # SVD of the 1x1 overlap reduces to its sign
-                    b = eye_k if (w[:, 0] @ wt[:, 0]) >= 0.0 else -eye_k
-                else:
-                    us, _, vts = np.linalg.svd(w.T @ wt)
-                    b = vts.T @ us.T
-                ub = eta * (u @ b) if b is not eye_k else ub_static
+                us, _, vts = np.linalg.svd(w.T @ wt)
+                b = vts.T @ us.T
+                ub = eta * (u @ b)
             else:
                 b = eye_k
                 ub = ub_static
@@ -305,18 +476,14 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
             xw = x @ w
             pb = anchor_proj[i] @ b
             wp = w + np.outer(x, eta * (xw - pb)) + ub
-            if k == 1:
-                nrm2 = wp[:, 0] @ wp[:, 0]
-                if nrm2 < _NORM_FLOOR**2:
-                    raise DegenerateIterateError(
-                        f"degenerate iterate at epoch {s}, step {t}: "
-                        f"norm {np.sqrt(nrm2):.3e}")
-                w = wp / np.sqrt(nrm2)
-            else:
-                w = _polar(wp)
+            w = _polar(wp)
             samples += 1
-            if _DEBUG:
-                assert np.max(np.abs(w.T @ w - eye_k)) <= 1e-10
+            if t % stride == 0 or t == m:
+                dev = np.max(np.abs(w.T @ w - eye_k))
+                if not dev <= ORTHO_TOL:
+                    raise DegenerateIterateError(
+                        f"iterate columns lost orthonormality at epoch {s}, "
+                        f"step {t}: max |W^T W - I| = {dev:.3e}")
             if t % stride == 0 and t != m:
                 rec.add(s, t, w, samples)
         wt = w
@@ -336,9 +503,11 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     Runs stochastic steps against the fixed anchor w0 with the burn-in step
     size eta = burn_c * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
-    (overridable). With a reference frame the stopping rule is potential
-    <= 1/2, checked up front so an already-good start returns immediately
-    with 0 iterations. Without a reference, the run stops once the Rayleigh
+    (overridable), in the compiled k=1 kernel of the vector solver (numpy
+    where it cannot be built), one call per stopping-rule check; the
+    iterate's norm is checked against 1 (to 1e-10) after each call. With a
+    reference frame the stopping rule is potential <= 1/2, checked up front
+    so an already-good start returns immediately with 0 iterations. Without a reference, the run stops once the Rayleigh
     residual has at least halved and then plateaued; this proxy rule is a
     heuristic, not a guarantee.
 
@@ -371,8 +540,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     xd = X.data
     n = X.n
-    u = xd @ (xd.T @ wt) / n
     anchor_proj = xd.T @ wt
+    u = xd @ anchor_proj / n
     eu = eta * u
     rng = np.random.Generator(np.random.Philox(key=0))
     check_every = max(min(budget // 512, 8192), 64)
@@ -384,16 +553,12 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     while done < budget:
         take = min(check_every, budget - done)
         idx = rng.integers(0, n, size=take)
-        for t in range(take):
-            i = idx[t]
-            x = xd[:, i]
-            wp = w + (eta * (x @ w - anchor_proj[i])) * x + eu
-            nrm2 = wp @ wp
-            if nrm2 < _NORM_FLOOR**2:
-                raise DegenerateIterateError(
-                    f"degenerate burn-in iterate at step {done + t + 1}")
-            w = wp / np.sqrt(nrm2)
+        bad = _steps_k1(xd, idx, anchor_proj, eu, eta, w)
+        if bad:
+            raise DegenerateIterateError(
+                f"degenerate burn-in iterate at step {done + bad}")
         done += take
+        _check_unit(w, f"in burn-in at step {done}")
         rec.add(0, done, w, done)
         last = rec.records[-1]
         if reference is not None:
@@ -477,10 +642,16 @@ def deflation_solve(X: DataMatrix, k: int, cfg: SolverConfig,
     a warning is emitted when consecutive eigenvalue estimates differ by
     less than 1e-3.
     """
+    return _deflation_stages(X, k, cfg)[0]
+
+
+def _deflation_stages(X, k, cfg):
+    """deflation_solve's frame and the k stage traces that produced it."""
     if not 1 <= k <= X.d:
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={X.d}")
     found = []
     estimates = []
+    traces = []
     for j in range(1, k + 1):
         w0 = gaussian_init(X.d, 1, seed=cfg.seed + j)
         basis = np.column_stack(found) if found else None
@@ -489,6 +660,7 @@ def deflation_solve(X: DataMatrix, k: int, cfg: SolverConfig,
             rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
         trace = _vector_epochs(X, w0.entries[:, 0].copy(), cfg, None,
                                deflate=basis, rng=rng)
+        traces.append(trace)
         v = trace.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)
@@ -500,5 +672,5 @@ def deflation_solve(X: DataMatrix, k: int, cfg: SolverConfig,
                 f"estimated eigenvalues {j - 1} and {j} differ by "
                 f"{estimates[-2] - estimates[-1]:.3e}; deflation needs a "
                 "positive gap between all leading eigenvalues",
-                GapWarning, stacklevel=2)
-    return OrthonormalFrame(np.column_stack(found))
+                GapWarning, stacklevel=3)
+    return OrthonormalFrame(np.column_stack(found)), traces

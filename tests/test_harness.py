@@ -151,6 +151,10 @@ class TestRunExperiment:
         cfg = synth_cfg(solver="deflation", k=2, epochs=5, delta=0.5)
         rep = run_experiment(cfg)[0]
         assert rep.final_potential <= 1e-5
+        # two stages, each running every epoch (stages carry no reference,
+        # so none stops early): n + m samples per epoch
+        assert rep.epochs_run == 2 * 5
+        assert rep.samples == 2 * 5 * (rep.n + rep.m) > 0
 
 
 class TestRuntimeModel:

@@ -1,0 +1,228 @@
+"""The compiled k=1 step kernel: agreement with its numpy reference, the
+degenerate-step report, the numpy fallback, and the build cache under
+concurrent first use."""
+
+import threading
+
+import numpy as np
+import pytest
+from conftest import spectrum_k1
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
+                   SolverConfig, burn_in, gaussian_init,
+                   power_warm_start, run_experiment, select_parameters,
+                   vrpca_block, vrpca_vector)
+from vrpca import solvers
+
+needs_cc = pytest.mark.skipif(solvers._compiler() is None,
+                              reason="no C compiler on PATH")
+
+#: max-abs difference allowed between the compiled and the numpy steps,
+#: which sum the same terms in different orders
+AGREE = 1e-12
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """An unloaded kernel whose cache is an empty temporary directory;
+    yields the list of directories _build_kernel was called with."""
+    builds = []
+    real = solvers._build_kernel
+
+    def counting(cache_dir, cc):
+        builds.append(cache_dir)
+        return real(cache_dir, cc)
+
+    monkeypatch.setattr(solvers, "_kernel_fn", None)
+    monkeypatch.setattr(solvers, "_kernel_cache", lambda: tmp_path)
+    monkeypatch.setattr(solvers, "_build_kernel", counting)
+    return builds
+
+
+@needs_cc
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 40), n=st.integers(1, 30), m=st.integers(0, 120),
+       j=st.integers(0, 3), rotate=st.booleans(),
+       eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_compiled_matches_numpy_reference(d, n, m, j, rotate, eta, seed):
+    assert solvers._kernel() is not None  # a compiler is here: it must build
+    rng = np.random.default_rng(seed)
+    X = DataMatrix(rng.standard_normal((d, n)))
+    xd = X.data / np.sqrt(X.r)  # unit max column norm, as the pipeline runs
+    xd = np.asfortranarray(xd)
+    j = min(j, d - 1)
+    basis = btx = None
+    if j:
+        basis = np.ascontiguousarray(
+            np.linalg.qr(rng.standard_normal((d, j)))[0])
+        btx = xd.T @ basis
+    wt = _unit(rng.standard_normal(d))
+    a = xd.T @ wt
+    eu = eta * (xd @ a / n)
+    w0 = _unit(rng.standard_normal(d))
+    idx = rng.integers(0, n, size=m)
+    anchor = wt if rotate else None
+    w_c, w_np = w0.copy(), w0.copy()
+    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, anchor, basis, btx)
+    bad_np = solvers._steps_k1_numpy(xd, idx, a, eu, eta, w_np, anchor,
+                                     basis, btx)
+    assert bad_c == bad_np
+    assert np.max(np.abs(w_c - w_np), initial=0.0) <= AGREE
+    if not bad_c:
+        assert abs(np.linalg.norm(w_c) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param(solvers._steps_k1, marks=needs_cc, id="compiled"),
+    pytest.param(solvers._steps_k1_numpy, id="numpy")])
+@pytest.mark.parametrize("with_anchor", [False, True])
+def test_degenerate_step_reported_at_step_one(steps, with_anchor):
+    # eu = -w and a_i = x_i^T w cancel the step: the candidate is ~0
+    rng = np.random.default_rng(4)
+    xd = np.asfortranarray(rng.standard_normal((6, 5)))
+    w = _unit(rng.standard_normal(6))
+    w_in = w.copy()
+    bad = steps(xd, np.array([2, 0, 1]), xd.T @ w, -w, 1.0, w_in,
+                anchor=w if with_anchor else None)
+    assert bad == 1
+    assert np.linalg.norm(w_in) < solvers._NORM_FLOOR
+
+
+def _degenerate_third_segment(monkeypatch):
+    """Make the third _steps_k1 call of a run see cancelling operands."""
+    real = solvers._steps_k1
+    calls = []
+
+    def steps(xd, idx, a, eu, eta, w, *args, **kwargs):
+        calls.append(len(idx))
+        if len(calls) == 3:
+            return real(xd, idx, xd.T @ w, -w, 1.0, w)
+        return real(xd, idx, a, eu, eta, w, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_steps_k1", steps)
+    return calls
+
+
+@pytest.mark.parametrize("compiled", [
+    pytest.param(True, marks=needs_cc, id="compiled"),
+    pytest.param(False, id="numpy")])
+def test_solvers_report_the_degenerate_step(monkeypatch, small_k1, compiled):
+    if not compiled:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    X = small_k1.Xs
+    w0 = gaussian_init(X.d, 1, seed=3)
+    cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=2, seed=0)
+    for solve in (vrpca_vector, vrpca_block):
+        _degenerate_third_segment(monkeypatch)
+        # segments are 10 steps long; the third starts at step 21
+        with pytest.raises(DegenerateIterateError,
+                           match=r"at epoch 1, step 21: norm"):
+            solve(X, w0, cfg)
+    calls = _degenerate_third_segment(monkeypatch)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"burn-in iterate at step (\d+)$") as exc:
+        burn_in(X, w0, 1.0 / X.d, 0.25, small_k1.gap)
+    assert exc.value.args[0].endswith(f"step {sum(calls[:2]) + 1}")
+
+
+def test_off_sphere_iterate_raises(monkeypatch, small_k1):
+    def drift(xd, idx, a, eu, eta, w, *args, **kwargs):
+        w *= 1.0 + 1e-9
+        return 0
+
+    monkeypatch.setattr(solvers, "_steps_k1", drift)
+    w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
+    cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=1, seed=0)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"unit sphere at epoch 1, step 10"):
+        vrpca_vector(small_k1.Xs, w0, cfg)
+
+
+@needs_cc
+def test_numpy_fallback_matches_compiled_run(monkeypatch, std_k1):
+    ref = std_k1.reference(1)
+    w0 = power_warm_start(std_k1.Xs, seed=1, reference=ref).frame
+    eta, m = select_parameters(std_k1.gap, 1.0, 1, 0.25)
+    cfg = SolverConfig(k=1, eta=eta, m=m, epochs=3, seed=1)
+    assert solvers._kernel() is not None
+    compiled = vrpca_vector(std_k1.Xs, w0, cfg, ref)
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    reference = vrpca_vector(std_k1.Xs, w0, cfg, ref)
+    assert compiled.samples == reference.samples
+    assert len(compiled.records) == len(reference.records)
+    diff = np.max(np.abs(compiled.final_frame.entries
+                         - reference.final_frame.entries))
+    assert diff <= AGREE
+
+
+def test_missing_compiler_falls_back_with_a_warning(monkeypatch, small_k1,
+                                                     fresh_kernel):
+    monkeypatch.setattr(solvers, "_compiler", lambda: None)
+    with pytest.warns(RuntimeWarning, match="using the numpy steps"):
+        assert solvers._kernel() is None
+    assert fresh_kernel == []
+    w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
+    cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=2, seed=0)
+    trace = vrpca_vector(small_k1.Xs, w0, cfg, small_k1.reference(1))
+    assert trace.samples == 2 * (small_k1.Xs.n + 100)
+
+
+@needs_cc
+def test_deleted_cache_entry_is_rebuilt(monkeypatch, tmp_path, small_k1,
+                                        fresh_kernel):
+    w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
+    cfg = SolverConfig(k=1, eta=0.02, m=200, epochs=2, seed=11)
+    first = vrpca_vector(small_k1.Xs, w0, cfg)
+    (entry,) = tmp_path.iterdir()
+    entry.unlink()
+    monkeypatch.setattr(solvers, "_kernel_fn", None)  # a new process
+    second = vrpca_vector(small_k1.Xs, w0, cfg)
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert fresh_kernel == [tmp_path, tmp_path]
+    assert np.array_equal(first.final_frame.entries,
+                          second.final_frame.entries)
+
+
+@needs_cc
+def test_racing_builders_leave_one_entry(tmp_path):
+    # builders in other processes are not serialized by the loader's lock;
+    # the temporary file and the rename must keep them apart
+    cc = solvers._compiler()
+    paths, errors = [], []
+
+    def build():
+        try:
+            paths.append(solvers._build_kernel(tmp_path, cc))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(set(paths)) == 1 and len(paths) == 4
+    assert [p.name for p in tmp_path.iterdir()] == [paths[0].name]
+
+
+@needs_cc
+def test_concurrent_first_use_in_run_experiment(tmp_path, fresh_kernel):
+    base = dict(spectrum=spectrum_k1(d=12), n=64, synth_seed=5,
+                solver="vrpca_vector", k=1, epochs=4, delta=0.5,
+                init="power", m=256, eta=0.05)
+    both = run_experiment(ExperimentConfig(**base, seeds=(1, 2)))
+    assert fresh_kernel == [tmp_path]
+    assert len(list(tmp_path.iterdir())) == 1
+    for rep in both:
+        alone = run_experiment(ExperimentConfig(**base, seeds=(rep.seed,)))[0]
+        assert rep.samples == alone.samples
+        assert rep.epoch_potentials == alone.epoch_potentials
+
