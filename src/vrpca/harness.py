@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if self.run_burn_in and self.k != 1:
+            raise ConfigError(f"burn-in needs k == 1, got k={self.k}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -220,7 +222,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
 
     burn_iters = 0
     burn_ok = True
-    if cfg.run_burn_in and k == 1:
+    if cfg.run_burn_in:
         if gap is None:
             raise ConfigError("burn-in needs an eigengap estimate "
                               "(enable oracle_check or set lambda_hat)")
@@ -266,10 +268,11 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
 
     boundaries = trace.boundary_records()
     final_pot = None
-    final_res = rayleigh_residual(X, trace.final_frame)
     if boundaries:
         final_pot = boundaries[-1].potential
         final_res = boundaries[-1].residual
+    else:
+        final_res = rayleigh_residual(X, trace.final_frame)
     if final_pot is None and reference is not None and \
             reference.k == trace.final_frame.k:
         final_pot = potential(reference, trace.final_frame)

@@ -20,7 +20,6 @@ from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
                      covariance_apply)
 
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
-_UNIT_TOL = 1e-10  # a k=1 iterate farther than this from norm 1 is corrupt
 
 _KERNEL_SRC = Path(__file__).with_name("_kernel.c")
 #: no -ffast-math and no -march=native: the kernel's bits must not depend on
@@ -325,27 +324,62 @@ def _check_frame(X, w0, k):
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={X.d}")
 
 
-def _check_unit(w, where):
-    dev = abs(float(np.sqrt(w @ w)) - 1.0)
-    if not dev <= _UNIT_TOL:
+def _check_iterate(w, where):
+    """The one iterate check: max |W^T W - I| <= ORTHO_TOL, which for a k=1
+    vector w is |w^T w - 1| <= ORTHO_TOL."""
+    arr = w if w.ndim == 2 else w[:, None]
+    dev = float(np.max(np.abs(arr.T @ arr - np.eye(arr.shape[1]))))
+    if not dev <= ORTHO_TOL:
+        what = ("iterate left the unit sphere" if w.ndim == 1
+                else "iterate columns lost orthonormality")
         raise DegenerateIterateError(
-            f"iterate left the unit sphere {where}: | ||w|| - 1 | = {dev:.3e}")
+            f"{what} {where}: max |W^T W - I| = {dev:.3e}")
 
 
-def _vector_epochs(X, w_start, cfg, reference, deflate=None, rng=None,
-                   rotate=False):
-    """Shared inner machinery of vrpca_vector, the k=1 block solver and the
+def _steps_block(xd, idx, a, u, eta, w, anchor=None):
+    """_steps_k1 for a d x k frame ``w``, in numpy: in place,
+    W <- polar(W + x_i eta (x_i^T W - a_i B) + eta u B), i over ``idx``.
+
+    ``a`` = X^T W~ is n x k and ``u`` = X X^T W~ / n is not scaled by eta.
+    With ``anchor`` = W~, B is the Procrustes rotation minimizing
+    ||W - W~ B||_F, recomputed every step; otherwise B = I. Returns 0, or
+    the 1-based step whose candidate's Gram matrix was singular; ``w`` then
+    holds that unnormalized candidate.
+    """
+    b = np.eye(w.shape[1])
+    ub = eta * u  # valid whenever B = I
+    for t, i in enumerate(idx, 1):
+        if anchor is not None:
+            us, _, vts = np.linalg.svd(w.T @ anchor)
+            b = vts.T @ us.T
+            ub = eta * (u @ b)
+        x = xd[:, i]
+        wp = w + np.outer(x, eta * (x @ w - a[i] @ b)) + ub
+        try:
+            w[:] = _polar(wp)
+        except DegenerateIterateError:
+            w[:] = wp
+            return t
+    return 0
+
+
+def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
+            rotate=False):
+    """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
-    ``deflate`` is an optional d x j orthonormal basis; sampled columns and
-    the epoch anchor are projected against it on the fly, so the stage
-    solves the covariance operator restricted to its orthogonal complement.
-    ``rng`` overrides the default run stream Philox(cfg.seed). ``rotate``
-    applies the block solver's aligning rotation sign(w^T anchor).
+    Each epoch makes one exact anchor pass (X^T W~ and u = X X^T W~ / n),
+    draws its m indices in one block and runs the m steps from W~ as one
+    segment per trace checkpoint (every max(m // 10, 1) steps, and the
+    epoch end): _steps_k1 for a 1-D ``w_start``, _steps_block for a d x k
+    one. After each segment the iterate must pass _check_iterate. The run
+    stops after cfg.epochs epochs or at a boundary potential <= epsilon.
 
-    The m steps of an epoch run as one _steps_k1 segment per trace
-    checkpoint (every max(m // 10, 1) steps, and the epoch end); after each
-    segment the iterate must have unit norm to within _UNIT_TOL.
+    ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
+    columns and the epoch anchor are projected against it on the fly, so
+    the stage solves the covariance operator restricted to its orthogonal
+    complement. ``rng`` overrides the default run stream Philox(cfg.seed).
+    ``rotate`` applies the block solver's aligning rotation.
     """
     xd = X.data
     n = X.n
@@ -378,17 +412,23 @@ def _vector_epochs(X, w_start, cfg, reference, deflate=None, rng=None,
         samples += n
         eu = eta * u
         w = wt.copy()
+        anchor = wt if rotate else None
         idx = rng.integers(0, n, size=m)
         for t0 in range(0, m, stride):
             t1 = min(t0 + stride, m)
-            bad = _steps_k1(xd, idx[t0:t1], anchor_proj, eu, eta, w,
-                            anchor=wt if rotate else None, basis=basis,
-                            btx=btx)
+            if w.ndim == 1:
+                bad = _steps_k1(xd, idx[t0:t1], anchor_proj, eu, eta, w,
+                                anchor=anchor, basis=basis, btx=btx)
+            else:
+                bad = _steps_block(xd, idx[t0:t1], anchor_proj, u, eta, w,
+                                   anchor=anchor)
             if bad:
-                raise DegenerateIterateError(
-                    f"degenerate iterate at epoch {s}, step {t0 + bad}: "
-                    f"norm {np.sqrt(w @ w):.3e}")
-            _check_unit(w, f"at epoch {s}, step {t1}")
+                size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
+                        "Gram matrix min eigenvalue "
+                        f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
+                raise DegenerateIterateError(f"degenerate iterate at epoch "
+                                             f"{s}, step {t0 + bad}: {size}")
+            _check_iterate(w, f"at epoch {s}, step {t1}")
             if t1 != m:
                 rec.add(s, t1, w, samples + t1)
         samples += m
@@ -408,17 +448,18 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     runs m stochastic steps
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
     with uniform with-replacement sampling from one Philox stream keyed by
-    cfg.seed (one block of m indices drawn per epoch). The steps run in the
-    compiled k=1 kernel (numpy where it cannot be built; the two agree to
-    1e-12), one call per trace checkpoint. The trace records epoch
-    boundaries and every m/10 inner steps; at each record the iterate's
-    norm is checked against 1 (to 1e-10), and a step whose norm falls
-    below 1e-12, or a failed check, raises DegenerateIterateError.
+    cfg.seed (one block of m indices drawn per epoch). It runs _epochs, as
+    vrpca_block does; the steps run in the compiled k=1 kernel (numpy where
+    it cannot be built; the two agree to 1e-12), one call per trace
+    checkpoint. The trace records epoch boundaries and every m/10 inner
+    steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
+    check, or a step whose norm falls below 1e-12, raises
+    DegenerateIterateError with its epoch and step.
     """
     _check_frame(X, w0, 1)
     if cfg.k != 1:
         raise ConfigError(f"vector solver requires cfg.k == 1, got {cfg.k}")
-    return _vector_epochs(X, w0.entries[:, 0].copy(), cfg, reference)
+    return _epochs(X, w0.entries[:, 0], cfg, reference)
 
 
 def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
@@ -426,72 +467,25 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     """Block variant: d x k frames, Procrustes-aligned anchor, polar
     normalization.
 
-    With cfg.use_rotation the anchor is rotated each inner step by the
-    orthogonal B minimizing ||W - anchor B||_F (recomputed every step, as
-    the k x k cost is absorbed by the d x k work); otherwise B = I, the
-    variant that historically worked well in practice. At every trace
-    checkpoint the frame must satisfy max |W^T W - I| <= ORTHO_TOL, else
-    DegenerateIterateError is raised.
+    It runs vrpca_vector's epochs (_epochs) with a d x k frame, so both
+    sample the same columns under one seed. With cfg.use_rotation the
+    anchor is rotated each inner step by the orthogonal B minimizing
+    ||W - anchor B||_F (recomputed every step, as the k x k cost is
+    absorbed by the d x k work); otherwise B = I, the variant that
+    historically worked well in practice. At every trace checkpoint the
+    frame must satisfy max |W^T W - I| <= ORTHO_TOL; a failed check, or a
+    step whose Gram matrix is singular, raises DegenerateIterateError with
+    its epoch and step.
 
-    k = 1 runs the vector solver's epochs (the compiled k=1 kernel), with
-    the rotation reduced to the sign of the overlap w^T anchor. The iterate
-    sequence therefore coincides with vrpca_vector under the same seed when
-    use_rotation is off, or while that overlap stays >= 0; once it turns
-    negative the rotation is B = -I and the two runs part.
+    k = 1 steps in the compiled k=1 kernel, with the rotation reduced to
+    the sign of the overlap w^T anchor. The iterate sequence therefore
+    coincides with vrpca_vector under the same seed when use_rotation is
+    off, or while that overlap stays >= 0; once it turns negative the
+    rotation is B = -I and the two runs part.
     """
-    k = cfg.k
-    _check_frame(X, W0, k)
-    if k == 1:
-        return _vector_epochs(X, W0.entries[:, 0].copy(), cfg, reference,
-                              rotate=cfg.use_rotation)
-    xd = X.data
-    n = X.n
-    eta = cfg.eta
-    m = cfg.m
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    rec = _Recorder(X, reference, m)
-
-    wt = W0.entries.copy()
-    samples = 0
-    rec.add(0, 0, wt, samples)
-    stride = max(m // 10, 1)
-    eye_k = np.eye(k)
-    for s in range(1, cfg.epochs + 1):
-        anchor_proj = xd.T @ wt  # n x k
-        u = xd @ anchor_proj / n
-        samples += n
-        w = wt.copy()
-        idx = rng.integers(0, n, size=m)
-        ub_static = eta * u  # valid whenever B = I
-        for t in range(1, m + 1):
-            if cfg.use_rotation:
-                us, _, vts = np.linalg.svd(w.T @ wt)
-                b = vts.T @ us.T
-                ub = eta * (u @ b)
-            else:
-                b = eye_k
-                ub = ub_static
-            i = idx[t - 1]
-            x = xd[:, i]
-            xw = x @ w
-            pb = anchor_proj[i] @ b
-            wp = w + np.outer(x, eta * (xw - pb)) + ub
-            w = _polar(wp)
-            samples += 1
-            if t % stride == 0 or t == m:
-                dev = np.max(np.abs(w.T @ w - eye_k))
-                if not dev <= ORTHO_TOL:
-                    raise DegenerateIterateError(
-                        f"iterate columns lost orthonormality at epoch {s}, "
-                        f"step {t}: max |W^T W - I| = {dev:.3e}")
-            if t % stride == 0 and t != m:
-                rec.add(s, t, w, samples)
-        wt = w
-        rec.add(s, m, wt, samples)
-        if cfg.epsilon is not None and rec.records[-1].potential is not None \
-                and rec.records[-1].potential <= cfg.epsilon:
-            break
-    return rec.trace(wt)
+    _check_frame(X, W0, cfg.k)
+    w = W0.entries[:, 0] if cfg.k == 1 else W0.entries
+    return _epochs(X, w, cfg, reference, rotate=cfg.use_rotation)
 
 
 def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
@@ -504,12 +498,13 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     Runs stochastic steps against the fixed anchor w0 with the burn-in step
     size eta = burn_c * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
     (overridable), in the compiled k=1 kernel of the vector solver (numpy
-    where it cannot be built), one call per stopping-rule check; the
-    iterate's norm is checked against 1 (to 1e-10) after each call. With a
-    reference frame the stopping rule is potential <= 1/2, checked up front
-    so an already-good start returns immediately with 0 iterations. Without a reference, the run stops once the Rayleigh
-    residual has at least halved and then plateaued; this proxy rule is a
-    heuristic, not a guarantee.
+    where it cannot be built), one call per stopping-rule check; after each
+    call |w^T w - 1| must be <= ORTHO_TOL, the solvers' iterate check. With
+    a reference frame the stopping rule is potential <= 1/2, checked up
+    front so an already-good start returns immediately with 0 iterations.
+    Without a reference, the run stops once the Rayleigh residual has at
+    least halved and then plateaued; this proxy rule is a heuristic, not a
+    guarantee.
 
     The iteration budget is 10x the burn-in horizon
     T = floor(burn_c' log(2/delta) / (eta lambda_hat zeta)); exhausting it
@@ -558,7 +553,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
             raise DegenerateIterateError(
                 f"degenerate burn-in iterate at step {done + bad}")
         done += take
-        _check_unit(w, f"in burn-in at step {done}")
+        _check_iterate(w, f"in burn-in at step {done}")
         rec.add(0, done, w, done)
         last = rec.records[-1]
         if reference is not None:
@@ -658,8 +653,8 @@ def _deflation_stages(X, k, cfg):
         rng = None
         if j > 1:
             rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
-        trace = _vector_epochs(X, w0.entries[:, 0].copy(), cfg, None,
-                               deflate=basis, rng=rng)
+        trace = _epochs(X, w0.entries[:, 0], cfg, None, deflate=basis,
+                        rng=rng)
         traces.append(trace)
         v = trace.final_frame.entries[:, 0].copy()
         if basis is not None:

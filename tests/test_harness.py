@@ -38,6 +38,12 @@ class TestConfig:
             ExperimentConfig.from_dict({"spectrum": (1.0, 0.5), "n": 4,
                                         "bogus": 1})
 
+    def test_burn_in_needs_k1(self):
+        # burn-in is a k=1 phase; a block run must not report one it skipped
+        with pytest.raises(ConfigError, match="burn-in needs k == 1"):
+            synth_cfg(solver="vrpca_block", k=2, run_burn_in=True)
+        assert synth_cfg(solver="vrpca_block", k=2).k == 2
+
 
 class TestRunExperiment:
     def test_zero_epochs_echoes_init(self):

@@ -94,9 +94,10 @@ def test_degenerate_step_reported_at_step_one(steps, with_anchor):
     assert np.linalg.norm(w_in) < solvers._NORM_FLOOR
 
 
-def _degenerate_third_segment(monkeypatch):
-    """Make the third _steps_k1 call of a run see cancelling operands."""
-    real = solvers._steps_k1
+def _degenerate_third_segment(monkeypatch, name="_steps_k1"):
+    """Make the third call of the step function ``name`` in a run see
+    cancelling operands (a_i = x_i^T W, eta u = -W)."""
+    real = getattr(solvers, name)
     calls = []
 
     def steps(xd, idx, a, eu, eta, w, *args, **kwargs):
@@ -105,7 +106,7 @@ def _degenerate_third_segment(monkeypatch):
             return real(xd, idx, xd.T @ w, -w, 1.0, w)
         return real(xd, idx, a, eu, eta, w, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_steps_k1", steps)
+    monkeypatch.setattr(solvers, name, steps)
     return calls
 
 
@@ -124,6 +125,11 @@ def test_solvers_report_the_degenerate_step(monkeypatch, small_k1, compiled):
         with pytest.raises(DegenerateIterateError,
                            match=r"at epoch 1, step 21: norm"):
             solve(X, w0, cfg)
+    _degenerate_third_segment(monkeypatch, "_steps_block")
+    cfg2 = SolverConfig(k=2, eta=0.01, m=100, epochs=2, seed=0)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"at epoch 1, step 21: Gram matrix min eigen"):
+        vrpca_block(X, gaussian_init(X.d, 2, seed=3), cfg2)
     calls = _degenerate_third_segment(monkeypatch)
     with pytest.raises(DegenerateIterateError,
                        match=r"burn-in iterate at step (\d+)$") as exc:
@@ -137,11 +143,17 @@ def test_off_sphere_iterate_raises(monkeypatch, small_k1):
         return 0
 
     monkeypatch.setattr(solvers, "_steps_k1", drift)
+    monkeypatch.setattr(solvers, "_steps_block", drift)
     w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
     cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=1, seed=0)
     with pytest.raises(DegenerateIterateError,
                        match=r"unit sphere at epoch 1, step 10"):
         vrpca_vector(small_k1.Xs, w0, cfg)
+    W0 = gaussian_init(small_k1.Xs.d, 2, seed=3)
+    cfg2 = SolverConfig(k=2, eta=0.01, m=100, epochs=1, seed=0)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"orthonormality at epoch 1, step 10"):
+        vrpca_block(small_k1.Xs, W0, cfg2)
 
 
 @needs_cc

@@ -10,6 +10,7 @@ from vrpca import (ConfigError, GapWarning, NonConvergenceError,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, select_parameters,
                    vrpca_block, vrpca_vector)
+from vrpca import solvers
 
 from conftest import Instance
 
@@ -337,10 +338,24 @@ class TestDeflation:
 
 
 class TestRng:
-    def test_same_seed_same_index_stream(self, small_k1):
-        # the single run stream guarantees vector/block draw identically
-        cfg = SolverConfig(k=1, eta=0.01, m=64, epochs=1, seed=21)
-        rng1 = np.random.Generator(np.random.Philox(key=21))
-        rng2 = np.random.Generator(np.random.Philox(key=21))
-        assert np.array_equal(rng1.integers(0, 10, 64),
-                              rng2.integers(0, 10, 64))
+    def test_same_seed_same_index_stream(self, monkeypatch, small_k1):
+        # one run stream per seed: the vector solver and the block solver
+        # at k=1 and k=2 hand their step functions the same column indices
+        drawn = []
+        for name in ("_steps_k1", "_steps_block"):
+            def record(xd, idx, *args, _real=getattr(solvers, name),
+                       **kwargs):
+                drawn[-1].append(np.array(idx))
+                return _real(xd, idx, *args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, record)
+        X = small_k1.Xs
+        for solve, k in ((vrpca_vector, 1), (vrpca_block, 1),
+                         (vrpca_block, 2)):
+            drawn.append([])
+            cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=2, seed=21)
+            solve(X, gaussian_init(X.d, k, seed=3), cfg)
+        vector, block1, block2 = (np.concatenate(b) for b in drawn)
+        assert len(vector) == 2 * 64
+        assert np.array_equal(block1, vector)
+        assert np.array_equal(block2, vector)
