@@ -200,9 +200,15 @@ def rayleigh_residual(X: DataMatrix, W: OrthonormalFrame) -> float:
     Zero exactly when the columns of W span an invariant subspace of the
     covariance operator; used as the oracle-free convergence diagnostic.
     """
-    aw = covariance_apply(X, W.entries)
-    resid = aw - W.entries @ (W.entries.T @ aw)
-    return float(np.linalg.norm(resid))
+    return _residual(W.entries, covariance_apply(X, W.entries))
+
+
+def _residual(w, aw):
+    """rayleigh_residual of the raw frame (or unit vector) ``w`` from a
+    product aw = A w already computed."""
+    arr = w if w.ndim == 2 else w[:, None]
+    aw = aw if aw.ndim == 2 else aw[:, None]
+    return float(np.linalg.norm(aw - arr @ (arr.T @ aw)))
 
 
 def rescale_dataset(X: DataMatrix):

@@ -8,7 +8,7 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError
                      GapWarning, NonConvergenceError)
 from .initialization import gaussian_init
 from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
-                     covariance_apply)
+                     _residual, covariance_apply)
 
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
 
@@ -224,7 +224,7 @@ class TraceRecord:
     epoch: int
     iteration: int
     potential: float | None
-    residual: float
+    residual: float | None
     samples: int
     elapsed_s: float
 
@@ -286,27 +286,32 @@ def select_parameters(lambda_hat: float, r: float, k: int, delta: float,
 
 
 class _Recorder:
-    """Builds the trace; potential is recorded only when a reference frame
-    is available (desk scale), the Rayleigh residual always."""
+    """Builds the trace. The potential is recorded only when a reference
+    frame is available (desk scale). The Rayleigh residual
+    ||A W - W (W^T A W)|| is recorded only when the caller hands in the
+    product A W it computed anyway (add's ``aw``, or settle for the last
+    record), else None: the recorder makes no data pass of its own."""
 
-    def __init__(self, X, reference, inner_len):
-        self.X = X
+    def __init__(self, reference, inner_len):
         self.ref = reference.entries if reference is not None else None
         self.records = []
         self.t0 = time.perf_counter()
         self.inner_len = inner_len
 
-    def add(self, epoch, iteration, w, samples):
+    def add(self, epoch, iteration, w, samples, aw=None):
         arr = w if w.ndim == 2 else w[:, None]
         pot = None
         if self.ref is not None:
             resid_v = arr - self.ref @ (self.ref.T @ arr)
             pot = float(np.einsum("ij,ij->", resid_v, resid_v))
-        aw = covariance_apply(self.X, arr)
-        resid = float(np.linalg.norm(aw - arr @ (arr.T @ aw)))
         self.records.append(TraceRecord(
-            epoch=epoch, iteration=iteration, potential=pot, residual=resid,
+            epoch=epoch, iteration=iteration, potential=pot,
+            residual=None if aw is None else _residual(w, aw),
             samples=samples, elapsed_s=time.perf_counter() - self.t0))
+
+    def settle(self, w, aw):
+        """Give the last record the residual of ``w`` from aw = A w."""
+        self.records[-1] = replace(self.records[-1], residual=_residual(w, aw))
 
     def trace(self, final):
         frame = OrthonormalFrame(final if final.ndim == 2 else final[:, None])
@@ -375,11 +380,17 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
     one. After each segment the iterate must pass _check_iterate. The run
     stops after cfg.epochs epochs or at a boundary potential <= epsilon.
 
+    Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
+    next epoch's anchor product u, and the run's last boundary from one
+    final pass, so a run of E epochs makes E + 1 covariance passes;
+    intra-epoch records carry the potential but residual None.
+
     ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
     columns and the epoch anchor are projected against it on the fly, so
     the stage solves the covariance operator restricted to its orthogonal
-    complement. ``rng`` overrides the default run stream Philox(cfg.seed).
-    ``rotate`` applies the block solver's aligning rotation.
+    complement (its residuals stay those of the full operator). ``rng``
+    overrides the default run stream Philox(cfg.seed). ``rotate`` applies
+    the block solver's aligning rotation.
     """
     xd = X.data
     n = X.n
@@ -387,7 +398,7 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
     m = cfg.m
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    rec = _Recorder(X, reference, m)
+    rec = _Recorder(reference, m)
     basis = btx = None
     if deflate is not None:
         basis = np.ascontiguousarray(deflate)
@@ -407,6 +418,7 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
             wt /= np.linalg.norm(wt)
         anchor_proj = xd.T @ wt
         u = xd @ anchor_proj / n
+        rec.settle(wt, u)  # the last boundary's residual, full operator
         if basis is not None:
             u -= basis @ (basis.T @ u)
         samples += n
@@ -437,6 +449,7 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
         if cfg.epsilon is not None and rec.records[-1].potential is not None \
                 and rec.records[-1].potential <= cfg.epsilon:
             break
+    rec.settle(wt, xd @ (xd.T @ wt) / n)
     return rec.trace(wt)
 
 
@@ -454,7 +467,9 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     checkpoint. The trace records epoch boundaries and every m/10 inner
     steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
     check, or a step whose norm falls below 1e-12, raises
-    DegenerateIterateError with its epoch and step.
+    DegenerateIterateError with its epoch and step. Residuals are recorded
+    at epoch boundaries only, from the anchor passes: a run of E epochs
+    makes E + 1 covariance passes.
     """
     _check_frame(X, w0, 1)
     if cfg.k != 1:
@@ -504,7 +519,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     front so an already-good start returns immediately with 0 iterations.
     Without a reference, the run stops once the Rayleigh residual has at
     least halved and then plateaued; this proxy rule is a heuristic, not a
-    guarantee.
+    guarantee, and costs one covariance pass per check. With a reference
+    the records carry residual None and no pass is made for them.
 
     The iteration budget is 10x the burn-in horizon
     T = floor(burn_c' log(2/delta) / (eta lambda_hat zeta)); exhausting it
@@ -527,9 +543,12 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     horizon = int(constants.burn_c_prime * big_l / (eta * lambda_hat * zeta))
     budget = 10 * horizon
 
-    rec = _Recorder(X, reference, None)
+    # with a reference the stop rule reads only the potential; without one
+    # the proxy rule reads residuals, at one covariance pass per check
+    proxy = reference is None
+    rec = _Recorder(reference, None)
     wt = w0.entries[:, 0].copy()
-    rec.add(0, 0, wt, 0)
+    rec.add(0, 0, wt, 0, covariance_apply(X, wt) if proxy else None)
     if reference is not None and rec.records[0].potential <= 0.5:
         return w0, 0
 
@@ -554,7 +573,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
                 f"degenerate burn-in iterate at step {done + bad}")
         done += take
         _check_iterate(w, f"in burn-in at step {done}")
-        rec.add(0, done, w, done)
+        rec.add(0, done, w, done, covariance_apply(X, w) if proxy else None)
         last = rec.records[-1]
         if reference is not None:
             if last.potential <= 0.5:
@@ -591,9 +610,9 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     xd = X.data
     n = X.n
     rng = np.random.Generator(np.random.Philox(key=0))
-    rec = _Recorder(X, reference, iters if iters > 0 else None)
+    rec = _Recorder(reference, iters if iters > 0 else None)
     w = w0.entries[:, 0].copy()
-    rec.add(0, 0, w, 0)
+    rec.add(0, 0, w, 0, covariance_apply(X, w))
     stride = max(iters // 10, 1)
     idx = rng.integers(0, n, size=iters)
     for t in range(1, iters + 1):
@@ -604,21 +623,28 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
             raise DegenerateIterateError(f"degenerate Oja iterate at step {t}")
         w = wp / np.sqrt(nrm2)
         if t % stride == 0 or t == iters:
-            rec.add(1, t, w, t)
+            rec.add(1, t, w, t, covariance_apply(X, w))
     return rec.trace(w)
 
 
 def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
                          reference: OrthonormalFrame | None = None
                          ) -> ConvergenceTrace:
-    """Deterministic baseline: W <- polar_normalize(A W) per sweep."""
+    """Deterministic baseline: W <- polar_normalize(A W) per sweep.
+
+    The residual recorded for each sweep's frame reuses the product A W
+    that the next sweep normalizes, so ``sweeps`` sweeps make sweeps + 1
+    covariance passes.
+    """
     _check_frame(X, W0, W0.k)
-    rec = _Recorder(X, reference, None)
+    rec = _Recorder(reference, None)
     w = W0.entries.copy()
-    rec.add(0, 0, w, 0)
+    aw = covariance_apply(X, w)
+    rec.add(0, 0, w, 0, aw)
     for s in range(1, sweeps + 1):
-        w = _polar(covariance_apply(X, w))
-        rec.add(s, 0, w, s * X.n)
+        w = _polar(aw)
+        aw = covariance_apply(X, w)
+        rec.add(s, 0, w, s * X.n, aw)
     return rec.trace(w)
 
 

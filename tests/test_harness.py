@@ -74,13 +74,17 @@ class TestRunExperiment:
 
     def test_trace_roundtrip_lossless(self, tmp_path):
         out = tmp_path / "run"
-        run_experiment(synth_cfg(out_dir=str(out)))
+        rep = run_experiment(synth_cfg(out_dir=str(out)))[0]
         path = out / "trace_seed1.jsonl"
         rows = read_trace(path)
         assert rows
         for row in rows:
             assert set(row) == {"epoch", "iter", "potential", "residual",
                                 "samples", "elapsed_s"}
+            # residuals come from the anchor pass, so only at boundaries
+            boundary = row["iter"] in (0, rep.m)
+            assert (row["residual"] is None) != boundary
+        assert '"residual": null' in path.read_text()
         # a JSON round trip of the parsed rows reproduces the file
         text = path.read_text().strip().splitlines()
         again = [json.dumps(json.loads(line)) for line in text]

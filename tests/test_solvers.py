@@ -4,12 +4,12 @@ solvers, burn-in, and the baselines."""
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, GapWarning, NonConvergenceError,
+from vrpca import (ConfigError, DataMatrix, GapWarning, NonConvergenceError,
                    OrthonormalFrame, SolverConfig, SolverConstants, burn_in,
                    deflation_solve,
                    gaussian_init, oja_baseline, orthogonal_iteration,
-                   potential, power_warm_start, select_parameters,
-                   vrpca_block, vrpca_vector)
+                   potential, power_warm_start, rayleigh_residual,
+                   select_parameters, vrpca_block, vrpca_vector)
 from vrpca import solvers
 
 from conftest import Instance
@@ -359,3 +359,99 @@ class TestRng:
         assert len(vector) == 2 * 64
         assert np.array_equal(block1, vector)
         assert np.array_equal(block2, vector)
+
+
+class _PassCounter(np.ndarray):
+    """Data whose X^T W products are counted: each covariance pass of a
+    solver makes one, whether or not it goes through covariance_apply."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # X^T W: the transpose of the F-ordered d x n data is C-ordered
+        if ufunc is np.matmul and isinstance(inputs[0], _PassCounter) \
+                and inputs[0].ndim == 2 and not inputs[0].flags.f_contiguous:
+            _PassCounter.passes += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs),
+                                      **kwargs)
+
+
+class TestRecorderPasses:
+    """The trace recorder makes no data pass: boundary residuals come from
+    the next epoch's anchor product and the run's final pass."""
+
+    def test_epochs_call_no_covariance_apply(self, monkeypatch, small_k1):
+        def refuse(*args):
+            raise AssertionError("covariance_apply called")
+
+        monkeypatch.setattr(solvers, "covariance_apply", refuse)
+        X = small_k1.Xs
+        for solve, k in ((vrpca_vector, 1), (vrpca_block, 1),
+                         (vrpca_block, 2)):
+            cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=2, seed=3)
+            trace = solve(X, gaussian_init(X.d, k, seed=3), cfg,
+                          small_k1.reference(k))
+            assert trace.boundary_records()[-1].residual is not None
+
+    @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
+                                          (vrpca_block, 2)])
+    def test_epoch_loop_makes_one_pass_per_epoch_plus_one(self, solve, k,
+                                                          small_k1):
+        X = DataMatrix(small_k1.Xs.data)
+        X.data = X.data.view(_PassCounter)
+        for epochs in (0, 1, 3):
+            _PassCounter.passes = 0
+            cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=3)
+            solve(X, gaussian_init(X.d, k, seed=3), cfg, small_k1.reference(k))
+            assert _PassCounter.passes == epochs + 1
+
+    @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
+                                          (vrpca_block, 2)])
+    def test_final_residual_is_the_next_boundary_residual(self, solve, k,
+                                                          small_k1):
+        X = small_k1.Xs
+        w0 = gaussian_init(X.d, k, seed=5)
+        runs = [solve(X, w0, SolverConfig(k=k, eta=0.01, m=100, epochs=e,
+                                          seed=2), small_k1.reference(k))
+                for e in (2, 3)]
+        short, longer = runs
+        final = short.boundary_records()[-1]
+        assert final.epoch == 2
+        assert final.residual == longer.boundary_records()[2].residual
+        assert final.residual == pytest.approx(
+            rayleigh_residual(X, short.final_frame), rel=0, abs=1e-12)
+        for trace in runs:
+            for r in trace.records:
+                boundary = r.iteration in (0, trace.inner_len)
+                assert (r.residual is not None) == boundary
+
+    def test_burn_in_with_reference_makes_no_pass(self, monkeypatch,
+                                                  burn_instance):
+        def refuse(*args):
+            raise AssertionError("covariance_apply called")
+
+        monkeypatch.setattr(solvers, "covariance_apply", refuse)
+        w0 = gaussian_init(burn_instance.Xs.d, 1, seed=11)
+        frame, iters = burn_in(burn_instance.Xs, w0, zeta=1.0 / 30, delta=0.5,
+                               lambda_hat=burn_instance.gap,
+                               reference=burn_instance.reference(1))
+        assert iters > 0
+
+    def test_orthogonal_iteration_reuses_its_sweep_product(self, monkeypatch,
+                                                          small_k1):
+        X = small_k1.Xs
+        w0 = gaussian_init(X.d, 2, seed=8)
+        frames = [orthogonal_iteration(X, w0, sweeps=s).final_frame
+                  for s in range(5)]
+        calls = []
+        real = solvers.covariance_apply
+
+        def count(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "covariance_apply", count)
+        trace = orthogonal_iteration(X, w0, sweeps=4)
+        assert len(calls) == 4 + 1
+        assert [r.residual for r in trace.records] == \
+            [rayleigh_residual(X, f) for f in frames]
