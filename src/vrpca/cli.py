@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .errors import (ConfigError, DatasetFormatError, DegenerateIterateError,
                      DimensionMismatchError, NonConvergenceError)
-from .harness import ExperimentConfig, compare_baselines, geometry_report, run_experiment
-from .io import load_dataset, save_dataset
+from .harness import (INITS, SOLVERS, ExperimentConfig, compare_baselines,
+                      geometry_report, run_experiment)
+from .io import FORMATS, load_dataset, save_dataset
 from .oracle import SpectrumSpec, synthesize_dataset
 
 
@@ -36,14 +37,13 @@ def _csv_ints(text):
 def _add_experiment_flags(p):
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--dataset", dest="dataset_path")
-    p.add_argument("--format", dest="dataset_format", choices=("csv", "f64le"))
+    p.add_argument("--format", dest="dataset_format", choices=FORMATS)
     p.add_argument("--spectrum", type=_csv_floats,
                    help="comma-separated eigenvalues for a synthetic dataset")
     p.add_argument("--gap-index", type=int, dest="gap_index")
     p.add_argument("--n", type=int)
     p.add_argument("--synth-seed", type=int, dest="synth_seed")
-    p.add_argument("--solver", choices=("vrpca_vector", "vrpca_block", "oja",
-                                        "orthogonal_iteration", "deflation"))
+    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--k", type=int)
     p.add_argument("--eta", type=float)
     p.add_argument("--m", type=int)
@@ -54,7 +54,7 @@ def _add_experiment_flags(p):
                    action="store_true", default=None)
     p.add_argument("--no-rotation", dest="use_rotation", action="store_false")
     p.add_argument("--sweeps", type=int)
-    p.add_argument("--init", choices=("gaussian", "power"))
+    p.add_argument("--init", choices=INITS)
     p.add_argument("--burn-in", dest="run_burn_in",
                    action="store_true", default=None)
     p.add_argument("--zeta", type=float)
@@ -108,16 +108,16 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--spectrum", type=_csv_floats, required=True)
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--format", choices=("csv", "f64le"), default="f64le")
+    p_synth.add_argument("--format", choices=FORMATS, default="f64le")
     p_synth.add_argument("--out", required=True)
 
     p_conv = sub.add_parser("convert", help="convert between dataset formats")
     p_conv.add_argument("src")
     p_conv.add_argument("dst")
-    p_conv.add_argument("--from", dest="src_format",
-                        choices=("csv", "f64le"), required=True)
-    p_conv.add_argument("--to", dest="dst_format",
-                        choices=("csv", "f64le"), required=True)
+    p_conv.add_argument("--from", dest="src_format", choices=FORMATS,
+                        required=True)
+    p_conv.add_argument("--to", dest="dst_format", choices=FORMATS,
+                        required=True)
 
     return parser
 

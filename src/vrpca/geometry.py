@@ -61,19 +61,33 @@ def rayleigh_hessian(X: DataMatrix, w) -> np.ndarray:
     return -(m + m.T) / nrm2
 
 
+def _curvatures(X: DataMatrix, ws: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """g_j^T H(w_j) g_j for the column pairs of the d x s stacks ws and gs,
+    from one implicit covariance application on both stacks:
+    -(2/||w||^2) (F ||g||^2 + g^T A g - (4/||w||^2) (g^T w)(F g^T w + w^T A g))
+    with F = F(w)."""
+    s = ws.shape[1]
+    applied = covariance_apply(X, np.concatenate((ws, gs), axis=1))
+    aw, ag = applied[:, :s], applied[:, s:]
+
+    def dots(a, b):
+        return np.einsum("ij,ij->j", a, b)
+
+    nrm2 = dots(ws, ws)
+    f = -dots(ws, aw) / nrm2
+    gw = dots(gs, ws)
+    return -(2.0 / nrm2) * (f * dots(gs, gs) + dots(gs, ag)
+                            - (4.0 / nrm2) * gw * (f * gw + dots(ws, ag)))
+
+
 def directional_curvature(X: DataMatrix, w, g) -> float:
     """g^T H(w) g without materializing the Hessian (two implicit
     covariance applications on the stacked pair)."""
-    arr, nrm2 = _vec(w, X.d)
+    arr, _ = _vec(w, X.d)
     gv = np.asarray(g, dtype=np.float64).reshape(-1)
     if gv.size != X.d:
         raise DimensionMismatchError(f"direction has size {gv.size}, expected {X.d}")
-    applied = covariance_apply(X, np.column_stack((arr, gv)))
-    aw, ag = applied[:, 0], applied[:, 1]
-    f = -(arr @ aw) / nrm2
-    gw = gv @ arr
-    return float(-(2.0 / nrm2) * (
-        f * (gv @ gv) + gv @ ag - (4.0 / nrm2) * gw * (f * gw + arr @ ag)))
+    return float(_curvatures(X, arr[:, None], gv[:, None])[0])
 
 
 def nonconvexity_certificate(X: DataMatrix, w, psd_tol: float = 1e-10):
@@ -172,16 +186,7 @@ def probe_strong_convexity(region: ConvexRegion, X: DataMatrix,
     dirs = tangent(samples)
     radii = region.radius * rng.random(samples) ** (1.0 / max(d - 1, 1))
     ws = w0[:, None] + dirs * radii
-    gs = tangent(samples)
-
-    applied = covariance_apply(X, np.concatenate((ws, gs), axis=1))
-    aw, ag = applied[:, :samples], applied[:, samples:]
-    nrm2 = np.einsum("ij,ij->j", ws, ws)
-    f = -np.einsum("ij,ij->j", ws, aw) / nrm2
-    gw = np.einsum("ij,ij->j", gs, ws)
-    gag = np.einsum("ij,ij->j", gs, ag)
-    wag = np.einsum("ij,ij->j", ws, ag)
-    curv = -(2.0 / nrm2) * (f + gag - (4.0 / nrm2) * gw * (f * gw + wag))
+    curv = _curvatures(X, ws, tangent(samples))
     return float(curv.min()), float(curv.max())
 
 

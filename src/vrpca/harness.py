@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,8 @@ INITS = ("gaussian", "power")
 #: epsilon used by the runtime model when the config leaves it unset
 MODEL_EPSILON = 1e-6
 
+#: keys of a trace row, one per TraceRecord field in declaration order
+#: ("iter" holds TraceRecord.iteration)
 TRACE_KEYS = ("epoch", "iter", "potential", "residual", "samples", "elapsed_s")
 
 
@@ -125,7 +127,6 @@ class RunReport:
     samples: int
     elapsed_s: float
     runtime_model: float | None
-    numerical_rank: float | None = None
 
     def to_dict(self):
         return asdict(self)
@@ -173,10 +174,7 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
 def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
     with path.open("w", encoding="ascii") as fh:
         for r in trace.records:
-            fh.write(json.dumps({
-                "epoch": r.epoch, "iter": r.iteration,
-                "potential": r.potential, "residual": r.residual,
-                "samples": r.samples, "elapsed_s": r.elapsed_s}))
+            fh.write(json.dumps(dict(zip(TRACE_KEYS, astuple(r)))))
             fh.write("\n")
 
 
@@ -328,52 +326,41 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def compare_baselines(cfg: ExperimentConfig):
-    """Run the variance-reduced solver, the Oja baseline, and orthogonal
-    iteration at matched sample budgets; returns aligned potential-vs-samples
-    series plus the k=1 block/vector equivalence check."""
-    X, original_r, scale, reference, gap = _prepare(
-        replace(cfg, oracle_check=True))
-    if reference is None:
+    """Run the variance-reduced solver, the Oja baseline (k=1 only) and
+    orthogonal iteration through the solve pipeline at matched sample
+    budgets; returns aligned potential-vs-samples series.
+
+    Every series is one _single_run of cfg with the oracle forced on and the
+    first seed, so init, burn-in, epsilon and oja_eta0 apply as in solve.
+    The variance-reduced run (vrpca_vector at k=1, else vrpca_block) sets
+    the budget: Oja takes oja_iters = budget and orthogonal iteration
+    sweeps = max(ceil(budget / n), 1). Each baseline starts from the same
+    deterministic init as the variance-reduced run.
+    """
+    prep = _prepare(replace(cfg, oracle_check=True))
+    if prep[3] is None:  # no reference frame: d is past the dense guard
         raise ConfigError("baseline comparison is desk-scale only")
-    eta, m = (cfg.eta, cfg.m) if (cfg.eta is not None and cfg.m is not None) \
-        else select_parameters(gap, X.r, cfg.k, cfg.delta)
     seed = cfg.seeds[0]
-    solver_cfg = SolverConfig(k=cfg.k, eta=eta, m=m, epochs=cfg.epochs,
-                              seed=seed, delta=cfg.delta,
-                              use_rotation=cfg.use_rotation)
 
-    if cfg.k == 1:
-        start = power_warm_start(X, seed, reference=reference).frame
-        vr_trace = vrpca_vector(X, start, solver_cfg, reference)
-    else:
-        start = power_warm_start(X, seed, k=cfg.k).frame
-        vr_trace = vrpca_block(X, start, solver_cfg, reference)
+    def run(**changes):
+        return _single_run(*prep, replace(cfg, **changes), seed)
+
+    report, vr_trace = run(
+        solver="vrpca_vector" if cfg.k == 1 else "vrpca_block")
     budget = vr_trace.samples
-
     series = {"vrpca": _series(vr_trace)}
     if cfg.k == 1:
-        oja_trace = oja_baseline(X, start, 1.0 / gap, budget, reference)
-        series["oja"] = _series(oja_trace)
-    sweeps = max(int(np.ceil(budget / X.n)), 1)
-    oi_trace = orthogonal_iteration(X, start, sweeps, reference)
-    series["orthogonal_iteration"] = _series(oi_trace)
+        series["oja"] = _series(run(solver="oja", oja_iters=budget)[1])
+    sweeps = max(int(np.ceil(budget / report.n)), 1)
+    series["orthogonal_iteration"] = _series(
+        run(solver="orthogonal_iteration", sweeps=sweeps)[1])
 
     result = {
-        "d": X.d, "n": X.n, "k": cfg.k, "realized_r": original_r,
-        "eigengap": gap * scale, "eta": eta, "m": m, "seed": seed,
+        "d": report.d, "n": report.n, "k": report.k,
+        "realized_r": report.realized_r, "eigengap": report.eigengap,
+        "eta": report.eta, "m": report.m, "seed": seed,
         "sample_budget": budget, "series": series,
     }
-    if cfg.k == 1:
-        # identity check against the aligned-anchor-free variant, whose k=1
-        # update is literally the vector update
-        plain_cfg = SolverConfig(k=1, eta=eta, m=m, epochs=cfg.epochs,
-                                 seed=seed, delta=cfg.delta,
-                                 use_rotation=False)
-        vec = vrpca_vector(X, start, plain_cfg, reference)
-        blk = vrpca_block(X, start, plain_cfg, reference)
-        diff = float(np.max(np.abs(blk.final_frame.entries
-                                   - vec.final_frame.entries)))
-        result["k1_equivalence_max_diff"] = diff
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -13,14 +13,12 @@ from .matrix import DataMatrix, OrthonormalFrame, covariance_apply, polar_normal
 
 @dataclass(frozen=True)
 class InitReport:
-    """Outcome of an initialization: the frame, how it was drawn, and the
-    squared alignment with the reference leading eigenvector when one was
-    supplied (k = 1 only)."""
+    """Outcome of the power warm start: the frame and its squared alignment
+    with the reference leading eigenvector when one was supplied (k = 1
+    only)."""
 
     frame: OrthonormalFrame
-    method: str  # "gaussian" | "gaussian_plus_power"
     alignment_sq: float | None = None
-    nrank: float | None = None
 
 
 def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
@@ -32,8 +30,7 @@ def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
 
 
 def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
-                     reference: OrthonormalFrame | None = None,
-                     include_nrank: bool = False) -> InitReport:
+                     reference: OrthonormalFrame | None = None) -> InitReport:
     """Gaussian draw followed by one exact application of the covariance
     operator, w0 = A w / ||A w||; costs O(n d k).
 
@@ -72,9 +69,7 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     if reference is not None and k == 1:
         v1 = reference.column(0)
         alignment = float((v1 @ frame.column(0)) ** 2)
-    nrank = numerical_rank(X) if include_nrank else None
-    return InitReport(frame=frame, method="gaussian_plus_power",
-                      alignment_sq=alignment, nrank=nrank)
+    return InitReport(frame=frame, alignment_sq=alignment)
 
 
 def numerical_rank(X: DataMatrix) -> float:

@@ -373,12 +373,14 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
-    Each epoch makes one exact anchor pass (X^T W~ and u = X X^T W~ / n),
-    draws its m indices in one block and runs the m steps from W~ as one
-    segment per trace checkpoint (every max(m // 10, 1) steps, and the
-    epoch end): _steps_k1 for a 1-D ``w_start``, _steps_block for a d x k
-    one. After each segment the iterate must pass _check_iterate. The run
-    stops after cfg.epochs epochs or at a boundary potential <= epsilon.
+    Each epoch makes one exact anchor pass (X^T W~ and u = X X^T W~ / n)
+    and runs its m steps from W~ as one segment per trace checkpoint (every
+    max(m // 10, 1) steps, and the epoch end): _steps_k1 for a 1-D
+    ``w_start``, _steps_block for a d x k one. Each segment draws its own
+    indices when it runs; consecutive Philox draws equal one block draw bit
+    for bit, so the index array holds one segment (about m / 10), not m.
+    After each segment the iterate must pass _check_iterate. The run stops
+    after cfg.epochs epochs or at a boundary potential <= epsilon.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's anchor product u, and the run's last boundary from one
@@ -425,14 +427,14 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
         eu = eta * u
         w = wt.copy()
         anchor = wt if rotate else None
-        idx = rng.integers(0, n, size=m)
         for t0 in range(0, m, stride):
             t1 = min(t0 + stride, m)
+            idx = rng.integers(0, n, size=t1 - t0)
             if w.ndim == 1:
-                bad = _steps_k1(xd, idx[t0:t1], anchor_proj, eu, eta, w,
+                bad = _steps_k1(xd, idx, anchor_proj, eu, eta, w,
                                 anchor=anchor, basis=basis, btx=btx)
             else:
-                bad = _steps_block(xd, idx[t0:t1], anchor_proj, u, eta, w,
+                bad = _steps_block(xd, idx, anchor_proj, u, eta, w,
                                    anchor=anchor)
             if bad:
                 size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else

@@ -43,7 +43,6 @@ class TestPowerWarmStart:
         w0 = rep.frame.column(0)
         assert abs(abs(w0[0]) - 1.0) <= 1e-14
         np.testing.assert_allclose(w0[1:], 0.0, atol=1e-14)
-        assert rep.method == "gaussian_plus_power"
 
     def test_isotropic_covariance_is_identity_map(self):
         d = 6
@@ -70,11 +69,6 @@ class TestPowerWarmStart:
         X = DataMatrix(np.zeros((4, 3)))
         with pytest.raises(DegenerateIterateError, match="retries"):
             power_warm_start(X, seed=1)
-
-    def test_nrank_included_on_request(self, small_k1):
-        rep = power_warm_start(small_k1.Xs, seed=4, include_nrank=True)
-        assert rep.nrank == pytest.approx(numerical_rank(small_k1.Xs))
-        assert rep.nrank >= 1.0
 
 
 class TestNumericalRank:

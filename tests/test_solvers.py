@@ -360,6 +360,40 @@ class TestRng:
         assert np.array_equal(block1, vector)
         assert np.array_equal(block2, vector)
 
+    @pytest.mark.parametrize("n, m", [(3000, 56385), (100000, 100000)])
+    def test_chunked_draws_equal_one_block(self, n, m):
+        # consecutive Philox integer draws continue one stream: chunks of
+        # any size, and the draw after them, concatenate to one block draw
+        # bit for bit
+        block = np.random.Generator(np.random.Philox(key=9)).integers(
+            0, n, size=m + 5)
+        for stride in (1, 3, m // 10, 4097):
+            rng = np.random.Generator(np.random.Philox(key=9))
+            chunks = [rng.integers(0, n, size=min(stride, m - t0))
+                      for t0 in range(0, m, stride)]
+            chunks.append(rng.integers(0, n, size=5))
+            assert np.array_equal(np.concatenate(chunks), block)
+
+    def test_epoch_draws_one_segment_at_a_time(self, monkeypatch, small_k1):
+        # each checkpoint segment draws only its own indices, and the
+        # epoch's segments make up the block Philox(seed) would draw at once
+        drawn = []
+
+        def record(xd, idx, *args, _real=solvers._steps_k1, **kwargs):
+            assert idx.flags.owndata  # not a view into an epoch-long block
+            drawn.append(np.array(idx))
+            return _real(xd, idx, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_steps_k1", record)
+        X = small_k1.Xs
+        m, epochs = 97, 2
+        cfg = SolverConfig(k=1, eta=0.01, m=m, epochs=epochs, seed=21)
+        vrpca_vector(X, gaussian_init(X.d, 1, seed=3), cfg)
+        assert [len(idx) for idx in drawn] == epochs * ([9] * 10 + [7])
+        rng = np.random.Generator(np.random.Philox(key=21))
+        expected = [rng.integers(0, X.n, size=m) for _ in range(epochs)]
+        assert np.array_equal(np.concatenate(drawn), np.concatenate(expected))
+
 
 class _PassCounter(np.ndarray):
     """Data whose X^T W products are counted: each covariance pass of a
