@@ -18,13 +18,12 @@ from .geometry import (build_convex_region, nonconvexity_certificate,
                        tightness_counterexample)
 from .initialization import gaussian_init, power_warm_start
 from .io import load_dataset
-from .matrix import (DataMatrix, OrthonormalFrame, potential,
-                     rayleigh_residual, rescale_dataset)
+from .matrix import DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (DENSE_GUARD, SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (ConvergenceTrace, SolverConfig, _deflation_stages,
-                      burn_in, oja_baseline, orthogonal_iteration,
-                      select_parameters, vrpca_block, vrpca_vector)
+from .solvers import (ConvergenceTrace, SolverConfig, burn_in, deflation_solve,
+                      oja_baseline, orthogonal_iteration, select_parameters,
+                      vrpca_block, vrpca_vector)
 
 SOLVERS = ("vrpca_vector", "vrpca_block", "oja", "orthogonal_iteration",
            "deflation")
@@ -89,6 +88,9 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if self.run_burn_in and self.k != 1:
             raise ConfigError(f"burn-in needs k == 1, got k={self.k}")
+        if self.solver in ("vrpca_vector", "oja") and self.k != 1:
+            raise ConfigError(f"solver {self.solver} needs k == 1, got "
+                              f"k={self.k}; vrpca_block solves k >= 2")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -246,7 +248,6 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     solver_cfg = SolverConfig(k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed,
                               delta=cfg.delta, epsilon=cfg.epsilon,
                               use_rotation=cfg.use_rotation)
-    stages = None
     if cfg.solver == "vrpca_vector":
         trace = vrpca_vector(X, frame, solver_cfg, reference)
     elif cfg.solver == "vrpca_block":
@@ -258,22 +259,9 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         trace = oja_baseline(X, frame, eta0, iters, reference)
     elif cfg.solver == "orthogonal_iteration":
         trace = orthogonal_iteration(X, frame, cfg.sweeps, reference)
-    else:  # deflation's k-frame trace holds the final state only; its
-        # samples and epochs are those of the k stage runs
-        final, stages = _deflation_stages(X, k, solver_cfg)
-        trace = ConvergenceTrace(records=[], final_frame=final, inner_len=m)
-    runs = stages or [trace]
-
-    boundaries = trace.boundary_records()
-    final_pot = None
-    if boundaries:
-        final_pot = boundaries[-1].potential
-        final_res = boundaries[-1].residual
     else:
-        final_res = rayleigh_residual(X, trace.final_frame)
-    if final_pot is None and reference is not None and \
-            reference.k == trace.final_frame.k:
-        final_pot = potential(reference, trace.final_frame)
+        trace = deflation_solve(X, frame, solver_cfg, reference)
+    boundaries = trace.boundary_records()
 
     model = None
     if gap is not None:
@@ -286,11 +274,11 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         init_alignment_sq=align,
         burn_in_iterations=burn_iters, burn_in_converged=burn_ok,
         eta=eta, m=m,
-        epochs_run=sum(max((r.epoch for r in t.records), default=0)
-                       for t in runs),
+        epochs_run=max(r.epoch for r in trace.records),
         epoch_potentials=[b.potential for b in boundaries],
-        final_potential=final_pot, final_residual=final_res,
-        samples=sum(t.samples for t in runs),
+        final_potential=boundaries[-1].potential,
+        final_residual=boundaries[-1].residual,
+        samples=trace.samples,
         elapsed_s=time.perf_counter() - t_start,
         runtime_model=model)
     return report, trace
@@ -330,17 +318,20 @@ def compare_baselines(cfg: ExperimentConfig):
     orthogonal iteration through the solve pipeline at matched sample
     budgets; returns aligned potential-vs-samples series.
 
-    Every series is one _single_run of cfg with the oracle forced on and the
-    first seed, so init, burn-in, epsilon and oja_eta0 apply as in solve.
+    Every series is one _single_run of cfg with the oracle forced on and its
+    one seed (more than one is a ConfigError), so init, burn-in, epsilon and
+    oja_eta0 apply as in solve.
     The variance-reduced run (vrpca_vector at k=1, else vrpca_block) sets
     the budget: Oja takes oja_iters = budget and orthogonal iteration
     sweeps = max(ceil(budget / n), 1). Each baseline starts from the same
     deterministic init as the variance-reduced run.
     """
+    if len(cfg.seeds) > 1:
+        raise ConfigError(f"compare runs one seed, got seeds {cfg.seeds}")
     prep = _prepare(replace(cfg, oracle_check=True))
     if prep[3] is None:  # no reference frame: d is past the dense guard
         raise ConfigError("baseline comparison is desk-scale only")
-    seed = cfg.seeds[0]
+    (seed,) = cfg.seeds
 
     def run(**changes):
         return _single_run(*prep, replace(cfg, **changes), seed)

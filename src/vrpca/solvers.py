@@ -1,6 +1,6 @@
 """Variance-reduced stochastic eigensolvers (vector and block variants) plus
-classical baselines: Oja-style SGD, orthogonal iteration, and a deflation
-wrapper. Every solver emits a ConvergenceTrace."""
+classical baselines: Oja-style SGD, orthogonal iteration, and deflation.
+Every solver emits a ConvergenceTrace."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
-from .initialization import gaussian_init
 from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
                      _residual, covariance_apply)
 
@@ -650,50 +649,52 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
     return rec.trace(w)
 
 
-def deflation_solve(X: DataMatrix, k: int, cfg: SolverConfig,
+def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
                     reference: OrthonormalFrame | None = None
-                    ) -> OrthonormalFrame:
-    """Recover k leading eigenvectors one at a time with the vector solver,
-    projecting sampled columns against the vectors already found.
+                    ) -> ConvergenceTrace:
+    """Recover cfg.k leading eigenvectors one at a time with the vector
+    solver, projecting sampled columns against the vectors already found.
 
     Stage j runs on the covariance operator restricted to the orthogonal
     complement of the previous stages (columns are deflated on the fly, the
-    dataset is never rewritten). Stage j draws its start from
-    gaussian_init(d, 1, seed=cfg.seed + j) and its sampling stream from the
-    run stream jumped j-1 times, so stage 1 reproduces vrpca_vector
-    exactly. Requires a positive eigengap between all top k eigenvalues;
-    a warning is emitted when consecutive eigenvalue estimates differ by
-    less than 1e-3.
+    dataset is never rewritten). It starts from column j of ``W0`` and
+    samples from the run stream Philox(cfg.seed) jumped j-1 times, so stage
+    1 reproduces vrpca_vector from column 1 exactly.
+
+    After each stage one covariance pass over the j vectors found so far
+    gives the trace one sweep-style record (cumulative epoch and samples,
+    the potential of those vectors against ``reference``, their residual),
+    the stage's eigenvalue estimate v_j^T (A V)_j, and the gap check: a
+    GapWarning is emitted when consecutive estimates differ by less than
+    1e-3, since deflation needs a positive eigengap between all top k
+    eigenvalues. The last record is the final frame's. A run of E epochs
+    per stage makes k (E + 1) + (k - 1) + k data passes: the stages', one
+    per deflation basis, and the k record passes.
     """
-    return _deflation_stages(X, k, cfg)[0]
-
-
-def _deflation_stages(X, k, cfg):
-    """deflation_solve's frame and the k stage traces that produced it."""
-    if not 1 <= k <= X.d:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={X.d}")
-    found = []
+    _check_frame(X, W0, cfg.k)
+    rec = _Recorder(reference, None)
+    found = np.empty((X.d, 0))
     estimates = []
-    traces = []
-    for j in range(1, k + 1):
-        w0 = gaussian_init(X.d, 1, seed=cfg.seed + j)
-        basis = np.column_stack(found) if found else None
-        rng = None
-        if j > 1:
-            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
-        trace = _epochs(X, w0.entries[:, 0], cfg, None, deflate=basis,
+    epoch = samples = 0
+    for j in range(1, cfg.k + 1):
+        basis = found if j > 1 else None
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
+        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, deflate=basis,
                         rng=rng)
-        traces.append(trace)
-        v = trace.final_frame.entries[:, 0].copy()
+        v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)
             v /= np.linalg.norm(v)
-        found.append(v)
-        estimates.append(float(v @ covariance_apply(X, v)))
+        found = np.column_stack((found, v))
+        epoch += stage.records[-1].epoch
+        samples += stage.samples
+        aw = covariance_apply(X, found)
+        rec.add(epoch, 0, found, samples, aw)
+        estimates.append(float(v @ aw[:, -1]))
         if j >= 2 and estimates[-2] - estimates[-1] < 1e-3:
             warnings.warn(
                 f"estimated eigenvalues {j - 1} and {j} differ by "
                 f"{estimates[-2] - estimates[-1]:.3e}; deflation needs a "
                 "positive gap between all leading eigenvalues",
-                GapWarning, stacklevel=3)
-    return OrthonormalFrame(np.column_stack(found)), traces
+                GapWarning, stacklevel=2)
+    return rec.trace(found)

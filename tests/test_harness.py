@@ -12,7 +12,7 @@ from vrpca import (ConfigError, ExperimentConfig, compare_baselines,
                    trace_fingerprint)
 from vrpca.cli import main as cli_main
 
-from conftest import spectrum_k1
+from conftest import spectrum_k1, spectrum_k3
 
 
 def synth_cfg(**kw):
@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="burn-in needs k == 1"):
             synth_cfg(solver="vrpca_block", k=2, run_burn_in=True)
         assert synth_cfg(solver="vrpca_block", k=2).k == 2
+
+    @pytest.mark.parametrize("solver", ["vrpca_vector", "oja"])
+    def test_k1_solvers_need_k1(self, solver):
+        # caught in the config, before any warm start is paid for
+        with pytest.raises(ConfigError, match=f"solver {solver} needs k == 1"):
+            synth_cfg(solver=solver, k=2)
 
 
 class TestRunExperiment:
@@ -167,6 +173,24 @@ class TestRunExperiment:
         assert rep.epochs_run == 2 * 5
         assert rep.samples == 2 * 5 * (rep.n + rep.m) > 0
 
+    def test_deflation_reports_one_potential_per_stage(self, tmp_path):
+        # the report and the trace file come from the deflation trace: one
+        # sweep-style row per stage, and the run starts from the init frame
+        cfg = synth_cfg(spectrum=spectrum_k3(d=12), gap_index=3,
+                        solver="deflation", k=3, epochs=4, delta=0.5,
+                        out_dir=str(tmp_path))
+        rep = run_experiment(cfg)[0]
+        rows = read_trace(tmp_path / "trace_seed1.jsonl")
+        assert len(rep.epoch_potentials) == len(rows) == 3
+        assert rep.epoch_potentials == [row["potential"] for row in rows]
+        assert rep.final_potential == rep.epoch_potentials[-1] <= 1e-5
+        assert rep.final_residual == rows[-1]["residual"]
+        assert rep.samples == rows[-1]["samples"] == 3 * 4 * (rep.n + rep.m)
+        assert rep.epochs_run == rows[-1]["epoch"] == 3 * 4
+        gauss = run_experiment(replace(cfg, init="gaussian",
+                                       out_dir=None))[0]
+        assert gauss.final_potential != rep.final_potential
+
 
 class TestRuntimeModel:
     def test_pure_function(self):
@@ -217,6 +241,11 @@ class TestCompareBaselines:
             {key: row[key] for key in ("samples", "potential", "residual")}
             for row in rows]
         assert result["sample_budget"] == rows[-1]["samples"]
+
+    def test_one_seed_only(self):
+        # a comparison is one seed's run; more seeds are refused, not dropped
+        with pytest.raises(ConfigError, match="one seed"):
+            compare_baselines(synth_cfg(epochs=4, seeds=(3, 4)))
 
     def test_init_and_epsilon_reach_compare(self):
         base = compare_baselines(synth_cfg(epochs=4))

@@ -4,13 +4,14 @@ solvers, burn-in, and the baselines."""
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, DataMatrix, GapWarning, NonConvergenceError,
+from vrpca import (ConfigError, DataMatrix, DimensionMismatchError,
+                   GapWarning, NonConvergenceError,
                    OrthonormalFrame, SolverConfig, SolverConstants, burn_in,
                    deflation_solve,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, rayleigh_residual,
                    select_parameters, vrpca_block, vrpca_vector)
-from vrpca import solvers
+from vrpca import ExperimentConfig, harness, solvers
 
 from conftest import Instance
 
@@ -311,30 +312,70 @@ class TestOrthogonalIteration:
 
 
 class TestDeflation:
-    def _cfg(self, gap, seed=1, epochs=6):
+    def _cfg(self, gap, seed=1, epochs=6, k=1):
         eta, m = select_parameters(gap, 1.0, 1, 0.5)
-        return SolverConfig(k=1, eta=eta, m=m, epochs=epochs, seed=seed,
+        return SolverConfig(k=k, eta=eta, m=m, epochs=epochs, seed=seed,
                             delta=0.5)
 
     def test_k1_identical_to_vector_solver(self, small_k1):
         cfg = self._cfg(small_k1.gap, seed=3)
-        frame = deflation_solve(small_k1.Xs, 1, cfg)
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=cfg.seed + 1)
+        frame = deflation_solve(small_k1.Xs, w0, cfg).final_frame
         direct = vrpca_vector(small_k1.Xs, w0, cfg)
         assert np.array_equal(frame.entries, direct.final_frame.entries)
 
     def test_two_stage_recovery(self):
         inst = Instance((1.0, 0.8, 0.6), n=16, seed=7)
-        cfg = self._cfg(0.2 / inst.scale, seed=2, epochs=8)
-        frame = deflation_solve(inst.Xs, 2, cfg)
+        cfg = self._cfg(0.2 / inst.scale, seed=2, epochs=8, k=2)
+        w0 = gaussian_init(inst.Xs.d, 2, seed=cfg.seed)
+        frame = deflation_solve(inst.Xs, w0, cfg).final_frame
         assert potential(inst.reference(2), frame) <= 1e-6
 
     def test_degenerate_gap_warns_but_terminates(self):
         inst = Instance((1.0, 1.0, 0.4), n=16, seed=9)
-        cfg = SolverConfig(k=1, eta=0.02, m=1000, epochs=8, seed=5)
+        cfg = SolverConfig(k=2, eta=0.02, m=1000, epochs=8, seed=5)
+        w0 = gaussian_init(inst.Xs.d, 2, seed=5)
         with pytest.warns(GapWarning):
-            frame = deflation_solve(inst.Xs, 2, cfg)
+            frame = deflation_solve(inst.Xs, w0, cfg).final_frame
         assert frame.k == 2  # converged or not, the frame is orthonormal
+
+    def test_one_record_per_stage(self, small_k1):
+        # each stage adds one sweep-style record: cumulative epochs and
+        # samples, the found vectors' potential against the reference and
+        # their residual; the last record is the final frame's
+        X = small_k1.Xs
+        k, epochs, m = 3, 3, 128
+        ref = small_k1.reference(k)
+        cfg = SolverConfig(k=k, eta=0.1, m=m, epochs=epochs, seed=4)
+        trace = deflation_solve(X, gaussian_init(X.d, k, seed=4), cfg, ref)
+        assert trace.inner_len is None
+        assert [r.epoch for r in trace.records] == [epochs * j
+                                                    for j in (1, 2, 3)]
+        assert [r.samples for r in trace.records] == [
+            epochs * (X.n + m) * j for j in (1, 2, 3)]
+        assert trace.boundary_records() == trace.records
+        for j, r in enumerate(trace.records, 1):
+            found = OrthonormalFrame(trace.final_frame.entries[:, :j])
+            inside = found.entries.T @ ref.entries
+            assert r.potential == pytest.approx(
+                j - np.sum(inside**2), rel=0, abs=1e-12)
+            assert r.residual == pytest.approx(rayleigh_residual(X, found),
+                                               rel=0, abs=1e-12)
+        assert trace.records[-1].potential == pytest.approx(
+            potential(ref, trace.final_frame), rel=0, abs=1e-15)
+
+    def test_stage_j_starts_from_column_j(self, small_k1):
+        # stage 2 runs from the start frame's second column: swapping the
+        # columns changes the run, and cfg.k must match the frame
+        X = small_k1.Xs
+        cfg = SolverConfig(k=2, eta=0.1, m=128, epochs=2, seed=4)
+        w0 = gaussian_init(X.d, 2, seed=4)
+        swapped = OrthonormalFrame(w0.entries[:, ::-1].copy())
+        a = deflation_solve(X, w0, cfg).final_frame.entries
+        b = deflation_solve(X, swapped, cfg).final_frame.entries
+        assert not np.array_equal(a, b)
+        with pytest.raises(DimensionMismatchError, match="config k=2"):
+            deflation_solve(X, gaussian_init(X.d, 1, seed=4), cfg)
 
 
 class TestRng:
@@ -458,6 +499,27 @@ class TestRecorderPasses:
             for r in trace.records:
                 boundary = r.iteration in (0, trace.inner_len)
                 assert (r.residual is not None) == boundary
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_deflation_passes_and_none_from_the_pipeline(self, k, small_k1):
+        # k stages of E + 1 epoch passes, one X^T B per deflation basis and
+        # one pass per stage record; the pipeline adds no pass of its own
+        X = DataMatrix(small_k1.Xs.data)
+        X.data = X.data.view(_PassCounter)
+        epochs, seed = 4, 3
+        ref = small_k1.reference(k)
+        cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=seed)
+        _PassCounter.passes = 0
+        deflation_solve(X, gaussian_init(X.d, k, seed=seed), cfg, ref)
+        assert _PassCounter.passes == k * (epochs + 1) + (k - 1) + k
+        run_cfg = ExperimentConfig(spectrum=small_k1.spec_req.eigenvalues,
+                                   n=X.n, solver="deflation", k=k, eta=0.01,
+                                   m=64, epochs=epochs, init="gaussian",
+                                   seeds=(seed,))
+        _PassCounter.passes = 0
+        harness._single_run(X, X.r, 1.0, ref, small_k1.spectrum.gap_at(k),
+                            run_cfg, seed)
+        assert _PassCounter.passes == k * (epochs + 1) + (k - 1) + k
 
     def test_burn_in_with_reference_makes_no_pass(self, monkeypatch,
                                                   burn_instance):
