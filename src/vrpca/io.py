@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetFormatError
+from .errors import DatasetFormatError, DimensionMismatchError
 from .matrix import DataMatrix
 
 MAGIC = b"VRPC"
@@ -105,8 +105,14 @@ def _load_binary(path: Path) -> DataMatrix:
         raise DatasetFormatError(
             f"{path}: payload ends at offset {12 + got}, expected {expected} "
             f"for d={d}, n={n}")
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    try:
+        return DataMatrix(values.reshape((d, n), order="F"))
+    except DimensionMismatchError:
+        # DataMatrix checks finiteness on its one pass; find the offset only
+        # when it has refused the data
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size == 0:
+            raise
         raise DatasetFormatError(
-            f"{path}: non-finite value at offset {12 + 8 * bad}")
-    return DataMatrix(values.reshape((d, n), order="F"))
+            f"{path}: non-finite value at offset {12 + 8 * int(bad[0])}"
+        ) from None

@@ -31,6 +31,11 @@ class DataMatrix:
     in BLAS (a misaligned buffer is copied once here). The maximum squared
     Euclidean column norm is computed once from the stored columns and
     cached as ``r``.
+
+    The column norms double as the finiteness check: a NaN or an infinite
+    entry makes its column's squared norm NaN or inf, so the entries are
+    scanned only when some norm is not finite. A column of finite entries
+    whose squared norm overflows is accepted, with r = inf.
     """
 
     __slots__ = ("data", "d", "n", "r")
@@ -43,13 +48,14 @@ class DataMatrix:
         d, n = arr.shape
         if d < 1 or n < 1:
             raise DimensionMismatchError(f"empty data matrix (shape {arr.shape})")
-        if not np.isfinite(arr).all():
+        norms = np.einsum("ij,ij->j", arr, arr)
+        if not np.isfinite(norms).all() and not np.isfinite(arr).all():
             raise DimensionMismatchError("data matrix contains non-finite entries")
         arr.flags.writeable = False
         self.data = arr
         self.d = d
         self.n = n
-        self.r = float(np.max(np.einsum("ij,ij->j", arr, arr)))
+        self.r = float(np.max(norms))
 
     def column(self, i):
         """Contiguous view of data point ``i``."""

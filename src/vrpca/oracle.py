@@ -4,6 +4,7 @@ extraction, and a controlled-spectrum dataset synthesizer."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -127,24 +128,33 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     b = r0 * np.sqrt(n * eigs)
     tau = float(eigs.sum())
     norms = np.einsum("ij,ij->i", b, b)
+    # Python-float scalars, bound methods and reused row buffers: the same
+    # IEEE operations in the same order as fresh numpy temporaries, so the
+    # output bits (which define every instance) do not move
+    argmin, argmax = norms.argmin, norms.argmax
+    tol = 1e-13 * max(tau, 1.0)
+    bi, bj, tmp = np.empty(d), np.empty(d), np.empty(d)
     for _ in range(n):
-        i = int(np.argmin(norms))
-        j = int(np.argmax(norms))
-        lo, hi = norms[i], norms[j]
-        if hi - lo <= 1e-13 * max(tau, 1.0):
+        i = int(argmin())
+        j = int(argmax())
+        lo, hi = float(norms[i]), float(norms[j])
+        if hi - lo <= tol:
             break
-        cross = float(b[i] @ b[j])
-        root = np.sqrt(max(cross * cross - (lo - tau) * (hi - tau), 0.0))
+        row_i, row_j = b[i], b[j]
+        cross = float(row_i @ row_j)
+        root = math.sqrt(max(cross * cross - (lo - tau) * (hi - tau), 0.0))
         # pick the larger-magnitude root for numerical stability
         t1 = (cross + root) / (hi - tau)
         t2 = (cross - root) / (hi - tau)
         t = t1 if abs(t1) >= abs(t2) else t2
-        c = 1.0 / np.sqrt(1.0 + t * t)
+        c = 1.0 / math.sqrt(1.0 + t * t)
         s = t * c
-        bi = c * b[i] - s * b[j]
-        bj = s * b[i] + c * b[j]
-        b[i] = bi
-        b[j] = bj
+        np.subtract(np.multiply(row_i, c, out=bi),
+                    np.multiply(row_j, s, out=tmp), out=bi)
+        np.add(np.multiply(row_i, s, out=bj),
+               np.multiply(row_j, c, out=tmp), out=bj)
+        row_i[:] = bi
+        row_j[:] = bj
         norms[i] = bi @ bi
         norms[j] = bj @ bj
     return DataMatrix(q @ b.T)

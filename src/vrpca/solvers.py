@@ -21,9 +21,10 @@ from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
 
 _KERNEL_SRC = Path(__file__).with_name("_kernel.c")
-#: no -ffast-math and no -march=native: the kernel's bits must not depend on
-#: the machine it was built on or on the compiler reordering sums
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: no -ffast-math and no -march: the kernel's bits must not depend on the
+#: machine it was built on or on the compiler reordering sums; -O3 vectorizes
+#: only what keeps the written order
+_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _kernel_lock = threading.Lock()
 _kernel_fn = None  # the loaded step function; False once it proved unavailable
 
@@ -80,11 +81,23 @@ def _build_kernel(cache_dir, cc):
     return path
 
 
+def _load_kernel(path):
+    """The step function of the compiled library at ``path``, typed."""
+    import ctypes
+
+    fn = ctypes.CDLL(str(path)).vrpca_steps_k1
+    p = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    fn.argtypes = [p, i64, p, i64, p, p, ctypes.c_double, p, p, p, i64, p, p,
+                   ctypes.c_double]
+    fn.restype = i64
+    return fn
+
+
 def _kernel():
     """The compiled k=1 step function, built and loaded on first use; None
     when no compiler is found or the build or load fails (a RuntimeWarning
     says why, once), in which case _steps_k1 runs the numpy steps."""
-    import ctypes
     import subprocess
 
     global _kernel_fn
@@ -94,20 +107,12 @@ def _kernel():
             try:
                 if cc is None:
                     raise OSError("no C compiler on PATH")
-                lib = ctypes.CDLL(str(_build_kernel(_kernel_cache(), cc)))
+                _kernel_fn = _load_kernel(_build_kernel(_kernel_cache(), cc))
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
                 warnings.warn(f"vrpca: compiled k=1 kernel unavailable ({exc}); "
                               "using the numpy steps", RuntimeWarning,
                               stacklevel=3)
                 _kernel_fn = False
-            else:
-                fn = lib.vrpca_steps_k1
-                p = ctypes.c_void_p
-                i64 = ctypes.c_int64
-                fn.argtypes = [p, i64, p, i64, p, p, ctypes.c_double, p, p, p,
-                               i64, p, p, ctypes.c_double]
-                fn.restype = i64
-                _kernel_fn = fn
         return _kernel_fn or None
 
 
@@ -368,7 +373,7 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
 
 
 def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
-            rotate=False):
+            rotate=False, final_pass=True):
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
@@ -384,7 +389,9 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's anchor product u, and the run's last boundary from one
     final pass, so a run of E epochs makes E + 1 covariance passes;
-    intra-epoch records carry the potential but residual None.
+    intra-epoch records carry the potential but residual None. With
+    ``final_pass`` off the final pass is skipped and the last boundary's
+    residual stays None: E passes.
 
     ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
     columns and the epoch anchor are projected against it on the fly, so
@@ -450,7 +457,8 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
         if cfg.epsilon is not None and rec.records[-1].potential is not None \
                 and rec.records[-1].potential <= cfg.epsilon:
             break
-    rec.settle(wt, xd @ (xd.T @ wt) / n)
+    if final_pass:
+        rec.settle(wt, xd @ (xd.T @ wt) / n)
     return rec.trace(wt)
 
 
@@ -668,8 +676,9 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     GapWarning is emitted when consecutive estimates differ by less than
     1e-3, since deflation needs a positive eigengap between all top k
     eigenvalues. The last record is the final frame's. A run of E epochs
-    per stage makes k (E + 1) + (k - 1) + k data passes: the stages', one
-    per deflation basis, and the k record passes.
+    per stage makes k E + (k - 1) + k data passes: one anchor pass per
+    stage epoch (a stage makes no final pass of its own, as the record pass
+    replaces it), one per deflation basis, and the k record passes.
     """
     _check_frame(X, W0, cfg.k)
     rec = _Recorder(reference, None)
@@ -680,7 +689,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
         basis = found if j > 1 else None
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
         stage = _epochs(X, W0.entries[:, j - 1], cfg, None, deflate=basis,
-                        rng=rng)
+                        rng=rng, final_pass=False)
         v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)

@@ -87,6 +87,17 @@ class TestBinary:
         with pytest.raises(DatasetFormatError, match="offset"):
             load_dataset(p, "f64le")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_reports_offset(self, tmp_path, bad):
+        vals = np.arange(1.0, 13.0)
+        vals[7] = bad
+        p = tmp_path / "bad.vrpc"
+        p.write_bytes(b"VRPC" + (3).to_bytes(4, "little")
+                      + (4).to_bytes(4, "little") + vals.astype("<f8").tobytes())
+        with pytest.raises(DatasetFormatError,
+                           match=r"non-finite value at offset 68$"):
+            load_dataset(p, "f64le")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="unknown format"):
             load_dataset(tmp_path / "x", "parquet")

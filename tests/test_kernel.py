@@ -2,6 +2,7 @@
 degenerate-step report, the numpy fallback, and the build cache under
 concurrent first use."""
 
+import math
 import threading
 
 import numpy as np
@@ -76,6 +77,95 @@ def test_compiled_matches_numpy_reference(d, n, m, j, rotate, eta, seed):
     assert np.max(np.abs(w_c - w_np), initial=0.0) <= AGREE
     if not bad_c:
         assert abs(np.linalg.norm(w_c) - 1.0) <= 1e-14
+
+
+def _dot4(a, b):
+    """The kernel's dot product: four accumulators, then (s0+s1)+(s2+s3)."""
+    s = [0.0, 0.0, 0.0, 0.0]
+    q = len(a) - len(a) % 4
+    for k in range(q):
+        s[k % 4] += a[k] * b[k]
+    for k in range(q, len(a)):
+        s[0] += a[k] * b[k]
+    return (s[0] + s[1]) + (s[2] + s[3])
+
+
+def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx):
+    """The kernel's arithmetic, one Python float operation at a time."""
+    d = len(w)
+    w = [float(v) for v in w]
+    for i in idx:
+        x = [float(v) for v in xd[:, i]]
+        if basis is not None:
+            for k in range(d):
+                p = 0.0
+                for l in range(basis.shape[1]):
+                    p += float(basis[k, l]) * float(btx[i, l])
+                x[k] = x[k] - p
+        s = 1.0 if anchor is None or _dot4(w, anchor) >= 0.0 else -1.0
+        c = eta * (_dot4(x, w) - s * float(a[i]))
+        w = [(w[k] + c * x[k]) + s * float(eu[k]) for k in range(d)]
+        nrm = math.sqrt(_dot4(w, w))
+        w = [v / nrm for v in w]
+    return np.array(w)
+
+
+def _segments(d, n, m, eta, seed):
+    """Operands (xd, idx, a, eu, w0, anchor, basis, btx) of one segment of
+    m steps at dimension d: plain, with the anchor, deflated, and both."""
+    rng = np.random.default_rng(seed)
+    xd = np.asfortranarray(rng.standard_normal((d, n)))
+    xd /= np.sqrt(np.max(np.einsum("ij,ij->j", xd, xd)))
+    wt = _unit(rng.standard_normal(d))
+    a = xd.T @ wt
+    eu = eta * (xd @ a / n)
+    w0 = _unit(rng.standard_normal(d))
+    idx = rng.integers(0, n, size=m)
+    j = min(2, d - 1)
+    bases = [None]
+    if j:
+        bases.append(np.ascontiguousarray(
+            np.linalg.qr(rng.standard_normal((d, j)))[0]))
+    return [(xd, idx, a, eu, w0, anchor, b, None if b is None else xd.T @ b)
+            for anchor in (None, wt) for b in bases]
+
+
+@needs_cc
+@pytest.mark.parametrize("d", range(1, 10))
+def test_compiled_sums_in_the_written_order(d):
+    # bitwise, not to 1e-12: a reordered sum, a fused multiply-add or a
+    # reciprocal multiply in place of the division would move the bits
+    assert solvers._kernel() is not None
+    for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 9, 30, 0.05, d):
+        w = w0.copy()
+        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, anchor, b, btx) == 0
+        assert np.array_equal(w, _steps_k1_scalar(xd, idx, a, eu, 0.05, w0,
+                                                  anchor, b, btx))
+
+
+@needs_cc
+def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
+    # the default build vectorizes; it must not move one bit from the
+    # kernel as written, compiled without optimization
+    default = solvers._kernel()
+    assert default is not None
+    flags = ("-O0", "-fPIC", "-shared", "-ffp-contract=off")
+    assert flags != solvers._KERNEL_FLAGS
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_KERNEL_FLAGS", flags)
+        plain = solvers._load_kernel(
+            solvers._build_kernel(tmp_path, solvers._compiler()))
+    for d in range(1, 41):  # every remainder of 4, in the fused loop too
+        for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 23, 150,
+                                                            0.05, 8 + d):
+            out = []
+            for fn in (default, plain):
+                monkeypatch.setattr(solvers, "_kernel", lambda fn=fn: fn)
+                w = w0.copy()
+                out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w,
+                                              anchor, b, btx), w))
+            assert out[0][0] == out[1][0] == 0
+            assert np.array_equal(out[0][1], out[1][1]), (d, anchor, b)
 
 
 @pytest.mark.parametrize("steps", [

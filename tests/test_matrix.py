@@ -26,6 +26,25 @@ class TestDataMatrix:
         with pytest.raises(DimensionMismatchError):
             DataMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("overflow_column", [False, True])
+    def test_rejects_every_nonfinite_kind(self, bad, overflow_column):
+        # the finiteness check rides on the column norms; an overflowing
+        # finite column beside the bad one must not hide it
+        cols = np.ones((3, 4))
+        if overflow_column:
+            cols[:, 0] = 1e200
+        cols[1, 2] = bad
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            DataMatrix(cols)
+
+    def test_accepts_overflowing_finite_column(self):
+        cols = np.ones((3, 4))
+        cols[:, 1] = 1e200  # finite entries, squared norm overflows
+        X = DataMatrix(cols)
+        assert X.r == np.inf
+        assert np.array_equal(X.data, cols)
+
     def test_immutable(self):
         X = DataMatrix(np.eye(3))
         with pytest.raises(ValueError):

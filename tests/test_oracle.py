@@ -9,7 +9,9 @@ from vrpca import (DataMatrix, DimensionMismatchError, GapWarning,
                    SpectrumSpec, dense_eigh, leading_subspace,
                    orthogonal_iteration, polar_normalize, potential,
                    synthesize_dataset)
+from conftest import spectrum_k1, spectrum_k3
 from jacobi_reference import jacobi_eigh
+from synth_reference import synthesize_reference
 
 
 def random_covariance_data(d, n, seed):
@@ -183,6 +185,18 @@ class TestSynthesize:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DimensionMismatchError):
             SpectrumSpec(eigenvalues=(1.0, -0.1))
+
+    @pytest.mark.parametrize("eigs, n, seed", [
+        ((2.0,), 3, 0),
+        ((1.0, 0.7, 0.4), 10, 4),
+        (spectrum_k1(d=12), 64, 5),
+        (spectrum_k1(), 500, 1),
+        (spectrum_k3(), 500, 1),
+        (spectrum_k1(d=120), 700, 2),
+    ])
+    def test_matches_the_original_loop_bitwise(self, eigs, n, seed):
+        X = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n, seed)
+        assert np.array_equal(X.data, synthesize_reference(eigs, n, seed))
 
     def test_deterministic(self):
         spec_req = SpectrumSpec(eigenvalues=(1.0, 0.3, 0.2))

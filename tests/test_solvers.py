@@ -502,8 +502,9 @@ class TestRecorderPasses:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_deflation_passes_and_none_from_the_pipeline(self, k, small_k1):
-        # k stages of E + 1 epoch passes, one X^T B per deflation basis and
-        # one pass per stage record; the pipeline adds no pass of its own
+        # k stages of E anchor passes (no stage-final pass), one X^T B per
+        # deflation basis and one pass per stage record; the pipeline adds
+        # no pass of its own
         X = DataMatrix(small_k1.Xs.data)
         X.data = X.data.view(_PassCounter)
         epochs, seed = 4, 3
@@ -511,7 +512,7 @@ class TestRecorderPasses:
         cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=seed)
         _PassCounter.passes = 0
         deflation_solve(X, gaussian_init(X.d, k, seed=seed), cfg, ref)
-        assert _PassCounter.passes == k * (epochs + 1) + (k - 1) + k
+        assert _PassCounter.passes == k * epochs + (k - 1) + k
         run_cfg = ExperimentConfig(spectrum=small_k1.spec_req.eigenvalues,
                                    n=X.n, solver="deflation", k=k, eta=0.01,
                                    m=64, epochs=epochs, init="gaussian",
@@ -519,7 +520,7 @@ class TestRecorderPasses:
         _PassCounter.passes = 0
         harness._single_run(X, X.r, 1.0, ref, small_k1.spectrum.gap_at(k),
                             run_cfg, seed)
-        assert _PassCounter.passes == k * (epochs + 1) + (k - 1) + k
+        assert _PassCounter.passes == k * epochs + (k - 1) + k
 
     def test_burn_in_with_reference_makes_no_pass(self, monkeypatch,
                                                   burn_instance):
