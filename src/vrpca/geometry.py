@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .matrix import DataMatrix, covariance_apply
-from .oracle import DENSE_GUARD, Spectrum
+from .matrix import DataMatrix, _check_dense, covariance_apply
+from .oracle import Spectrum
 
 
 def _vec(w, d):
@@ -45,15 +45,12 @@ def rayleigh_hessian(X: DataMatrix, w) -> np.ndarray:
     """Closed-form Hessian -(1/||w||^2) (M + M^T) with
     M = (I - (4/||w||^2) w w^T)(F(w) I + A); symmetric by construction.
 
-    Materializes the d x d covariance, so it is guarded at d <= 2000; use
-    directional_curvature for larger problems.
+    Reads the d x d covariance memo (X.covariance()), so it is guarded at
+    d <= DENSE_GUARD; use directional_curvature for larger problems.
     """
-    if X.d > DENSE_GUARD:
-        raise DimensionMismatchError(
-            f"d={X.d} exceeds the dense guard ({DENSE_GUARD}); "
-            "use directional_curvature instead")
+    _check_dense(X.d, "use directional_curvature instead")
     arr, nrm2 = _vec(w, X.d)
-    a = X.data @ X.data.T / X.n
+    a = X.covariance()
     aw = a @ arr
     f = -(arr @ aw) / nrm2
     fia = f * np.eye(X.d) + a

@@ -18,8 +18,8 @@ from .geometry import (build_convex_region, nonconvexity_certificate,
                        tightness_counterexample)
 from .initialization import gaussian_init, power_warm_start
 from .io import load_dataset
-from .matrix import DataMatrix, OrthonormalFrame, rescale_dataset
-from .oracle import (DENSE_GUARD, SpectrumSpec, dense_eigh, leading_subspace,
+from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
+from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
 from .solvers import (ConvergenceTrace, SolverConfig, burn_in, deflation_solve,
                       oja_baseline, orthogonal_iteration, select_parameters,

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIterateError, DimensionMismatchError
-from .matrix import DataMatrix, OrthonormalFrame, covariance_apply, polar_normalize
+from .matrix import (DataMatrix, OrthonormalFrame, _dense_covariance,
+                     covariance_apply, polar_normalize)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,13 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
 
     If the draw lands in the kernel of A (A w = 0), the next Philox
     substream is tried, at most 8 retries.
+
+    Given a ``reference`` (and d <= DENSE_GUARD) A is applied from the
+    covariance memo X.covariance(), as the solvers do, so the start makes
+    no data pass; without one it streams X (X^T w) / n. The two agree to
+    rounding.
     """
+    cov = _dense_covariance(X, reference)
     frame = None
     for attempt in range(9):
         gen = np.random.Philox(key=seed)
@@ -49,7 +56,7 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
             gen = gen.jumped(attempt)
         rng = np.random.Generator(gen)
         g = rng.standard_normal((X.d, k)) if k > 1 else rng.standard_normal(X.d)
-        ag = covariance_apply(X, g)
+        ag = covariance_apply(X, g) if cov is None else cov @ g
         if k == 1:
             nrm = float(np.linalg.norm(ag))
             if nrm > 0.0:

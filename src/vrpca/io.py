@@ -45,8 +45,9 @@ def save_dataset(X: DataMatrix, path, fmt: str) -> None:
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", X.d, X.n))
-        # column after column == Fortran order of the d x n store
-        fh.write(np.asfortranarray(X.data).tobytes(order="F"))
+        # column after column: the F-ordered d x n store's own buffer,
+        # written without a copy (its transpose is C-contiguous)
+        fh.write(memoryview(X.data.T).cast("B"))
 
 
 def _load_csv(path: Path) -> DataMatrix:

@@ -4,6 +4,8 @@ subspace metrics shared by every solver."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import DegenerateIterateError, DimensionMismatchError
@@ -12,6 +14,13 @@ from .errors import DegenerateIterateError, DimensionMismatchError
 ORTHO_TOL = 1e-10
 #: Gram matrices with a smaller minimum eigenvalue are treated as singular
 GRAM_MIN_EIG = 1e-12
+#: the d x d covariance is formed only up to this dimension (d^2 doubles,
+#: 32 MB at the guard); past it the solvers apply the operator implicitly
+DENSE_GUARD = 2000
+
+# one lock for every matrix's covariance memo: a lock held by each
+# DataMatrix would make it unpicklable
+_cov_lock = threading.Lock()
 
 
 def _as_2d(a, name):
@@ -21,6 +30,14 @@ def _as_2d(a, name):
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
     return arr
+
+
+def _check_dense(d, instead):
+    """Refuse to form a d x d matrix past DENSE_GUARD; ``instead`` says
+    what to use at that scale."""
+    if d > DENSE_GUARD:
+        raise DimensionMismatchError(
+            f"d={d} exceeds the dense guard ({DENSE_GUARD}); {instead}")
 
 
 class DataMatrix:
@@ -36,9 +53,13 @@ class DataMatrix:
     entry makes its column's squared norm NaN or inf, so the entries are
     scanned only when some norm is not finite. A column of finite entries
     whose squared norm overflows is accepted, with r = inf.
+
+    ``covariance()`` forms A = X X^T / n on its first call (d <= DENSE_GUARD
+    only) and keeps it: the oracle eigendecomposes it, and a solve given a
+    reference frame applies A as A @ W instead of streaming X twice.
     """
 
-    __slots__ = ("data", "d", "n", "r")
+    __slots__ = ("data", "d", "n", "r", "_cov")
 
     def __init__(self, columns):
         arr = np.require(np.asarray(columns, dtype=np.float64),
@@ -56,6 +77,21 @@ class DataMatrix:
         self.d = d
         self.n = n
         self.r = float(np.max(norms))
+        self._cov = None
+
+    def covariance(self):
+        """The read-only d x d covariance A = X X^T / n, formed once (under
+        a lock, so concurrent callers share one) and kept for the life of
+        this matrix; it costs d^2 doubles. Refused for d > DENSE_GUARD."""
+        _check_dense(self.d, "use the iterative solvers at this scale")
+        if self._cov is not None:
+            return self._cov
+        with _cov_lock:
+            if self._cov is None:
+                cov = self.data @ self.data.T / self.n
+                cov.flags.writeable = False
+                self._cov = cov
+        return self._cov
 
     def column(self, i):
         """Contiguous view of data point ``i``."""
@@ -209,6 +245,17 @@ def rayleigh_residual(X: DataMatrix, W: OrthonormalFrame) -> float:
     return _residual(W.entries, covariance_apply(X, W.entries))
 
 
+def _dense_covariance(X: DataMatrix, reference):
+    """X.covariance() when the call was given a ``reference`` frame and
+    d <= DENSE_GUARD, else None: the one rule by which a solve applies A
+    from the memo (cov @ W) rather than streaming X (X^T W) / n. It reads
+    only the call's inputs, so a run's bits never depend on which call
+    formed the memo."""
+    if reference is None or X.d > DENSE_GUARD:
+        return None
+    return X.covariance()
+
+
 def _residual(w, aw):
     """rayleigh_residual of the raw frame (or unit vector) ``w`` from a
     product aw = A w already computed."""
@@ -224,7 +271,17 @@ def rescale_dataset(X: DataMatrix):
     A solver running on the rescaled data is equivalent to the original
     run with the step size multiplied by the scale and the eigengap
     divided by it.
+
+    Raises DegenerateIterateError for all-zero data, and for data whose
+    largest squared column norm overflows (r = inf), which dividing by
+    sqrt(r) would turn into zeros.
     """
     if X.r <= 0.0:
         raise DegenerateIterateError("cannot rescale an all-zero dataset")
+    if not np.isfinite(X.r):
+        norms = np.einsum("ij,ij->j", X.data, X.data)
+        j = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise DegenerateIterateError(
+            f"cannot rescale: the squared norm of column {j} overflows to "
+            f"{norms[j]} (largest entry {np.max(np.abs(X.data[:, j])):.3e})")
     return DataMatrix(X.data / np.sqrt(X.r)), X.r

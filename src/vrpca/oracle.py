@@ -11,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, GapWarning
-from .matrix import DataMatrix, OrthonormalFrame
-
-#: dense_eigh refuses larger problems; use the iterative solvers instead
-DENSE_GUARD = 2000
+# DENSE_GUARD is defined with the covariance memo it bounds and stays
+# importable from here
+from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, _check_dense
 
 
 @dataclass(frozen=True)
@@ -36,18 +35,18 @@ class Spectrum:
 
 
 def dense_eigh(X: DataMatrix) -> Spectrum:
-    """Materialize A = (1/n) X X^T and eigendecompose it with LAPACK's
-    symmetric solver (numpy.linalg.eigh).
+    """Eigendecompose A = (1/n) X X^T with LAPACK's symmetric solver
+    (numpy.linalg.eigh).
 
-    Desk-scale reference only: refuses d > 2000. Eigenvalues come back in
-    descending order, each eigenvector column matched to its eigenvalue.
+    A is X.covariance(), the matrix's memo, which this call forms if no
+    earlier call has; a solve on the same X given a reference frame then
+    applies A from that memo. Desk-scale reference only: refuses
+    d > DENSE_GUARD (2000). Eigenvalues come back in descending order, each
+    eigenvector column matched to its eigenvalue.
     """
-    if X.d > DENSE_GUARD:
-        raise DimensionMismatchError(
-            f"d={X.d} exceeds the dense guard ({DENSE_GUARD}); "
-            "use the iterative solvers at this scale")
-    A = X.data @ X.data.T / X.n
-    evals, evecs = np.linalg.eigh(A)
+    # guarded here as well, so that the refusal never touches X's data
+    _check_dense(X.d, "use the iterative solvers at this scale")
+    evals, evecs = np.linalg.eigh(X.covariance())
     return Spectrum(eigenvalues=evals[::-1].copy(),
                     eigenvectors=OrthonormalFrame(evecs[:, ::-1]))
 

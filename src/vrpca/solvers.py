@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
-from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame, _polar,
-                     _residual, covariance_apply)
+from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame,
+                     _dense_covariance, _polar, _residual, covariance_apply)
 
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
 
@@ -323,6 +323,12 @@ class _Recorder:
                                 inner_len=self.inner_len)
 
 
+def _apply(X, cov, w):
+    """A w: from the covariance memo ``cov`` (see _dense_covariance), or
+    streamed through covariance_apply when ``cov`` is None."""
+    return covariance_apply(X, w) if cov is None else cov @ w
+
+
 def _check_frame(X, w0, k):
     if w0.d != X.d:
         raise DimensionMismatchError(
@@ -372,26 +378,30 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
     return 0
 
 
-def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
+def _epochs(X, w_start, cfg, reference, cov, deflate=None, rng=None,
             rotate=False, final_pass=True):
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
-    Each epoch makes one exact anchor pass (X^T W~ and u = X X^T W~ / n)
-    and runs its m steps from W~ as one segment per trace checkpoint (every
-    max(m // 10, 1) steps, and the epoch end): _steps_k1 for a 1-D
-    ``w_start``, _steps_block for a d x k one. Each segment draws its own
-    indices when it runs; consecutive Philox draws equal one block draw bit
-    for bit, so the index array holds one segment (about m / 10), not m.
-    After each segment the iterate must pass _check_iterate. The run stops
-    after cfg.epochs epochs or at a boundary potential <= epsilon.
+    Each epoch takes the exact anchor gradient: a = X^T W~, which the steps
+    read, and u = A W~. With the covariance memo ``cov`` (the caller's
+    _dense_covariance: it was given a reference and d <= DENSE_GUARD)
+    u = cov W~; otherwise u = X a / n, which reads the data a second time.
+    The epoch then runs its m steps from W~ as one segment per trace
+    checkpoint (every max(m // 10, 1) steps, and the epoch end): _steps_k1
+    for a 1-D ``w_start``, _steps_block for a d x k one. Each segment draws
+    its own indices when it runs; consecutive Philox draws equal one block
+    draw bit for bit, so the index array holds one segment (about m / 10),
+    not m. After each segment the iterate must pass _check_iterate. The
+    run stops after cfg.epochs epochs or at a boundary potential <= epsilon.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
-    next epoch's anchor product u, and the run's last boundary from one
-    final pass, so a run of E epochs makes E + 1 covariance passes;
-    intra-epoch records carry the potential but residual None. With
-    ``final_pass`` off the final pass is skipped and the last boundary's
-    residual stays None: E passes.
+    next epoch's u, and the run's last boundary from one final product
+    A W~ (cov W~, or X (X^T W~) / n); intra-epoch records carry the
+    potential but residual None. So a run of E epochs reads the data in E
+    products X^T W~ with ``cov``, and makes E + 1 covariance passes
+    without it. With ``final_pass`` off the final product is skipped and
+    the last boundary's residual stays None.
 
     ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
     columns and the epoch anchor are projected against it on the fly, so
@@ -425,7 +435,7 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
             wt -= basis @ (basis.T @ wt)
             wt /= np.linalg.norm(wt)
         anchor_proj = xd.T @ wt
-        u = xd @ anchor_proj / n
+        u = xd @ anchor_proj / n if cov is None else cov @ wt
         rec.settle(wt, u)  # the last boundary's residual, full operator
         if basis is not None:
             u -= basis @ (basis.T @ u)
@@ -458,7 +468,7 @@ def _epochs(X, w_start, cfg, reference, deflate=None, rng=None,
                 and rec.records[-1].potential <= cfg.epsilon:
             break
     if final_pass:
-        rec.settle(wt, xd @ (xd.T @ wt) / n)
+        rec.settle(wt, xd @ (xd.T @ wt) / n if cov is None else cov @ wt)
     return rec.trace(wt)
 
 
@@ -466,8 +476,8 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
                  reference: OrthonormalFrame | None = None) -> ConvergenceTrace:
     """Variance-reduced stochastic solver for the leading eigenvector.
 
-    Each epoch applies the covariance operator to the anchor once, then
-    runs m stochastic steps
+    Each epoch applies the covariance operator to the anchor once, u = A w~,
+    then runs m stochastic steps
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
     with uniform with-replacement sampling from one Philox stream keyed by
     cfg.seed (one block of m indices drawn per epoch). It runs _epochs, as
@@ -477,13 +487,20 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
     check, or a step whose norm falls below 1e-12, raises
     DegenerateIterateError with its epoch and step. Residuals are recorded
-    at epoch boundaries only, from the anchor passes: a run of E epochs
-    makes E + 1 covariance passes.
+    at epoch boundaries only, from the anchor products u.
+
+    Given a ``reference`` at d <= DENSE_GUARD, u and the final residual
+    come from the covariance memo X.covariance() (formed here if no
+    earlier call formed it), and a run of E epochs reads the data E times,
+    for the products X^T w~ the steps need. Without one, u = X (X^T w~) / n
+    and the run makes E + 1 covariance passes. The two runs agree to
+    rounding and draw the same samples.
     """
     _check_frame(X, w0, 1)
     if cfg.k != 1:
         raise ConfigError(f"vector solver requires cfg.k == 1, got {cfg.k}")
-    return _epochs(X, w0.entries[:, 0], cfg, reference)
+    return _epochs(X, w0.entries[:, 0], cfg, reference,
+                   _dense_covariance(X, reference))
 
 
 def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
@@ -506,10 +523,15 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     coincides with vrpca_vector under the same seed when use_rotation is
     off, or while that overlap stays >= 0; once it turns negative the
     rotation is B = -I and the two runs part.
+
+    As in vrpca_vector, a ``reference`` at d <= DENSE_GUARD makes U = A W~
+    and the final residual come from the covariance memo: E data passes
+    for E epochs (the products X^T W~), instead of E + 1 covariance passes.
     """
     _check_frame(X, W0, cfg.k)
     w = W0.entries[:, 0] if cfg.k == 1 else W0.entries
-    return _epochs(X, w, cfg, reference, rotate=cfg.use_rotation)
+    return _epochs(X, w, cfg, reference, _dense_covariance(X, reference),
+                   rotate=cfg.use_rotation)
 
 
 def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
@@ -529,7 +551,10 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     Without a reference, the run stops once the Rayleigh residual has at
     least halved and then plateaued; this proxy rule is a heuristic, not a
     guarantee, and costs one covariance pass per check. With a reference
-    the records carry residual None and no pass is made for them.
+    the records carry residual None and no pass is made for them, and at
+    d <= DENSE_GUARD the anchor gradient u = A w0 comes from the
+    covariance memo X.covariance(); the burn-in then reads the data once,
+    for X^T w0.
 
     The iteration budget is 10x the burn-in horizon
     T = floor(burn_c' log(2/delta) / (eta lambda_hat zeta)); exhausting it
@@ -563,8 +588,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     xd = X.data
     n = X.n
+    cov = _dense_covariance(X, reference)
     anchor_proj = xd.T @ wt
-    u = xd @ anchor_proj / n
+    u = xd @ anchor_proj / n if cov is None else cov @ wt
     eu = eta * u
     rng = np.random.Generator(np.random.Philox(key=0))
     check_every = max(min(budget // 512, 8192), 64)
@@ -609,8 +635,14 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     ``eta_schedule`` is either a callable t -> eta_t (t starts at 1) or a
     number c giving the classical c/t schedule. Comparison baseline only:
     the runtime to a fixed accuracy scales polynomially in it.
+
+    Each record's residual needs A w: from the covariance memo
+    X.covariance() when a ``reference`` is given at d <= DENSE_GUARD,
+    else from one covariance pass per record. The iterates do not depend
+    on it.
     """
     _check_frame(X, w0, 1)
+    cov = _dense_covariance(X, reference)
     if callable(eta_schedule):
         sched = eta_schedule
     else:
@@ -621,7 +653,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     rng = np.random.Generator(np.random.Philox(key=0))
     rec = _Recorder(reference, iters if iters > 0 else None)
     w = w0.entries[:, 0].copy()
-    rec.add(0, 0, w, 0, covariance_apply(X, w))
+    rec.add(0, 0, w, 0, _apply(X, cov, w))
     stride = max(iters // 10, 1)
     idx = rng.integers(0, n, size=iters)
     for t in range(1, iters + 1):
@@ -632,7 +664,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
             raise DegenerateIterateError(f"degenerate Oja iterate at step {t}")
         w = wp / np.sqrt(nrm2)
         if t % stride == 0 or t == iters:
-            rec.add(1, t, w, t, covariance_apply(X, w))
+            rec.add(1, t, w, t, _apply(X, cov, w))
     return rec.trace(w)
 
 
@@ -643,16 +675,19 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
 
     The residual recorded for each sweep's frame reuses the product A W
     that the next sweep normalizes, so ``sweeps`` sweeps make sweeps + 1
-    covariance passes.
+    products A W. With a ``reference`` at d <= DENSE_GUARD they are
+    cov @ W on the covariance memo X.covariance() and read no data;
+    without one each is a covariance pass.
     """
     _check_frame(X, W0, W0.k)
+    cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
     w = W0.entries.copy()
-    aw = covariance_apply(X, w)
+    aw = _apply(X, cov, w)
     rec.add(0, 0, w, 0, aw)
     for s in range(1, sweeps + 1):
         w = _polar(aw)
-        aw = covariance_apply(X, w)
+        aw = _apply(X, cov, w)
         rec.add(s, 0, w, s * X.n, aw)
     return rec.trace(w)
 
@@ -675,12 +710,18 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     the stage's eigenvalue estimate v_j^T (A V)_j, and the gap check: a
     GapWarning is emitted when consecutive estimates differ by less than
     1e-3, since deflation needs a positive eigengap between all top k
-    eigenvalues. The last record is the final frame's. A run of E epochs
-    per stage makes k E + (k - 1) + k data passes: one anchor pass per
-    stage epoch (a stage makes no final pass of its own, as the record pass
-    replaces it), one per deflation basis, and the k record passes.
+    eigenvalues. The last record is the final frame's.
+
+    Given a ``reference`` at d <= DENSE_GUARD, each stage's anchor
+    gradient u (taken on the full operator, then projected) and each
+    record's A V come from the covariance memo X.covariance(): a run of E
+    epochs per stage reads the data k E + (k - 1) times, once per stage
+    epoch for X^T w~ and once per deflation basis for X^T B. Without one,
+    u and A V are covariance passes: k E + (k - 1) + k in all (a stage
+    makes no final pass of its own, as the record pass replaces it).
     """
     _check_frame(X, W0, cfg.k)
+    cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
     found = np.empty((X.d, 0))
     estimates = []
@@ -688,8 +729,8 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
-        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, deflate=basis,
-                        rng=rng, final_pass=False)
+        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, cov,
+                        deflate=basis, rng=rng, final_pass=False)
         v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)
@@ -697,7 +738,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
         found = np.column_stack((found, v))
         epoch += stage.records[-1].epoch
         samples += stage.samples
-        aw = covariance_apply(X, found)
+        aw = _apply(X, cov, found)
         rec.add(epoch, 0, found, samples, aw)
         estimates.append(float(v @ aw[:, -1]))
         if j >= 2 and estimates[-2] - estimates[-1] < 1e-3:

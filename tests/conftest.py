@@ -8,7 +8,7 @@ reproducible bit-for-bit. Oracle references are computed once per session.
 import numpy as np
 import pytest
 
-from vrpca import (SpectrumSpec, dense_eigh, leading_subspace,
+from vrpca import (DataMatrix, SpectrumSpec, dense_eigh, leading_subspace,
                    rescale_dataset, synthesize_dataset)
 
 
@@ -66,3 +66,25 @@ def small_k1():
 def random_orthogonal(k, rng):
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
+
+
+class GramCounter(np.ndarray):
+    """Data whose X X^T products, the covariance memo's, are counted."""
+
+    formed = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and all(isinstance(a, GramCounter)
+                                      for a in inputs[:2]):
+            GramCounter.formed += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs),
+                                      **kwargs)
+
+
+def counted(X):
+    """A fresh DataMatrix over X's data (so no memo yet) whose memo
+    formations GramCounter counts; resets the count."""
+    Y = DataMatrix(X.data)
+    Y.data = Y.data.view(GramCounter)
+    GramCounter.formed = 0
+    return Y

@@ -12,7 +12,7 @@ from vrpca import (ConfigError, ExperimentConfig, compare_baselines,
                    trace_fingerprint)
 from vrpca.cli import main as cli_main
 
-from conftest import spectrum_k1, spectrum_k3
+from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
 
 
 def synth_cfg(**kw):
@@ -190,6 +190,32 @@ class TestRunExperiment:
         gauss = run_experiment(replace(cfg, init="gaussian",
                                        out_dir=None))[0]
         assert gauss.final_potential != rep.final_potential
+
+
+class TestCovarianceMemo:
+    @pytest.mark.parametrize("changes, formed", [
+        (dict(seeds=(1, 2)), 1),
+        (dict(run_burn_in=True, epsilon=1e-6), 1),
+        (dict(solver="vrpca_block", k=2, eta=0.05, m=64), 1),
+        (dict(solver="deflation", k=2), 1),
+        (dict(solver="oja", oja_iters=500), 1),
+        (dict(solver="orthogonal_iteration", sweeps=3), 1),
+        (dict(oracle_check=False, lambda_hat=0.3), 0),
+    ])
+    def test_one_memo_per_run(self, monkeypatch, changes, formed):
+        # the oracle forms the memo; the warm start, burn-in and solve of
+        # every seed apply it, and a run without an oracle never forms it
+        from vrpca import harness
+
+        def rescale(X0, _real=harness.rescale_dataset):
+            X, scale = _real(X0)
+            return counted(X), scale
+
+        monkeypatch.setattr(harness, "rescale_dataset", rescale)
+        reports = run_experiment(synth_cfg(**changes))
+        assert GramCounter.formed == formed
+        unpatched = run_experiment(synth_cfg(**changes))
+        assert [r.samples for r in reports] == [r.samples for r in unpatched]
 
 
 class TestRuntimeModel:

@@ -61,6 +61,22 @@ class TestBinary:
         # the 12-byte header must not leave the payload off 8-byte alignment
         assert Y.data.flags.aligned and Y.data.flags.f_contiguous
 
+    def test_payload_written_without_a_copy(self, tmp_path):
+        # the payload goes out from the data's own buffer: saving 8 MB
+        # allocates nothing near its size, and the bytes are the columns
+        import tracemalloc
+
+        X = DataMatrix(np.random.default_rng(6).standard_normal((100, 10000)))
+        p = tmp_path / "big.vrpc"
+        tracemalloc.start()
+        try:
+            save_dataset(X, p, "f64le")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes // 8
+        assert p.read_bytes()[12:] == X.data.tobytes(order="F")
+
     def test_layout(self, tmp_path):
         X = DataMatrix(np.array([[1.0, 3.0], [2.0, 4.0]]))
         p = tmp_path / "out.vrpc"

@@ -45,6 +45,17 @@ class TestDataMatrix:
         assert X.r == np.inf
         assert np.array_equal(X.data, cols)
 
+    def test_covariance_memo(self):
+        rng = np.random.default_rng(12)
+        X = DataMatrix(rng.standard_normal((5, 40)))
+        cov = X.covariance()
+        assert np.array_equal(cov, X.data @ X.data.T / X.n)
+        assert X.covariance() is cov  # formed once
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
+        with pytest.raises(DimensionMismatchError, match="dense guard"):
+            DataMatrix(np.ones((2001, 1))).covariance()
+
     def test_immutable(self):
         X = DataMatrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -274,6 +285,24 @@ class TestRescale:
         norms = np.einsum("ij,ij->j", scaled.data, scaled.data)
         assert abs(norms.max() - 1.0) <= 1e-12
         assert scale == pytest.approx(X.r)
+
+    def test_overflowing_norm_rejected(self):
+        # finite entries whose squared column norm overflows (r = inf):
+        # dividing by sqrt(r) would turn the data into zeros
+        cols = np.ones((2, 5))
+        cols[:, 3] = 1e200
+        X = DataMatrix(cols)
+        assert X.r == np.inf
+        with pytest.raises(DegenerateIterateError,
+                           match=r"squared norm of column 3 overflows to inf"):
+            rescale_dataset(X)
+
+    def test_finite_r_keeps_its_bits(self):
+        rng = np.random.default_rng(13)
+        X = DataMatrix(rng.standard_normal((4, 9)) * 1e150)
+        scaled, scale = rescale_dataset(X)
+        assert scale == X.r
+        assert np.array_equal(scaled.data, X.data / np.sqrt(X.r))
 
     def test_zero_dataset_rejected(self):
         X = DataMatrix(np.zeros((3, 2)))

@@ -101,6 +101,17 @@ class TestDenseEighVsJacobi:
             err = np.linalg.norm(v[:, j] - np.sign(v[:, j] @ u) * u)
             assert err <= 1e-11 * scale / sep
 
+    @pytest.mark.parametrize("d", [1, 13, 50])
+    def test_bit_equal_to_eigh_of_the_covariance(self, d):
+        # dense_eigh decomposes the memo, which is the same expression, so
+        # the oracle's bits do not depend on the memo or on who formed it
+        X = random_covariance_data(d, 2 * d + 5, seed=200 + d)
+        evals, evecs = np.linalg.eigh(X.data @ X.data.T / X.n)
+        for Y in (X, DataMatrix(X.data)):
+            spec = dense_eigh(Y)
+            assert np.array_equal(spec.eigenvalues, evals[::-1])
+            assert np.array_equal(spec.eigenvectors.entries, evecs[:, ::-1])
+
     def test_identity_spectrum(self):
         X = DataMatrix(np.eye(4) * 2.0)
         spec = dense_eigh(X)

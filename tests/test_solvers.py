@@ -13,7 +13,7 @@ from vrpca import (ConfigError, DataMatrix, DimensionMismatchError,
                    select_parameters, vrpca_block, vrpca_vector)
 from vrpca import ExperimentConfig, harness, solvers
 
-from conftest import Instance
+from conftest import GramCounter, Instance, counted
 
 
 class TestSelectParameters:
@@ -453,7 +453,9 @@ class _PassCounter(np.ndarray):
 
 class TestRecorderPasses:
     """The trace recorder makes no data pass: boundary residuals come from
-    the next epoch's anchor product and the run's final pass."""
+    the next epoch's anchor product and the run's final product. With a
+    reference those products come from the covariance memo, so only the
+    anchor products X^T W~ read the data."""
 
     def test_epochs_call_no_covariance_apply(self, monkeypatch, small_k1):
         def refuse(*args):
@@ -472,13 +474,28 @@ class TestRecorderPasses:
                                           (vrpca_block, 2)])
     def test_epoch_loop_makes_one_pass_per_epoch_plus_one(self, solve, k,
                                                           small_k1):
+        # without a reference: E anchor passes and the final pass
+        X = DataMatrix(small_k1.Xs.data)
+        X.data = X.data.view(_PassCounter)
+        for epochs in (0, 1, 3):
+            _PassCounter.passes = 0
+            cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=3)
+            solve(X, gaussian_init(X.d, k, seed=3), cfg)
+            assert _PassCounter.passes == epochs + 1
+
+    @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
+                                          (vrpca_block, 2)])
+    def test_epoch_loop_with_a_reference_makes_one_pass_per_epoch(
+            self, solve, k, small_k1):
+        # with a reference u and the final residual come from the memo:
+        # only the E anchor products X^T W~ read the data
         X = DataMatrix(small_k1.Xs.data)
         X.data = X.data.view(_PassCounter)
         for epochs in (0, 1, 3):
             _PassCounter.passes = 0
             cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=3)
             solve(X, gaussian_init(X.d, k, seed=3), cfg, small_k1.reference(k))
-            assert _PassCounter.passes == epochs + 1
+            assert _PassCounter.passes == epochs
 
     @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
                                           (vrpca_block, 2)])
@@ -502,25 +519,27 @@ class TestRecorderPasses:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_deflation_passes_and_none_from_the_pipeline(self, k, small_k1):
-        # k stages of E anchor passes (no stage-final pass), one X^T B per
-        # deflation basis and one pass per stage record; the pipeline adds
-        # no pass of its own
+        # k stages of E anchor passes (no stage-final pass) and one X^T B
+        # per deflation basis; without a reference also one pass per stage
+        # record, with one the records and the stage u come from the memo.
+        # The pipeline adds no pass of its own
         X = DataMatrix(small_k1.Xs.data)
         X.data = X.data.view(_PassCounter)
         epochs, seed = 4, 3
-        ref = small_k1.reference(k)
         cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=seed)
-        _PassCounter.passes = 0
-        deflation_solve(X, gaussian_init(X.d, k, seed=seed), cfg, ref)
-        assert _PassCounter.passes == k * epochs + (k - 1) + k
         run_cfg = ExperimentConfig(spectrum=small_k1.spec_req.eigenvalues,
                                    n=X.n, solver="deflation", k=k, eta=0.01,
                                    m=64, epochs=epochs, init="gaussian",
                                    seeds=(seed,))
-        _PassCounter.passes = 0
-        harness._single_run(X, X.r, 1.0, ref, small_k1.spectrum.gap_at(k),
-                            run_cfg, seed)
-        assert _PassCounter.passes == k * epochs + (k - 1) + k
+        for ref, gap, records in (
+                (small_k1.reference(k), small_k1.spectrum.gap_at(k), 0),
+                (None, None, k)):
+            _PassCounter.passes = 0
+            deflation_solve(X, gaussian_init(X.d, k, seed=seed), cfg, ref)
+            assert _PassCounter.passes == k * epochs + (k - 1) + records
+            _PassCounter.passes = 0
+            harness._single_run(X, X.r, 1.0, ref, gap, run_cfg, seed)
+            assert _PassCounter.passes == k * epochs + (k - 1) + records
 
     def test_burn_in_with_reference_makes_no_pass(self, monkeypatch,
                                                   burn_instance):
@@ -552,3 +571,172 @@ class TestRecorderPasses:
         assert len(calls) == 4 + 1
         assert [r.residual for r in trace.records] == \
             [rayleigh_residual(X, f) for f in frames]
+
+
+def _burn_in_exhausted(X, reference, gap):
+    # a budget of 450 steps (7 checks): the reference rule (potential
+    # <= 1/2) and the proxy rule (8 checks without progress) both stay
+    # unmet, so both runs take every step and return their last iterate
+    with pytest.raises(NonConvergenceError) as info:
+        burn_in(X, gaussian_init(X.d, 1, seed=4), zeta=1.0 / X.d, delta=0.5,
+                lambda_hat=gap, reference=reference, eta=0.02,
+                constants=SolverConstants(burn_c_prime=0.008))
+    return info.value.frame, info.value.iterations
+
+
+class TestCovarianceMemo:
+    """A solve given a reference at desk scale applies A from the data
+    matrix's covariance memo; without one it streams X (X^T W) / n."""
+
+    @staticmethod
+    def _runs(inst):
+        """(name, k, call(X, reference) -> (final frame, samples)) for each
+        solver that takes a reference."""
+        def cfg(k):
+            return SolverConfig(k=k, eta=0.05, m=150, epochs=4, seed=2)
+
+        def traced(solve, k):
+            def run(X, ref):
+                trace = solve(X, gaussian_init(X.d, k, seed=6), cfg(k), ref)
+                return trace.final_frame, trace.samples
+            return run
+
+        def warm(k):
+            def run(X, ref):
+                return power_warm_start(X, 7, k=k, reference=ref).frame, 0
+            return run
+
+        def sweeps(X, ref):
+            w0 = gaussian_init(X.d, 2, seed=8)
+            return orthogonal_iteration(X, w0, 6, ref).final_frame, 6 * X.n
+
+        def oja(X, ref):
+            w0 = gaussian_init(X.d, 1, seed=9)
+            trace = oja_baseline(X, w0, 1.0, 500, ref)
+            return trace.final_frame, trace.samples
+
+        return [
+            ("vrpca_vector", 1, traced(vrpca_vector, 1)),
+            ("vrpca_block", 2, traced(vrpca_block, 2)),
+            ("deflation_solve", 2, traced(deflation_solve, 2)),
+            ("power_warm_start", 1, warm(1)),
+            ("power_warm_start", 2, warm(2)),
+            ("orthogonal_iteration", 2, sweeps),
+            ("oja_baseline", 1, oja),
+            ("burn_in", 1,
+             lambda X, ref: _burn_in_exhausted(X, ref, inst.gap)),
+        ]
+
+    def test_with_and_without_reference_agree(self, small_k1):
+        # epsilon unset and the same epochs: only the products A W differ
+        for name, k, run in self._runs(small_k1):
+            ref = small_k1.reference(k)
+            with_ref, samples_ref = run(small_k1.Xs, ref)
+            without, samples = run(small_k1.Xs, None)
+            assert samples_ref == samples, (name, k)
+            diff = np.max(np.abs(with_ref.entries - without.entries))
+            assert diff <= 1e-12, (name, k, diff)
+
+    def test_reference_free_calls_form_no_memo(self, small_k1):
+        for name, k, run in self._runs(small_k1):
+            X = counted(small_k1.Xs)
+            run(X, None)
+            assert GramCounter.formed == 0, (name, k)
+
+    def test_reference_calls_form_the_memo_once(self, small_k1):
+        for name, k, run in self._runs(small_k1):
+            X = counted(small_k1.Xs)
+            run(X, small_k1.reference(k))
+            run(X, small_k1.reference(k))
+            assert GramCounter.formed == 1, (name, k)
+            assert np.array_equal(X.covariance(),
+                                  small_k1.Xs.data @ small_k1.Xs.data.T
+                                  / small_k1.Xs.n)
+
+    @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
+                                          (vrpca_block, 2),
+                                          (deflation_solve, 2)])
+    def test_boundary_residuals_match_rayleigh_residual(self, solve, k,
+                                                        small_k1):
+        # the residual of each boundary, from the memo, against the
+        # streamed rayleigh_residual of the iterate at that boundary: the
+        # final frame of the run that stops there
+        X, ref = small_k1.Xs, small_k1.reference(k)
+        w0 = gaussian_init(X.d, k, seed=5)
+
+        def run(epochs):
+            cfg = SolverConfig(k=k, eta=0.05, m=100, epochs=epochs, seed=2)
+            return solve(X, w0, cfg, ref)
+
+        if solve is deflation_solve:
+            trace = run(3)
+            final = trace.final_frame.entries
+            for j, rec in enumerate(trace.records, 1):
+                expect = rayleigh_residual(X, OrthonormalFrame(final[:, :j]))
+                assert rec.residual == pytest.approx(expect, rel=0, abs=1e-12)
+            return
+        boundaries = run(3).boundary_records()
+        assert len(boundaries) == 4
+        for e, rec in enumerate(boundaries):
+            expect = rayleigh_residual(X, run(e).final_frame)
+            assert rec.residual == pytest.approx(expect, rel=0, abs=1e-12)
+
+    def test_sweep_and_record_residuals_match_rayleigh_residual(self,
+                                                                small_k1):
+        X = small_k1.Xs
+        w0 = gaussian_init(X.d, 2, seed=8)
+        trace = orthogonal_iteration(X, w0, 4, small_k1.reference(2))
+        for s, rec in enumerate(trace.records):
+            frame = orthogonal_iteration(X, w0, s).final_frame
+            assert rec.residual == pytest.approx(
+                rayleigh_residual(X, frame), rel=0, abs=1e-12)
+        trace = oja_baseline(X, gaussian_init(X.d, 1, seed=9), 1.0, 300,
+                             small_k1.reference(1))
+        assert trace.records[-1].residual == pytest.approx(
+            rayleigh_residual(X, trace.final_frame), rel=0, abs=1e-12)
+
+    def test_past_the_dense_guard_no_memo_and_streamed(self):
+        # d = 2001 > DENSE_GUARD: a reference does not form the memo, and
+        # the solver streams the data as it does without one
+        rng = np.random.default_rng(4)
+        d = 2001
+        X = counted(DataMatrix(rng.standard_normal((d, 3))))
+        ref = OrthonormalFrame(np.eye(d, 1))
+        with pytest.raises(DimensionMismatchError, match="dense guard"):
+            X.covariance()
+        cfg = SolverConfig(k=1, eta=1e-4, m=5, epochs=2, seed=1)
+        w0 = power_warm_start(X, 1, reference=ref).frame
+        with_ref = vrpca_vector(X, w0, cfg, ref)
+        without = vrpca_vector(X, w0, cfg)
+        assert GramCounter.formed == 0
+        assert np.array_equal(with_ref.final_frame.entries,
+                              without.final_frame.entries)
+        assert [r.residual for r in with_ref.records] == \
+            [r.residual for r in without.records]
+
+    def test_concurrent_first_use_forms_one_memo(self, small_k1):
+        import sys
+        import threading
+
+        X = counted(small_k1.Xs)
+        got = []
+        start = threading.Barrier(8)
+
+        def use():
+            start.wait(timeout=30)
+            got.append(X.covariance())
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(a is got[0] for a in got)
+        assert GramCounter.formed == 1
+        assert not got[0].flags.writeable
