@@ -1,11 +1,20 @@
-/* One segment of k=1 VR-PCA steps; see solvers._steps_k1 for the contract
- * and solvers._steps_k1_numpy for the reference it must match to 1e-12.
+/* The library's two compiled loops.
+ *
+ * vrpca_steps_k1: one segment of k=1 VR-PCA steps; see solvers._steps_k1
+ * for the contract and solvers._steps_k1_numpy for the reference it must
+ * match to 1e-12.
+ *
+ * vrpca_balance_rows: the synthesizer's Givens row balancing; see
+ * oracle._balance_rows for the contract and oracle._balance_rows_numpy for
+ * the reference it must match bit for bit. Its dot products are not summed
+ * here: they call the BLAS ddot numpy itself calls for x @ y, through a
+ * pointer the caller passes, so every sum runs in numpy's order.
  *
  * Built with -O3 -ffp-contract=off and without -ffast-math or -march, so the
  * compiler neither fuses nor reorders floating-point operations: it
  * vectorizes only the elementwise loops and dot's four fixed accumulators,
  * every sum below runs in the order written, and repeat runs are bitwise
- * identical whatever the build machine. */
+ * identical whatever the build machine. Neither loop starts a thread. */
 #include <math.h>
 #include <stdint.h>
 
@@ -108,4 +117,100 @@ int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
             w[k] /= nrm;
     }
     return 0;
+}
+
+/* cblas ddot, n typed as the BLAS build's integer: 64 bits in ILP64 builds
+ * (whose symbols end in 64_), else 32 */
+typedef double (*ddot64_fn)(int64_t, const double *, int64_t, const double *,
+                            int64_t);
+typedef double (*ddot32_fn)(int32_t, const double *, int32_t, const double *,
+                            int32_t);
+
+static double blas_dot(const void *ddot, int64_t ilp64, const double *a,
+                       const double *b, int64_t d)
+{
+    if (ilp64)
+        return ((ddot64_fn)ddot)(d, a, 1, b, 1);
+    return ((ddot32_fn)ddot)((int32_t)d, a, 1, b, 1);
+}
+
+/* The row numpy's argmin (sign -1) or argmax (sign +1) would pick of rows a
+ * and b of v: the better value, a NaN before any number, the lower index on
+ * ties. -1 marks a padding leaf, which never wins. */
+static int64_t pick(const double *v, int64_t a, int64_t b, double sign)
+{
+    if (a < 0)
+        return b;
+    if (b < 0)
+        return a;
+    double x = sign * v[a], y = sign * v[b];
+    int xnan = x != x, ynan = y != y;
+    if (xnan != ynan)
+        return xnan ? a : b;
+    if (!xnan && x != y)
+        return x > y ? a : b;
+    return a < b ? a : b;
+}
+
+/* Replay the matches on the path from row i's leaf to the root. */
+static void replay(int64_t *tree, int64_t leaves, const double *v, int64_t i,
+                   double sign)
+{
+    for (int64_t k = (leaves + i) / 2; k >= 1; k /= 2)
+        tree[k] = pick(v, tree[2 * k], tree[2 * k + 1], sign);
+}
+
+static void build(int64_t *tree, int64_t leaves, const double *v, int64_t n,
+                  double sign)
+{
+    for (int64_t k = 0; k < leaves; k++)
+        tree[leaves + k] = k < n ? k : -1;
+    for (int64_t k = leaves - 1; k >= 1; k--)
+        tree[k] = pick(v, tree[2 * k], tree[2 * k + 1], sign);
+}
+
+/* b: C-ordered n x d rows; norms: their n squared norms b_i^T b_i; tau:
+ * the common value the rotations balance them to; tol: the spread at which
+ * balancing stops. ddot is numpy's BLAS ddot, ilp64 nonzero when its n is
+ * 64 bits wide. bi and bj are d doubles of scratch, tree 4 * leaves int64
+ * (leaves: the least power of two >= n) for the argmin and argmax
+ * tournament trees. Runs at most n rotations. */
+void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
+                        double tau, double tol, const void *ddot,
+                        int64_t ilp64, double *bi, double *bj, int64_t *tree,
+                        int64_t leaves)
+{
+    int64_t *lo_tree = tree, *hi_tree = tree + 2 * leaves;
+    build(lo_tree, leaves, norms, n, -1.0);
+    build(hi_tree, leaves, norms, n, 1.0);
+    for (int64_t rot = 0; rot < n; rot++) {
+        int64_t i = lo_tree[1], j = hi_tree[1];
+        double lo = norms[i], hi = norms[j];
+        if (hi - lo <= tol)
+            return;
+        double *row_i = b + i * d, *row_j = b + j * d;
+        double cross = blas_dot(ddot, ilp64, row_i, row_j, d);
+        double disc = cross * cross - (lo - tau) * (hi - tau);
+        double root = sqrt(disc < 0.0 ? 0.0 : disc); /* max(disc, 0.0) */
+        /* the larger-magnitude root, for numerical stability */
+        double t1 = (cross + root) / (hi - tau);
+        double t2 = (cross - root) / (hi - tau);
+        double t = fabs(t1) >= fabs(t2) ? t1 : t2;
+        double c = 1.0 / sqrt(1.0 + t * t);
+        double s = t * c;
+        for (int64_t k = 0; k < d; k++) {
+            bi[k] = row_i[k] * c - row_j[k] * s;
+            bj[k] = row_i[k] * s + row_j[k] * c;
+        }
+        for (int64_t k = 0; k < d; k++)
+            row_i[k] = bi[k];
+        for (int64_t k = 0; k < d; k++)
+            row_j[k] = bj[k];
+        norms[i] = blas_dot(ddot, ilp64, bi, bi, d);
+        norms[j] = blas_dot(ddot, ilp64, bj, bj, d);
+        replay(lo_tree, leaves, norms, i, -1.0);
+        replay(lo_tree, leaves, norms, j, -1.0);
+        replay(hi_tree, leaves, norms, i, 1.0);
+        replay(hi_tree, leaves, norms, j, 1.0);
+    }
 }

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIterateError, DimensionMismatchError
-from .matrix import (DataMatrix, OrthonormalFrame, _dense_covariance,
-                     covariance_apply, polar_normalize)
+from .matrix import (DataMatrix, OrthonormalFrame, _check_dense,
+                     _dense_covariance, covariance_apply, polar_normalize)
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,18 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
 def numerical_rank(X: DataMatrix) -> float:
     """||A||_F^2 / ||A||_sp^2 for A = (1/n) X X^T.
 
-    Computed from the eigenvalues of the smaller-side Gram matrix
-    ((1/n) X^T X when n < d), which shares the nonzero spectrum of A, so
-    the d x d covariance is never formed when n < d. Always in
+    Computed from the eigenvalues of the smaller-side Gram matrix: A
+    itself, from X's covariance memo, when n >= d, else (1/n) X^T X, which
+    shares the nonzero spectrum of A, so the d x d covariance is never
+    formed when n < d. Refuses min(d, n) > DENSE_GUARD. Always in
     [1, rank(A)].
     """
+    _check_dense(min(X.d, X.n),
+                 "numerical_rank forms a min(d, n)-square Gram matrix")
     if X.n < X.d:
         m = X.data.T @ X.data / X.n
     else:
-        m = X.data @ X.data.T / X.n
+        m = X.covariance()
     evals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     sp = float(evals[-1])
     if sp <= 0.0:

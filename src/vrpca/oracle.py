@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solvers
 from .errors import DimensionMismatchError, GapWarning
 # DENSE_GUARD is defined with the covariance memo it bounds and stays
 # importable from here
@@ -79,6 +80,9 @@ class SpectrumSpec:
         object.__setattr__(self, "eigenvalues", vals)
         if len(vals) < 1:
             raise DimensionMismatchError("empty spectrum")
+        bad = next((v for v in vals if not math.isfinite(v)), None)
+        if bad is not None:
+            raise DimensionMismatchError(f"non-finite eigenvalue {bad} requested")
         if any(v < 0.0 for v in vals):
             raise DimensionMismatchError("negative eigenvalues requested")
         if any(a < b for a, b in zip(vals, vals[1:])):
@@ -97,43 +101,71 @@ class SpectrumSpec:
         return self.eigenvalues[self.k - 1] - self.eigenvalues[self.k]
 
 
-def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
-    """Build X = Q diag(sqrt(n s)) R^T so that (1/n) X X^T has exactly the
-    requested spectrum.
+#: cblas ddot symbols numpy's BLAS may export; ILP64 builds, whose n is 64
+#: bits wide, end theirs in 64_
+_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
+                 "cblas_ddot")
+_ddot = None  # (function, ilp64) that passed the probe; False if none did
 
-    Q is a random d x d orthogonal matrix from a seeded Gaussian QR; R is a
-    random n x d orthonormal set whose rows are then norm-balanced with
-    Givens rotations, which makes every column norm of X equal to the trace
-    of the spectrum (so the realized r is the smallest possible).
-    Requires n >= d.
-    """
-    eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
-    d = eigs.size
-    if n < d:
-        raise DimensionMismatchError(f"need n >= d, got n={n}, d={d}")
-    if not np.any(eigs > 0.0):
-        raise DimensionMismatchError("all-zero spectrum requested")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    gq = rng.standard_normal((d, d))
-    q, rq = np.linalg.qr(gq)
-    q = q * np.sign(np.diag(rq))
-    gr = rng.standard_normal((n, d))
-    r0, rr = np.linalg.qr(gr)
-    r0 = r0 * np.sign(np.diag(rr))
+def _ddot_candidates():
+    """(function, ilp64) for each symbol of _DDOT_SYMBOLS that numpy's own
+    extension module resolves, i.e. from the BLAS library numpy loaded, typed
+    as cblas_ddot(n, x, incx, y, incy)."""
+    import ctypes
 
-    # rows of B are the (scaled) data points; balance their norms to the
-    # common value tau without touching B^T B = diag(n s)
-    b = r0 * np.sqrt(n * eigs)
-    tau = float(eigs.sum())
-    norms = np.einsum("ij,ij->i", b, b)
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    found = []
+    for name in _DDOT_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            ilp64 = name.endswith("64_")
+            n_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
+            fn.argtypes = [n_t, ctypes.c_void_p, n_t, ctypes.c_void_p, n_t]
+            fn.restype = ctypes.c_double
+            found.append((fn, ilp64))
+    return found
+
+
+def _matches_matmul(fn, lengths):
+    """Whether ``fn`` returns numpy's x @ y and x @ x bit for bit on seeded
+    Gaussian vectors of each length."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for n in lengths:
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        if (fn(n, x.ctypes.data, 1, y.ctypes.data, 1) != x @ y
+                or fn(n, x.ctypes.data, 1, x.ctypes.data, 1) != x @ x):
+            return False
+    return True
+
+
+def _numpy_ddot(d):
+    """numpy's own BLAS ddot as (function, ilp64), or None: the first
+    candidate that reproduces x @ y bit for bit at lengths 1-64, once it
+    also does at length d."""
+    global _ddot
+    if _ddot is None:
+        try:
+            found = _ddot_candidates()
+        except (ImportError, OSError):
+            found = []
+        _ddot = next((c for c in found if _matches_matmul(c[0], range(1, 65))),
+                     False)
+    return _ddot if _ddot and _matches_matmul(_ddot[0], (d,)) else None
+
+
+def _balance_rows_numpy(b, norms, tau, tol):
+    """Reference for _balance_rows, one interpreted rotation at a time."""
+    d = b.shape[1]
     # Python-float scalars, bound methods and reused row buffers: the same
-    # IEEE operations in the same order as fresh numpy temporaries, so the
-    # output bits (which define every instance) do not move
+    # IEEE operations in the same order as fresh numpy temporaries
     argmin, argmax = norms.argmin, norms.argmax
-    tol = 1e-13 * max(tau, 1.0)
     bi, bj, tmp = np.empty(d), np.empty(d), np.empty(d)
-    for _ in range(n):
+    for _ in range(b.shape[0]):
         i = int(argmin())
         j = int(argmax())
         lo, hi = float(norms[i]), float(norms[j])
@@ -156,4 +188,82 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
         row_j[:] = bj
         norms[i] = bi @ bi
         norms[j] = bj @ bj
+
+
+def _balance_rows(b, norms, tau, tol):
+    """Balance the rows of the C-ordered n x d array ``b`` in place, with
+    ``norms`` their squared norms (kept up to date): at most n Givens
+    rotations, each turning the row of least norm and the row of greatest
+    norm (the first of each, as argmin and argmax pick) in their plane so
+    that the first lands on ``tau``, until the spread of norms is at most
+    ``tol``. Rotations keep b^T b.
+
+    Runs the compiled loop when the kernel is available and numpy's BLAS
+    ddot passes the probe of _numpy_ddot, else _balance_rows_numpy; the
+    two agree bit for bit, since both take every dot product from that
+    ddot and run the same IEEE operations in the same order.
+    """
+    import ctypes
+
+    n, d = b.shape
+    kernel = solvers._kernel()
+    ddot = None if kernel is None else _numpy_ddot(d)
+    if ddot is None:
+        _balance_rows_numpy(b, norms, tau, tol)
+        return
+    if not (b.dtype == norms.dtype == np.float64 and b.flags.c_contiguous
+            and b.flags.writeable and norms.shape == (n,)
+            and norms.flags.c_contiguous and norms.flags.writeable):
+        raise DimensionMismatchError("balancing operands violate its contract")
+    leaves = 1 << (n - 1).bit_length()
+    bi, bj = np.empty(d), np.empty(d)
+    tree = np.empty(4 * leaves, dtype=np.int64)
+    kernel.balance(b.ctypes.data, n, d, norms.ctypes.data, tau, tol,
+                   ctypes.cast(ddot[0], ctypes.c_void_p).value, ddot[1],
+                   bi.ctypes.data, bj.ctypes.data, tree.ctypes.data, leaves)
+
+
+def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
+    """Build X = Q diag(sqrt(n s)) R^T so that (1/n) X X^T has exactly the
+    requested spectrum.
+
+    Q is a random d x d orthogonal matrix from a seeded Gaussian QR; R is a
+    random n x d orthonormal set whose rows are then norm-balanced with
+    Givens rotations, which makes every column norm of X equal to the trace
+    of the spectrum (so the realized r is the smallest possible).
+    Requires n >= d, and n times the largest eigenvalue finite: the scaled
+    rows' squared norms reach it.
+
+    The balancing runs in the compiled kernel when one is available (see
+    _balance_rows), else in numpy. Both take their dot products from the
+    BLAS ddot numpy's x @ y calls and do the same IEEE operations in the
+    same order, so the output bits, which define every instance, do not
+    depend on the path; like the QR factorizations, they may depend on the
+    BLAS build and its thread count.
+    """
+    eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
+    d = eigs.size
+    if n < d:
+        raise DimensionMismatchError(f"need n >= d, got n={n}, d={d}")
+    if not np.any(eigs > 0.0):
+        raise DimensionMismatchError("all-zero spectrum requested")
+    top = float(eigs.max())
+    if not math.isfinite(n * top):
+        raise DimensionMismatchError(
+            f"n * max eigenvalue = {n} * {top} overflows a double")
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    gq = rng.standard_normal((d, d))
+    q, rq = np.linalg.qr(gq)
+    q = q * np.sign(np.diag(rq))
+    gr = rng.standard_normal((n, d))
+    r0, rr = np.linalg.qr(gr)
+    r0 = r0 * np.sign(np.diag(rr))
+
+    # rows of B are the (scaled) data points; balance their norms to the
+    # common value tau without touching B^T B = diag(n s)
+    b = np.ascontiguousarray(r0 * np.sqrt(n * eigs))
+    tau = float(eigs.sum())
+    norms = np.einsum("ij,ij->i", b, b)
+    _balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
     return DataMatrix(q @ b.T)

@@ -82,22 +82,30 @@ def _build_kernel(cache_dir, cc):
 
 
 def _load_kernel(path):
-    """The step function of the compiled library at ``path``, typed."""
+    """The step function of the compiled library at ``path``, typed; its
+    ``balance`` attribute is the library's row-balancing function (see
+    oracle._balance_rows), so the two always come from one build."""
     import ctypes
 
-    fn = ctypes.CDLL(str(path)).vrpca_steps_k1
+    lib = ctypes.CDLL(str(path))
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
-    fn.argtypes = [p, i64, p, i64, p, p, ctypes.c_double, p, p, p, i64, p, p,
-                   ctypes.c_double]
+    f64 = ctypes.c_double
+    fn = lib.vrpca_steps_k1
+    fn.argtypes = [p, i64, p, i64, p, p, f64, p, p, p, i64, p, p, f64]
     fn.restype = i64
+    fn.balance = lib.vrpca_balance_rows
+    fn.balance.argtypes = [p, i64, i64, p, f64, f64, p, i64, p, p, p, i64]
+    fn.balance.restype = None
     return fn
 
 
 def _kernel():
-    """The compiled k=1 step function, built and loaded on first use; None
-    when no compiler is found or the build or load fails (a RuntimeWarning
-    says why, once), in which case _steps_k1 runs the numpy steps."""
+    """The compiled k=1 step function (with the row balancing as its
+    ``balance``), built and loaded on first use; None when no compiler is
+    found or the build or load fails (a RuntimeWarning says why, once), in
+    which case _steps_k1 runs the numpy steps and the synthesizer its numpy
+    balancing loop."""
     import subprocess
 
     global _kernel_fn
@@ -109,9 +117,9 @@ def _kernel():
                     raise OSError("no C compiler on PATH")
                 _kernel_fn = _load_kernel(_build_kernel(_kernel_cache(), cc))
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-                warnings.warn(f"vrpca: compiled k=1 kernel unavailable ({exc}); "
-                              "using the numpy steps", RuntimeWarning,
-                              stacklevel=3)
+                warnings.warn(f"vrpca: compiled kernel unavailable ({exc}); "
+                              "using the numpy steps and row balancing",
+                              RuntimeWarning, stacklevel=3)
                 _kernel_fn = False
         return _kernel_fn or None
 

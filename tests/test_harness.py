@@ -352,6 +352,19 @@ class TestCli:
         assert cli_main(["solve", "--epochs", "3"]) == 1  # no dataset source
         assert cli_main(["bogus-verb"]) == 1
 
+    @pytest.mark.parametrize("spectrum, named", [
+        ("nan", "non-finite eigenvalue nan"),
+        ("inf,1", "non-finite eigenvalue inf"),
+        ("1e308", "n * max eigenvalue = 10 * 1e+308 overflows")])
+    def test_synth_refuses_non_finite_scale(self, tmp_path, capsys, spectrum,
+                                            named):
+        out = tmp_path / "data.vrpc"
+        rc = cli_main(["synth", "--spectrum", spectrum, "--n", "10",
+                       "--out", str(out)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degeneracy_exit_code(self, tmp_path):
         # rank-1 data cannot support a k=2 power warm start: every draw
         # collapses to a singular Gram and the retries run out

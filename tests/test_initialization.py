@@ -3,6 +3,7 @@ and numerical rank."""
 
 import numpy as np
 import pytest
+from conftest import GramCounter, counted
 
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    SpectrumSpec, covariance_apply, gaussian_init,
@@ -111,6 +112,38 @@ class TestNumericalRank:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateIterateError):
             numerical_rank(DataMatrix(np.zeros((3, 4))))
+
+    def test_reads_the_covariance_memo(self):
+        # n >= d: A comes from the memo, the same expression, so the value
+        # is bit-equal to forming X X^T / n here, and the memo is formed once
+        rng = np.random.default_rng(10)
+        X = counted(DataMatrix(rng.standard_normal((6, 9))))
+        a = np.asarray(X.data) @ np.asarray(X.data).T / X.n
+        evals = np.clip(np.linalg.eigvalsh(a), 0.0, None)
+        direct = float(np.sum(evals * evals) / float(evals[-1]) ** 2)
+        GramCounter.formed = 0
+        assert numerical_rank(X) == direct
+        assert GramCounter.formed == 1
+        assert numerical_rank(X) == direct
+        assert GramCounter.formed == 1
+
+    @pytest.mark.parametrize("d, n", [(2001, 2001), (2001, 5000),
+                                      (5000, 2001)])
+    def test_dense_guard(self, d, n):
+        class _TooBig:  # stand-in: the guard fires before data is touched
+            pass
+
+        big = _TooBig()
+        big.d, big.n = d, n
+        with pytest.raises(DimensionMismatchError,
+                           match=r"d=2001 exceeds the dense guard"):
+            numerical_rank(big)
+
+    def test_below_the_guard_on_the_small_side(self):
+        # n < d with d past the guard still works: only n x n is formed
+        rng = np.random.default_rng(11)
+        X = DataMatrix(rng.standard_normal((2001, 3)))
+        assert 1.0 <= numerical_rank(X) <= 3.0
 
 
 class TestWarmStartDominance:

@@ -1,7 +1,10 @@
-"""The compiled k=1 step kernel: agreement with its numpy reference, the
-degenerate-step report, the numpy fallback, and the build cache under
-concurrent first use."""
+"""The compiled kernel: the k=1 steps' agreement with their numpy reference,
+the degenerate-step report, the numpy fallback, and the build cache under
+concurrent first use; the synthesizer's row balancing, bit for bit with its
+numpy loop through numpy's own BLAS ddot, and its fallback when that ddot
+cannot be found or fails the probe."""
 
+import ctypes
 import math
 import threading
 
@@ -10,15 +13,22 @@ import pytest
 from conftest import spectrum_k1
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synth_reference import synthesize_reference
 
 from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
-                   SolverConfig, burn_in, gaussian_init,
+                   SolverConfig, SpectrumSpec, burn_in, gaussian_init,
                    power_warm_start, run_experiment, select_parameters,
-                   vrpca_block, vrpca_vector)
-from vrpca import solvers
+                   synthesize_dataset, vrpca_block, vrpca_vector)
+from vrpca import oracle, solvers
 
 needs_cc = pytest.mark.skipif(solvers._compiler() is None,
                               reason="no C compiler on PATH")
+needs_ddot = pytest.mark.skipif(not oracle._ddot_candidates(),
+                                reason="numpy's BLAS exports no cblas ddot")
+
+#: the C type of an ILP64 cblas_ddot
+DDOT64 = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
+                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
 
 #: max-abs difference allowed between the compiled and the numpy steps,
 #: which sum the same terms in different orders
@@ -166,6 +176,119 @@ def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
                                               anchor, b, btx), w))
             assert out[0][0] == out[1][0] == 0
             assert np.array_equal(out[0][1], out[1][1]), (d, anchor, b)
+
+
+def _synth_cases():
+    """(eigenvalues, n, seed) instances covering d = 1-40 and tree sizes
+    around powers of two."""
+    cases = [((1.0,), 1, 0), ((3.0,), 2, 1), ((1.0,) * 8, 64, 3),
+             ((2.0,), 129, 2)]
+    for d in range(2, 41):
+        cases.append((spectrum_k1(d), (d + 1, 2 * d, 64)[d % 3], d))
+    return cases
+
+
+@needs_cc
+def test_unoptimized_build_balances_bit_identically(monkeypatch, tmp_path):
+    # the default build vectorizes the rotations; with the same ddot, an
+    # -O0 build of the balancing must synthesize the same bits
+    default = solvers._kernel()
+    assert default is not None
+    flags = ("-O0", "-fPIC", "-shared", "-ffp-contract=off")
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_KERNEL_FLAGS", flags)
+        plain = solvers._load_kernel(
+            solvers._build_kernel(tmp_path, solvers._compiler()))
+    for eigs, n, seed in _synth_cases():
+        out = []
+        for fn in (default, plain):
+            monkeypatch.setattr(solvers, "_kernel", lambda fn=fn: fn)
+            out.append(synthesize_dataset(SpectrumSpec(eigs), n, seed).data)
+        assert np.array_equal(out[0], out[1]), (len(eigs), n)
+        assert np.array_equal(out[0], synthesize_reference(eigs, n, seed))
+
+
+@needs_cc
+@needs_ddot
+def test_compiled_balancing_is_loaded():
+    # a compiler and a cblas ddot in numpy's BLAS: the synthesizer must run
+    # the compiled loop, through a ddot that reproduces x @ y
+    kernel = solvers._kernel()
+    assert kernel is not None and kernel.balance is not None
+    for d in (1, 7, 64, 65, 300, 1000):
+        assert oracle._numpy_ddot(d) is not None, d
+
+
+def _ddot_spy(monkeypatch, wrong_from=None):
+    """Make the only ddot candidate a callback into numpy's real ddot that
+    records the length of every call, and from length ``wrong_from`` on
+    returns one ulp more. Returns the recorded lengths."""
+    real = oracle._ddot_candidates()[0][0]
+    lengths = []
+
+    @DDOT64
+    def spy(n, x, incx, y, incy):
+        lengths.append(n)
+        v = real(n, x, incx, y, incy)
+        return v if wrong_from is None or n < wrong_from else \
+            math.nextafter(v, math.inf)
+
+    monkeypatch.setattr(oracle, "_ddot", None)
+    monkeypatch.setattr(oracle, "_ddot_candidates", lambda: [(spy, True)])
+    return lengths
+
+
+#: the probe's calls: x @ y and x @ x at each length 1-64
+PROBE = [n for n in range(1, 65) for _ in range(2)]
+
+
+@needs_cc
+@needs_ddot
+def test_compiled_balancing_calls_the_given_ddot(monkeypatch):
+    lengths = _ddot_spy(monkeypatch)
+    eigs, n, seed = (1.0, 0.7, 0.3, 0.2, 0.1), 40, 6
+    X = synthesize_dataset(SpectrumSpec(eigs), n, seed)
+    assert np.array_equal(X.data, synthesize_reference(eigs, n, seed))
+    # the probe, the probe at d=5, then three dot products per rotation
+    assert lengths[:128] == PROBE
+    at_d = lengths[128:]
+    assert at_d == [5] * len(at_d) and len(at_d) % 3 == 2
+    assert 2 < len(at_d) <= 2 + 3 * n
+
+
+@needs_cc
+@needs_ddot
+@pytest.mark.parametrize("wrong_from, probed", [
+    (1, [1]), (30, PROBE[:58] + [30]), (65, PROBE + [70])])
+def test_ddot_failing_the_probe_falls_back(monkeypatch, wrong_from, probed):
+    # a candidate that differs from x @ y, at short lengths or only at the
+    # call's own d, must not run: the numpy loop keeps the bits
+    lengths = _ddot_spy(monkeypatch, wrong_from)
+    eigs = spectrum_k1(70)
+    X = synthesize_dataset(SpectrumSpec(eigs), 140, 4)
+    assert lengths == probed
+    assert np.array_equal(X.data, synthesize_reference(eigs, 140, 4))
+
+
+@needs_cc
+@needs_ddot
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 64, 65])
+def test_compiled_balancing_breaks_ties_like_argmin(n):
+    # rows and their negations have bitwise-equal norms, so argmin and
+    # argmax see exact ties from the first rotation on; the compiled trees
+    # must pick the first index as they do, on every tree size
+    d = 6
+    assert oracle._numpy_ddot(d) is not None
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal(((n + 1) // 2, d))
+    b = np.ascontiguousarray(np.concatenate([half, -half])[:n])
+    norms = np.einsum("ij,ij->i", b, b)
+    tau = float(norms.mean())
+    b_np, norms_np = b.copy(), norms.copy()
+    oracle._balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
+    oracle._balance_rows_numpy(b_np, norms_np, tau, 1e-13 * max(tau, 1.0))
+    assert np.array_equal(b, b_np)
+    assert np.array_equal(norms, norms_np)
 
 
 @pytest.mark.parametrize("steps", [

@@ -1,6 +1,10 @@
 """Oracle: LAPACK-backed dense_eigh checked against the test-side Jacobi
 reference, Jacobi correctness and sweep monotonicity, spectrum round-trips
-through the synthesizer, and gap warnings."""
+through the synthesizer and its bits on the compiled and the numpy
+balancing, the synthesizer's input checks, and gap warnings."""
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from vrpca import (DataMatrix, DimensionMismatchError, GapWarning,
                    SpectrumSpec, dense_eigh, leading_subspace,
                    orthogonal_iteration, polar_normalize, potential,
                    synthesize_dataset)
+from vrpca import solvers
 from conftest import spectrum_k1, spectrum_k3
 from jacobi_reference import jacobi_eigh
 from synth_reference import synthesize_reference
@@ -160,6 +165,34 @@ class TestSpectrumAccess:
         assert potential(ref, trace.final_frame) <= 1e-8
 
 
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """No C compiler on PATH: the synthesizer runs its numpy balancing."""
+    monkeypatch.setattr(solvers, "_kernel_fn", None)
+    monkeypatch.setattr(solvers, "_kernel_cache", lambda: tmp_path)
+    monkeypatch.setattr(solvers, "_compiler", lambda: None)
+    with pytest.warns(RuntimeWarning, match="numpy steps and row balancing"):
+        assert solvers._kernel() is None
+
+
+#: (eigenvalues, n, seed) instances whose synthesized bits must equal the
+#: original loop's
+SYNTH_CASES = [
+    ((2.0,), 3, 0),
+    ((1.0, 0.7, 0.4), 10, 4),
+    (spectrum_k1(d=12), 64, 5),
+    (spectrum_k1(), 500, 1),
+    (spectrum_k3(), 500, 1),
+    (spectrum_k1(d=120), 700, 2),
+    ((1.0,) * 8, 64, 3),  # equal norms: argmin/argmax meet exact ties
+    ((1.0,), 128, 1),  # d=1; n a power of two fills the trees exactly
+    ((2.0,), 129, 2),  # d=1; n one past a power of two: 127 pad leaves
+    (spectrum_k1(d=17), 128, 7),
+    (spectrum_k1(d=33), 129, 9),
+    (spectrum_k1(d=300), 3000, 1),  # the oracle-d300 benchmark instance
+]
+
+
 class TestSynthesize:
     def test_round_trip_small(self):
         spec_req = SpectrumSpec(eigenvalues=(1.0, 0.7, 0.4))
@@ -197,15 +230,39 @@ class TestSynthesize:
         with pytest.raises(DimensionMismatchError):
             SpectrumSpec(eigenvalues=(1.0, -0.1))
 
-    @pytest.mark.parametrize("eigs, n, seed", [
-        ((2.0,), 3, 0),
-        ((1.0, 0.7, 0.4), 10, 4),
-        (spectrum_k1(d=12), 64, 5),
-        (spectrum_k1(), 500, 1),
-        (spectrum_k3(), 500, 1),
-        (spectrum_k1(d=120), 700, 2),
-    ])
+    @pytest.mark.parametrize("eigs, named", [
+        ((math.nan,), "nan"), ((math.inf,), "inf"),
+        ((math.inf, 1.0), "inf"), ((2.0, math.nan), "nan"),
+        ((1.0, -math.inf), "-inf")])
+    def test_non_finite_eigenvalue_rejected(self, eigs, named):
+        # comparisons with NaN are false, so neither the sign nor the order
+        # check would catch it
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"non-finite eigenvalue {named} requested"):
+            SpectrumSpec(eigenvalues=eigs)
+
+    @pytest.mark.parametrize("eigs, n", [((1e308,), 10),
+                                         ((1e305, 1.0), 10**4)])
+    def test_overflowing_scale_rejected_before_any_draw(self, monkeypatch,
+                                                        eigs, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the scale")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        named = re.escape(f"n * max eigenvalue = {n} * {eigs[0]} overflows")
+        with pytest.raises(DimensionMismatchError, match=named):
+            synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n, seed=0)
+
+    @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
     def test_matches_the_original_loop_bitwise(self, eigs, n, seed):
+        # the compiled balancing wherever a compiler is present (test_kernel
+        # asserts that it is loaded then)
+        X = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n, seed)
+        assert np.array_equal(X.data, synthesize_reference(eigs, n, seed))
+
+    @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
+    def test_numpy_fallback_matches_the_original_loop_bitwise(
+            self, no_compiler, eigs, n, seed):
         X = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n, seed)
         assert np.array_equal(X.data, synthesize_reference(eigs, n, seed))
 
