@@ -1,14 +1,8 @@
-/* The library's two compiled loops.
- *
- * vrpca_steps_k1: one segment of k=1 VR-PCA steps; see solvers._steps_k1
- * for the contract and solvers._steps_k1_numpy for the reference it must
- * match to 1e-12.
- *
- * vrpca_balance_rows: the synthesizer's Givens row balancing; see
- * oracle._balance_rows for the contract and oracle._balance_rows_numpy for
- * the reference it must match bit for bit. Its dot products are not summed
- * here: they call the BLAS ddot numpy itself calls for x @ y, through a
- * pointer the caller passes, so every sum runs in numpy's order.
+/* The library's two compiled loops. vrpca._native alone builds, loads and
+ * calls them; its _ABI table must match the prototypes below (a test
+ * parses them). vrpca_steps_k1 runs solvers._steps_k1; vrpca_balance_rows
+ * runs oracle._balance_rows and sums no dot product itself: it calls the
+ * BLAS ddot numpy's x @ y calls, through a pointer the caller passes.
  *
  * Built with -O3 -ffp-contract=off and without -ffast-math or -march, so the
  * compiler neither fuses nor reorders floating-point operations: it
@@ -78,12 +72,9 @@ static void prefetch(const double *p, int64_t len)
 #endif
 }
 
-/* x: F-ordered d x n data; idx: m column indices; a: the n anchor
- * projections x_i^T w~; eu: eta * u.  anchor (or NULL): w~, whose overlap
- * sign s with w flips a_i and eu.  basis (or NULL): C-ordered d x j
- * deflation basis B, with btx the C-ordered n x j rows B^T x_i; buf holds
- * the projected column.  Returns 0, or the 1-based step whose candidate
- * norm fell below norm_floor; w then holds that unnormalized candidate. */
+/* solvers._steps_k1 on its operands, x being its xd: anchor or basis NULL
+ * for none, j the columns of basis and btx, buf d doubles of scratch for
+ * the projected column. */
 int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
                        int64_t m, const double *a, const double *eu,
                        double eta, const double *anchor, const double *basis,
@@ -169,12 +160,10 @@ static void build(int64_t *tree, int64_t leaves, const double *v, int64_t n,
         tree[k] = pick(v, tree[2 * k], tree[2 * k + 1], sign);
 }
 
-/* b: C-ordered n x d rows; norms: their n squared norms b_i^T b_i; tau:
- * the common value the rotations balance them to; tol: the spread at which
- * balancing stops. ddot is numpy's BLAS ddot, ilp64 nonzero when its n is
- * 64 bits wide. bi and bj are d doubles of scratch, tree 4 * leaves int64
- * (leaves: the least power of two >= n) for the argmin and argmax
- * tournament trees. Runs at most n rotations. */
+/* oracle._balance_rows on its operands, b being n x d. ddot is numpy's
+ * BLAS ddot, ilp64 nonzero when its n is 64 bits wide. bi and bj are d
+ * doubles of scratch, tree 4 * leaves int64 (leaves: the least power of two
+ * >= n) for the argmin and argmax tournament trees. */
 void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
                         double tau, double tol, const void *ddot,
                         int64_t ilp64, double *bi, double *bj, int64_t *tree,

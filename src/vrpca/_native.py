@@ -1,0 +1,213 @@
+"""The compiled library ``_kernel.c``: its build, load and C ABI, and the
+BLAS ddot its row balancing calls. No other module knows it exists.
+
+The library is built on first use, not at import, and loaded at most once
+per process. If no compiler is found or the build or load fails, a
+RuntimeWarning says why, once; ``steps_k1`` then returns None and
+``balance_rows`` False, as it also does when numpy's BLAS has no cblas
+ddot that reproduces x @ y bit for bit. Callers then run their numpy
+references, _steps_k1_numpy (within 1e-12: it sums in another order) and
+_balance_rows_numpy (bit for bit). Operands outside the C contract raise
+DimensionMismatchError before any C call."""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DimensionMismatchError
+
+_SRC = Path(__file__).with_name("_kernel.c")
+#: no -ffast-math and no -march (see the header of _kernel.c)
+_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+#: the C signature of each exported function: (return type, parameter types)
+_ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _I,
+                                _P, _P, _D)),
+        "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _I, _P, _P,
+                                      _P, _I))}
+_lock = threading.Lock()
+_lib = None  # the loaded library; False once it proved unavailable
+
+
+def _compiler():
+    """The C compiler command: the one Python was built with, else cc;
+    None when neither is on PATH."""
+    import shlex
+    import shutil
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if cc and shutil.which(cc[0]):
+        return cc
+    return ["cc"] if shutil.which("cc") else None
+
+
+def _cache_dir():
+    return Path.home() / ".cache" / "vrpca"
+
+
+def _build(cache_dir, cc):
+    """Path of the compiled library in ``cache_dir``, compiling it first
+    unless a build of the same source, compiler and flags is there.
+
+    The library is written to a temporary file and renamed into place, so
+    concurrent builders (threads or processes) never load a partial file.
+    """
+    import hashlib
+    import platform
+    import subprocess
+    import tempfile
+
+    key = hashlib.sha256(_SRC.read_bytes() + repr(
+        (cc, _FLAGS, platform.machine())).encode()).hexdigest()[:16]
+    path = Path(cache_dir) / f"kernel-{key}.so"
+    if path.exists():
+        return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *_FLAGS, "-o", tmp, str(_SRC), "-lm"],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _library():
+    """The loaded library, its _ABI functions typed, or None."""
+    import subprocess
+
+    global _lib
+    with _lock:
+        if _lib is None:
+            cc = _compiler()
+            try:
+                if cc is None:
+                    raise OSError("no C compiler on PATH")
+                lib = ctypes.CDLL(str(_build(_cache_dir(), cc)))
+                for name, (ret, params) in _ABI.items():
+                    getattr(lib, name).restype = ret
+                    getattr(lib, name).argtypes = params
+                _lib = lib
+            except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+                warnings.warn(f"vrpca: compiled kernel unavailable ({exc}); "
+                              "using the numpy steps and row balancing",
+                              RuntimeWarning, stacklevel=4)
+                _lib = False
+        return _lib or None
+
+
+def _check(contract, ok, *operands):
+    """Refuse operands the C code would misread: ``ok`` holds the contract's
+    own conditions; each (array, shape, flags) is None or a float64 array
+    of that shape that np.require leaves as it is."""
+    if not (ok and all(v is None or (np.require(v, np.float64, flags) is v
+                                     and v.shape == shape)
+                       for v, shape, flags in operands)):
+        raise DimensionMismatchError(f"{contract} operands violate its contract")
+
+
+def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, norm_floor):
+    """solvers._steps_k1 in C, ``norm_floor`` its degenerate-norm bound:
+    the step code, or None when the library is unavailable."""
+    lib = _library()
+    if lib is None:
+        return None
+    d, n = xd.shape
+    j = 0 if basis is None else basis.shape[1]
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    buf = np.empty(d if basis is not None else 0)
+    _check("k=1 kernel", (basis is None) == (btx is None)
+           and (len(idx) == 0 or (idx.min() >= 0 and idx.max() < n)),
+           (xd, (d, n), "F"), (a, (n,), "C"), (eu, (d,), "C"),
+           (w, (d,), "CW"), (anchor, (d,), "C"), (basis, (d, j), "C"),
+           (btx, (n, j), "C"))
+    opt = [None if v is None else v.ctypes.data for v in (anchor, basis, btx)]
+    return lib.vrpca_steps_k1(
+        xd.ctypes.data, d, idx.ctypes.data, len(idx), a.ctypes.data,
+        eu.ctypes.data, eta, *opt, j, w.ctypes.data, buf.ctypes.data,
+        norm_floor)
+
+
+#: cblas ddot symbols numpy's BLAS may export; ILP64 builds, whose n is 64
+#: bits wide, end theirs in 64_
+_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
+                 "cblas_ddot")
+_ddot = None  # (function, ilp64) that passed the probe; False if none did
+
+
+def _ddot_candidates():
+    """(function, ilp64) for each symbol of _DDOT_SYMBOLS that numpy's own
+    extension module resolves, i.e. from the BLAS library numpy loaded, typed
+    as cblas_ddot(n, x, incx, y, incy)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    found = []
+    for name in _DDOT_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            ilp64 = name.endswith("64_")
+            n_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
+            fn.argtypes = [n_t, ctypes.c_void_p, n_t, ctypes.c_void_p, n_t]
+            fn.restype = ctypes.c_double
+            found.append((fn, ilp64))
+    return found
+
+
+def _matches_matmul(fn, lengths):
+    """Whether ``fn`` returns numpy's x @ y and x @ x bit for bit on seeded
+    Gaussian vectors of each length."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for n in lengths:
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        if (fn(n, x.ctypes.data, 1, y.ctypes.data, 1) != x @ y
+                or fn(n, x.ctypes.data, 1, x.ctypes.data, 1) != x @ x):
+            return False
+    return True
+
+
+def _numpy_ddot(d):
+    """numpy's own BLAS ddot as (function, ilp64), or None: the first
+    candidate that reproduces x @ y bit for bit at lengths 1-64, once it
+    also does at length d."""
+    global _ddot
+    if _ddot is None:
+        try:
+            found = _ddot_candidates()
+        except (ImportError, OSError):
+            found = []
+        _ddot = next((c for c in found if _matches_matmul(c[0], range(1, 65))),
+                     False)
+    return _ddot if _ddot and _matches_matmul(_ddot[0], (d,)) else None
+
+
+def balance_rows(b, norms, tau, tol):
+    """oracle._balance_rows in C, every dot product from numpy's BLAS
+    ddot: whether it ran."""
+    lib = _library()
+    n, d = b.shape
+    ddot = None if lib is None else _numpy_ddot(d)
+    if ddot is None:
+        return False
+    _check("balancing", True, (b, (n, d), "CW"), (norms, (n,), "CW"))
+    leaves = 1 << (n - 1).bit_length()
+    bi, bj = np.empty(d), np.empty(d)
+    tree = np.empty(4 * leaves, dtype=np.int64)
+    lib.vrpca_balance_rows(b.ctypes.data, n, d, norms.ctypes.data, tau, tol,
+                           ctypes.cast(ddot[0], ctypes.c_void_p).value,
+                           ddot[1], bi.ctypes.data, bj.ctypes.data,
+                           tree.ctypes.data, leaves)
+    return True

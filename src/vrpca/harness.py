@@ -229,7 +229,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         zeta = cfg.zeta if cfg.zeta is not None else 1.0 / d
         try:
             frame, burn_iters = burn_in(X, frame, zeta, cfg.delta, gap,
-                                        reference=reference)
+                                        reference=reference, seed=seed)
         except NonConvergenceError as exc:
             burn_ok = False
             burn_iters = exc.iterations
@@ -256,7 +256,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         iters = cfg.oja_iters if cfg.oja_iters is not None else m * cfg.epochs
         eta0 = cfg.oja_eta0 if cfg.oja_eta0 is not None else (
             1.0 / gap if gap else 1.0)
-        trace = oja_baseline(X, frame, eta0, iters, reference)
+        trace = oja_baseline(X, frame, eta0, iters, reference, seed=seed)
     elif cfg.solver == "orthogonal_iteration":
         trace = orthogonal_iteration(X, frame, cfg.sweeps, reference)
     else:

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solvers
+from . import _native
 from .errors import DimensionMismatchError, GapWarning
-# DENSE_GUARD is defined with the covariance memo it bounds and stays
-# importable from here
-from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, _check_dense
+from .matrix import DataMatrix, OrthonormalFrame, _check_dense
 
 
 @dataclass(frozen=True)
@@ -101,63 +99,6 @@ class SpectrumSpec:
         return self.eigenvalues[self.k - 1] - self.eigenvalues[self.k]
 
 
-#: cblas ddot symbols numpy's BLAS may export; ILP64 builds, whose n is 64
-#: bits wide, end theirs in 64_
-_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
-                 "cblas_ddot")
-_ddot = None  # (function, ilp64) that passed the probe; False if none did
-
-
-def _ddot_candidates():
-    """(function, ilp64) for each symbol of _DDOT_SYMBOLS that numpy's own
-    extension module resolves, i.e. from the BLAS library numpy loaded, typed
-    as cblas_ddot(n, x, incx, y, incy)."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    found = []
-    for name in _DDOT_SYMBOLS:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            ilp64 = name.endswith("64_")
-            n_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
-            fn.argtypes = [n_t, ctypes.c_void_p, n_t, ctypes.c_void_p, n_t]
-            fn.restype = ctypes.c_double
-            found.append((fn, ilp64))
-    return found
-
-
-def _matches_matmul(fn, lengths):
-    """Whether ``fn`` returns numpy's x @ y and x @ x bit for bit on seeded
-    Gaussian vectors of each length."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    for n in lengths:
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        if (fn(n, x.ctypes.data, 1, y.ctypes.data, 1) != x @ y
-                or fn(n, x.ctypes.data, 1, x.ctypes.data, 1) != x @ x):
-            return False
-    return True
-
-
-def _numpy_ddot(d):
-    """numpy's own BLAS ddot as (function, ilp64), or None: the first
-    candidate that reproduces x @ y bit for bit at lengths 1-64, once it
-    also does at length d."""
-    global _ddot
-    if _ddot is None:
-        try:
-            found = _ddot_candidates()
-        except (ImportError, OSError):
-            found = []
-        _ddot = next((c for c in found if _matches_matmul(c[0], range(1, 65))),
-                     False)
-    return _ddot if _ddot and _matches_matmul(_ddot[0], (d,)) else None
-
-
 def _balance_rows_numpy(b, norms, tau, tol):
     """Reference for _balance_rows, one interpreted rotation at a time."""
     d = b.shape[1]
@@ -197,30 +138,9 @@ def _balance_rows(b, norms, tau, tol):
     norm (the first of each, as argmin and argmax pick) in their plane so
     that the first lands on ``tau``, until the spread of norms is at most
     ``tol``. Rotations keep b^T b.
-
-    Runs the compiled loop when the kernel is available and numpy's BLAS
-    ddot passes the probe of _numpy_ddot, else _balance_rows_numpy; the
-    two agree bit for bit, since both take every dot product from that
-    ddot and run the same IEEE operations in the same order.
     """
-    import ctypes
-
-    n, d = b.shape
-    kernel = solvers._kernel()
-    ddot = None if kernel is None else _numpy_ddot(d)
-    if ddot is None:
+    if not _native.balance_rows(b, norms, tau, tol):
         _balance_rows_numpy(b, norms, tau, tol)
-        return
-    if not (b.dtype == norms.dtype == np.float64 and b.flags.c_contiguous
-            and b.flags.writeable and norms.shape == (n,)
-            and norms.flags.c_contiguous and norms.flags.writeable):
-        raise DimensionMismatchError("balancing operands violate its contract")
-    leaves = 1 << (n - 1).bit_length()
-    bi, bj = np.empty(d), np.empty(d)
-    tree = np.empty(4 * leaves, dtype=np.int64)
-    kernel.balance(b.ctypes.data, n, d, norms.ctypes.data, tau, tol,
-                   ctypes.cast(ddot[0], ctypes.c_void_p).value, ddot[1],
-                   bi.ctypes.data, bj.ctypes.data, tree.ctypes.data, leaves)
 
 
 def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
@@ -232,14 +152,11 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     Givens rotations, which makes every column norm of X equal to the trace
     of the spectrum (so the realized r is the smallest possible).
     Requires n >= d, and n times the largest eigenvalue finite: the scaled
-    rows' squared norms reach it.
+    rows' squared norms reach it. Rows the balancing leaves non-finite, as
+    its products of those norms overflow, are refused.
 
-    The balancing runs in the compiled kernel when one is available (see
-    _balance_rows), else in numpy. Both take their dot products from the
-    BLAS ddot numpy's x @ y calls and do the same IEEE operations in the
-    same order, so the output bits, which define every instance, do not
-    depend on the path; like the QR factorizations, they may depend on the
-    BLAS build and its thread count.
+    Like the QR factorizations, the output bits, which define every
+    instance, may depend on the BLAS build and its thread count.
     """
     eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
     d = eigs.size
@@ -266,4 +183,7 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     tau = float(eigs.sum())
     norms = np.einsum("ij,ij->i", b, b)
     _balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
+    if not np.all(np.isfinite(norms)):
+        raise DimensionMismatchError(
+            f"n * max eigenvalue = {n} * {top} overflows the row balancing")
     return DataMatrix(q @ b.T)

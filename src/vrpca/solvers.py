@@ -4,124 +4,19 @@ Every solver emits a ConvergenceTrace."""
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
-from .matrix import (ORTHO_TOL, DataMatrix, OrthonormalFrame,
+from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
                      _dense_covariance, _polar, _residual, covariance_apply)
 
 _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
-
-_KERNEL_SRC = Path(__file__).with_name("_kernel.c")
-#: no -ffast-math and no -march: the kernel's bits must not depend on the
-#: machine it was built on or on the compiler reordering sums; -O3 vectorizes
-#: only what keeps the written order
-_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-_kernel_lock = threading.Lock()
-_kernel_fn = None  # the loaded step function; False once it proved unavailable
-
-
-# The modules the kernel's build and load need are imported inside the
-# functions below, so that importing vrpca does not pay for them.
-
-
-def _compiler():
-    """The C compiler command: the one Python was built with, else cc;
-    None when neither is on PATH."""
-    import shlex
-    import shutil
-    import sysconfig
-
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if cc and shutil.which(cc[0]):
-        return cc
-    return ["cc"] if shutil.which("cc") else None
-
-
-def _kernel_cache():
-    return Path.home() / ".cache" / "vrpca"
-
-
-def _build_kernel(cache_dir, cc):
-    """Path of the compiled kernel in ``cache_dir``, compiling it first
-    unless a build of the same source, compiler and flags is there.
-
-    The library is written to a temporary file and renamed into place, so
-    concurrent builders (threads or processes) never load a partial file.
-    """
-    import hashlib
-    import platform
-    import subprocess
-    import tempfile
-
-    key = hashlib.sha256(_KERNEL_SRC.read_bytes() + repr(
-        (cc, _KERNEL_FLAGS, platform.machine())).encode()).hexdigest()[:16]
-    path = Path(cache_dir) / f"kernel-{key}.so"
-    if path.exists():
-        return path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so",
-                               dir=path.parent)
-    os.close(fd)
-    try:
-        subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SRC),
-                        "-lm"], check=True, capture_output=True, timeout=300)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-def _load_kernel(path):
-    """The step function of the compiled library at ``path``, typed; its
-    ``balance`` attribute is the library's row-balancing function (see
-    oracle._balance_rows), so the two always come from one build."""
-    import ctypes
-
-    lib = ctypes.CDLL(str(path))
-    p = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    f64 = ctypes.c_double
-    fn = lib.vrpca_steps_k1
-    fn.argtypes = [p, i64, p, i64, p, p, f64, p, p, p, i64, p, p, f64]
-    fn.restype = i64
-    fn.balance = lib.vrpca_balance_rows
-    fn.balance.argtypes = [p, i64, i64, p, f64, f64, p, i64, p, p, p, i64]
-    fn.balance.restype = None
-    return fn
-
-
-def _kernel():
-    """The compiled k=1 step function (with the row balancing as its
-    ``balance``), built and loaded on first use; None when no compiler is
-    found or the build or load fails (a RuntimeWarning says why, once), in
-    which case _steps_k1 runs the numpy steps and the synthesizer its numpy
-    balancing loop."""
-    import subprocess
-
-    global _kernel_fn
-    with _kernel_lock:
-        if _kernel_fn is None:
-            cc = _compiler()
-            try:
-                if cc is None:
-                    raise OSError("no C compiler on PATH")
-                _kernel_fn = _load_kernel(_build_kernel(_kernel_cache(), cc))
-            except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-                warnings.warn(f"vrpca: compiled kernel unavailable ({exc}); "
-                              "using the numpy steps and row balancing",
-                              RuntimeWarning, stacklevel=3)
-                _kernel_fn = False
-        return _kernel_fn or None
 
 
 def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
@@ -152,35 +47,10 @@ def _steps_k1(xd, idx, a, eu, eta, w, anchor=None, basis=None, btx=None):
     ``basis`` B and ``btx`` = X^T B (n x j, C-ordered), x_i is replaced by
     x_i - B B^T x_i. Returns 0, or the 1-based step whose candidate norm
     fell below _NORM_FLOOR; ``w`` then holds that unnormalized candidate.
-
-    Runs the compiled kernel when it is available and otherwise the numpy
-    reference; the two agree to 1e-12 (they sum in different orders).
     """
-    fn = _kernel()
-    if fn is None:
-        return _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor, basis, btx)
-    d, n = xd.shape
-    j = 0 if basis is None else basis.shape[1]
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    buf = np.empty(d if basis is not None else 0)
-    ops = (a, eu, w, anchor, basis, btx)
-    if not (xd.dtype == np.float64 and xd.flags.f_contiguous
-            and all(v is None or (v.dtype == np.float64
-                                  and v.flags.c_contiguous) for v in ops)
-            and a.shape == (n,) and eu.shape == w.shape == (d,)
-            and w.flags.writeable
-            and (anchor is None or anchor.shape == (d,))
-            and (basis is None or (basis.shape == (d, j)
-                                   and btx.shape == (n, j)))
-            and (len(idx) == 0 or (idx.min() >= 0 and idx.max() < n))):
-        raise DimensionMismatchError("k=1 kernel operands violate its contract")
-
-    def ptr(v):
-        return None if v is None else v.ctypes.data
-
-    return fn(xd.ctypes.data, d, idx.ctypes.data, len(idx), ptr(a), ptr(eu),
-              eta, ptr(anchor), ptr(basis), ptr(btx), j, ptr(w), ptr(buf),
-              _NORM_FLOOR)
+    args = (xd, idx, a, eu, eta, w, anchor, basis, btx)
+    bad = _native.steps_k1(*args, _NORM_FLOOR)
+    return _steps_k1_numpy(*args) if bad is None else bad
 
 
 @dataclass(frozen=True)
@@ -401,7 +271,8 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, rng=None,
     its own indices when it runs; consecutive Philox draws equal one block
     draw bit for bit, so the index array holds one segment (about m / 10),
     not m. After each segment the iterate must pass _check_iterate. The
-    run stops after cfg.epochs epochs or at a boundary potential <= epsilon.
+    run stops after cfg.epochs epochs or at a boundary potential <= epsilon,
+    so an epsilon without a ``reference`` to measure it is refused.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's u, and the run's last boundary from one final product
@@ -418,6 +289,10 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, rng=None,
     overrides the default run stream Philox(cfg.seed). ``rotate`` applies
     the block solver's aligning rotation.
     """
+    if cfg.epsilon is not None and reference is None:
+        raise ConfigError(
+            f"epsilon={cfg.epsilon} needs the oracle reference to stop on "
+            f"(oracle_check, d <= DENSE_GUARD = {DENSE_GUARD})")
     xd = X.data
     n = X.n
     eta = cfg.eta
@@ -489,20 +364,19 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
     with uniform with-replacement sampling from one Philox stream keyed by
     cfg.seed (one block of m indices drawn per epoch). It runs _epochs, as
-    vrpca_block does; the steps run in the compiled k=1 kernel (numpy where
-    it cannot be built; the two agree to 1e-12), one call per trace
-    checkpoint. The trace records epoch boundaries and every m/10 inner
-    steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
-    check, or a step whose norm falls below 1e-12, raises
-    DegenerateIterateError with its epoch and step. Residuals are recorded
-    at epoch boundaries only, from the anchor products u.
+    vrpca_block does, with one _steps_k1 call per trace checkpoint. The
+    trace records epoch boundaries and every m/10 inner steps; at each
+    record |w^T w - 1| must be <= ORTHO_TOL, and a failed check, or a step
+    whose norm falls below 1e-12, raises DegenerateIterateError with its
+    epoch and step. Residuals are recorded at epoch boundaries only, from
+    the anchor products u.
 
     Given a ``reference`` at d <= DENSE_GUARD, u and the final residual
     come from the covariance memo X.covariance() (formed here if no
     earlier call formed it), and a run of E epochs reads the data E times,
     for the products X^T w~ the steps need. Without one, u = X (X^T w~) / n
     and the run makes E + 1 covariance passes. The two runs agree to
-    rounding and draw the same samples.
+    rounding and draw the same samples. Without one, cfg.epsilon is refused.
     """
     _check_frame(X, w0, 1)
     if cfg.k != 1:
@@ -526,15 +400,16 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     step whose Gram matrix is singular, raises DegenerateIterateError with
     its epoch and step.
 
-    k = 1 steps in the compiled k=1 kernel, with the rotation reduced to
-    the sign of the overlap w^T anchor. The iterate sequence therefore
-    coincides with vrpca_vector under the same seed when use_rotation is
-    off, or while that overlap stays >= 0; once it turns negative the
-    rotation is B = -I and the two runs part.
+    k = 1 steps in _steps_k1, with the rotation reduced to the sign of the
+    overlap w^T anchor. The iterate sequence therefore coincides with
+    vrpca_vector under the same seed when use_rotation is off, or while
+    that overlap stays >= 0; once it turns negative the rotation is B = -I
+    and the two runs part.
 
     As in vrpca_vector, a ``reference`` at d <= DENSE_GUARD makes U = A W~
     and the final residual come from the covariance memo: E data passes
     for E epochs (the products X^T W~), instead of E + 1 covariance passes.
+    Without one, cfg.epsilon is refused.
     """
     _check_frame(X, W0, cfg.k)
     w = W0.entries[:, 0] if cfg.k == 1 else W0.entries
@@ -545,17 +420,17 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
 def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
             lambda_hat: float, reference: OrthonormalFrame | None = None,
             eta: float | None = None,
-            constants: SolverConstants = DEFAULT_CONSTANTS):
+            constants: SolverConstants = DEFAULT_CONSTANTS, seed: int = 0):
     """Drive a k=1 iterate from squared alignment >= zeta down to potential
     <= 1/2, after which the geometric-convergence parameter regime applies.
 
     Runs stochastic steps against the fixed anchor w0 with the burn-in step
     size eta = burn_c * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
-    (overridable), in the compiled k=1 kernel of the vector solver (numpy
-    where it cannot be built), one call per stopping-rule check; after each
-    call |w^T w - 1| must be <= ORTHO_TOL, the solvers' iterate check. With
-    a reference frame the stopping rule is potential <= 1/2, checked up
-    front so an already-good start returns immediately with 0 iterations.
+    (overridable), one _steps_k1 call per stopping-rule check, on indices
+    from the stream Philox(key=(seed, 1)); after each call |w^T w - 1| must
+    be <= ORTHO_TOL, the solvers' iterate check. With a reference frame the
+    stopping rule is potential <= 1/2, checked up front so an already-good
+    start returns immediately with 0 iterations.
     Without a reference, the run stops once the Rayleigh residual has at
     least halved and then plateaued; this proxy rule is a heuristic, not a
     guarantee, and costs one covariance pass per check. With a reference
@@ -600,7 +475,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     anchor_proj = xd.T @ wt
     u = xd @ anchor_proj / n if cov is None else cov @ wt
     eu = eta * u
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
     check_every = max(min(budget // 512, 8192), 64)
     w = wt.copy()
     done = 0
@@ -637,8 +512,10 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
 
 def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
-                 reference: OrthonormalFrame | None = None) -> ConvergenceTrace:
-    """Plain stochastic power steps w' = w + eta_t x (x^T w), normalized.
+                 reference: OrthonormalFrame | None = None,
+                 seed: int = 0) -> ConvergenceTrace:
+    """Plain stochastic power steps w' = w + eta_t x (x^T w), normalized,
+    on indices drawn from the run stream Philox(key=seed).
 
     ``eta_schedule`` is either a callable t -> eta_t (t starts at 1) or a
     number c giving the classical c/t schedule. Comparison baseline only:
@@ -658,7 +535,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
         sched = lambda t: c0 / t
     xd = X.data
     n = X.n
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     rec = _Recorder(reference, iters if iters > 0 else None)
     w = w0.entries[:, 0].copy()
     rec.add(0, 0, w, 0, _apply(X, cov, w))
@@ -737,8 +614,8 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
-        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, cov,
-                        deflate=basis, rng=rng, final_pass=False)
+        stage = _epochs(X, W0.entries[:, j - 1], replace(cfg, epsilon=None),
+                        None, cov, deflate=basis, rng=rng, final_pass=False)
         v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)

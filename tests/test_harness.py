@@ -135,6 +135,35 @@ class TestRunExperiment:
         assert rep.burn_in_iterations == raised[0].iterations
         assert rep.burn_in_iterations > len(raised[0].trace.records)
 
+    def test_replicate_seeds_reach_burn_in_and_oja(self, monkeypatch):
+        from vrpca import burn_in, harness, oja_baseline
+
+        seen = []
+
+        def spy(real):
+            def call(*args, seed, **kwargs):
+                seen.append((real.__name__, seed))
+                return real(*args, seed=seed, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "burn_in", spy(burn_in))
+        monkeypatch.setattr(harness, "oja_baseline", spy(oja_baseline))
+        burned = run_experiment(synth_cfg(run_burn_in=True, init="gaussian",
+                                          epochs=1, seeds=(1, 2)))
+        oja = run_experiment(synth_cfg(solver="oja", oja_iters=400,
+                                       seeds=(1, 2)))
+        assert sorted(seen) == [("burn_in", 1), ("burn_in", 2),
+                                ("oja_baseline", 1), ("oja_baseline", 2)]
+        assert oja[0].final_potential != oja[1].final_potential
+        assert burned[0].final_potential != burned[1].final_potential
+
+    def test_epsilon_without_reference_refused(self):
+        # no oracle: the solver has no potential to stop on
+        with pytest.raises(ConfigError, match=r"epsilon=0.001 needs the "
+                           r"oracle reference .*oracle_check"):
+            run_experiment(synth_cfg(oracle_check=False, lambda_hat=0.3,
+                                     epsilon=1e-3))
+
     def test_explicit_parameters_skip_selection(self):
         cfg = synth_cfg(eta=0.01, m=400, epochs=3, oracle_check=True)
         rep = run_experiment(cfg)[0]
@@ -355,7 +384,9 @@ class TestCli:
     @pytest.mark.parametrize("spectrum, named", [
         ("nan", "non-finite eigenvalue nan"),
         ("inf,1", "non-finite eigenvalue inf"),
-        ("1e308", "n * max eigenvalue = 10 * 1e+308 overflows")])
+        ("1e308", "n * max eigenvalue = 10 * 1e+308 overflows"),
+        ("1e300", "n * max eigenvalue = 10 * 1e+300 overflows the row "
+                  "balancing")])
     def test_synth_refuses_non_finite_scale(self, tmp_path, capsys, spectrum,
                                             named):
         out = tmp_path / "data.vrpc"
@@ -364,6 +395,13 @@ class TestCli:
         assert rc == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_solve_refuses_epsilon_without_oracle(self, capsys):
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--no-oracle-check", "--lambda-hat", "0.3",
+                       "--epsilon", "1e-3", "--epochs", "3", "--seeds", "1"])
+        assert rc == 1
+        assert "needs the oracle reference" in capsys.readouterr().err
 
     def test_degeneracy_exit_code(self, tmp_path):
         # rank-1 data cannot support a k=2 power warm start: every draw

@@ -2,10 +2,15 @@
 the degenerate-step report, the numpy fallback, and the build cache under
 concurrent first use; the synthesizer's row balancing, bit for bit with its
 numpy loop through numpy's own BLAS ddot, and its fallback when that ddot
-cannot be found or fails the probe."""
+cannot be found or fails the probe; the operand contracts checked before
+any C call, and the ctypes table against the C prototypes."""
 
 import ctypes
 import math
+import os
+import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -15,15 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth_reference import synthesize_reference
 
-from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
+from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
+                   ExperimentConfig,
                    SolverConfig, SpectrumSpec, burn_in, gaussian_init,
                    power_warm_start, run_experiment, select_parameters,
                    synthesize_dataset, vrpca_block, vrpca_vector)
-from vrpca import oracle, solvers
+from vrpca import _native, oracle, solvers
 
-needs_cc = pytest.mark.skipif(solvers._compiler() is None,
+needs_cc = pytest.mark.skipif(_native._compiler() is None,
                               reason="no C compiler on PATH")
-needs_ddot = pytest.mark.skipif(not oracle._ddot_candidates(),
+needs_ddot = pytest.mark.skipif(not _native._ddot_candidates(),
                                 reason="numpy's BLAS exports no cblas ddot")
 
 #: the C type of an ILP64 cblas_ddot
@@ -42,17 +48,17 @@ def _unit(v):
 @pytest.fixture
 def fresh_kernel(monkeypatch, tmp_path):
     """An unloaded kernel whose cache is an empty temporary directory;
-    yields the list of directories _build_kernel was called with."""
+    yields the list of directories _build was called with."""
     builds = []
-    real = solvers._build_kernel
+    real = _native._build
 
     def counting(cache_dir, cc):
         builds.append(cache_dir)
         return real(cache_dir, cc)
 
-    monkeypatch.setattr(solvers, "_kernel_fn", None)
-    monkeypatch.setattr(solvers, "_kernel_cache", lambda: tmp_path)
-    monkeypatch.setattr(solvers, "_build_kernel", counting)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_build", counting)
     return builds
 
 
@@ -62,7 +68,7 @@ def fresh_kernel(monkeypatch, tmp_path):
        j=st.integers(0, 3), rotate=st.booleans(),
        eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
 def test_compiled_matches_numpy_reference(d, n, m, j, rotate, eta, seed):
-    assert solvers._kernel() is not None  # a compiler is here: it must build
+    assert _native._library() is not None  # a compiler is here: it must build
     rng = np.random.default_rng(seed)
     X = DataMatrix(rng.standard_normal((d, n)))
     xd = X.data / np.sqrt(X.r)  # unit max column norm, as the pipeline runs
@@ -145,7 +151,7 @@ def _segments(d, n, m, eta, seed):
 def test_compiled_sums_in_the_written_order(d):
     # bitwise, not to 1e-12: a reordered sum, a fused multiply-add or a
     # reciprocal multiply in place of the division would move the bits
-    assert solvers._kernel() is not None
+    assert _native._library() is not None
     for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 9, 30, 0.05, d):
         w = w0.copy()
         assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, anchor, b, btx) == 0
@@ -153,24 +159,33 @@ def test_compiled_sums_in_the_written_order(d):
                                                   anchor, b, btx))
 
 
+def _unoptimized_library(monkeypatch, tmp_path):
+    """The library built at -O0 into ``tmp_path`` and loaded through the
+    loader itself; the loaded default library is restored afterwards."""
+    flags = ("-O0", "-fPIC", "-shared", "-ffp-contract=off")
+    assert flags != _native._FLAGS
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "_FLAGS", flags)
+        patch.setattr(_native, "_cache_dir", lambda: tmp_path)
+        patch.setattr(_native, "_lib", None)
+        plain = _native._library()
+    assert plain is not None and plain is not _native._library()
+    return plain
+
+
 @needs_cc
 def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
     # the default build vectorizes; it must not move one bit from the
     # kernel as written, compiled without optimization
-    default = solvers._kernel()
+    default = _native._library()
     assert default is not None
-    flags = ("-O0", "-fPIC", "-shared", "-ffp-contract=off")
-    assert flags != solvers._KERNEL_FLAGS
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_KERNEL_FLAGS", flags)
-        plain = solvers._load_kernel(
-            solvers._build_kernel(tmp_path, solvers._compiler()))
+    plain = _unoptimized_library(monkeypatch, tmp_path)
     for d in range(1, 41):  # every remainder of 4, in the fused loop too
         for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 23, 150,
                                                             0.05, 8 + d):
             out = []
-            for fn in (default, plain):
-                monkeypatch.setattr(solvers, "_kernel", lambda fn=fn: fn)
+            for lib in (default, plain):
+                monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
                 w = w0.copy()
                 out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w,
                                               anchor, b, btx), w))
@@ -192,17 +207,13 @@ def _synth_cases():
 def test_unoptimized_build_balances_bit_identically(monkeypatch, tmp_path):
     # the default build vectorizes the rotations; with the same ddot, an
     # -O0 build of the balancing must synthesize the same bits
-    default = solvers._kernel()
+    default = _native._library()
     assert default is not None
-    flags = ("-O0", "-fPIC", "-shared", "-ffp-contract=off")
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_KERNEL_FLAGS", flags)
-        plain = solvers._load_kernel(
-            solvers._build_kernel(tmp_path, solvers._compiler()))
+    plain = _unoptimized_library(monkeypatch, tmp_path)
     for eigs, n, seed in _synth_cases():
         out = []
-        for fn in (default, plain):
-            monkeypatch.setattr(solvers, "_kernel", lambda fn=fn: fn)
+        for lib in (default, plain):
+            monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
             out.append(synthesize_dataset(SpectrumSpec(eigs), n, seed).data)
         assert np.array_equal(out[0], out[1]), (len(eigs), n)
         assert np.array_equal(out[0], synthesize_reference(eigs, n, seed))
@@ -213,17 +224,18 @@ def test_unoptimized_build_balances_bit_identically(monkeypatch, tmp_path):
 def test_compiled_balancing_is_loaded():
     # a compiler and a cblas ddot in numpy's BLAS: the synthesizer must run
     # the compiled loop, through a ddot that reproduces x @ y
-    kernel = solvers._kernel()
-    assert kernel is not None and kernel.balance is not None
+    assert _native._library() is not None
     for d in (1, 7, 64, 65, 300, 1000):
-        assert oracle._numpy_ddot(d) is not None, d
+        assert _native._numpy_ddot(d) is not None, d
+        b = np.ones((3, d))
+        assert _native.balance_rows(b, np.einsum("ij,ij->i", b, b), d, 0.0)
 
 
 def _ddot_spy(monkeypatch, wrong_from=None):
     """Make the only ddot candidate a callback into numpy's real ddot that
     records the length of every call, and from length ``wrong_from`` on
     returns one ulp more. Returns the recorded lengths."""
-    real = oracle._ddot_candidates()[0][0]
+    real = _native._ddot_candidates()[0][0]
     lengths = []
 
     @DDOT64
@@ -233,8 +245,8 @@ def _ddot_spy(monkeypatch, wrong_from=None):
         return v if wrong_from is None or n < wrong_from else \
             math.nextafter(v, math.inf)
 
-    monkeypatch.setattr(oracle, "_ddot", None)
-    monkeypatch.setattr(oracle, "_ddot_candidates", lambda: [(spy, True)])
+    monkeypatch.setattr(_native, "_ddot", None)
+    monkeypatch.setattr(_native, "_ddot_candidates", lambda: [(spy, True)])
     return lengths
 
 
@@ -278,7 +290,7 @@ def test_compiled_balancing_breaks_ties_like_argmin(n):
     # argmax see exact ties from the first rotation on; the compiled trees
     # must pick the first index as they do, on every tree size
     d = 6
-    assert oracle._numpy_ddot(d) is not None
+    assert _native._numpy_ddot(d) is not None
     rng = np.random.default_rng(n)
     half = rng.standard_normal(((n + 1) // 2, d))
     b = np.ascontiguousarray(np.concatenate([half, -half])[:n])
@@ -328,7 +340,7 @@ def _degenerate_third_segment(monkeypatch, name="_steps_k1"):
     pytest.param(False, id="numpy")])
 def test_solvers_report_the_degenerate_step(monkeypatch, small_k1, compiled):
     if not compiled:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        monkeypatch.setattr(_native, "_library", lambda: None)
     X = small_k1.Xs
     w0 = gaussian_init(X.d, 1, seed=3)
     cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=2, seed=0)
@@ -375,9 +387,9 @@ def test_numpy_fallback_matches_compiled_run(monkeypatch, std_k1):
     w0 = power_warm_start(std_k1.Xs, seed=1, reference=ref).frame
     eta, m = select_parameters(std_k1.gap, 1.0, 1, 0.25)
     cfg = SolverConfig(k=1, eta=eta, m=m, epochs=3, seed=1)
-    assert solvers._kernel() is not None
+    assert _native._library() is not None
     compiled = vrpca_vector(std_k1.Xs, w0, cfg, ref)
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(_native, "_library", lambda: None)
     reference = vrpca_vector(std_k1.Xs, w0, cfg, ref)
     assert compiled.samples == reference.samples
     assert len(compiled.records) == len(reference.records)
@@ -388,9 +400,9 @@ def test_numpy_fallback_matches_compiled_run(monkeypatch, std_k1):
 
 def test_missing_compiler_falls_back_with_a_warning(monkeypatch, small_k1,
                                                      fresh_kernel):
-    monkeypatch.setattr(solvers, "_compiler", lambda: None)
+    monkeypatch.setattr(_native, "_compiler", lambda: None)
     with pytest.warns(RuntimeWarning, match="using the numpy steps"):
-        assert solvers._kernel() is None
+        assert _native._library() is None
     assert fresh_kernel == []
     w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
     cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=2, seed=0)
@@ -406,7 +418,7 @@ def test_deleted_cache_entry_is_rebuilt(monkeypatch, tmp_path, small_k1,
     first = vrpca_vector(small_k1.Xs, w0, cfg)
     (entry,) = tmp_path.iterdir()
     entry.unlink()
-    monkeypatch.setattr(solvers, "_kernel_fn", None)  # a new process
+    monkeypatch.setattr(_native, "_lib", None)  # a new process
     second = vrpca_vector(small_k1.Xs, w0, cfg)
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
     assert fresh_kernel == [tmp_path, tmp_path]
@@ -418,12 +430,12 @@ def test_deleted_cache_entry_is_rebuilt(monkeypatch, tmp_path, small_k1,
 def test_racing_builders_leave_one_entry(tmp_path):
     # builders in other processes are not serialized by the loader's lock;
     # the temporary file and the rename must keep them apart
-    cc = solvers._compiler()
+    cc = _native._compiler()
     paths, errors = [], []
 
     def build():
         try:
-            paths.append(solvers._build_kernel(tmp_path, cc))
+            paths.append(_native._build(tmp_path, cc))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -451,3 +463,130 @@ def test_concurrent_first_use_in_run_experiment(tmp_path, fresh_kernel):
         assert rep.samples == alone.samples
         assert rep.epoch_potentials == alone.epoch_potentials
 
+
+
+class _SpyLibrary:
+    """Stands in for the loaded library: records the name of every function
+    called on it, and runs none."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append(name) or 0
+
+
+def _k1_operands():
+    rng = np.random.default_rng(0)
+    d, n = 5, 7
+    xd = np.asfortranarray(rng.standard_normal((d, n)))
+    w = _unit(rng.standard_normal(d))
+    basis = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((d, 2)))[0])
+    return dict(xd=xd, idx=np.array([0, 3, 6]), a=xd.T @ w, eu=0.1 * w,
+                eta=0.1, w=w, anchor=w.copy(), basis=basis, btx=xd.T @ basis,
+                norm_floor=1e-12)
+
+
+def _read_only(v):
+    v = v.copy()
+    v.flags.writeable = False
+    return v
+
+
+def _strided(v):
+    """v's values in a non-contiguous view."""
+    wide = np.empty(2 * v.size)
+    wide[::2] = v
+    return wide[::2]
+
+
+#: one contract violation per entry: the operands it replaces
+K1_VIOLATIONS = {
+    "xd float32": lambda o: dict(xd=np.asfortranarray(o["xd"], np.float32)),
+    "xd C-ordered": lambda o: dict(xd=np.ascontiguousarray(o["xd"])),
+    "a float32": lambda o: dict(a=o["a"].astype(np.float32)),
+    "eu strided": lambda o: dict(eu=_strided(o["eu"])),
+    "w read-only": lambda o: dict(w=_read_only(o["w"])),
+    "a short": lambda o: dict(a=o["a"][:-1]),
+    "w long": lambda o: dict(w=np.append(o["w"], 0.0)),
+    "anchor short": lambda o: dict(anchor=o["anchor"][:-1]),
+    "basis F-ordered": lambda o: dict(basis=np.asfortranarray(o["basis"])),
+    "btx short": lambda o: dict(btx=np.ascontiguousarray(o["btx"][:-1])),
+    "basis without btx": lambda o: dict(btx=None),
+    "index n": lambda o: dict(idx=np.array([0, 7])),
+    "index -1": lambda o: dict(idx=np.array([-1, 2])),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(K1_VIOLATIONS))
+def test_k1_contract_refused_before_any_c_call(monkeypatch, violation):
+    spy = _SpyLibrary()
+    monkeypatch.setattr(_native, "_library", lambda: spy)
+    ops = _k1_operands()
+    _native.steps_k1(**ops)  # within the contract: the library is called
+    assert spy.calls == ["vrpca_steps_k1"]
+    ops.update(K1_VIOLATIONS[violation](ops))
+    with pytest.raises(DimensionMismatchError,
+                       match="k=1 kernel operands violate its contract"):
+        _native.steps_k1(**ops)
+    assert spy.calls == ["vrpca_steps_k1"]
+
+
+BALANCE_VIOLATIONS = {
+    "b float32": lambda b, norms: (b.astype(np.float32), norms),
+    "b F-ordered": lambda b, norms: (np.asfortranarray(b), norms),
+    "b read-only": lambda b, norms: (_read_only(b), norms),
+    "norms read-only": lambda b, norms: (b, _read_only(norms)),
+    "norms strided": lambda b, norms: (b, _strided(norms)),
+    "norms short": lambda b, norms: (b, norms[:-1].copy()),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(BALANCE_VIOLATIONS))
+def test_balancing_contract_refused_before_any_c_call(monkeypatch,
+                                                       violation):
+    spy = _SpyLibrary()
+    monkeypatch.setattr(_native, "_library", lambda: spy)
+    # a ddot that the spy never calls: only the operands are in question
+    never = DDOT64(lambda *args: 0.0)
+    monkeypatch.setattr(_native, "_numpy_ddot", lambda d: (never, True))
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((6, 3))
+    norms = np.einsum("ij,ij->i", b, b)
+    assert _native.balance_rows(b, norms, 1.0, 0.0)
+    assert spy.calls == ["vrpca_balance_rows"]
+    b, norms = BALANCE_VIOLATIONS[violation](b, norms)
+    with pytest.raises(DimensionMismatchError,
+                       match="balancing operands violate its contract"):
+        _native.balance_rows(b, norms, 1.0, 0.0)
+    assert spy.calls == ["vrpca_balance_rows"]
+
+
+def _c_kind(decl):
+    """"pointer", "int64_t", "double" or "void" for a C declaration."""
+    return "pointer" if "*" in decl else decl.split()[0]
+
+
+def test_ctypes_table_matches_the_c_prototypes():
+    # a signature edited on one side only must fail here, not corrupt memory
+    kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t",
+             ctypes.c_double: "double", None: "void"}
+    src = _native._SRC.read_text()
+    exported = {name: (ret, params) for ret, name, params in re.findall(
+        r"^(int64_t|double|void)\s+(\w+)\(([^)]*)\)", src, re.M)}
+    assert set(exported) == set(_native._ABI)
+    for name, (ret, params) in exported.items():
+        c_params = [_c_kind(p) for p in params.split(",")]
+        table_ret, table_params = _native._ABI[name]
+        assert kinds[table_ret] == ret, name
+        assert [kinds[t] for t in table_params] == c_params, name
+
+
+def test_import_builds_and_loads_nothing():
+    code = ("import sys, vrpca; from vrpca import _native; "
+            "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)), "
+            "_native._lib, _native._ddot)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["[]", "None", "None"]

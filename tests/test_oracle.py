@@ -13,7 +13,7 @@ from vrpca import (DataMatrix, DimensionMismatchError, GapWarning,
                    SpectrumSpec, dense_eigh, leading_subspace,
                    orthogonal_iteration, polar_normalize, potential,
                    synthesize_dataset)
-from vrpca import solvers
+from vrpca import _native
 from conftest import spectrum_k1, spectrum_k3
 from jacobi_reference import jacobi_eigh
 from synth_reference import synthesize_reference
@@ -168,11 +168,11 @@ class TestSpectrumAccess:
 @pytest.fixture
 def no_compiler(monkeypatch, tmp_path):
     """No C compiler on PATH: the synthesizer runs its numpy balancing."""
-    monkeypatch.setattr(solvers, "_kernel_fn", None)
-    monkeypatch.setattr(solvers, "_kernel_cache", lambda: tmp_path)
-    monkeypatch.setattr(solvers, "_compiler", lambda: None)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_compiler", lambda: None)
     with pytest.warns(RuntimeWarning, match="numpy steps and row balancing"):
-        assert solvers._kernel() is None
+        assert _native._library() is None
 
 
 #: (eigenvalues, n, seed) instances whose synthesized bits must equal the
@@ -252,6 +252,26 @@ class TestSynthesize:
         named = re.escape(f"n * max eigenvalue = {n} * {eigs[0]} overflows")
         with pytest.raises(DimensionMismatchError, match=named):
             synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n, seed=0)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("eigs", [(1e300,), (1e200, 1e200)])
+    def test_overflowing_balancing_rejected(self, request, path, eigs):
+        # n * max(s) is finite, but the products of squared row norms in
+        # the rotations overflow and leave inf and NaN rows behind
+        if path == "numpy":
+            request.getfixturevalue("no_compiler")
+        named = re.escape(f"n * max eigenvalue = 10 * {eigs[0]} overflows "
+                          "the row balancing")
+        with pytest.raises(DimensionMismatchError, match=named):
+            synthesize_dataset(SpectrumSpec(eigenvalues=eigs), 10, seed=0)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_large_finite_scale_still_balances(self, request, path):
+        if path == "numpy":
+            request.getfixturevalue("no_compiler")
+        X = synthesize_dataset(SpectrumSpec(eigenvalues=(1e154,)), 10, seed=0)
+        norms = np.einsum("ij,ij->j", X.data, X.data)
+        np.testing.assert_allclose(norms, 1e154, rtol=1e-12)
 
     @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
     def test_matches_the_original_loop_bitwise(self, eigs, n, seed):
