@@ -1,8 +1,22 @@
 """Dataset file formats: headerless CSV (one data point per line) and the
-"VRPC" little-endian binary layout."""
+little-endian float64 binary layout ``f64le``.
+
+``save_dataset`` writes f64le files in the aligned "VRPA" layout, whose
+payload starts at byte 16, and ``load_dataset`` maps them read-only: the
+loaded matrix is a view of the file's pages, made without a copy, and the
+mapping (with its file descriptor) is released when the matrix dies. The
+legacy "VRPC" layout, whose 12-byte header leaves the payload off 8-byte
+alignment, is still read, through a copy into fresh memory.
+
+A loaded f64le file must not be rewritten in place while its matrix lives:
+the matrix would see the new bytes, or fault on a truncated page. The
+writer never does that; it writes a temporary file in the target's
+directory and renames it over the target.
+"""
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -12,7 +26,13 @@ import numpy as np
 from .errors import DatasetFormatError, DimensionMismatchError
 from .matrix import DataMatrix
 
-MAGIC = b"VRPC"
+#: the aligned layout: magic, u32 d, u32 n, u32 reserved (0), payload at 16
+MAGIC = b"VRPA"
+HEADER = 16
+#: the legacy layout: magic, u32 d, u32 n, payload at 12
+LEGACY_MAGIC = b"VRPC"
+LEGACY_HEADER = 12
+_PAYLOAD_START = {MAGIC: HEADER, LEGACY_MAGIC: LEGACY_HEADER}
 FORMATS = ("csv", "f64le")
 
 
@@ -21,8 +41,13 @@ def load_dataset(path, fmt: str) -> DataMatrix:
 
     csv:   one data point per line, d comma-separated decimal values,
            no header.
-    f64le: magic "VRPC", u32-LE d, u32-LE n, then n*d little-endian
-           float64 values, column after column.
+    f64le: magic "VRPA", u32-LE d, u32-LE n, u32-LE 0, then n*d
+           little-endian float64 values, column after column, from byte
+           16. The file is mapped read-only and the matrix is a view of
+           the mapping (a file that cannot be mapped is read into memory).
+           The legacy layout, magic "VRPC", u32-LE d, u32-LE n and the
+           payload from byte 12, is read into memory. The layout is chosen
+           by the magic.
     """
     if fmt not in FORMATS:
         raise DatasetFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -33,6 +58,13 @@ def load_dataset(path, fmt: str) -> DataMatrix:
 
 
 def save_dataset(X: DataMatrix, path, fmt: str) -> None:
+    """Write ``X`` to ``path``; f64le files get the aligned layout.
+
+    An f64le file is written to a temporary file in the target's directory
+    (created with the mode ``open(path, "wb")`` would give) and renamed over
+    the target, so a matrix that maps the old file keeps its bytes. The
+    temporary file is removed if the write fails.
+    """
     if fmt not in FORMATS:
         raise DatasetFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     path = Path(path)
@@ -42,12 +74,20 @@ def save_dataset(X: DataMatrix, path, fmt: str) -> None:
                 fh.write(",".join(repr(float(v)) for v in X.data[:, i]))
                 fh.write("\n")
         return
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", X.d, X.n))
-        # column after column: the F-ordered d x n store's own buffer,
-        # written without a copy (its transpose is C-contiguous)
-        fh.write(memoryview(X.data.T).cast("B"))
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL: never write through a file that already exists; mode 0o666
+    # is narrowed by the umask, as open(..., "wb") does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<III", X.d, X.n, 0))
+            # column after column: the F-ordered d x n store's own buffer,
+            # written without a copy (its transpose is C-contiguous)
+            fh.write(memoryview(X.data.T).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_csv(path: Path) -> DataMatrix:
@@ -81,31 +121,32 @@ def _load_csv(path: Path) -> DataMatrix:
 
 def _load_binary(path: Path) -> DataMatrix:
     with path.open("rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12:
-            raise DatasetFormatError(
-                f"{path}: truncated header at offset {len(header)} "
-                "(need 12 bytes)")
-        if header[:4] != MAGIC:
+        header = fh.read(HEADER)
+        start = _PAYLOAD_START.get(header[:4])
+        if start is None and len(header) >= 4:
             raise DatasetFormatError(
                 f"{path}: bad magic {header[:4]!r} at offset 0 "
-                f"(expected {MAGIC!r})")
+                f"(expected {MAGIC!r} or {LEGACY_MAGIC!r})")
+        if start is None or len(header) < start:
+            raise DatasetFormatError(
+                f"{path}: truncated header at offset {len(header)} "
+                f"(need {start or 4} bytes)")
         d, n = struct.unpack("<II", header[4:12])
-        expected = 12 + 8 * d * n
+        if start == HEADER:
+            (reserved,) = struct.unpack("<I", header[12:16])
+            if reserved != 0:
+                raise DatasetFormatError(
+                    f"{path}: reserved field {reserved} at offset 12 "
+                    "(must be 0)")
+        expected = start + 8 * d * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise DatasetFormatError(
                 f"{path}: payload ends at offset {size}, expected {expected} "
                 f"for d={d}, n={n}")
-        # read straight into a freshly allocated (hence aligned) array: a
-        # view into the file bytes would sit 12 bytes in, off the 8-byte
-        # alignment BLAS needs
-        values = np.empty(d * n, dtype="<f8")
-        got = fh.readinto(memoryview(values).cast("B"))
-    if got != 8 * d * n:
-        raise DatasetFormatError(
-            f"{path}: payload ends at offset {12 + got}, expected {expected} "
-            f"for d={d}, n={n}")
+        values = _map_payload(fh, expected) if start == HEADER else None
+        if values is None:
+            values = _read_payload(fh, path, start, d, n)
     try:
         return DataMatrix(values.reshape((d, n), order="F"))
     except DimensionMismatchError:
@@ -115,5 +156,33 @@ def _load_binary(path: Path) -> DataMatrix:
         if bad.size == 0:
             raise
         raise DatasetFormatError(
-            f"{path}: non-finite value at offset {12 + 8 * int(bad[0])}"
+            f"{path}: non-finite value at offset {start + 8 * int(bad[0])}"
         ) from None
+
+
+def _map_payload(fh, length):
+    """The aligned payload as a view of a read-only mapping of the file's
+    first ``length`` bytes, or None when the file cannot be mapped.
+
+    The mapping holds its own descriptor; both go when the last view of it
+    does. The payload sits 16 bytes into a page-aligned mapping, so it is
+    8-byte aligned."""
+    try:
+        mapped = mmap.mmap(fh.fileno(), length, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return None
+    return np.frombuffer(mapped, dtype="<f8", offset=HEADER)
+
+
+def _read_payload(fh, path, start, d, n):
+    """The payload at byte ``start``, read into a freshly allocated (hence
+    aligned) array: a view of the legacy layout's bytes would sit 12 bytes
+    in, off the 8-byte alignment BLAS needs."""
+    values = np.empty(d * n, dtype="<f8")
+    fh.seek(start)
+    got = fh.readinto(memoryview(values).cast("B"))
+    if got != 8 * d * n:
+        raise DatasetFormatError(
+            f"{path}: payload ends at offset {start + got}, expected "
+            f"{start + 8 * d * n} for d={d}, n={n}")
+    return values

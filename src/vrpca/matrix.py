@@ -45,9 +45,12 @@ class DataMatrix:
 
     The points are the columns; storage is column-major so that single
     columns are contiguous, and aligned so that every product with it runs
-    in BLAS (a misaligned buffer is copied once here). The maximum squared
-    Euclidean column norm is computed once from the stored columns and
-    cached as ``r``.
+    in BLAS (a misaligned buffer is copied once here). An aligned
+    column-major float64 buffer is kept as it is, without a copy, and made
+    read-only: ``load_dataset`` hands over a view of a read-only file
+    mapping this way, which then lives as long as the matrix. The maximum
+    squared Euclidean column norm is computed once from the stored columns
+    and cached as ``r``.
 
     The column norms double as the finiteness check: a NaN or an infinite
     entry makes its column's squared norm NaN or inf, so the entries are

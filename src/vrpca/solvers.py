@@ -604,7 +604,14 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     epoch for X^T w~ and once per deflation basis for X^T B. Without one,
     u and A V are covariance passes: k E + (k - 1) + k in all (a stage
     makes no final pass of its own, as the record pass replaces it).
+
+    The stages run every epoch: they have no reference to measure a
+    potential against, so cfg.epsilon is refused (vrpca_block stops on it).
     """
+    if cfg.epsilon is not None:
+        raise ConfigError(
+            f"epsilon={cfg.epsilon}: deflation runs every epoch of every "
+            "stage and cannot stop on it; vrpca_block stops on epsilon")
     _check_frame(X, W0, cfg.k)
     cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
@@ -614,8 +621,8 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
-        stage = _epochs(X, W0.entries[:, j - 1], replace(cfg, epsilon=None),
-                        None, cov, deflate=basis, rng=rng, final_pass=False)
+        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, cov,
+                        deflate=basis, rng=rng, final_pass=False)
         v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)

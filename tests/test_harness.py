@@ -202,6 +202,12 @@ class TestRunExperiment:
         assert rep.epochs_run == 2 * 5
         assert rep.samples == 2 * 5 * (rep.n + rep.m) > 0
 
+    def test_deflation_refuses_epsilon(self):
+        # the stages never stop early, so an epsilon would go unheeded
+        with pytest.raises(ConfigError, match="vrpca_block stops on epsilon"):
+            run_experiment(synth_cfg(solver="deflation", k=2, epochs=5,
+                                     delta=0.5, epsilon=1e-3))
+
     def test_deflation_reports_one_potential_per_stage(self, tmp_path):
         # the report and the trace file come from the deflation trace: one
         # sweep-style row per stage, and the run starts from the init frame
@@ -402,6 +408,13 @@ class TestCli:
                        "--epsilon", "1e-3", "--epochs", "3", "--seeds", "1"])
         assert rc == 1
         assert "needs the oracle reference" in capsys.readouterr().err
+
+    def test_solve_refuses_epsilon_with_deflation(self, capsys):
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--solver", "deflation", "--k", "2",
+                       "--epsilon", "1e-3", "--epochs", "3", "--seeds", "1"])
+        assert rc == 1
+        assert "vrpca_block stops on epsilon" in capsys.readouterr().err
 
     def test_degeneracy_exit_code(self, tmp_path):
         # rank-1 data cannot support a k=2 power warm start: every draw

@@ -1,9 +1,28 @@
-"""Dataset file formats: CSV and the VRPC binary layout."""
+"""Dataset file formats: CSV and the f64le binary layouts (aligned VRPA,
+legacy VRPC)."""
+
+import gc
+import mmap
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vrpca import DataMatrix, DatasetFormatError, load_dataset, save_dataset
+from vrpca.cli import main as cli_main
+
+
+def aligned_bytes(d, n, vals, reserved=0):
+    """An f64le file in the aligned layout: payload at byte 16."""
+    return (b"VRPA" + d.to_bytes(4, "little") + n.to_bytes(4, "little")
+            + reserved.to_bytes(4, "little") + np.asarray(vals, "<f8").tobytes())
+
+
+def legacy_bytes(d, n, vals):
+    """An f64le file in the legacy layout: payload at byte 12."""
+    return (b"VRPC" + d.to_bytes(4, "little") + n.to_bytes(4, "little")
+            + np.asarray(vals, "<f8").tobytes())
 
 
 class TestCsv:
@@ -58,7 +77,6 @@ class TestBinary:
         Y = load_dataset(p, "f64le")
         assert np.array_equal(X.data, Y.data)
         assert X.r == Y.r
-        # the 12-byte header must not leave the payload off 8-byte alignment
         assert Y.data.flags.aligned and Y.data.flags.f_contiguous
 
     def test_payload_written_without_a_copy(self, tmp_path):
@@ -75,19 +93,28 @@ class TestBinary:
         finally:
             tracemalloc.stop()
         assert peak < X.data.nbytes // 8
-        assert p.read_bytes()[12:] == X.data.tobytes(order="F")
+        assert p.read_bytes()[16:] == X.data.tobytes(order="F")
 
     def test_layout(self, tmp_path):
         X = DataMatrix(np.array([[1.0, 3.0], [2.0, 4.0]]))
         p = tmp_path / "out.vrpc"
         save_dataset(X, p, "f64le")
         blob = p.read_bytes()
-        assert blob[:4] == b"VRPC"
+        assert blob[:4] == b"VRPA"
         assert int.from_bytes(blob[4:8], "little") == 2  # d
         assert int.from_bytes(blob[8:12], "little") == 2  # n
-        vals = np.frombuffer(blob, dtype="<f8", offset=12)
+        assert int.from_bytes(blob[12:16], "little") == 0  # reserved
+        vals = np.frombuffer(blob, dtype="<f8", offset=16)
         # column after column
         np.testing.assert_allclose(vals, [1.0, 2.0, 3.0, 4.0])
+
+    def test_legacy_layout_loads_bit_for_bit(self, tmp_path):
+        vals = np.random.default_rng(8).standard_normal(12) * 1e3
+        p = tmp_path / "old.vrpc"
+        p.write_bytes(legacy_bytes(3, 4, vals))
+        Y = load_dataset(p, "f64le")
+        assert Y.data.tobytes(order="F") == vals.tobytes()
+        assert Y.data.flags.aligned and Y.data.flags.f_contiguous
 
     def test_magic_mismatch(self, tmp_path):
         p = tmp_path / "bad.vrpc"
@@ -103,6 +130,32 @@ class TestBinary:
         with pytest.raises(DatasetFormatError, match="offset"):
             load_dataset(p, "f64le")
 
+    @pytest.mark.parametrize("layout, end", [(aligned_bytes, 104),
+                                              (legacy_bytes, 100)])
+    def test_truncated_payload_names_offsets(self, tmp_path, layout, end):
+        p = tmp_path / "short.vrpc"
+        p.write_bytes(layout(3, 4, np.arange(1.0, 13.0))[:-8])
+        with pytest.raises(DatasetFormatError,
+                           match=rf"payload ends at offset {end}, expected "
+                                 rf"{end + 8} for d=3, n=4$"):
+            load_dataset(p, "f64le")
+
+    def test_bad_reserved_field_reports_offset(self, tmp_path):
+        p = tmp_path / "bad.vrpc"
+        p.write_bytes(aligned_bytes(3, 4, np.arange(1.0, 13.0), reserved=7))
+        with pytest.raises(DatasetFormatError,
+                           match=r"reserved field 7 at offset 12 \(must be 0\)$"):
+            load_dataset(p, "f64le")
+
+    @pytest.mark.parametrize("blob", [b"", b"VR", b"VRPA" + bytes(8),
+                                      b"VRPC" + bytes(4)])
+    def test_truncated_header(self, tmp_path, blob):
+        p = tmp_path / "bad.vrpc"
+        p.write_bytes(blob)
+        with pytest.raises(DatasetFormatError,
+                           match=rf"truncated header at offset {len(blob)}"):
+            load_dataset(p, "f64le")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_reports_offset(self, tmp_path, bad):
         vals = np.arange(1.0, 13.0)
@@ -114,9 +167,125 @@ class TestBinary:
                            match=r"non-finite value at offset 68$"):
             load_dataset(p, "f64le")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_aligned_nonfinite_reports_offset(self, tmp_path, bad):
+        vals = np.arange(1.0, 13.0)
+        vals[7] = bad
+        p = tmp_path / "bad.vrpc"
+        p.write_bytes(aligned_bytes(3, 4, vals))
+        with pytest.raises(DatasetFormatError,
+                           match=r"non-finite value at offset 72$"):
+            load_dataset(p, "f64le")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="unknown format"):
             load_dataset(tmp_path / "x", "parquet")
+
+
+def _big(seed=6):
+    """100 x 10000 values: an 8 MB payload."""
+    return DataMatrix(np.random.default_rng(seed).standard_normal((100, 10000)))
+
+
+class TestMappedLoad:
+    def test_load_makes_no_copy(self, tmp_path):
+        # the aligned payload is mapped, not read: loading 8 MB allocates
+        # nothing near its size
+        X = _big()
+        p = tmp_path / "big.vrpc"
+        save_dataset(X, p, "f64le")
+        tracemalloc.start()
+        try:
+            Y = load_dataset(p, "f64le")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes // 8
+        assert np.array_equal(X.data, Y.data)
+        assert X.r == Y.r
+
+    def test_loaded_data_aligned_and_read_only(self, tmp_path):
+        p = tmp_path / "big.vrpc"
+        save_dataset(_big(), p, "f64le")
+        data = load_dataset(p, "f64le").data
+        assert data.flags.aligned and data.flags.f_contiguous
+        assert not data.flags.writeable and not data.flags.owndata
+        with pytest.raises(ValueError):
+            data[0, 0] = 1.0
+
+    def test_unmappable_file_is_read(self, tmp_path, monkeypatch):
+        # where the file cannot be mapped, the payload at byte 16 is read
+        # into memory instead
+        X = DataMatrix(np.random.default_rng(9).standard_normal((3, 5)))
+        p = tmp_path / "out.vrpc"
+        save_dataset(X, p, "f64le")
+
+        def refuse(*args, **kwargs):
+            raise OSError("mapping refused")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        Y = load_dataset(p, "f64le")
+        assert np.array_equal(X.data, Y.data)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to count descriptors in")
+    def test_mappings_release_their_descriptors(self, tmp_path):
+        p = tmp_path / "small.vrpc"
+        save_dataset(DataMatrix(np.eye(4)), p, "f64le")
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            Y = load_dataset(p, "f64le")
+            assert Y.r == 1.0
+            del Y
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestSafeRewrite:
+    def test_rewrite_keeps_a_live_matrix_intact(self, tmp_path):
+        p = tmp_path / "data.vrpc"
+        save_dataset(_big(1), p, "f64le")
+        live = load_dataset(p, "f64le")
+        kept = live.data.copy(order="F")
+        save_dataset(_big(2), p, "f64le")
+        assert np.array_equal(live.data, kept)
+        assert np.array_equal(load_dataset(p, "f64le").data, _big(2).data)
+        assert [q.name for q in tmp_path.iterdir()] == ["data.vrpc"]
+
+    def test_convert_in_place_migrates_legacy_file(self, tmp_path, capsys):
+        vals = np.random.default_rng(10).standard_normal(12)
+        p = tmp_path / "old.vrpc"
+        p.write_bytes(legacy_bytes(3, 4, vals))
+        assert cli_main(["convert", str(p), str(p), "--from", "f64le",
+                         "--to", "f64le"]) == 0
+        assert p.read_bytes() == aligned_bytes(3, 4, vals)
+        assert load_dataset(p, "f64le").data.tobytes(order="F") == \
+            vals.tobytes()
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        p = tmp_path / "data.vrpc"
+        old = os.umask(0o027)
+        try:
+            save_dataset(DataMatrix(np.eye(2)), p, "f64le")
+        finally:
+            os.umask(old)
+        assert p.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path,
+                                                     monkeypatch):
+        p = tmp_path / "data.vrpc"
+        save_dataset(DataMatrix(np.eye(2)), p, "f64le")
+        before = p.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_dataset(DataMatrix(2 * np.eye(2)), p, "f64le")
+        assert [q.name for q in tmp_path.iterdir()] == ["data.vrpc"]
+        assert p.read_bytes() == before
 
 
 class TestLargeFile:

@@ -135,9 +135,13 @@ class TestVectorSolver:
         for solve, c in ((vrpca_vector, cfg), (vrpca_block, cfg2)):
             solve(X, gaussian_init(X.d, c.k, seed=3), c,
                   small_k1.reference(c.k))
-        # deflation stages run the epoch loop without a reference, as before
-        trace = deflation_solve(X, gaussian_init(X.d, 2, seed=3), cfg2)
-        assert trace.records[-1].epoch == 2 * 3
+        # deflation stages run every epoch without a reference, so deflation
+        # refuses epsilon, with or without one, and names the solver that
+        # stops on it
+        for ref in (None, small_k1.reference(2)):
+            with pytest.raises(ConfigError, match=r"epsilon=0.001: deflation "
+                               r"runs every epoch.*vrpca_block stops on"):
+                deflation_solve(X, gaussian_init(X.d, 2, seed=3), cfg2, ref)
 
 
 class TestBlockSolver:
