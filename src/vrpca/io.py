@@ -8,17 +8,28 @@ mapping (with its file descriptor) is released when the matrix dies. The
 legacy "VRPC" layout, whose 12-byte header leaves the payload off 8-byte
 alignment, is still read, through a copy into fresh memory.
 
+While the mapping lives it holds one open file descriptor on Python
+3.10-3.12, where ``mmap`` keeps a duplicate of the one it was given; from
+3.13 on it is mapped with ``trackfd=False`` and holds none. A caller that
+keeps many loaded matrices alive on an older Python keeps as many
+descriptors open.
+
 A loaded f64le file must not be rewritten in place while its matrix lives:
 the matrix would see the new bytes, or fault on a truncated page. The
-writer never does that; it writes a temporary file in the target's
-directory and renames it over the target.
+writer never does that to a regular file, in either format: it writes a
+temporary file in the directory of the target (symlinks resolved), which
+must be writable, and renames it over the target. A FIFO or a device,
+which is never mapped, is written through.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import stat
 import struct
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +45,8 @@ LEGACY_MAGIC = b"VRPC"
 LEGACY_HEADER = 12
 _PAYLOAD_START = {MAGIC: HEADER, LEGACY_MAGIC: LEGACY_HEADER}
 FORMATS = ("csv", "f64le")
+#: from Python 3.13 a mapping need not keep a duplicate descriptor open
+_MMAP_FLAGS = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
 def load_dataset(path, fmt: str) -> DataMatrix:
@@ -60,30 +73,51 @@ def load_dataset(path, fmt: str) -> DataMatrix:
 def save_dataset(X: DataMatrix, path, fmt: str) -> None:
     """Write ``X`` to ``path``; f64le files get the aligned layout.
 
-    An f64le file is written to a temporary file in the target's directory
-    (created with the mode ``open(path, "wb")`` would give) and renamed over
-    the target, so a matrix that maps the old file keeps its bytes. The
-    temporary file is removed if the write fails.
+    Both formats are written through ``_replacing``, so a matrix that maps
+    the old file keeps its bytes.
     """
     if fmt not in FORMATS:
         raise DatasetFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    path = Path(path)
     if fmt == "csv":
-        with path.open("w", encoding="ascii") as fh:
+        with _replacing(Path(path), "w", encoding="ascii") as fh:
             for i in range(X.n):
                 fh.write(",".join(repr(float(v)) for v in X.data[:, i]))
                 fh.write("\n")
         return
+    with _replacing(Path(path), "wb") as fh:
+        fh.write(MAGIC + struct.pack("<III", X.d, X.n, 0))
+        # column after column: the F-ordered d x n store's own buffer,
+        # written without a copy (its transpose is C-contiguous)
+        fh.write(memoryview(X.data.T).cast("B"))
+
+
+@contextmanager
+def _replacing(path: Path, mode: str, encoding=None):
+    """A file object whose contents replace ``path`` when the block ends.
+
+    A regular or absent target (symlinks resolved, so a link keeps
+    pointing at the new file) is written as a temporary file in its
+    directory, created with the mode ``open(path, "wb")`` would give, and
+    renamed over it; the temporary file is removed if the block fails. A
+    FIFO or a device, which ``load_dataset`` never maps, is written
+    through.
+    """
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
+        with path.open(mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never write through a file that already exists; mode 0o666
     # is narrowed by the umask, as open(..., "wb") does
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<III", X.d, X.n, 0))
-            # column after column: the F-ordered d x n store's own buffer,
-            # written without a copy (its transpose is C-contiguous)
-            fh.write(memoryview(X.data.T).cast("B"))
+        with open(fd, mode, encoding=encoding) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -164,11 +198,12 @@ def _map_payload(fh, length):
     """The aligned payload as a view of a read-only mapping of the file's
     first ``length`` bytes, or None when the file cannot be mapped.
 
-    The mapping holds its own descriptor; both go when the last view of it
-    does. The payload sits 16 bytes into a page-aligned mapping, so it is
-    8-byte aligned."""
+    Before Python 3.13 the mapping holds a duplicate descriptor; both go
+    when the last view of it does. The payload sits 16 bytes into a
+    page-aligned mapping, so it is 8-byte aligned."""
     try:
-        mapped = mmap.mmap(fh.fileno(), length, access=mmap.ACCESS_READ)
+        mapped = mmap.mmap(fh.fileno(), length, access=mmap.ACCESS_READ,
+                           **_MMAP_FLAGS)
     except (OSError, ValueError):
         return None
     return np.frombuffer(mapped, dtype="<f8", offset=HEADER)

@@ -4,6 +4,7 @@ legacy VRPC)."""
 import gc
 import mmap
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from vrpca import DataMatrix, DatasetFormatError, load_dataset, save_dataset
 from vrpca.cli import main as cli_main
+from vrpca.io import FORMATS
 
 
 def aligned_bytes(d, n, vals, reserved=0):
@@ -241,6 +243,20 @@ class TestMappedLoad:
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to count descriptors in")
+    def test_live_matrices_hold_the_documented_descriptors(self, tmp_path):
+        # before Python 3.13 each live mapping keeps one duplicate
+        # descriptor; from 3.13 it is mapped with trackfd=False
+        p = tmp_path / "small.vrpc"
+        save_dataset(DataMatrix(np.eye(4)), p, "f64le")
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        live = [load_dataset(p, "f64le") for _ in range(20)]
+        per_matrix = 0 if sys.version_info >= (3, 13) else 1
+        assert len(os.listdir("/proc/self/fd")) == before + 20 * per_matrix
+        del live
+
 
 class TestSafeRewrite:
     def test_rewrite_keeps_a_live_matrix_intact(self, tmp_path):
@@ -262,6 +278,51 @@ class TestSafeRewrite:
         assert p.read_bytes() == aligned_bytes(3, 4, vals)
         assert load_dataset(p, "f64le").data.tobytes(order="F") == \
             vals.tobytes()
+
+    def test_convert_mapped_file_to_csv_in_place(self, tmp_path):
+        # the csv writer must not truncate the inode the loaded matrix maps
+        X = DataMatrix(np.random.default_rng(12).standard_normal((3, 40)))
+        p = tmp_path / "data.vrpc"
+        save_dataset(X, p, "f64le")
+        assert cli_main(["convert", str(p), str(p), "--from", "f64le",
+                         "--to", "csv"]) == 0
+        assert np.array_equal(load_dataset(p, "csv").data, X.data)
+        assert [q.name for q in tmp_path.iterdir()] == ["data.vrpc"]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_save_through_symlink_keeps_the_link(self, tmp_path, fmt):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "data"
+        link = tmp_path / "link"
+        link.symlink_to(os.path.join("real", "data"))
+        save_dataset(DataMatrix(np.eye(2)), target, fmt)
+        X = DataMatrix(np.random.default_rng(13).standard_normal((2, 3)))
+        save_dataset(X, link, fmt)
+        assert link.is_symlink()
+        assert np.array_equal(load_dataset(target, fmt).data, X.data)
+        assert sorted(q.name for q in tmp_path.rglob("*")) == \
+            ["data", "link", "real"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_fifo_target_is_written_through(self, tmp_path, fmt):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        X = DataMatrix(np.arange(4.0).reshape(2, 2))
+        # a non-blocking reader lets the writer open the FIFO at once; the
+        # few bytes fit in the pipe's buffer
+        r = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_dataset(X, fifo, fmt)
+            got = os.read(r, 1 << 16)
+        finally:
+            os.close(r)
+        if fmt == "f64le":
+            assert got == aligned_bytes(2, 2, X.data.ravel(order="F"))
+        else:
+            assert got == b"0.0,2.0\n1.0,3.0\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["pipe"]
+        assert fifo.is_fifo()
 
     def test_new_file_mode_follows_umask(self, tmp_path):
         p = tmp_path / "data.vrpc"
