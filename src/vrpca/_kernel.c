@@ -72,14 +72,14 @@ static void prefetch(const double *p, int64_t len)
 #endif
 }
 
-/* solvers._steps_k1 on its operands, x being its xd: anchor or basis NULL
- * for none, j the columns of basis and btx, buf d doubles of scratch for
- * the projected column. */
+/* solvers._steps_k1 on its operands, x being its xd: etas, anchor or basis
+ * NULL for none (etas NULL: every step takes eta), j the columns of basis
+ * and btx, buf d doubles of scratch for the projected column. */
 int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
                        int64_t m, const double *a, const double *eu,
-                       double eta, const double *anchor, const double *basis,
-                       const double *btx, int64_t j, double *w, double *buf,
-                       double norm_floor)
+                       double eta, const double *etas, const double *anchor,
+                       const double *basis, const double *btx, int64_t j,
+                       double *w, double *buf, double norm_floor)
 {
     for (int64_t t = 0; t < m; t++) {
         int64_t i = idx[t];
@@ -99,7 +99,7 @@ int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
             xi = buf;
         }
         double s = (anchor == 0 || dot(w, anchor, d) >= 0.0) ? 1.0 : -1.0;
-        double c = eta * (dot(xi, w, d) - s * a[i]);
+        double c = (etas ? etas[t] : eta) * (dot(xi, w, d) - s * a[i]);
         double nrm2 = update(w, xi, eu, c, s, d);
         if (nrm2 < norm_floor * norm_floor)
             return t + 1;

@@ -27,8 +27,8 @@ _SRC = Path(__file__).with_name("_kernel.c")
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 #: the C signature of each exported function: (return type, parameter types)
-_ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _I,
-                                _P, _P, _D)),
+_ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
+                                _I, _P, _P, _D)),
         "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _I, _P, _P,
                                       _P, _I))}
 _lock = threading.Lock()
@@ -117,7 +117,7 @@ def _check(contract, ok, *operands):
         raise DimensionMismatchError(f"{contract} operands violate its contract")
 
 
-def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, norm_floor):
+def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, etas, norm_floor):
     """solvers._steps_k1 in C, ``norm_floor`` its degenerate-norm bound:
     the step code, or None when the library is unavailable."""
     lib = _library()
@@ -131,8 +131,9 @@ def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, norm_floor):
            and (len(idx) == 0 or (idx.min() >= 0 and idx.max() < n)),
            (xd, (d, n), "F"), (a, (n,), "C"), (eu, (d,), "C"),
            (w, (d,), "CW"), (anchor, (d,), "C"), (basis, (d, j), "C"),
-           (btx, (n, j), "C"))
-    opt = [None if v is None else v.ctypes.data for v in (anchor, basis, btx)]
+           (btx, (n, j), "C"), (etas, idx.shape, "C"))
+    opt = [None if v is None else v.ctypes.data
+           for v in (etas, anchor, basis, btx)]
     return lib.vrpca_steps_k1(
         xd.ctypes.data, d, idx.ctypes.data, len(idx), a.ctypes.data,
         eu.ctypes.data, eta, *opt, j, w.ctypes.data, buf.ctypes.data,

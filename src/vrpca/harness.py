@@ -91,6 +91,13 @@ class ExperimentConfig:
         if self.solver in ("vrpca_vector", "oja") and self.k != 1:
             raise ConfigError(f"solver {self.solver} needs k == 1, got "
                               f"k={self.k}; vrpca_block solves k >= 2")
+        if self.sweeps < 0:
+            raise ConfigError(f"sweeps must be >= 0, got {self.sweeps}")
+        if self.oja_iters is not None and self.oja_iters < 0:
+            raise ConfigError(f"oja_iters must be >= 0, got {self.oja_iters}")
+        if self.oja_eta0 is not None and not self.oja_eta0 > 0.0:
+            raise ConfigError(
+                f"oja_eta0 must be positive, got {self.oja_eta0}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -108,7 +115,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Per-seed outcome of the pipeline, JSON-serializable."""
+    """Per-seed outcome of the pipeline, JSON-serializable.
+
+    With ``rescale`` on, the solve runs on the data divided by sqrt(r), so
+    ``eta``, ``final_residual`` and the trace residuals are in the
+    rescaled data's units, while ``eigengap`` and ``realized_r`` are in
+    the original data's units.
+    """
 
     seed: int
     solver: str

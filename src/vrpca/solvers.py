@@ -7,12 +7,14 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import _native
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
+from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
                      _dense_covariance, _polar, _residual, covariance_apply)
 
@@ -20,14 +22,15 @@ _NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
 
 
 def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
-                    btx=None):
+                    btx=None, etas=None):
     """Reference for _steps_k1, one interpreted step at a time."""
     for t, i in enumerate(idx, 1):
         x = xd[:, i] if basis is None else xd[:, i] - basis @ btx[i]
+        e = eta if etas is None else etas[t - 1]
         if anchor is None or w @ anchor >= 0.0:
-            wp = w + (eta * (x @ w - a[i])) * x + eu
+            wp = w + (e * (x @ w - a[i])) * x + eu
         else:  # the aligning rotation of the 1x1 overlap is -1
-            wp = w + (eta * (x @ w + a[i])) * x - eu
+            wp = w + (e * (x @ w + a[i])) * x - eu
         nrm2 = wp @ wp
         w[:] = wp
         if nrm2 < _NORM_FLOOR**2:
@@ -36,19 +39,22 @@ def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
     return 0
 
 
-def _steps_k1(xd, idx, a, eu, eta, w, anchor=None, basis=None, btx=None):
+def _steps_k1(xd, idx, a, eu, eta, w, anchor=None, basis=None, btx=None,
+              etas=None):
     """Run len(idx) k=1 VR-PCA steps on the unit vector ``w`` in place:
     w <- normalize(w + eta (x_i^T w - a_i) x_i + eu), i over ``idx``.
 
     ``xd`` is the F-ordered d x n data, ``a`` the n anchor projections
-    X^T w~ and ``eu`` = eta * u. With ``anchor`` = w~, each step first takes
+    X^T w~ and ``eu`` = eta * u. Given ``etas`` (one float64 per index),
+    step t takes etas[t] in place of eta; with a = 0 and eu = 0 the steps
+    are Oja's. With ``anchor`` = w~, each step first takes
     s = sign(w^T w~) (+1 at zero) and uses s a_i and s eu: the block
     solver's aligning rotation at k=1. With a C-ordered d x j deflation
     ``basis`` B and ``btx`` = X^T B (n x j, C-ordered), x_i is replaced by
     x_i - B B^T x_i. Returns 0, or the 1-based step whose candidate norm
     fell below _NORM_FLOOR; ``w`` then holds that unnormalized candidate.
     """
-    args = (xd, idx, a, eu, eta, w, anchor, basis, btx)
+    args = (xd, idx, a, eu, eta, w, anchor, basis, btx, etas)
     bad = _native.steps_k1(*args, _NORM_FLOOR)
     return _steps_k1_numpy(*args) if bad is None else bad
 
@@ -256,23 +262,54 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
     return 0
 
 
-def _epochs(X, w_start, cfg, reference, cov, deflate=None, rng=None,
+def _anchor_gradient(X, wt, cov):
+    """The exact gradient at the anchor W~: (a, u) with a = X^T W~, which
+    the steps read, and u = A W~, from the covariance memo ``cov`` (see
+    _dense_covariance) or else as X a / n, a second read of the data."""
+    a = X.data.T @ wt
+    return a, (X.data @ a / X.n if cov is None else cov @ wt)
+
+
+def _segments(rng, n, total, stride, w, where, steps):
+    """Run ``total`` steps on the iterate ``w`` as segments of ``stride``
+    steps, yielding the steps done after each segment.
+
+    Each segment draws its own indices from ``rng`` when it runs;
+    consecutive Philox draws equal one block draw bit for bit, so the
+    index array holds one segment, not ``total``. It then calls
+    steps(idx, t0), t0 the steps before it, which returns 0 or the 1-based
+    step whose candidate was degenerate; such a step raises
+    DegenerateIterateError with its number and size. After each segment
+    the iterate must pass _check_iterate. ``where`` (e.g. "at epoch 2,")
+    places both in their messages.
+    """
+    for t0 in range(0, total, stride):
+        t1 = min(t0 + stride, total)
+        bad = steps(rng.integers(0, n, size=t1 - t0), t0)
+        if bad:
+            size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
+                    "Gram matrix min eigenvalue "
+                    f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
+            raise DegenerateIterateError(
+                f"degenerate iterate {where} step {t0 + bad}: {size}")
+        _check_iterate(w, f"{where} step {t1}")
+        yield t1
+
+
+def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
             rotate=False, final_pass=True):
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
-    Each epoch takes the exact anchor gradient: a = X^T W~, which the steps
-    read, and u = A W~. With the covariance memo ``cov`` (the caller's
-    _dense_covariance: it was given a reference and d <= DENSE_GUARD)
-    u = cov W~; otherwise u = X a / n, which reads the data a second time.
-    The epoch then runs its m steps from W~ as one segment per trace
-    checkpoint (every max(m // 10, 1) steps, and the epoch end): _steps_k1
-    for a 1-D ``w_start``, _steps_block for a d x k one. Each segment draws
-    its own indices when it runs; consecutive Philox draws equal one block
-    draw bit for bit, so the index array holds one segment (about m / 10),
-    not m. After each segment the iterate must pass _check_iterate. The
-    run stops after cfg.epochs epochs or at a boundary potential <= epsilon,
-    so an epsilon without a ``reference`` to measure it is refused.
+    Each epoch takes the exact anchor gradient (_anchor_gradient): a =
+    X^T W~ and u = A W~, from the covariance memo ``cov`` (the caller's
+    _dense_covariance: it was given a reference and d <= DENSE_GUARD) or
+    else streamed. The epoch then runs its m steps from W~ in _segments,
+    one segment per trace checkpoint (every max(m // 10, 1) steps, and the
+    epoch end): _steps_k1 for a 1-D ``w_start``, _steps_block for a d x k
+    one. The run stops after cfg.epochs epochs or at a boundary potential
+    <= epsilon, so an epsilon without a ``reference`` to measure it is
+    refused.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's u, and the run's last boundary from one final product
@@ -285,73 +322,62 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, rng=None,
     ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
     columns and the epoch anchor are projected against it on the fly, so
     the stage solves the covariance operator restricted to its orthogonal
-    complement (its residuals stay those of the full operator). ``rng``
-    overrides the default run stream Philox(cfg.seed). ``rotate`` applies
-    the block solver's aligning rotation.
+    complement (its residuals stay those of the full operator). Indices
+    come from the run stream _stream(cfg.seed) jumped ``jump`` times.
+    ``rotate`` applies the block solver's aligning rotation.
     """
     if cfg.epsilon is not None and reference is None:
         raise ConfigError(
             f"epsilon={cfg.epsilon} needs the oracle reference to stop on "
             f"(oracle_check, d <= DENSE_GUARD = {DENSE_GUARD})")
     xd = X.data
-    n = X.n
     eta = cfg.eta
     m = cfg.m
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = _stream(cfg.seed, jump=jump)
     rec = _Recorder(reference, m)
     basis = btx = None
     if deflate is not None:
         basis = np.ascontiguousarray(deflate)
         btx = xd.T @ basis
 
-    w = w_start.copy()
+    wt = w_start.copy()
     if basis is not None:
-        w -= basis @ (basis.T @ w)
-        w /= np.linalg.norm(w)
+        wt -= basis @ (basis.T @ wt)
+        wt /= np.linalg.norm(wt)
     samples = 0
-    rec.add(0, 0, w, samples)
-    stride = max(m // 10, 1)
-    wt = w.copy()
+    rec.add(0, 0, wt, samples)
     for s in range(1, cfg.epochs + 1):
         if basis is not None:
             wt -= basis @ (basis.T @ wt)
             wt /= np.linalg.norm(wt)
-        anchor_proj = xd.T @ wt
-        u = xd @ anchor_proj / n if cov is None else cov @ wt
+        a, u = _anchor_gradient(X, wt, cov)
         rec.settle(wt, u)  # the last boundary's residual, full operator
         if basis is not None:
             u -= basis @ (basis.T @ u)
-        samples += n
+        samples += X.n
         eu = eta * u
         w = wt.copy()
         anchor = wt if rotate else None
-        for t0 in range(0, m, stride):
-            t1 = min(t0 + stride, m)
-            idx = rng.integers(0, n, size=t1 - t0)
+
+        def steps(idx, t0):
             if w.ndim == 1:
-                bad = _steps_k1(xd, idx, anchor_proj, eu, eta, w,
-                                anchor=anchor, basis=basis, btx=btx)
-            else:
-                bad = _steps_block(xd, idx, anchor_proj, u, eta, w,
-                                   anchor=anchor)
-            if bad:
-                size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
-                        "Gram matrix min eigenvalue "
-                        f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
-                raise DegenerateIterateError(f"degenerate iterate at epoch "
-                                             f"{s}, step {t0 + bad}: {size}")
-            _check_iterate(w, f"at epoch {s}, step {t1}")
+                return _steps_k1(xd, idx, a, eu, eta, w, anchor=anchor,
+                                 basis=basis, btx=btx)
+            return _steps_block(xd, idx, a, u, eta, w, anchor=anchor)
+
+        for t1 in _segments(rng, X.n, m, max(m // 10, 1), w,
+                            f"at epoch {s},", steps):
             if t1 != m:
                 rec.add(s, t1, w, samples + t1)
         samples += m
         wt = w
         rec.add(s, m, wt, samples)
-        if cfg.epsilon is not None and rec.records[-1].potential is not None \
-                and rec.records[-1].potential <= cfg.epsilon:
+        # an epsilon came with a reference, so the potential is recorded
+        if cfg.epsilon is not None and (
+                rec.records[-1].potential <= cfg.epsilon):
             break
     if final_pass:
-        rec.settle(wt, xd @ (xd.T @ wt) / n if cov is None else cov @ wt)
+        rec.settle(wt, _apply(X, cov, wt))
     return rec.trace(wt)
 
 
@@ -362,13 +388,13 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     Each epoch applies the covariance operator to the anchor once, u = A w~,
     then runs m stochastic steps
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
-    with uniform with-replacement sampling from one Philox stream keyed by
-    cfg.seed (one block of m indices drawn per epoch). It runs _epochs, as
-    vrpca_block does, with one _steps_k1 call per trace checkpoint. The
-    trace records epoch boundaries and every m/10 inner steps; at each
-    record |w^T w - 1| must be <= ORTHO_TOL, and a failed check, or a step
-    whose norm falls below 1e-12, raises DegenerateIterateError with its
-    epoch and step. Residuals are recorded at epoch boundaries only, from
+    with uniform with-replacement sampling from the run stream
+    _stream(cfg.seed) (one segment of indices drawn per trace checkpoint).
+    It runs _epochs, as vrpca_block does, with one _steps_k1 call per trace
+    checkpoint. The trace records epoch boundaries and every m/10 inner
+    steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
+    check, or a step whose norm falls below 1e-12, raises
+    DegenerateIterateError with its epoch and step. Residuals are recorded at epoch boundaries only, from
     the anchor products u.
 
     Given a ``reference`` at d <= DENSE_GUARD, u and the final residual
@@ -426,11 +452,12 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     Runs stochastic steps against the fixed anchor w0 with the burn-in step
     size eta = burn_c * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
-    (overridable), one _steps_k1 call per stopping-rule check, on indices
-    from the stream Philox(key=(seed, 1)); after each call |w^T w - 1| must
-    be <= ORTHO_TOL, the solvers' iterate check. With a reference frame the
-    stopping rule is potential <= 1/2, checked up front so an already-good
-    start returns immediately with 0 iterations.
+    (overridable), one _steps_k1 call per stopping-rule check (_segments),
+    on indices from the burn-in stream _stream(seed, BURN_IN_STREAM); after
+    each call |w^T w - 1| must be <= ORTHO_TOL, the solvers' iterate check.
+    With a reference frame the stopping rule is potential <= 1/2, checked
+    up front so an already-good start returns immediately with 0
+    iterations.
     Without a reference, the run stops once the Rayleigh residual has at
     least halved and then plateaued; this proxy rule is a heuristic, not a
     guarantee, and costs one covariance pass per check. With a reference
@@ -469,57 +496,47 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     if reference is not None and rec.records[0].potential <= 0.5:
         return w0, 0
 
-    xd = X.data
-    n = X.n
-    cov = _dense_covariance(X, reference)
-    anchor_proj = xd.T @ wt
-    u = xd @ anchor_proj / n if cov is None else cov @ wt
+    a, u = _anchor_gradient(X, wt, _dense_covariance(X, reference))
     eu = eta * u
-    rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
-    check_every = max(min(budget // 512, 8192), 64)
     w = wt.copy()
-    done = 0
-    r0 = rec.records[0].residual
-    best = r0
-    checks_since_improve = 0
-    while done < budget:
-        take = min(check_every, budget - done)
-        idx = rng.integers(0, n, size=take)
-        bad = _steps_k1(xd, idx, anchor_proj, eu, eta, w)
-        if bad:
-            raise DegenerateIterateError(
-                f"degenerate burn-in iterate at step {done + bad}")
-        done += take
-        _check_iterate(w, f"in burn-in at step {done}")
+    r0 = best = rec.records[0].residual
+    stale = 0  # checks since the residual last fell by 1%
+
+    def steps(idx, t0):
+        return _steps_k1(X.data, idx, a, eu, eta, w)
+
+    for done in _segments(_stream(seed, BURN_IN_STREAM), X.n, budget,
+                          max(min(budget // 512, 8192), 64), w,
+                          "in burn-in at", steps):
         rec.add(0, done, w, done, covariance_apply(X, w) if proxy else None)
         last = rec.records[-1]
-        if reference is not None:
-            if last.potential <= 0.5:
-                return OrthonormalFrame(w[:, None]), done
-        else:
+        if proxy:
             if last.residual < best * 0.99:
-                best = last.residual
-                checks_since_improve = 0
+                best, stale = last.residual, 0
             else:
-                checks_since_improve += 1
-            if best <= 0.5 * r0 and checks_since_improve >= 8:
-                return OrthonormalFrame(w[:, None]), done
+                stale += 1
+        if ((best <= 0.5 * r0 and stale >= 8) if proxy
+                else last.potential <= 0.5):
+            return OrthonormalFrame(w[:, None]), done
     raise NonConvergenceError(
         f"burn-in budget of {budget} iterations exhausted "
         f"(eta={eta:.3e}, horizon={horizon})",
         trace=rec.trace(w), frame=OrthonormalFrame(w[:, None]),
-        iterations=done)
+        iterations=budget)
 
 
 def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
                  reference: OrthonormalFrame | None = None,
                  seed: int = 0) -> ConvergenceTrace:
     """Plain stochastic power steps w' = w + eta_t x (x^T w), normalized,
-    on indices drawn from the run stream Philox(key=seed).
+    on indices drawn from the run stream _stream(seed).
 
     ``eta_schedule`` is either a callable t -> eta_t (t starts at 1) or a
-    number c giving the classical c/t schedule. Comparison baseline only:
-    the runtime to a fixed accuracy scales polynomially in it.
+    positive number c giving the classical c/t schedule. Comparison
+    baseline only: the runtime to a fixed accuracy scales polynomially in
+    it. The steps are _steps_k1's with a = 0, eu = 0 and each segment's
+    eta_t as ``etas``, one segment per record (every max(iters // 10, 1)
+    steps), with the solvers' degenerate-step report and iterate check.
 
     Each record's residual needs A w: from the covariance memo
     X.covariance() when a ``reference`` is given at d <= DENSE_GUARD,
@@ -527,29 +544,29 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     on it.
     """
     _check_frame(X, w0, 1)
-    cov = _dense_covariance(X, reference)
+    if iters < 0:
+        raise ConfigError(f"Oja iterations must be >= 0, got {iters}")
     if callable(eta_schedule):
-        sched = eta_schedule
+        sched = np.vectorize(eta_schedule, otypes=[np.float64])
     else:
         c0 = float(eta_schedule)
-        sched = lambda t: c0 / t
-    xd = X.data
-    n = X.n
-    rng = np.random.Generator(np.random.Philox(key=seed))
+        if not c0 > 0.0:
+            raise ConfigError(f"Oja step-size constant must be positive, "
+                              f"got {c0}")
+        sched = partial(np.divide, c0)  # t -> c0 / t
+    cov = _dense_covariance(X, reference)
+    a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)
     w = w0.entries[:, 0].copy()
     rec.add(0, 0, w, 0, _apply(X, cov, w))
-    stride = max(iters // 10, 1)
-    idx = rng.integers(0, n, size=iters)
-    for t in range(1, iters + 1):
-        x = xd[:, idx[t - 1]]
-        wp = w + (sched(t) * (x @ w)) * x
-        nrm2 = wp @ wp
-        if nrm2 < _NORM_FLOOR**2:
-            raise DegenerateIterateError(f"degenerate Oja iterate at step {t}")
-        w = wp / np.sqrt(nrm2)
-        if t % stride == 0 or t == iters:
-            rec.add(1, t, w, t, _apply(X, cov, w))
+
+    def steps(idx, t0):
+        etas = sched(np.arange(t0 + 1, t0 + len(idx) + 1))
+        return _steps_k1(X.data, idx, a, eu, 0.0, w, etas=etas)
+
+    for t in _segments(_stream(seed), X.n, iters, max(iters // 10, 1), w,
+                       "in Oja at", steps):
+        rec.add(1, t, w, t, _apply(X, cov, w))
     return rec.trace(w)
 
 
@@ -565,6 +582,8 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
     without one each is a covariance pass.
     """
     _check_frame(X, W0, W0.k)
+    if sweeps < 0:
+        raise ConfigError(f"sweeps must be >= 0, got {sweeps}")
     cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
     w = W0.entries.copy()
@@ -586,7 +605,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     Stage j runs on the covariance operator restricted to the orthogonal
     complement of the previous stages (columns are deflated on the fly, the
     dataset is never rewritten). It starts from column j of ``W0`` and
-    samples from the run stream Philox(cfg.seed) jumped j-1 times, so stage
+    samples from the run stream _stream(cfg.seed) jumped j-1 times, so stage
     1 reproduces vrpca_vector from column 1 exactly.
 
     After each stage one covariance pass over the j vectors found so far
@@ -620,9 +639,8 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     epoch = samples = 0
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(j - 1))
         stage = _epochs(X, W0.entries[:, j - 1], cfg, None, cov,
-                        deflate=basis, rng=rng, final_pass=False)
+                        deflate=basis, jump=j - 1, final_pass=False)
         v = stage.final_frame.entries[:, 0].copy()
         if basis is not None:
             v -= basis @ (basis.T @ v)

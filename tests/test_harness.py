@@ -2,6 +2,7 @@
 the geometry report, and the CLI."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,16 @@ def synth_cfg(**kw):
                 seeds=(1,), init="power")
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+#: baseline settings the config refuses: (field, value, message)
+BAD_BASELINE_VALUES = [
+    ("oja_iters", -5, r"oja_iters must be >= 0, got -5"),
+    ("sweeps", -3, r"sweeps must be >= 0, got -3"),
+    ("oja_eta0", -1.0, r"oja_eta0 must be positive, got -1.0"),
+    ("oja_eta0", 0.0, r"oja_eta0 must be positive, got 0.0"),
+    ("oja_eta0", float("nan"), r"oja_eta0 must be positive, got nan"),
+]
 
 
 class TestConfig:
@@ -50,6 +61,11 @@ class TestConfig:
         # caught in the config, before any warm start is paid for
         with pytest.raises(ConfigError, match=f"solver {solver} needs k == 1"):
             synth_cfg(solver=solver, k=2)
+
+    @pytest.mark.parametrize("field, value, message", BAD_BASELINE_VALUES)
+    def test_bad_baseline_values_refused(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_cfg(**{field: value})
 
 
 class TestRunExperiment:
@@ -408,6 +424,25 @@ class TestCli:
                        "--epsilon", "1e-3", "--epochs", "3", "--seeds", "1"])
         assert rc == 1
         assert "needs the oracle reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", BAD_BASELINE_VALUES)
+    def test_bad_baseline_values_print_an_error(self, tmp_path, capsys,
+                                                 field, value, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "spectrum": list(spectrum_k1(d=12)), "n": 64, "seeds": [1],
+            "solver": "oja", field: value}))
+        assert cli_main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(message, err)
+
+    def test_solve_refuses_a_negative_seed(self, capsys):
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--epochs", "1", "--seeds=-1"])
+        assert rc == 1
+        assert "error: seed must lie in [0, 2**64), got -1" in \
+            capsys.readouterr().err
 
     def test_solve_refuses_epsilon_with_deflation(self, capsys):
         rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",

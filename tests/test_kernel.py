@@ -23,8 +23,9 @@ from synth_reference import synthesize_reference
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    ExperimentConfig,
                    SolverConfig, SpectrumSpec, burn_in, gaussian_init,
-                   power_warm_start, run_experiment, select_parameters,
-                   synthesize_dataset, vrpca_block, vrpca_vector)
+                   oja_baseline, power_warm_start, run_experiment,
+                   select_parameters, synthesize_dataset, vrpca_block,
+                   vrpca_vector)
 from vrpca import _native, oracle, solvers
 
 needs_cc = pytest.mark.skipif(_native._compiler() is None,
@@ -65,9 +66,10 @@ def fresh_kernel(monkeypatch, tmp_path):
 @needs_cc
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(1, 40), n=st.integers(1, 30), m=st.integers(0, 120),
-       j=st.integers(0, 3), rotate=st.booleans(),
+       j=st.integers(0, 3), rotate=st.booleans(), per_step=st.booleans(),
        eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
-def test_compiled_matches_numpy_reference(d, n, m, j, rotate, eta, seed):
+def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
+                                          seed):
     assert _native._library() is not None  # a compiler is here: it must build
     rng = np.random.default_rng(seed)
     X = DataMatrix(rng.standard_normal((d, n)))
@@ -85,10 +87,12 @@ def test_compiled_matches_numpy_reference(d, n, m, j, rotate, eta, seed):
     w0 = _unit(rng.standard_normal(d))
     idx = rng.integers(0, n, size=m)
     anchor = wt if rotate else None
+    etas = rng.uniform(1e-3, 0.3, size=m) if per_step else None
     w_c, w_np = w0.copy(), w0.copy()
-    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, anchor, basis, btx)
+    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, anchor, basis, btx,
+                              etas)
     bad_np = solvers._steps_k1_numpy(xd, idx, a, eu, eta, w_np, anchor,
-                                     basis, btx)
+                                     basis, btx, etas)
     assert bad_c == bad_np
     assert np.max(np.abs(w_c - w_np), initial=0.0) <= AGREE
     if not bad_c:
@@ -106,11 +110,11 @@ def _dot4(a, b):
     return (s[0] + s[1]) + (s[2] + s[3])
 
 
-def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx):
+def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx, etas):
     """The kernel's arithmetic, one Python float operation at a time."""
     d = len(w)
     w = [float(v) for v in w]
-    for i in idx:
+    for t, i in enumerate(idx):
         x = [float(v) for v in xd[:, i]]
         if basis is not None:
             for k in range(d):
@@ -119,7 +123,8 @@ def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx):
                     p += float(basis[k, l]) * float(btx[i, l])
                 x[k] = x[k] - p
         s = 1.0 if anchor is None or _dot4(w, anchor) >= 0.0 else -1.0
-        c = eta * (_dot4(x, w) - s * float(a[i]))
+        e = eta if etas is None else float(etas[t])
+        c = e * (_dot4(x, w) - s * float(a[i]))
         w = [(w[k] + c * x[k]) + s * float(eu[k]) for k in range(d)]
         nrm = math.sqrt(_dot4(w, w))
         w = [v / nrm for v in w]
@@ -127,8 +132,9 @@ def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx):
 
 
 def _segments(d, n, m, eta, seed):
-    """Operands (xd, idx, a, eu, w0, anchor, basis, btx) of one segment of
-    m steps at dimension d: plain, with the anchor, deflated, and both."""
+    """Operands (xd, idx, a, eu, w0, anchor, basis, btx, etas) of one
+    segment of m steps at dimension d: plain, with the anchor, deflated,
+    and both, each with the scalar eta and with per-step etas."""
     rng = np.random.default_rng(seed)
     xd = np.asfortranarray(rng.standard_normal((d, n)))
     xd /= np.sqrt(np.max(np.einsum("ij,ij->j", xd, xd)))
@@ -142,8 +148,11 @@ def _segments(d, n, m, eta, seed):
     if j:
         bases.append(np.ascontiguousarray(
             np.linalg.qr(rng.standard_normal((d, j)))[0]))
-    return [(xd, idx, a, eu, w0, anchor, b, None if b is None else xd.T @ b)
-            for anchor in (None, wt) for b in bases]
+    per_step = eta * rng.uniform(0.5, 2.0, size=m)
+    return [(xd, idx, a, eu, w0, anchor, b, None if b is None else xd.T @ b,
+             etas)
+            for anchor in (None, wt) for b in bases
+            for etas in (None, per_step)]
 
 
 @needs_cc
@@ -152,11 +161,23 @@ def test_compiled_sums_in_the_written_order(d):
     # bitwise, not to 1e-12: a reordered sum, a fused multiply-add or a
     # reciprocal multiply in place of the division would move the bits
     assert _native._library() is not None
-    for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 9, 30, 0.05, d):
+    for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(d, 9, 30, 0.05,
+                                                              d):
         w = w0.copy()
-        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, anchor, b, btx) == 0
+        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, anchor, b, btx,
+                                 etas) == 0
         assert np.array_equal(w, _steps_k1_scalar(xd, idx, a, eu, 0.05, w0,
-                                                  anchor, b, btx))
+                                                  anchor, b, btx, etas))
+
+
+@needs_cc
+def test_kernel_compiles_without_warnings(tmp_path):
+    # an operand added on one side of a call, or left unused, warns
+    cmd = [*_native._compiler(), *_native._FLAGS, "-Wall", "-Wextra",
+           "-Werror", "-o", str(tmp_path / "kernel.so"), str(_native._SRC),
+           "-lm"]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def _unoptimized_library(monkeypatch, tmp_path):
@@ -181,16 +202,16 @@ def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
     assert default is not None
     plain = _unoptimized_library(monkeypatch, tmp_path)
     for d in range(1, 41):  # every remainder of 4, in the fused loop too
-        for xd, idx, a, eu, w0, anchor, b, btx in _segments(d, 23, 150,
-                                                            0.05, 8 + d):
+        for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(
+                d, 23, 150, 0.05, 8 + d):
             out = []
             for lib in (default, plain):
                 monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
                 w = w0.copy()
                 out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w,
-                                              anchor, b, btx), w))
+                                              anchor, b, btx, etas), w))
             assert out[0][0] == out[1][0] == 0
-            assert np.array_equal(out[0][1], out[1][1]), (d, anchor, b)
+            assert np.array_equal(out[0][1], out[1][1]), (d, anchor, b, etas)
 
 
 def _synth_cases():
@@ -357,9 +378,14 @@ def test_solvers_report_the_degenerate_step(monkeypatch, small_k1, compiled):
         vrpca_block(X, gaussian_init(X.d, 2, seed=3), cfg2)
     calls = _degenerate_third_segment(monkeypatch)
     with pytest.raises(DegenerateIterateError,
-                       match=r"burn-in iterate at step (\d+)$") as exc:
+                       match=r"in burn-in at step (\d+): norm") as exc:
         burn_in(X, w0, 1.0 / X.d, 0.25, small_k1.gap)
-    assert exc.value.args[0].endswith(f"step {sum(calls[:2]) + 1}")
+    assert exc.value.args[0].split(":")[0].endswith(
+        f"step {sum(calls[:2]) + 1}")
+    _degenerate_third_segment(monkeypatch)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"in Oja at step 21: norm"):
+        oja_baseline(X, w0, 0.5, 100)
 
 
 def test_off_sphere_iterate_raises(monkeypatch, small_k1):
@@ -379,6 +405,9 @@ def test_off_sphere_iterate_raises(monkeypatch, small_k1):
     with pytest.raises(DegenerateIterateError,
                        match=r"orthonormality at epoch 1, step 10"):
         vrpca_block(small_k1.Xs, W0, cfg2)
+    with pytest.raises(DegenerateIterateError,
+                       match=r"unit sphere in Oja at step 10"):
+        oja_baseline(small_k1.Xs, w0, 0.5, 100)
 
 
 @needs_cc
@@ -484,7 +513,7 @@ def _k1_operands():
     basis = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((d, 2)))[0])
     return dict(xd=xd, idx=np.array([0, 3, 6]), a=xd.T @ w, eu=0.1 * w,
                 eta=0.1, w=w, anchor=w.copy(), basis=basis, btx=xd.T @ basis,
-                norm_floor=1e-12)
+                etas=np.array([0.1, 0.2, 0.3]), norm_floor=1e-12)
 
 
 def _read_only(v):
@@ -513,8 +542,11 @@ K1_VIOLATIONS = {
     "basis F-ordered": lambda o: dict(basis=np.asfortranarray(o["basis"])),
     "btx short": lambda o: dict(btx=np.ascontiguousarray(o["btx"][:-1])),
     "basis without btx": lambda o: dict(btx=None),
-    "index n": lambda o: dict(idx=np.array([0, 7])),
-    "index -1": lambda o: dict(idx=np.array([-1, 2])),
+    "index n": lambda o: dict(idx=np.array([0, 7, 1])),
+    "index -1": lambda o: dict(idx=np.array([-1, 2, 1])),
+    "etas short": lambda o: dict(etas=o["etas"][:-1]),
+    "etas F-ordered row": lambda o: dict(
+        etas=np.asfortranarray(np.stack([o["etas"], o["etas"]]))[0]),
 }
 
 

@@ -11,7 +11,8 @@ from vrpca import (ConfigError, DataMatrix, DimensionMismatchError,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, rayleigh_residual,
                    select_parameters, vrpca_block, vrpca_vector)
-from vrpca import ExperimentConfig, harness, solvers
+from vrpca import ExperimentConfig, _native, harness, initialization, solvers
+from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
 
 from conftest import GramCounter, Instance, counted
 
@@ -285,19 +286,91 @@ class TestBurnIn:
                     lambda_hat=0.3)
 
 
+def _philox(key, jump=0):
+    return np.random.Generator(np.random.Philox(key=key).jumped(jump))
+
+
+def _record_indices(monkeypatch):
+    """Make solvers._steps_k1 record the index array of every call."""
+    drawn = []
+
+    def record(xd, idx, *args, _real=solvers._steps_k1, **kwargs):
+        drawn.append(np.array(idx))
+        return _real(xd, idx, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_steps_k1", record)
+    return drawn
+
+
 class TestSeedStreams:
-    """burn_in and oja_baseline draw from streams keyed by the run seed."""
+    """Every solve-path draw comes from _stream(seed, purpose, jump), whose
+    documented keys burn_in, oja_baseline, the deflation stages and the
+    warm-start retries keep."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**64 - 1])
+    def test_each_purpose_draws_its_documented_key(self, seed):
+        def draws(gen):
+            return gen.integers(0, 1000, size=64), gen.standard_normal(8)
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+        words = np.array([seed, 0], dtype=np.uint64)
+        assert same(draws(_stream(seed)), draws(_philox(words)))
+        assert same(draws(_stream(seed)), draws(_philox(seed)))
+        burn = np.array([seed, 1], dtype=np.uint64)
+        assert same(draws(_stream(seed, BURN_IN_STREAM)), draws(_philox(burn)))
+        for jump in (1, 2, 8):
+            assert same(draws(_stream(seed, RUN_STREAM, jump)),
+                        draws(_philox(words, jump)))
+        assert not same(draws(_stream(seed)), draws(_stream(seed, 1)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ConfigError,
+                           match=r"seed must lie in \[0, 2\*\*64\)"):
+            _stream(seed)
+
+    def test_deflation_stage_j_draws_the_run_stream_jumped(self, monkeypatch,
+                                                           small_k1):
+        drawn = _record_indices(monkeypatch)
+        X = small_k1.Xs
+        k, epochs, m = 3, 2, 50
+        cfg = SolverConfig(k=k, eta=0.05, m=m, epochs=epochs, seed=6)
+        deflation_solve(X, gaussian_init(X.d, k, seed=6), cfg)
+        per_stage = epochs * 10  # segments of m // 10 steps
+        assert len(drawn) == k * per_stage
+        for j in range(1, k + 1):
+            got = np.concatenate(drawn[(j - 1) * per_stage:j * per_stage])
+            want = _philox(cfg.seed, j - 1).integers(0, X.n, size=epochs * m)
+            assert np.array_equal(got, want), j
+
+    def test_warm_start_retry_a_draws_the_run_stream_jumped(self,
+                                                           monkeypatch):
+        # A maps the first three draws to zero: the start is retry 3's
+        X = DataMatrix(np.eye(5))
+        drawn = []
+
+        def kernel_first(X, g):
+            drawn.append(g.copy())
+            return g if len(drawn) > 3 else np.zeros_like(g)
+
+        monkeypatch.setattr(initialization, "covariance_apply", kernel_first)
+        frame = power_warm_start(X, seed=9).frame
+        assert len(drawn) == 4
+        for attempt, g in enumerate(drawn):
+            assert np.array_equal(g, _philox(9, attempt).standard_normal(5))
+        np.testing.assert_allclose(frame.column(0),
+                                   drawn[3] / np.linalg.norm(drawn[3]),
+                                   atol=1e-15)
+        assert np.array_equal(gaussian_init(5, 2, seed=9).entries,
+                              initialization.polar_normalize(
+                                  _philox(9).standard_normal((5, 2))).entries)
 
     def test_burn_in_draws_a_stream_of_its_own(self, burn_instance,
                                                 monkeypatch):
         X = burn_instance.Xs
-        drawn = []
-
-        def record(xd, idx, *args, _real=solvers._steps_k1, **kwargs):
-            drawn.append(np.array(idx))
-            return _real(xd, idx, *args, **kwargs)
-
-        monkeypatch.setattr(solvers, "_steps_k1", record)
+        drawn = _record_indices(monkeypatch)
         for seed in (0, 4):
             drawn.clear()
             burn_in(X, gaussian_init(X.d, 1, seed=11), zeta=1.0 / 30,
@@ -314,10 +387,11 @@ class TestSeedStreams:
             assert not np.array_equal(got, stream(seed))  # the solver's
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_oja_draws_the_run_stream(self, small_k1, seed):
+    def test_oja_draws_the_run_stream(self, monkeypatch, small_k1, seed):
+        # Oja's steps, written out on the run stream's indices: the compiled
+        # k=1 steps agree to 1e-12, the numpy fallback bit for bit
         X = small_k1.Xs
         w0 = gaussian_init(X.d, 1, seed=3)
-        trace = oja_baseline(X, w0, 0.5, 300, seed=seed)
         idx = np.random.Generator(np.random.Philox(key=seed)).integers(
             0, X.n, size=300)
         w = w0.entries[:, 0].copy()
@@ -325,6 +399,10 @@ class TestSeedStreams:
             x = X.data[:, idx[t - 1]]
             wp = w + (0.5 / t * (x @ w)) * x
             w = wp / np.sqrt(wp @ wp)
+        compiled = oja_baseline(X, w0, 0.5, 300, seed=seed)
+        assert np.max(np.abs(compiled.final_frame.entries[:, 0] - w)) <= 1e-12
+        monkeypatch.setattr(_native, "_library", lambda: None)
+        trace = oja_baseline(X, w0, 0.5, 300, seed=seed)
         assert np.array_equal(trace.final_frame.entries[:, 0], w)
         if seed == 0:  # the default
             assert np.array_equal(
@@ -346,6 +424,21 @@ class TestOja:
         trace = oja_baseline(X, w0, lambda t: 0.5, iters=2000)
         w = trace.final_frame.column(0)
         assert abs(abs(w[0]) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("schedule, iters, message", [
+        (0.5, -5, r"Oja iterations must be >= 0, got -5"),
+        (-1.0, 10, r"Oja step-size constant must be positive, got -1.0"),
+        (0.0, 10, r"Oja step-size constant must be positive, got 0.0")])
+    def test_bad_arguments_refused(self, small_k1, schedule, iters, message):
+        w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
+        with pytest.raises(ConfigError, match=message):
+            oja_baseline(small_k1.Xs, w0, schedule, iters)
+
+    def test_zero_iterations_keep_start(self, small_k1):
+        w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
+        trace = oja_baseline(small_k1.Xs, w0, 0.5, 0)
+        assert len(trace.records) == 1 and trace.samples == 0
+        assert np.array_equal(trace.final_frame.entries, w0.entries)
 
     def test_loses_to_variance_reduction_at_equal_budget(self, std_k1):
         ref = std_k1.reference(1)
@@ -384,6 +477,12 @@ class TestOrthogonalIteration:
         s = std_k1.spectrum.eigenvalues
         bound = (s[1] / s[0]) ** (2 * 50) * p0
         assert trace.records[-1].potential <= 10.0 * bound
+
+
+    def test_negative_sweeps_refused(self, small_k1):
+        w0 = gaussian_init(small_k1.Xs.d, 2, seed=2)
+        with pytest.raises(ConfigError, match=r"sweeps must be >= 0, got -3"):
+            orthogonal_iteration(small_k1.Xs, w0, sweeps=-3)
 
 
 class TestDeflation:
