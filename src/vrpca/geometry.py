@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
+from .initialization import _stream
 from .matrix import DataMatrix, _check_dense, covariance_apply
 from .oracle import Spectrum
 
@@ -172,7 +173,7 @@ def probe_strong_convexity(region: ConvexRegion, X: DataMatrix,
     d = region.w0.size
     if X.d != d:
         raise DimensionMismatchError(f"data dimension {X.d} != region dimension {d}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
     w0 = region.w0
 
     def tangent(count):

@@ -16,7 +16,8 @@ from .errors import ConfigError, NonConvergenceError
 from .geometry import (build_convex_region, nonconvexity_certificate,
                        probe_strong_convexity, rayleigh, rayleigh_hessian,
                        tightness_counterexample)
-from .initialization import gaussian_init, power_warm_start
+from .initialization import (_check_seed, _stream, gaussian_init,
+                             power_warm_start)
 from .io import load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
@@ -28,6 +29,9 @@ from .solvers import (ConvergenceTrace, SolverConfig, burn_in, deflation_solve,
 SOLVERS = ("vrpca_vector", "vrpca_block", "oja", "orthogonal_iteration",
            "deflation")
 INITS = ("gaussian", "power")
+#: the solvers that run VR-PCA epochs, on a SolverConfig
+_EPOCH_SOLVERS = {"vrpca_vector": vrpca_vector, "vrpca_block": vrpca_block,
+                  "deflation": deflation_solve}
 
 #: epsilon used by the runtime model when the config leaves it unset
 MODEL_EPSILON = 1e-6
@@ -84,6 +88,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init {self.init!r}; one of {INITS}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        for seed in self.seeds:
+            _check_seed(seed)
+        _check_seed(self.synth_seed, "synth_seed")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if self.run_burn_in and self.k != 1:
@@ -120,7 +127,8 @@ class RunReport:
     With ``rescale`` on, the solve runs on the data divided by sqrt(r), so
     ``eta``, ``final_residual`` and the trace residuals are in the
     rescaled data's units, while ``eigengap`` and ``realized_r`` are in
-    the original data's units.
+    the original data's units. ``eta`` and ``m`` are None when the solver
+    read neither: orthogonal iteration, and Oja given ``oja_iters``.
     """
 
     seed: int
@@ -133,8 +141,8 @@ class RunReport:
     init_alignment_sq: float | None
     burn_in_iterations: int
     burn_in_converged: bool
-    eta: float
-    m: int
+    eta: float | None
+    m: int | None
     epochs_run: int
     epoch_potentials: list
     final_potential: float | None
@@ -249,23 +257,20 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
             if exc.frame is not None:
                 frame = exc.frame
 
-    if cfg.eta is not None and cfg.m is not None:
-        eta, m = cfg.eta, cfg.m
-    else:
+    # (eta, m) only for the solvers that read them; Oja reads m alone,
+    # for its default iteration count
+    eta, m = cfg.eta, cfg.m
+    if cfg.solver == "orthogonal_iteration" or (cfg.solver == "oja"
+                                                and cfg.oja_iters is not None):
+        eta = m = None
+    elif eta is None or m is None:
         if gap is None:
             raise ConfigError(
                 "set eta and m explicitly, or provide an eigengap estimate "
                 "(oracle_check or lambda_hat) for parameter selection")
         eta, m = select_parameters(gap, X.r, k, cfg.delta)
 
-    solver_cfg = SolverConfig(k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed,
-                              delta=cfg.delta, epsilon=cfg.epsilon,
-                              use_rotation=cfg.use_rotation)
-    if cfg.solver == "vrpca_vector":
-        trace = vrpca_vector(X, frame, solver_cfg, reference)
-    elif cfg.solver == "vrpca_block":
-        trace = vrpca_block(X, frame, solver_cfg, reference)
-    elif cfg.solver == "oja":
+    if cfg.solver == "oja":
         iters = cfg.oja_iters if cfg.oja_iters is not None else m * cfg.epochs
         eta0 = cfg.oja_eta0 if cfg.oja_eta0 is not None else (
             1.0 / gap if gap else 1.0)
@@ -273,7 +278,10 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     elif cfg.solver == "orthogonal_iteration":
         trace = orthogonal_iteration(X, frame, cfg.sweeps, reference)
     else:
-        trace = deflation_solve(X, frame, solver_cfg, reference)
+        solver_cfg = SolverConfig(
+            k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed, delta=cfg.delta,
+            epsilon=cfg.epsilon, use_rotation=cfg.use_rotation)
+        trace = _EPOCH_SOLVERS[cfg.solver](X, frame, solver_cfg, reference)
     boundaries = trace.boundary_records()
 
     model = None
@@ -387,7 +395,7 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
     # 2-D instance with covariance diag(1, 0): determinant of the Hessian
     # is -4 w1^2 w2^2 / ||w||^8, nonpositive everywhere
     X2 = DataMatrix(np.array([[1.0], [0.0]]))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
     dets = []
     negative_curvature = 0
     eligible = 0
@@ -411,7 +419,7 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
     spec = dense_eigh(Xp)
     v1 = spec.eigenvectors.entries[:, 0].copy()
     gap = spec.gap_at(1)
-    rngp = np.random.Generator(np.random.Philox(key=seed + 2))
+    rngp = _stream(seed + 2)
     tang = rngp.standard_normal(d)
     tang -= (tang @ v1) * v1
     tang /= np.linalg.norm(tang)

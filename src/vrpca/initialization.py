@@ -8,18 +8,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateIterateError, DimensionMismatchError
-from .matrix import (DataMatrix, OrthonormalFrame, _check_dense,
-                     _dense_covariance, covariance_apply, polar_normalize)
+from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
+                     _dense_covariance, _polar, polar_normalize)
 
 
 #: purpose ids of _stream; 0 is the run stream
 RUN_STREAM, BURN_IN_STREAM = 0, 1
 
 
+def _check_seed(seed, name="seed"):
+    """Refuse a seed outside [0, 2**64), the range _stream keys on."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+
+
 def _stream(seed, purpose=RUN_STREAM, jump=0):
     """Generator(Philox(key=(seed, purpose))) jumped ``jump`` times: the
-    one source of the solve path's random draws. ``seed`` must lie in
-    [0, 2**64), so that the key's two 64-bit words are (seed, purpose).
+    one source of the library's random draws. ``seed`` must lie in
+    [0, 2**64) (_check_seed), so that the key's two 64-bit words are
+    (seed, purpose).
 
     ====================  =====  ==========================================
     purpose               jump   draws
@@ -28,9 +35,12 @@ def _stream(seed, purpose=RUN_STREAM, jump=0):
                                  vrpca_block and oja_baseline; the start
                                  of gaussian_init and power_warm_start
     RUN_STREAM = 0        j - 1  column indices of deflation stage j
-    RUN_STREAM = 0        a      retry a of power_warm_start
     BURN_IN_STREAM = 1    0      column indices of burn_in
     ====================  =====  ==========================================
+
+    The instance synthesizer and the geometry probes draw from purpose 0
+    of their own seeds: synthesize_dataset (the synthesis seed),
+    probe_strong_convexity, and geometry_report (its seed and seed + 2).
 
     Philox(key=seed) has the key words (seed, 0), so purpose 0 is the run
     stream keyed by the seed alone. The start and the solve both draw from
@@ -39,8 +49,7 @@ def _stream(seed, purpose=RUN_STREAM, jump=0):
     workload's data from 0.916 to 0.0068, and raised the samples to
     potential 1e-8 there from 400,000 to 600,000.
     """
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     gen = np.random.Philox(key=int(seed) + (purpose << 64))
     return np.random.Generator(gen.jumped(jump))
 
@@ -65,46 +74,36 @@ def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
 def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
                      reference: OrthonormalFrame | None = None) -> InitReport:
     """Gaussian draw followed by one exact application of the covariance
-    operator, w0 = A w / ||A w||; costs O(n d k).
+    operator, W0 = polar(A G) (w0 = A g / ||A g|| at k = 1); costs O(n d k).
 
     For k = 1 this boosts the expected squared alignment with the leading
     eigenvector from about 1/d to about 1/nrank(A). The k > 1 variant
     orthonormalizes A G for a Gaussian d x k matrix G; it is a natural
     extrapolation and is only guaranteed to satisfy the frame invariant.
+    G is one draw from the run stream _stream(seed) (a vector at k = 1).
 
-    If the draw lands in the kernel of A (A w = 0), the run stream jumped
-    once more is tried (see _stream), at most 8 retries.
+    When A G has numerical rank < k (_polar's rule, relative to the scale
+    of A G) it raises DegenerateIterateError. Short of a null set of
+    draws, that happens only when A itself has rank < k (all-zero data
+    included), so no second draw is made.
 
     Given a ``reference`` (and d <= DENSE_GUARD) A is applied from the
     covariance memo X.covariance(), as the solvers do, so the start makes
-    no data pass; without one it streams X (X^T w) / n. The two agree to
+    no data pass; without one it streams X (X^T g) / n. The two agree to
     rounding.
     """
-    cov = _dense_covariance(X, reference)
-    frame = None
-    for attempt in range(9):
-        g = _stream(seed, jump=attempt).standard_normal((X.d, k) if k > 1
-                                                         else X.d)
-        ag = covariance_apply(X, g) if cov is None else cov @ g
-        if k == 1:
-            nrm = float(np.linalg.norm(ag))
-            if nrm > 0.0:
-                frame = OrthonormalFrame(ag[:, None] / nrm)
-                break
-        else:
-            try:
-                frame = polar_normalize(ag)
-                break
-            except DegenerateIterateError:
-                continue
-    if frame is None:
+    g = _stream(seed).standard_normal((X.d, k) if k > 1 else X.d)
+    ag = _apply(X, _dense_covariance(X, reference), g)
+    try:
+        frame = OrthonormalFrame(_polar(ag.reshape(X.d, k)))
+    except DegenerateIterateError as exc:
         raise DegenerateIterateError(
-            "power warm start drew only kernel vectors after 8 retries")
+            f"power warm start: A G has numerical rank < {k} ({exc})"
+        ) from None
 
     alignment = None
     if reference is not None and k == 1:
-        v1 = reference.column(0)
-        alignment = float((v1 @ frame.column(0)) ** 2)
+        alignment = float((reference.column(0) @ frame.column(0)) ** 2)
     return InitReport(frame=frame, alignment_sq=alignment)
 
 

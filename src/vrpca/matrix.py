@@ -12,7 +12,8 @@ from .errors import DegenerateIterateError, DimensionMismatchError
 
 #: max-entry tolerance for the orthonormal-columns invariant
 ORTHO_TOL = 1e-10
-#: Gram matrices with a smaller minimum eigenvalue are treated as singular
+#: relative rank tolerance of _polar: a k >= 2 Gram matrix whose minimum
+#: eigenvalue is at most this times its maximum is treated as singular
 GRAM_MIN_EIG = 1e-12
 #: the d x d covariance is formed only up to this dimension (d^2 doubles,
 #: 32 MB at the guard); past it the solvers apply the operator implicitly
@@ -104,6 +105,12 @@ class DataMatrix:
         return f"DataMatrix(d={self.d}, n={self.n}, r={self.r:.6g})"
 
 
+def _deviation(arr):
+    """max |W^T W - I| of a raw d x k array: the orthonormality invariant
+    that frames, rotations and solver iterates are held to (ORTHO_TOL)."""
+    return float(np.max(np.abs(arr.T @ arr - np.eye(arr.shape[1]))))
+
+
 class OrthonormalFrame:
     """A d x k matrix with orthonormal columns, validated at construction."""
 
@@ -114,7 +121,7 @@ class OrthonormalFrame:
         d, k = arr.shape
         if not 1 <= k <= d:
             raise DimensionMismatchError(f"frame needs 1 <= k <= d, got d={d}, k={k}")
-        dev = np.max(np.abs(arr.T @ arr - np.eye(k)))
+        dev = _deviation(arr)
         if not dev <= ORTHO_TOL:
             raise DimensionMismatchError(
                 f"columns are not orthonormal: max |W^T W - I| = {dev:.3e}")
@@ -141,7 +148,7 @@ class Rotation:
         k = arr.shape[0]
         if arr.shape != (k, k):
             raise DimensionMismatchError(f"rotation must be square, got {arr.shape}")
-        dev = np.max(np.abs(arr.T @ arr - np.eye(k)))
+        dev = _deviation(arr)
         if not dev <= ORTHO_TOL:
             raise DimensionMismatchError(
                 f"matrix is not orthogonal: max |B^T B - I| = {dev:.3e}")
@@ -175,28 +182,34 @@ def covariance_apply(X: DataMatrix, W):
 
 
 def _polar(arr):
-    """Polar orthonormalization W (W^T W)^{-1/2} on a raw array.
+    """Polar orthonormalization W (W^T W)^{-1/2} on a raw d x k array; the
+    one place where a frame is judged to lack full rank.
 
-    For k = 1 this is exactly division by the Euclidean norm. The k x k
-    Gram matrix is eigendecomposed; an ill-conditioned Gram triggers one
-    refinement pass so the output meets the orthonormality invariant.
+    For k = 1 this is exactly division by the Euclidean norm, and raises
+    DegenerateIterateError unless ||w||^2 lies in (0, inf). For k >= 2 the
+    k x k Gram matrix is eigendecomposed, and it raises unless its minimum
+    eigenvalue exceeds GRAM_MIN_EIG times its maximum (NaN fails too):
+    numerical rank < k relative to the array's own scale, so W and c W are
+    judged alike. A Gram condition number past 1e3 triggers one refinement
+    pass so the output meets the orthonormality invariant. A candidate
+    that is tiny but well conditioned passes; the step functions judge
+    collapse on their own, against an absolute norm floor.
     """
     k = arr.shape[1]
     if k == 1:
         nrm2 = float(arr[:, 0] @ arr[:, 0])
-        if nrm2 <= GRAM_MIN_EIG:
+        if not 0.0 < nrm2 < np.inf:
             raise DegenerateIterateError(
-                f"degenerate iterate: Gram matrix min eigenvalue {nrm2:.3e}")
+                f"degenerate iterate: squared norm {nrm2:.3e}")
         return arr / np.sqrt(nrm2)
-    gram = arr.T @ arr
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= GRAM_MIN_EIG:
+    evals, evecs = np.linalg.eigh(arr.T @ arr)
+    if not evals[0] > GRAM_MIN_EIG * evals[-1]:
         raise DegenerateIterateError(
-            f"degenerate iterate: Gram matrix min eigenvalue {evals[0]:.3e}")
+            f"degenerate iterate: Gram matrix min eigenvalue {evals[0]:.3e}, "
+            f"max {evals[-1]:.3e}")
     out = arr @ ((evecs / np.sqrt(evals)) @ evecs.T)
     if evals[0] < 1e-3 * evals[-1]:
-        gram = out.T @ out
-        evals, evecs = np.linalg.eigh(gram)
+        evals, evecs = np.linalg.eigh(out.T @ out)
         out = out @ ((evecs / np.sqrt(evals)) @ evecs.T)
     return out
 
@@ -205,11 +218,19 @@ def polar_normalize(Wp) -> OrthonormalFrame:
     """Project a full-column-rank d x k matrix onto the nearest orthonormal
     frame, W' (W'^T W')^{-1/2}.
 
-    Raises DegenerateIterateError when the Gram matrix is numerically
-    singular (min eigenvalue <= 1e-12).
+    Raises DegenerateIterateError when W' has numerical rank < k relative
+    to its scale (see _polar): at k = 1 a zero or non-finite norm, at
+    k >= 2 a Gram min eigenvalue <= GRAM_MIN_EIG times the max. Scaling W'
+    changes the result only by rounding.
     """
-    arr = _as_2d(_raw(Wp), "input")
-    return OrthonormalFrame(_polar(arr))
+    return OrthonormalFrame(_polar(_as_2d(_raw(Wp), "input")))
+
+
+def _procrustes(c, d):
+    """The raw k x k rotation B = V U^T minimizing ||C - D B||_F, where
+    U S V^T is an SVD of C^T D."""
+    u, _, vt = np.linalg.svd(c.T @ d)
+    return vt.T @ u.T
 
 
 def procrustes_rotation(C: OrthonormalFrame, D: OrthonormalFrame) -> Rotation:
@@ -221,8 +242,14 @@ def procrustes_rotation(C: OrthonormalFrame, D: OrthonormalFrame) -> Rotation:
     if C.d != D.d or C.k != D.k:
         raise DimensionMismatchError(
             f"frames disagree: ({C.d},{C.k}) vs ({D.d},{D.k})")
-    u, _, vt = np.linalg.svd(C.entries.T @ D.entries)
-    return Rotation(vt.T @ u.T)
+    return Rotation(_procrustes(C.entries, D.entries))
+
+
+def _potential(v, w):
+    """potential() of raw arrays: the squared Frobenius norm of the part
+    of ``w`` outside span(v)."""
+    resid = w - v @ (v.T @ w)
+    return float(np.einsum("ij,ij->", resid, resid))
 
 
 def potential(V: OrthonormalFrame, W: OrthonormalFrame) -> float:
@@ -235,8 +262,7 @@ def potential(V: OrthonormalFrame, W: OrthonormalFrame) -> float:
     if V.d != W.d or V.k != W.k:
         raise DimensionMismatchError(
             f"frames disagree: ({V.d},{V.k}) vs ({W.d},{W.k})")
-    resid = W.entries - V.entries @ (V.entries.T @ W.entries)
-    return float(np.einsum("ij,ij->", resid, resid))
+    return _potential(V.entries, W.entries)
 
 
 def rayleigh_residual(X: DataMatrix, W: OrthonormalFrame) -> float:
@@ -257,6 +283,12 @@ def _dense_covariance(X: DataMatrix, reference):
     if reference is None or X.d > DENSE_GUARD:
         return None
     return X.covariance()
+
+
+def _apply(X: DataMatrix, cov, w):
+    """A w: from the covariance memo ``cov`` (see _dense_covariance), or
+    streamed through covariance_apply when ``cov`` is None."""
+    return covariance_apply(X, w) if cov is None else cov @ w
 
 
 def _residual(w, aw):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import _native
 from .errors import DimensionMismatchError, GapWarning
+from .initialization import _stream
 from .matrix import DataMatrix, OrthonormalFrame, _check_dense
 
 
@@ -169,7 +170,7 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
         raise DimensionMismatchError(
             f"n * max eigenvalue = {n} * {top} overflows a double")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
     gq = rng.standard_normal((d, d))
     q, rq = np.linalg.qr(gq)
     q = q * np.sign(np.diag(rq))

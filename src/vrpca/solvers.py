@@ -16,9 +16,11 @@ from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError
                      GapWarning, NonConvergenceError)
 from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
-                     _dense_covariance, _polar, _residual, covariance_apply)
+                     _apply, _dense_covariance, _deviation, _polar,
+                     _potential, _procrustes, _residual, covariance_apply)
 
-_NORM_FLOOR = 1e-12  # iterate norms below this are degenerate
+#: a step whose candidate's (Frobenius) norm falls below this has collapsed
+_NORM_FLOOR = 1e-12
 
 
 def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
@@ -188,10 +190,7 @@ class _Recorder:
 
     def add(self, epoch, iteration, w, samples, aw=None):
         arr = w if w.ndim == 2 else w[:, None]
-        pot = None
-        if self.ref is not None:
-            resid_v = arr - self.ref @ (self.ref.T @ arr)
-            pot = float(np.einsum("ij,ij->", resid_v, resid_v))
+        pot = None if self.ref is None else _potential(self.ref, arr)
         self.records.append(TraceRecord(
             epoch=epoch, iteration=iteration, potential=pot,
             residual=None if aw is None else _residual(w, aw),
@@ -207,12 +206,6 @@ class _Recorder:
                                 inner_len=self.inner_len)
 
 
-def _apply(X, cov, w):
-    """A w: from the covariance memo ``cov`` (see _dense_covariance), or
-    streamed through covariance_apply when ``cov`` is None."""
-    return covariance_apply(X, w) if cov is None else cov @ w
-
-
 def _check_frame(X, w0, k):
     if w0.d != X.d:
         raise DimensionMismatchError(
@@ -226,8 +219,7 @@ def _check_frame(X, w0, k):
 def _check_iterate(w, where):
     """The one iterate check: max |W^T W - I| <= ORTHO_TOL, which for a k=1
     vector w is |w^T w - 1| <= ORTHO_TOL."""
-    arr = w if w.ndim == 2 else w[:, None]
-    dev = float(np.max(np.abs(arr.T @ arr - np.eye(arr.shape[1]))))
+    dev = _deviation(w if w.ndim == 2 else w[:, None])
     if not dev <= ORTHO_TOL:
         what = ("iterate left the unit sphere" if w.ndim == 1
                 else "iterate columns lost orthonormality")
@@ -242,19 +234,21 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
     ``a`` = X^T W~ is n x k and ``u`` = X X^T W~ / n is not scaled by eta.
     With ``anchor`` = W~, B is the Procrustes rotation minimizing
     ||W - W~ B||_F, recomputed every step; otherwise B = I. Returns 0, or
-    the 1-based step whose candidate's Gram matrix was singular; ``w`` then
-    holds that unnormalized candidate.
+    the 1-based step whose candidate collapsed (Frobenius norm below
+    _NORM_FLOOR, as at k=1) or lost rank (_polar's relative rule); ``w``
+    then holds that unnormalized candidate.
     """
     b = np.eye(w.shape[1])
     ub = eta * u  # valid whenever B = I
     for t, i in enumerate(idx, 1):
         if anchor is not None:
-            us, _, vts = np.linalg.svd(w.T @ anchor)
-            b = vts.T @ us.T
+            b = _procrustes(w, anchor)
             ub = eta * (u @ b)
         x = xd[:, i]
         wp = w + np.outer(x, eta * (x @ w - a[i] @ b)) + ub
         try:
+            if not np.einsum("ij,ij->", wp, wp) >= _NORM_FLOOR**2:
+                raise DegenerateIterateError("collapsed candidate")
             w[:] = _polar(wp)
         except DegenerateIterateError:
             w[:] = wp
@@ -423,8 +417,8 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     absorbed by the d x k work); otherwise B = I, the variant that
     historically worked well in practice. At every trace checkpoint the
     frame must satisfy max |W^T W - I| <= ORTHO_TOL; a failed check, or a
-    step whose Gram matrix is singular, raises DegenerateIterateError with
-    its epoch and step.
+    step whose candidate collapses (norm below 1e-12) or loses rank,
+    raises DegenerateIterateError with its epoch and step.
 
     k = 1 steps in _steps_k1, with the rotation reduced to the sign of the
     overlap w^T anchor. The iterate sequence therefore coincides with

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from vrpca import (ConfigError, ExperimentConfig, compare_baselines,
-                   geometry_report, read_trace, run_experiment, runtime_model,
-                   trace_fingerprint)
+                   geometry_report, harness, read_trace, run_experiment,
+                   runtime_model, trace_fingerprint)
 from vrpca.cli import main as cli_main
 
 from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
@@ -194,6 +194,31 @@ class TestRunExperiment:
                                        lambda_hat=0.3))[0]
         assert rep.final_potential is None  # no reference without oracle
         assert rep.final_residual <= 1e-4
+
+    def test_step_parameters_only_for_solvers_that_read_them(self, capsys):
+        # no gap and no (eta, m): orthogonal iteration and Oja with its
+        # iteration count run and report None; the epoch solvers refuse
+        base = dict(oracle_check=False, k=2, sweeps=5)
+        rep = run_experiment(synth_cfg(solver="orthogonal_iteration",
+                                       **base))[0]
+        assert (rep.eta, rep.m) == (None, None)
+        assert rep.epochs_run == 5
+        rep = run_experiment(synth_cfg(solver="oja", oracle_check=False,
+                                       oja_iters=200, oja_eta0=1.0))[0]
+        assert (rep.eta, rep.m, rep.samples) == (None, None, 200)
+        for solver in ("oja", "vrpca_vector", "vrpca_block", "deflation"):
+            changes = dict(base, solver=solver,
+                           k=1 if solver in ("oja", "vrpca_vector") else 2)
+            with pytest.raises(ConfigError, match="set eta and m"):
+                run_experiment(synth_cfg(**changes))
+        rep = run_experiment(synth_cfg(solver="oja", eta=0.01, m=40,
+                                       epochs=2))[0]
+        assert (rep.eta, rep.m, rep.samples) == (0.01, 40, 80)
+        assert cli_main(["solve", "--spectrum", "1,0.7,0.23,0.1", "--n", "40",
+                         "--solver", "orthogonal_iteration",
+                         "--no-oracle-check", "--sweeps", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)[0]
+        assert (out["eta"], out["m"]) == (None, None)
 
     def test_block_solver_path(self):
         cfg = synth_cfg(solver="vrpca_block", k=2, epochs=5, delta=0.5)
@@ -444,6 +469,34 @@ class TestCli:
         assert "error: seed must lie in [0, 2**64), got -1" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds=-1"], "seed must lie in [0, 2**64), got -1"),
+        (["--seeds", "1,18446744073709551616"],
+         "seed must lie in [0, 2**64), got 18446744073709551616"),
+        (["--synth-seed", "-3"], "synth_seed must lie in [0, 2**64), got -3")])
+    def test_bad_seeds_refused_before_synthesis(self, monkeypatch, capsys,
+                                                flags, message):
+        def refuse(*args):
+            raise AssertionError("synthesize_dataset called")
+
+        monkeypatch.setattr(harness, "synthesize_dataset", refuse)
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--epochs", "1", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("verb", [
+        ["synth", "--spectrum", "1,0.5", "--n", "4"],
+        ["geometry", "--lam", "0.2", "--eps", "0.1", "--samples", "10"]])
+    def test_synth_and_geometry_refuse_a_negative_seed(self, tmp_path,
+                                                       capsys, verb):
+        out = tmp_path / "out"
+        rc = cli_main([*verb, "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: seed must lie in [0, 2**64), got -1\n"
+        assert not out.exists()
+
     def test_solve_refuses_epsilon_with_deflation(self, capsys):
         rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
                        "--solver", "deflation", "--k", "2",
@@ -452,8 +505,8 @@ class TestCli:
         assert "vrpca_block stops on epsilon" in capsys.readouterr().err
 
     def test_degeneracy_exit_code(self, tmp_path):
-        # rank-1 data cannot support a k=2 power warm start: every draw
-        # collapses to a singular Gram and the retries run out
+        # rank-1 data cannot support a k=2 power warm start: A G has
+        # numerical rank 1 < 2 for every draw G
         rc = cli_main(["solve", "--spectrum", "1,0", "--n", "4",
                        "--solver", "vrpca_block", "--k", "2",
                        "--init", "power",

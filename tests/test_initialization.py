@@ -1,13 +1,53 @@
 """Initialization: Gaussian frames, the single-power-iteration warm start,
 and numerical rank."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import GramCounter, counted
 
+import vrpca
+from vrpca import matrix
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    SpectrumSpec, covariance_apply, gaussian_init,
                    numerical_rank, power_warm_start, synthesize_dataset)
+
+
+def _numpy_random_calls(path):
+    """(enclosing function, line) of every call of an np.random attribute
+    (a bit generator, a Generator, the legacy global draws) in ``path``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and ast.unparse(child.func.value) in ("np.random",
+                                                          "numpy.random")):
+                found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_every_library_draw_comes_from_the_stream_helper():
+    # _stream keys every draw; _native's ddot probe uses a fixed key of
+    # its own, as it draws no data
+    allowed = {("initialization.py", "_stream"),
+               ("_native.py", "_matches_matmul")}
+    src = Path(vrpca.__file__).parent
+    calls = {(path.name, where): line
+             for path in sorted(src.glob("*.py"))
+             for where, line in _numpy_random_calls(path)}
+    assert ("initialization.py", "_stream") in calls
+    stray = {key: line for key, line in calls.items() if key not in allowed}
+    assert not stray, f"np.random used outside _stream: {stray}"
 
 
 class TestGaussianInit:
@@ -66,10 +106,42 @@ class TestPowerWarmStart:
         assert np.max(np.abs(w.T @ w - np.eye(3))) <= 1e-10
         assert rep.alignment_sq is None
 
-    def test_zero_covariance_exhausts_retries(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_data_raises_after_one_application(self, monkeypatch, k):
+        calls = []
+
+        def count(X, w):
+            calls.append(w.shape)
+            return covariance_apply(X, w)
+
+        monkeypatch.setattr(matrix, "covariance_apply", count)
         X = DataMatrix(np.zeros((4, 3)))
-        with pytest.raises(DegenerateIterateError, match="retries"):
-            power_warm_start(X, seed=1)
+        with pytest.raises(DegenerateIterateError,
+                           match=rf"A G has numerical rank < {k}"):
+            power_warm_start(X, seed=1, k=k)
+        assert len(calls) == 1
+
+    def test_rank_short_product_raises(self):
+        # rank-2 data: A G has rank 2 < 3 for every draw G
+        rng = np.random.default_rng(6)
+        X = DataMatrix(rng.standard_normal((8, 2)))
+        assert power_warm_start(X, seed=4, k=2).frame.k == 2
+        with pytest.raises(DegenerateIterateError,
+                           match=r"A G has numerical rank < 3"):
+            power_warm_start(X, seed=4, k=3)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-20, 1e20])
+    def test_scaled_data_gives_the_unscaled_start(self, scale):
+        # full-rank d=12, n=200 data: the start judges rank relative to the
+        # scale of A G, so scaling the data moves the frame only by rounding
+        X = DataMatrix(np.random.default_rng(12).standard_normal((12, 200)))
+        Xc = DataMatrix(X.data * scale)
+        for k in (1, 2, 3):
+            for seed in (1, 2, 3):
+                np.testing.assert_allclose(
+                    power_warm_start(Xc, seed, k=k).frame.entries,
+                    power_warm_start(X, seed, k=k).frame.entries,
+                    rtol=0, atol=1e-12)
 
 
 class TestNumericalRank:

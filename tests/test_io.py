@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vrpca import DataMatrix, DatasetFormatError, load_dataset, save_dataset
 from vrpca.cli import main as cli_main
@@ -68,6 +70,27 @@ class TestCsv:
         p.write_text("")
         with pytest.raises(DatasetFormatError, match="empty"):
             load_dataset(p, "csv")
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(fmt=st.sampled_from(FORMATS), d=st.integers(1, 6),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-300, 300))
+    @example(fmt="csv", d=1, n=1, seed=0, exponent=0)
+    @example(fmt="f64le", d=1, n=1, seed=0, exponent=0)
+    @example(fmt="csv", d=4, n=4, seed=1, exponent=-300)
+    @example(fmt="f64le", d=4, n=4, seed=1, exponent=300)
+    def test_both_formats_round_trip_bit_for_bit(self, tmp_path_factory, fmt,
+                                                 d, n, seed, exponent):
+        rng = np.random.default_rng(seed)
+        X = DataMatrix(rng.standard_normal((d, n)) * 10.0**exponent)
+        p = tmp_path_factory.mktemp("roundtrip") / f"data.{fmt}"
+        save_dataset(X, p, fmt)
+        Y = load_dataset(p, fmt)
+        assert (Y.d, Y.n) == (d, n)
+        assert np.array_equal(X.data, Y.data)
+        assert X.r == Y.r
 
 
 class TestBinary:

@@ -3,6 +3,8 @@ alignment, the subspace potential, the Rayleigh residual, and rescaling."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    OrthonormalFrame, covariance_apply, polar_normalize,
@@ -13,6 +15,21 @@ from conftest import random_orthogonal
 
 def frame_of(cols):
     return OrthonormalFrame(np.asarray(cols, dtype=float))
+
+
+#: (d, k, seed) with 1 <= k <= d <= 8; k = d included
+dims = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d),
+                        st.integers(0, 2**32 - 1)))
+
+
+def random_matrix(d, k, rng, rank=None, lo=-3.0):
+    """U diag(s) V^T with U d x r, V k x r orthonormal, r = rank (k by
+    default) and singular values s in [10**lo, 1]."""
+    r = k if rank is None else rank
+    u = random_orthogonal(d, rng)[:, :r]
+    v = random_orthogonal(k, rng)[:, :r]
+    return (u * 10.0 ** rng.uniform(lo, 0.0, size=r)) @ v.T
 
 
 class TestDataMatrix:
@@ -149,6 +166,80 @@ class TestPolarNormalize:
         wp[:, 1] = [1.0, 1e-9, 0, 0]
         with pytest.raises(DegenerateIterateError, match="min eigenvalue"):
             polar_normalize(wp)
+
+
+class TestPolarProperties:
+    """Invariants of polar_normalize over shapes 1 <= k <= d <= 8."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims, scale=st.floats(-5.0, 5.0))
+    @example(dims=(1, 1, 0), scale=0.0)
+    @example(dims=(5, 5, 1), scale=0.0)
+    def test_output_is_orthonormal(self, dims, scale):
+        d, k, seed = dims
+        rng = np.random.default_rng(seed)
+        out = polar_normalize(random_matrix(d, k, rng) * 10.0**scale).entries
+        assert np.max(np.abs(out.T @ out - np.eye(k))) <= 1e-12
+
+    # singular values within a factor 10**1.5 of each other: the polar
+    # factor moves with rounding in proportion to the condition number
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims)
+    @example(dims=(4, 4, 2))
+    def test_commutes_with_right_rotations(self, dims):
+        d, k, seed = dims
+        rng = np.random.default_rng(seed)
+        w = random_matrix(d, k, rng, lo=-1.5)
+        r = random_orthogonal(k, rng)
+        np.testing.assert_allclose(polar_normalize(w @ r).entries,
+                                   polar_normalize(w).entries @ r,
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims, exponent=st.floats(-20.0, 20.0))
+    @example(dims=(3, 3, 4), exponent=-20.0)
+    @example(dims=(3, 2, 4), exponent=20.0)
+    def test_ignores_the_scale(self, dims, exponent):
+        d, k, seed = dims
+        w = random_matrix(d, k, np.random.default_rng(seed), lo=-1.5)
+        np.testing.assert_allclose(polar_normalize(w * 10.0**exponent).entries,
+                                   polar_normalize(w).entries,
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dims=dims, rank=st.integers(0, 8),
+           exponent=st.floats(-20.0, 20.0))
+    @example(dims=(1, 1, 0), rank=0, exponent=0.0)
+    @example(dims=(6, 6, 3), rank=5, exponent=-20.0)
+    def test_raises_exactly_when_rank_is_short(self, dims, rank, exponent):
+        d, k, seed = dims
+        rank = min(rank, k)
+        w = random_matrix(d, k, np.random.default_rng(seed), rank=rank)
+        w *= 10.0**exponent
+        if rank < k:
+            with pytest.raises(DegenerateIterateError):
+                polar_normalize(w)
+        else:
+            assert polar_normalize(w).k == k
+
+
+class TestProcrustesProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims)
+    @example(dims=(1, 1, 0))
+    @example(dims=(4, 4, 7))
+    def test_orthogonal_and_beats_random_rotations(self, dims):
+        d, k, seed = dims
+        rng = np.random.default_rng(seed)
+        c = frame_of(random_orthogonal(d, rng)[:, :k])
+        d_frame = frame_of(random_orthogonal(d, rng)[:, :k])
+        b = procrustes_rotation(c, d_frame).entries
+        assert np.max(np.abs(b.T @ b - np.eye(k))) <= 1e-12
+        achieved = np.linalg.norm(c.entries - d_frame.entries @ b)
+        for _ in range(20):
+            q = random_orthogonal(k, rng)
+            assert achieved <= np.linalg.norm(
+                c.entries - d_frame.entries @ q) + 1e-12
 
 
 class TestProcrustes:

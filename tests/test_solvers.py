@@ -4,14 +4,15 @@ solvers, burn-in, and the baselines."""
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, DataMatrix, DimensionMismatchError,
+from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
+                   DimensionMismatchError,
                    GapWarning, NonConvergenceError,
                    OrthonormalFrame, SolverConfig, SolverConstants, burn_in,
                    deflation_solve,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, rayleigh_residual,
                    select_parameters, vrpca_block, vrpca_vector)
-from vrpca import ExperimentConfig, _native, harness, initialization, solvers
+from vrpca import ExperimentConfig, _native, harness, matrix, solvers
 from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
 
 from conftest import GramCounter, Instance, counted
@@ -305,7 +306,7 @@ def _record_indices(monkeypatch):
 class TestSeedStreams:
     """Every solve-path draw comes from _stream(seed, purpose, jump), whose
     documented keys burn_in, oja_baseline, the deflation stages and the
-    warm-start retries keep."""
+    warm start keep."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**64 - 1])
     def test_each_purpose_draws_its_documented_key(self, seed):
@@ -345,26 +346,32 @@ class TestSeedStreams:
             want = _philox(cfg.seed, j - 1).integers(0, X.n, size=epochs * m)
             assert np.array_equal(got, want), j
 
-    def test_warm_start_retry_a_draws_the_run_stream_jumped(self,
-                                                           monkeypatch):
-        # A maps the first three draws to zero: the start is retry 3's
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_warm_start_makes_one_draw_from_the_run_stream(self, monkeypatch,
+                                                          k):
+        # A is the identity: the start is the draw itself, orthonormalized;
+        # a draw A maps to zero raises, without a second draw
         X = DataMatrix(np.eye(5))
         drawn = []
 
-        def kernel_first(X, g):
+        def identity(X, g):
             drawn.append(g.copy())
-            return g if len(drawn) > 3 else np.zeros_like(g)
+            return g
 
-        monkeypatch.setattr(initialization, "covariance_apply", kernel_first)
-        frame = power_warm_start(X, seed=9).frame
-        assert len(drawn) == 4
-        for attempt, g in enumerate(drawn):
-            assert np.array_equal(g, _philox(9, attempt).standard_normal(5))
-        np.testing.assert_allclose(frame.column(0),
-                                   drawn[3] / np.linalg.norm(drawn[3]),
-                                   atol=1e-15)
+        monkeypatch.setattr(matrix, "covariance_apply", identity)
+        frame = power_warm_start(X, seed=9, k=k).frame
+        g = _philox(9).standard_normal((5, k) if k > 1 else 5)
+        assert len(drawn) == 1 and np.array_equal(drawn[0], g)
+        np.testing.assert_array_equal(
+            frame.entries, matrix.polar_normalize(g).entries)
+        drawn.clear()
+        monkeypatch.setattr(matrix, "covariance_apply",
+                            lambda X, g: drawn.append(g) or 0.0 * g)
+        with pytest.raises(DegenerateIterateError, match="numerical rank"):
+            power_warm_start(X, seed=9, k=k)
+        assert len(drawn) == 1
         assert np.array_equal(gaussian_init(5, 2, seed=9).entries,
-                              initialization.polar_normalize(
+                              matrix.polar_normalize(
                                   _philox(9).standard_normal((5, 2))).entries)
 
     def test_burn_in_draws_a_stream_of_its_own(self, burn_instance,
@@ -478,6 +485,19 @@ class TestOrthogonalIteration:
         bound = (s[1] / s[0]) ** (2 * 50) * p0
         assert trace.records[-1].potential <= 10.0 * bound
 
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-20, 1e20])
+    def test_scaled_data_gives_the_unscaled_frames(self, scale):
+        # full-rank d=12, n=200 data: each sweep judges the rank of A W
+        # relative to its scale, so scaling the data moves only rounding
+        X = DataMatrix(np.random.default_rng(12).standard_normal((12, 200)))
+        Xc = DataMatrix(X.data * scale)
+        for k in (1, 2, 3):
+            w0 = gaussian_init(X.d, k, seed=k)
+            np.testing.assert_allclose(
+                orthogonal_iteration(Xc, w0, sweeps=5).final_frame.entries,
+                orthogonal_iteration(X, w0, sweeps=5).final_frame.entries,
+                rtol=0, atol=1e-12)
 
     def test_negative_sweeps_refused(self, small_k1):
         w0 = gaussian_init(small_k1.Xs.d, 2, seed=2)
@@ -635,6 +655,7 @@ class TestRecorderPasses:
         def refuse(*args):
             raise AssertionError("covariance_apply called")
 
+        monkeypatch.setattr(matrix, "covariance_apply", refuse)
         monkeypatch.setattr(solvers, "covariance_apply", refuse)
         X = small_k1.Xs
         for solve, k in ((vrpca_vector, 1), (vrpca_block, 1),
@@ -720,6 +741,7 @@ class TestRecorderPasses:
         def refuse(*args):
             raise AssertionError("covariance_apply called")
 
+        monkeypatch.setattr(matrix, "covariance_apply", refuse)
         monkeypatch.setattr(solvers, "covariance_apply", refuse)
         w0 = gaussian_init(burn_instance.Xs.d, 1, seed=11)
         frame, iters = burn_in(burn_instance.Xs, w0, zeta=1.0 / 30, delta=0.5,
@@ -734,13 +756,13 @@ class TestRecorderPasses:
         frames = [orthogonal_iteration(X, w0, sweeps=s).final_frame
                   for s in range(5)]
         calls = []
-        real = solvers.covariance_apply
+        real = matrix.covariance_apply
 
         def count(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(solvers, "covariance_apply", count)
+        monkeypatch.setattr(matrix, "covariance_apply", count)
         trace = orthogonal_iteration(X, w0, sweeps=4)
         assert len(calls) == 4 + 1
         assert [r.residual for r in trace.records] == \
