@@ -6,8 +6,8 @@ per process. If no compiler is found or the build or load fails, a
 RuntimeWarning says why, once; ``steps_k1`` then returns None and
 ``balance_rows`` False, as it also does when numpy's BLAS has no cblas
 ddot that reproduces x @ y bit for bit. Callers then run their numpy
-references, _steps_k1_numpy (within 1e-12: it sums in another order) and
-_balance_rows_numpy (bit for bit). Operands outside the C contract raise
+references, _steps_k1_numpy and _balance_rows_numpy, which give the
+compiled loops' bits. Operands outside the C contract raise
 DimensionMismatchError before any C call."""
 
 from __future__ import annotations

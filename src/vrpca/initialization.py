@@ -64,10 +64,15 @@ class InitReport:
     alignment_sq: float | None = None
 
 
-def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
-    """Orthonormalized standard-Gaussian d x k frame (seeded, reproducible)."""
+def _check_k(k, d):
+    """Refuse a frame of more columns than dimensions."""
     if k > d:
         raise DimensionMismatchError(f"k={k} exceeds d={d}")
+
+
+def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
+    """Orthonormalized standard-Gaussian d x k frame (seeded, reproducible)."""
+    _check_k(k, d)
     return polar_normalize(_stream(seed).standard_normal((d, k)))
 
 
@@ -82,16 +87,18 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     extrapolation and is only guaranteed to satisfy the frame invariant.
     G is one draw from the run stream _stream(seed) (a vector at k = 1).
 
-    When A G has numerical rank < k (_polar's rule, relative to the scale
-    of A G) it raises DegenerateIterateError. Short of a null set of
-    draws, that happens only when A itself has rank < k (all-zero data
-    included), so no second draw is made.
+    A k above X.d raises DimensionMismatchError before the draw, as
+    gaussian_init does. When A G has numerical rank < k (_polar's rule,
+    relative to the scale of A G) it raises DegenerateIterateError. Short
+    of a null set of draws, that happens only when A itself has rank < k
+    (all-zero data included), so no second draw is made.
 
     Given a ``reference`` (and d <= DENSE_GUARD) A is applied from the
     covariance memo X.covariance(), as the solvers do, so the start makes
     no data pass; without one it streams X (X^T g) / n. The two agree to
     rounding.
     """
+    _check_k(k, X.d)
     g = _stream(seed).standard_normal((X.d, k) if k > 1 else X.d)
     ag = _apply(X, _dense_covariance(X, reference), g)
     try:

@@ -23,21 +23,37 @@ from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
 _NORM_FLOOR = 1e-12
 
 
+def _sum8(p):
+    """The kernel's sum of the products ``p``: eight lanes over the first
+    len(p) - len(p) % 8 terms, the rest added to lane 0 in turn, then the
+    lanes paired as ((0+4) + (1+5)) + ((2+6) + (3+7))."""
+    q = len(p) - len(p) % 8
+    s = p[:q].reshape(-1, 8).sum(axis=0).tolist()  # row by row along axis 0
+    for v in p[q:].tolist():
+        s[0] += v
+    return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
+
+
 def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
                     btx=None, etas=None):
-    """Reference for _steps_k1, one interpreted step at a time."""
+    """Reference for _steps_k1, one interpreted step at a time, in the
+    compiled kernel's arithmetic and order: the same bits."""
     for t, i in enumerate(idx, 1):
-        x = xd[:, i] if basis is None else xd[:, i] - basis @ btx[i]
+        x = xd[:, i]
+        if basis is not None:
+            p = np.zeros(len(x))
+            for l in range(basis.shape[1]):
+                p += basis[:, l] * btx[i, l]
+            x = x - p
         e = eta if etas is None else etas[t - 1]
-        if anchor is None or w @ anchor >= 0.0:
-            wp = w + (e * (x @ w - a[i])) * x + eu
-        else:  # the aligning rotation of the 1x1 overlap is -1
-            wp = w + (e * (x @ w + a[i])) * x - eu
-        nrm2 = wp @ wp
+        # s: the aligning rotation of the 1x1 overlap w^T w~
+        s = 1.0 if anchor is None or _sum8(w * anchor) >= 0.0 else -1.0
+        wp = (w + (e * (_sum8(x * w) - s * a[i])) * x) + s * eu
+        nrm2 = _sum8(wp * wp)
         w[:] = wp
         if nrm2 < _NORM_FLOOR**2:
             return t
-        w /= np.sqrt(nrm2)
+        w *= 1.0 / np.sqrt(nrm2)
     return 0
 
 

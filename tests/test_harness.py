@@ -504,6 +504,20 @@ class TestCli:
         assert rc == 1
         assert "vrpca_block stops on epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", ["power", "gaussian"])
+    def test_k_above_data_dimension_exits_1(self, tmp_path, capsys, init):
+        # the file's d is known only once it is loaded
+        data = tmp_path / "data.vrpc"
+        assert cli_main(["synth", "--spectrum", "1,0.7,0.2", "--n", "16",
+                         "--seed", "3", "--format", "f64le",
+                         "--out", str(data)]) == 0
+        rc = cli_main(["solve", "--dataset", str(data), "--format", "f64le",
+                       "--solver", "vrpca_block", "--k", "4", "--init", init,
+                       "--eta", "0.01", "--m", "50", "--epochs", "1",
+                       "--seeds", "1", "--no-oracle-check"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: k=4 exceeds d=3\n"
+
     def test_degeneracy_exit_code(self, tmp_path):
         # rank-1 data cannot support a k=2 power warm start: A G has
         # numerical rank 1 < 2 for every draw G

@@ -9,7 +9,7 @@ import pytest
 from conftest import GramCounter, counted
 
 import vrpca
-from vrpca import matrix
+from vrpca import initialization, matrix
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    SpectrumSpec, covariance_apply, gaussian_init,
                    numerical_rank, power_warm_start, synthesize_dataset)
@@ -105,6 +105,18 @@ class TestPowerWarmStart:
         w = rep.frame.entries
         assert np.max(np.abs(w.T @ w - np.eye(3))) <= 1e-10
         assert rep.alignment_sq is None
+
+    @pytest.mark.parametrize("init", [
+        lambda X, k: gaussian_init(X.d, k, seed=1),
+        lambda X, k: power_warm_start(X, seed=1, k=k)],
+        ids=["gaussian", "power"])
+    def test_k_above_d_refused_before_the_draw(self, monkeypatch, init):
+        # both starts refuse it alike, and neither draws nor applies A
+        X = DataMatrix(np.random.default_rng(0).standard_normal((3, 8)))
+        monkeypatch.setattr(initialization, "_stream", None)
+        monkeypatch.setattr(initialization, "_apply", None)
+        with pytest.raises(DimensionMismatchError, match=r"^k=4 exceeds d=3$"):
+            init(X, 4)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_data_raises_after_one_application(self, monkeypatch, k):

@@ -395,8 +395,9 @@ class TestSeedStreams:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_oja_draws_the_run_stream(self, monkeypatch, small_k1, seed):
-        # Oja's steps, written out on the run stream's indices: the compiled
-        # k=1 steps agree to 1e-12, the numpy fallback bit for bit
+        # Oja's steps, written out on the run stream's indices and summed in
+        # the kernel's order: the compiled steps and the numpy fallback
+        # reproduce them bit for bit
         X = small_k1.Xs
         w0 = gaussian_init(X.d, 1, seed=3)
         idx = np.random.Generator(np.random.Philox(key=seed)).integers(
@@ -404,10 +405,10 @@ class TestSeedStreams:
         w = w0.entries[:, 0].copy()
         for t in range(1, 301):
             x = X.data[:, idx[t - 1]]
-            wp = w + (0.5 / t * (x @ w)) * x
-            w = wp / np.sqrt(wp @ wp)
+            wp = w + (0.5 / t * solvers._sum8(x * w)) * x
+            w = wp * (1.0 / np.sqrt(solvers._sum8(wp * wp)))
         compiled = oja_baseline(X, w0, 0.5, 300, seed=seed)
-        assert np.max(np.abs(compiled.final_frame.entries[:, 0] - w)) <= 1e-12
+        assert np.array_equal(compiled.final_frame.entries[:, 0], w)
         monkeypatch.setattr(_native, "_library", lambda: None)
         trace = oja_baseline(X, w0, 0.5, 300, seed=seed)
         assert np.array_equal(trace.final_frame.entries[:, 0], w)
