@@ -16,9 +16,8 @@
  * lane in either copy, and with contraction off every lane makes the same
  * IEEE operations in the same order. Its helpers are always inlined, so
  * the AVX2 copy runs no SSE code (mixing the two costs a transition
- * penalty on each call). There is no AVX-512 copy: against AVX2 it ran
- * slower on one host and at most 15% faster per step on another. Neither
- * loop starts a thread. */
+ * penalty on each call). There is no AVX-512 copy: it gained little or
+ * nothing over AVX2 on the hosts measured. Neither loop starts a thread. */
 #include <math.h>
 #include <stdint.h>
 

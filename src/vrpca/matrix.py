@@ -4,9 +4,7 @@ subspace metrics shared by every solver."""
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,10 +18,6 @@ GRAM_MIN_EIG = 1e-12
 #: the d x d covariance is formed only up to this dimension (d^2 doubles,
 #: 32 MB at the guard); past it the solvers apply the operator implicitly
 DENSE_GUARD = 2000
-
-#: a data matrix of at least this many entries has its column norms summed
-#: on every CPU the process may use
-NORM_SPLIT = 1 << 20
 
 # one lock for every matrix's covariance memo: a lock held by each
 # DataMatrix would make it unpicklable
@@ -47,41 +41,6 @@ def _check_dense(d, instead):
             f"d={d} exceeds the dense guard ({DENSE_GUARD}); {instead}")
 
 
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _column_norms(arr):
-    """The squared Euclidean norm of each column of the d x n ``arr``.
-
-    From NORM_SPLIT entries on, the columns are cut into one contiguous
-    slice per usable CPU; the caller sums the first and a worker thread
-    each of the others (einsum releases the GIL). Each column is still
-    summed alone, over the same memory, so the bits do not depend on the
-    split."""
-    n = arr.shape[1]
-    parts = min(_usable_cpus(), n)
-    if arr.size < NORM_SPLIT or parts < 2:
-        return np.einsum("ij,ij->j", arr, arr)
-    norms = np.empty(n)
-    cuts = [n * p // parts for p in range(parts + 1)]
-
-    def part(lo, hi):
-        np.einsum("ij,ij->j", arr[:, lo:hi], arr[:, lo:hi],
-                  out=norms[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        rest = [pool.submit(part, lo, hi)
-                for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        part(cuts[0], cuts[1])
-        for done in rest:
-            done.result()
-    return norms
-
-
 class DataMatrix:
     """Immutable d x n store of n data points in d dimensions.
 
@@ -92,7 +51,7 @@ class DataMatrix:
     read-only: ``load_dataset`` hands over a view of a read-only file
     mapping this way, which then lives as long as the matrix. The maximum
     squared Euclidean column norm is computed once from the stored columns
-    (on every usable CPU for large matrices) and cached as ``r``.
+    and cached as ``r``.
 
     The column norms double as the finiteness check: a NaN or an infinite
     entry makes its column's squared norm NaN or inf, so the entries are
@@ -114,7 +73,7 @@ class DataMatrix:
         d, n = arr.shape
         if d < 1 or n < 1:
             raise DimensionMismatchError(f"empty data matrix (shape {arr.shape})")
-        norms = _column_norms(arr)
+        norms = np.einsum("ij,ij->j", arr, arr)
         if not np.isfinite(norms).all() and not np.isfinite(arr).all():
             raise DimensionMismatchError("data matrix contains non-finite entries")
         arr.flags.writeable = False

@@ -27,10 +27,11 @@ def _sum8(p):
     """The kernel's sum of the products ``p``: eight lanes over the first
     len(p) - len(p) % 8 terms, the rest added to lane 0 in turn, then the
     lanes paired as ((0+4) + (1+5)) + ((2+6) + (3+7))."""
-    q = len(p) - len(p) % 8
-    s = p[:q].reshape(-1, 8).sum(axis=0).tolist()  # row by row along axis 0
-    for v in p[q:].tolist():
-        s[0] += v
+    q = len(p) & -8
+    s = np.add.reduce(p[:q].reshape(-1, 8)).tolist()  # row by row, axis 0
+    if q < len(p):
+        for v in p[q:].tolist():
+            s[0] += v
     return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
 
 

@@ -10,7 +10,6 @@ from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    OrthonormalFrame, covariance_apply, polar_normalize,
                    potential, procrustes_rotation, rayleigh_residual,
                    rescale_dataset)
-from vrpca import matrix
 from conftest import random_orthogonal
 
 
@@ -34,21 +33,6 @@ def random_matrix(d, k, rng, rank=None, lo=-3.0):
 
 
 class TestDataMatrix:
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
-    def test_split_norm_pass_is_bit_identical(self, monkeypatch, cpus):
-        # past NORM_SPLIT the columns are summed in one slice per CPU; each
-        # column is still summed alone, so no bit may move
-        d = 101
-        n = matrix.NORM_SPLIT // d + 7
-        rng = np.random.default_rng(cpus)
-        cols = np.asfortranarray(rng.standard_normal((d, n))
-                                 * 10.0 ** rng.integers(-6, 7, size=n))
-        one = np.einsum("ij,ij->j", cols, cols)
-        monkeypatch.setattr(matrix, "_usable_cpus", lambda: cpus)
-        assert cols.size >= matrix.NORM_SPLIT
-        assert np.array_equal(matrix._column_norms(cols), one)
-        assert DataMatrix(cols).r == float(np.max(one))
-
     def test_r_matches_recomputed_max_norm(self):
         rng = np.random.default_rng(9)
         cols = rng.standard_normal((6, 11))
