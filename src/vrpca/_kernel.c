@@ -1,8 +1,8 @@
 /* The library's two compiled loops. vrpca._native alone builds, loads and
  * calls them; its _ABI table must match the prototypes below (a test
- * parses them). vrpca_steps_k1 runs solvers._steps_k1; vrpca_balance_rows
- * runs oracle._balance_rows and sums no dot product itself: it calls the
- * BLAS ddot numpy's x @ y calls, through a pointer the caller passes.
+ * parses them). vrpca_steps_k1 runs solvers._steps_k1 and
+ * vrpca_balance_rows oracle._balance_rows; both take every dot product from
+ * dot below, whose order _native._sum8 mirrors.
  *
  * Built with -O3 -ffp-contract=off and without -ffast-math or -march, so the
  * compiler neither fuses nor reorders floating-point operations: it
@@ -133,21 +133,6 @@ int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
     return 0;
 }
 
-/* cblas ddot, n typed as the BLAS build's integer: 64 bits in ILP64 builds
- * (whose symbols end in 64_), else 32 */
-typedef double (*ddot64_fn)(int64_t, const double *, int64_t, const double *,
-                            int64_t);
-typedef double (*ddot32_fn)(int32_t, const double *, int32_t, const double *,
-                            int32_t);
-
-static double blas_dot(const void *ddot, int64_t ilp64, const double *a,
-                       const double *b, int64_t d)
-{
-    if (ilp64)
-        return ((ddot64_fn)ddot)(d, a, 1, b, 1);
-    return ((ddot32_fn)ddot)((int32_t)d, a, 1, b, 1);
-}
-
 /* The row numpy's argmin (sign -1) or argmax (sign +1) would pick of rows a
  * and b of v: the better value, a NaN before any number, the lower index on
  * ties. -1 marks a padding leaf, which never wins. */
@@ -183,14 +168,12 @@ static void build(int64_t *tree, int64_t leaves, const double *v, int64_t n,
         tree[k] = pick(v, tree[2 * k], tree[2 * k + 1], sign);
 }
 
-/* oracle._balance_rows on its operands, b being n x d. ddot is numpy's
- * BLAS ddot, ilp64 nonzero when its n is 64 bits wide. bi and bj are d
+/* oracle._balance_rows on its operands, b being n x d. bi and bj are d
  * doubles of scratch, tree 4 * leaves int64 (leaves: the least power of two
  * >= n) for the argmin and argmax tournament trees. */
 void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
-                        double tau, double tol, const void *ddot,
-                        int64_t ilp64, double *bi, double *bj, int64_t *tree,
-                        int64_t leaves)
+                        double tau, double tol, double *bi, double *bj,
+                        int64_t *tree, int64_t leaves)
 {
     int64_t *lo_tree = tree, *hi_tree = tree + 2 * leaves;
     build(lo_tree, leaves, norms, n, -1.0);
@@ -201,7 +184,7 @@ void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
         if (hi - lo <= tol)
             return;
         double *row_i = b + i * d, *row_j = b + j * d;
-        double cross = blas_dot(ddot, ilp64, row_i, row_j, d);
+        double cross = dot(row_i, row_j, d);
         double disc = cross * cross - (lo - tau) * (hi - tau);
         double root = sqrt(disc < 0.0 ? 0.0 : disc); /* max(disc, 0.0) */
         /* the larger-magnitude root, for numerical stability */
@@ -218,8 +201,8 @@ void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
             row_i[k] = bi[k];
         for (int64_t k = 0; k < d; k++)
             row_j[k] = bj[k];
-        norms[i] = blas_dot(ddot, ilp64, bi, bi, d);
-        norms[j] = blas_dot(ddot, ilp64, bj, bj, d);
+        norms[i] = dot(bi, bi, d);
+        norms[j] = dot(bj, bj, d);
         replay(lo_tree, leaves, norms, i, -1.0);
         replay(lo_tree, leaves, norms, j, -1.0);
         replay(hi_tree, leaves, norms, i, 1.0);

@@ -1,13 +1,13 @@
-"""The compiled library ``_kernel.c``: its build, load and C ABI, and the
-BLAS ddot its row balancing calls. No other module knows it exists.
+"""The compiled library ``_kernel.c``: its build, load and C ABI, and
+``_sum8``, the Python mirror of the order in which its loops sum a dot
+product. No other module knows the library exists.
 
 The library is built on first use, not at import, and loaded at most once
 per process. If no compiler is found or the build or load fails, a
 RuntimeWarning says why, once; ``steps_k1`` then returns None and
-``balance_rows`` False, as it also does when numpy's BLAS has no cblas
-ddot that reproduces x @ y bit for bit. Callers then run their numpy
-references, _steps_k1_numpy and _balance_rows_numpy, which give the
-compiled loops' bits. Operands outside the C contract raise
+``balance_rows`` False. Callers then run their numpy references,
+_steps_k1_numpy and _balance_rows_numpy, which sum through _sum8 and so
+give the compiled loops' bits. Operands outside the C contract raise
 DimensionMismatchError before any C call."""
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 #: the C signature of each exported function: (return type, parameter types)
 _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
                                 _I, _P, _P, _D)),
-        "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _I, _P, _P,
-                                      _P, _I))}
+        "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _P, _P,
+                                      _I))}
 _lock = threading.Lock()
 _lib = None  # the loaded library; False once it proved unavailable
 
@@ -117,6 +117,18 @@ def _check(contract, ok, *operands):
         raise DimensionMismatchError(f"{contract} operands violate its contract")
 
 
+def _sum8(p):
+    """The kernel's sum of the products ``p``: eight lanes over the first
+    len(p) - len(p) % 8 terms, the rest added to lane 0 in turn, then the
+    lanes paired as ((0+4) + (1+5)) + ((2+6) + (3+7))."""
+    q = len(p) & -8
+    s = np.add.reduce(p[:q].reshape(-1, 8)).tolist()  # row by row, axis 0
+    if q < len(p):
+        for v in p[q:].tolist():
+            s[0] += v
+    return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
+
+
 def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, etas, norm_floor):
     """solvers._steps_k1 in C, ``norm_floor`` its degenerate-norm bound:
     the step code, or None when the library is unavailable."""
@@ -140,75 +152,17 @@ def steps_k1(xd, idx, a, eu, eta, w, anchor, basis, btx, etas, norm_floor):
         norm_floor)
 
 
-#: cblas ddot symbols numpy's BLAS may export; ILP64 builds, whose n is 64
-#: bits wide, end theirs in 64_
-_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
-                 "cblas_ddot")
-_ddot = None  # (function, ilp64) that passed the probe; False if none did
-
-
-def _ddot_candidates():
-    """(function, ilp64) for each symbol of _DDOT_SYMBOLS that numpy's own
-    extension module resolves, i.e. from the BLAS library numpy loaded, typed
-    as cblas_ddot(n, x, incx, y, incy)."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    found = []
-    for name in _DDOT_SYMBOLS:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            ilp64 = name.endswith("64_")
-            n_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
-            fn.argtypes = [n_t, ctypes.c_void_p, n_t, ctypes.c_void_p, n_t]
-            fn.restype = ctypes.c_double
-            found.append((fn, ilp64))
-    return found
-
-
-def _matches_matmul(fn, lengths):
-    """Whether ``fn`` returns numpy's x @ y and x @ x bit for bit on seeded
-    Gaussian vectors of each length."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    for n in lengths:
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        if (fn(n, x.ctypes.data, 1, y.ctypes.data, 1) != x @ y
-                or fn(n, x.ctypes.data, 1, x.ctypes.data, 1) != x @ x):
-            return False
-    return True
-
-
-def _numpy_ddot(d):
-    """numpy's own BLAS ddot as (function, ilp64), or None: the first
-    candidate that reproduces x @ y bit for bit at lengths 1-64, once it
-    also does at length d."""
-    global _ddot
-    if _ddot is None:
-        try:
-            found = _ddot_candidates()
-        except (ImportError, OSError):
-            found = []
-        _ddot = next((c for c in found if _matches_matmul(c[0], range(1, 65))),
-                     False)
-    return _ddot if _ddot and _matches_matmul(_ddot[0], (d,)) else None
-
-
 def balance_rows(b, norms, tau, tol):
-    """oracle._balance_rows in C, every dot product from numpy's BLAS
-    ddot: whether it ran."""
+    """oracle._balance_rows in C: whether it ran."""
     lib = _library()
-    n, d = b.shape
-    ddot = None if lib is None else _numpy_ddot(d)
-    if ddot is None:
+    if lib is None:
         return False
+    n, d = b.shape
     _check("balancing", True, (b, (n, d), "CW"), (norms, (n,), "CW"))
     leaves = 1 << (n - 1).bit_length()
     bi, bj = np.empty(d), np.empty(d)
     tree = np.empty(4 * leaves, dtype=np.int64)
     lib.vrpca_balance_rows(b.ctypes.data, n, d, norms.ctypes.data, tau, tol,
-                           ctypes.cast(ddot[0], ctypes.c_void_p).value,
-                           ddot[1], bi.ctypes.data, bj.ctypes.data,
-                           tree.ctypes.data, leaves)
+                           bi.ctypes.data, bj.ctypes.data, tree.ctypes.data,
+                           leaves)
     return True

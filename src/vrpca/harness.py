@@ -36,6 +36,12 @@ _EPOCH_SOLVERS = {"vrpca_vector": vrpca_vector, "vrpca_block": vrpca_block,
 #: epsilon used by the runtime model when the config leaves it unset
 MODEL_EPSILON = 1e-6
 
+#: the most inner steps, m * epochs, that a run may take with the m that
+#: select_parameters chose: that m grows as 1/gap^2, so a zero or tiny
+#: eigengap selects one that no run finishes (at d = 100, 10^9 compiled
+#: steps take about two minutes, and each index segment holds m/10 int64s)
+STEP_BUDGET = 10**9
+
 #: keys of a trace row, one per TraceRecord field in declaration order
 #: ("iter" holds TraceRecord.iteration)
 TRACE_KEYS = ("epoch", "iter", "potential", "residual", "samples", "elapsed_s")
@@ -105,6 +111,32 @@ class ExperimentConfig:
         if self.oja_eta0 is not None and not self.oja_eta0 > 0.0:
             raise ConfigError(
                 f"oja_eta0 must be positive, got {self.oja_eta0}")
+        # the run ranges SolverConfig, select_parameters and burn_in check
+        # too, refused here before any data is loaded or synthesized
+        if self.eta is not None and not self.eta > 0.0:
+            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if self.m is not None and self.m < 1:
+            raise ConfigError(f"epoch length m must be >= 1, got {self.m}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must lie in (0,1), got {self.delta}")
+        if self.epsilon is not None and not self.epsilon > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.zeta is not None and not 0.0 < self.zeta <= 1.0:
+            raise ConfigError(f"zeta must lie in (0,1], got {self.zeta}")
+        if (self.eta is None) != (self.m is None) and self._selects_steps:
+            raise ConfigError(
+                "set both eta and m, or neither to select them from the "
+                f"eigengap; got eta={self.eta}, m={self.m}")
+
+    @property
+    def _selects_steps(self):
+        """Whether the run reads (eta, m), so that _single_run selects them
+        unless both are set: every solver but orthogonal iteration, and
+        Oja only without oja_iters."""
+        return not (self.solver == "orthogonal_iteration" or (
+            self.solver == "oja" and self.oja_iters is not None))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -232,6 +264,23 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     d, n = X.d, X.n
     k = cfg.k
 
+    # (eta, m) only for the solvers that read them; Oja reads m alone,
+    # for its default iteration count
+    eta, m = cfg.eta, cfg.m
+    if not cfg._selects_steps:
+        eta = m = None
+    elif eta is None:  # and so is m: the config sets both or neither
+        if gap is None:
+            raise ConfigError(
+                "set eta and m explicitly, or provide an eigengap estimate "
+                "(oracle_check or lambda_hat) for parameter selection")
+        eta, m = select_parameters(gap, X.r, k, cfg.delta)
+        if m * cfg.epochs > STEP_BUDGET:
+            raise ConfigError(
+                f"eigengap {gap * scale:.3e} selects m = {m}: {cfg.epochs} "
+                f"epochs of m steps exceed the step budget of {STEP_BUDGET}; "
+                "set eta and m explicitly")
+
     if cfg.init == "gaussian":
         frame = gaussian_init(d, k, seed)
         align = None
@@ -256,19 +305,6 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
             burn_iters = exc.iterations
             if exc.frame is not None:
                 frame = exc.frame
-
-    # (eta, m) only for the solvers that read them; Oja reads m alone,
-    # for its default iteration count
-    eta, m = cfg.eta, cfg.m
-    if cfg.solver == "orthogonal_iteration" or (cfg.solver == "oja"
-                                                and cfg.oja_iters is not None):
-        eta = m = None
-    elif eta is None or m is None:
-        if gap is None:
-            raise ConfigError(
-                "set eta and m explicitly, or provide an eigengap estimate "
-                "(oracle_check or lambda_hat) for parameter selection")
-        eta, m = select_parameters(gap, X.r, k, cfg.delta)
 
     if cfg.solver == "oja":
         iters = cfg.oja_iters if cfg.oja_iters is not None else m * cfg.epochs

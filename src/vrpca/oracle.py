@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
+from ._native import _sum8
 from .errors import DimensionMismatchError, GapWarning
 from .initialization import _stream
 from .matrix import DataMatrix, OrthonormalFrame, _check_dense
@@ -93,15 +94,10 @@ class SpectrumSpec:
     def d(self):
         return len(self.eigenvalues)
 
-    @property
-    def eigengap(self) -> float:
-        if self.k >= len(self.eigenvalues):
-            return float(self.eigenvalues[-1])
-        return self.eigenvalues[self.k - 1] - self.eigenvalues[self.k]
-
 
 def _balance_rows_numpy(b, norms, tau, tol):
-    """Reference for _balance_rows, one interpreted rotation at a time."""
+    """Reference for _balance_rows, one interpreted rotation at a time, in
+    the compiled loop's arithmetic and order: the same bits."""
     d = b.shape[1]
     # Python-float scalars, bound methods and reused row buffers: the same
     # IEEE operations in the same order as fresh numpy temporaries
@@ -114,7 +110,7 @@ def _balance_rows_numpy(b, norms, tau, tol):
         if hi - lo <= tol:
             break
         row_i, row_j = b[i], b[j]
-        cross = float(row_i @ row_j)
+        cross = _sum8(row_i * row_j)
         root = math.sqrt(max(cross * cross - (lo - tau) * (hi - tau), 0.0))
         # pick the larger-magnitude root for numerical stability
         t1 = (cross + root) / (hi - tau)
@@ -128,8 +124,8 @@ def _balance_rows_numpy(b, norms, tau, tol):
                np.multiply(row_j, c, out=tmp), out=bj)
         row_i[:] = bi
         row_j[:] = bj
-        norms[i] = bi @ bi
-        norms[j] = bj @ bj
+        norms[i] = _sum8(bi * bi)
+        norms[j] = _sum8(bj * bj)
 
 
 def _balance_rows(b, norms, tau, tol):
@@ -156,8 +152,10 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     rows' squared norms reach it. Rows the balancing leaves non-finite, as
     its products of those norms overflow, are refused.
 
-    Like the QR factorizations, the output bits, which define every
-    instance, may depend on the BLAS build and its thread count.
+    The output bits define every instance. They may depend on the BLAS
+    build and its thread count only through the two QR factorizations and
+    the product Q B^T: the balancing sums every dot product in the compiled
+    kernel's fixed order, compiled or not.
     """
     eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
     d = eigs.size

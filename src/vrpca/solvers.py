@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 
 from . import _native
+from ._native import _sum8
 from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
                      GapWarning, NonConvergenceError)
 from .initialization import BURN_IN_STREAM, _stream
@@ -21,18 +22,6 @@ from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
 
 #: a step whose candidate's (Frobenius) norm falls below this has collapsed
 _NORM_FLOOR = 1e-12
-
-
-def _sum8(p):
-    """The kernel's sum of the products ``p``: eight lanes over the first
-    len(p) - len(p) % 8 terms, the rest added to lane 0 in turn, then the
-    lanes paired as ((0+4) + (1+5)) + ((2+6) + (3+7))."""
-    q = len(p) & -8
-    s = np.add.reduce(p[:q].reshape(-1, 8)).tolist()  # row by row, axis 0
-    if q < len(p):
-        for v in p[q:].tolist():
-            s[0] += v
-    return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
 
 
 def _steps_k1_numpy(xd, idx, a, eu, eta, w, anchor=None, basis=None,
@@ -100,7 +89,9 @@ DEFAULT_CONSTANTS = SolverConstants()
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters shared by the stochastic solvers."""
+    """Run parameters shared by the stochastic solvers. ``delta`` is
+    checked and carried but read by no solver: select_parameters and
+    burn_in take their delta as an argument."""
 
     k: int
     eta: float

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, ExperimentConfig, compare_baselines,
-                   geometry_report, harness, read_trace, run_experiment,
-                   runtime_model, trace_fingerprint)
+from vrpca import (ConfigError, ExperimentConfig, GapWarning,
+                   compare_baselines, geometry_report, harness, read_trace,
+                   run_experiment, runtime_model, trace_fingerprint)
 from vrpca.cli import main as cli_main
 
 from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
@@ -66,6 +66,21 @@ class TestConfig:
     def test_bad_baseline_values_refused(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             synth_cfg(**{field: value})
+
+    @pytest.mark.parametrize("solver, extra", [
+        ("vrpca_vector", {}), ("vrpca_block", dict(k=2)),
+        ("deflation", dict(k=2)), ("oja", {})])
+    @pytest.mark.parametrize("lone", [dict(eta=0.5), dict(m=7)])
+    def test_lone_eta_or_m_refused(self, solver, extra, lone):
+        # selection would overwrite the one that was set without a word
+        with pytest.raises(ConfigError, match=r"set both eta and m, or "
+                           r"neither .* got eta=.*, m="):
+            synth_cfg(solver=solver, **extra, **lone)
+
+    @pytest.mark.parametrize("lone", [dict(eta=0.5), dict(m=7)])
+    def test_lone_eta_or_m_kept_where_nothing_is_selected(self, lone):
+        assert synth_cfg(solver="orthogonal_iteration", **lone)
+        assert synth_cfg(solver="oja", oja_iters=10, **lone)
 
 
 class TestRunExperiment:
@@ -484,6 +499,41 @@ class TestCli:
                        "--epochs", "1", *flags])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta", "0.5"], "set both eta and m, or neither to select them "
+         "from the eigengap; got eta=0.5, m=None"),
+        (["--m", "7"], "set both eta and m, or neither to select them "
+         "from the eigengap; got eta=None, m=7"),
+        (["--delta", "2"], "delta must lie in (0,1), got 2.0"),
+        (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
+        (["--eta", "-1", "--m", "5"], "eta must be positive, got -1.0"),
+        (["--eta", "0.1", "--m", "0"],
+         "epoch length m must be >= 1, got 0"),
+        (["--burn-in", "--zeta", "5"], "zeta must lie in (0,1], got 5.0")])
+    def test_bad_run_fields_refused_before_synthesis(self, monkeypatch,
+                                                     capsys, flags, message):
+        def refuse(*args):
+            raise AssertionError("synthesize_dataset called")
+
+        monkeypatch.setattr(harness, "synthesize_dataset", refuse)
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_gap_refused_before_the_solve(self, capsys):
+        # the selection rule's m grows as 1/gap^2; at a zero gap its first
+        # index draw would ask numpy for ~1e33 indices
+        with pytest.warns(GapWarning):
+            rc = cli_main(["solve", "--spectrum", "1,1,0.5,0.1", "--n", "200",
+                           "--epochs", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigengap ") and "Traceback" not in err
+        assert re.search(r"selects m = \d+: 3 epochs of m steps exceed the "
+                         r"step budget of 1000000000", err)
 
     @pytest.mark.parametrize("verb", [
         ["synth", "--spectrum", "1,0.5", "--n", "4"],

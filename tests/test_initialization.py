@@ -37,10 +37,8 @@ def _numpy_random_calls(path):
 
 
 def test_every_library_draw_comes_from_the_stream_helper():
-    # _stream keys every draw; _native's ddot probe uses a fixed key of
-    # its own, as it draws no data
-    allowed = {("initialization.py", "_stream"),
-               ("_native.py", "_matches_matmul")}
+    # _stream keys every draw
+    allowed = {("initialization.py", "_stream")}
     src = Path(vrpca.__file__).parent
     calls = {(path.name, where): line
              for path in sorted(src.glob("*.py"))

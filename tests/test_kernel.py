@@ -1,10 +1,9 @@
 """The compiled kernel: the k=1 steps bit for bit with their numpy reference
 and with a portable build, the degenerate-step report, the numpy fallback,
 and the build cache under concurrent first use; the synthesizer's row
-balancing, bit for bit with its numpy loop through numpy's own BLAS ddot,
-and its fallback when that ddot cannot be found or fails the probe; the
-operand contracts checked before any C call, and the ctypes table against
-the C prototypes."""
+balancing, bit for bit with its numpy loop and an -O0 build; the operand
+contracts checked before any C call, and the ctypes table against the C
+prototypes."""
 
 import ctypes
 import math
@@ -19,7 +18,7 @@ import pytest
 from conftest import spectrum_k1
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from synth_reference import synthesize_reference
+from synth_reference import _dot8, synthesize_reference
 
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    ExperimentConfig,
@@ -31,12 +30,7 @@ from vrpca import _native, oracle, solvers
 
 needs_cc = pytest.mark.skipif(_native._compiler() is None,
                               reason="no C compiler on PATH")
-needs_ddot = pytest.mark.skipif(not _native._ddot_candidates(),
-                                reason="numpy's BLAS exports no cblas ddot")
 
-#: the C type of an ILP64 cblas_ddot
-DDOT64 = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
-                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
 
 def _unit(v):
     return v / np.linalg.norm(v)
@@ -97,18 +91,6 @@ def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
     assert np.array_equal(w_c, w_np)
     if not bad_c:
         assert abs(np.linalg.norm(w_c) - 1.0) <= 1e-14
-
-
-def _dot8(a, b):
-    """The kernel's dot product: eight accumulators, the remainder into the
-    first, then ((s0+s4)+(s1+s5))+((s2+s6)+(s3+s7))."""
-    s = [0.0] * 8
-    q = len(a) - len(a) % 8
-    for k in range(q):
-        s[k % 8] += a[k] * b[k]
-    for k in range(q, len(a)):
-        s[0] += a[k] * b[k]
-    return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
 
 
 def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx, etas):
@@ -252,92 +234,38 @@ def _synth_cases():
 
 @needs_cc
 def test_unoptimized_build_balances_bit_identically(monkeypatch, tmp_path):
-    # the default build vectorizes the rotations; with the same ddot, an
-    # -O0 build of the balancing must synthesize the same bits
+    # the default build vectorizes the rotations and the eight lanes of
+    # each dot product; an -O0 build of the balancing, and the numpy loop
+    # (no library), must synthesize the same bits
     default = _native._library()
     assert default is not None
     plain = _unoptimized_library(monkeypatch, tmp_path)
     for eigs, n, seed in _synth_cases():
         out = []
-        for lib in (default, plain):
+        for lib in (default, plain, None):
             monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
             out.append(synthesize_dataset(SpectrumSpec(eigs), n, seed).data)
         assert np.array_equal(out[0], out[1]), (len(eigs), n)
+        assert np.array_equal(out[0], out[2]), (len(eigs), n)
         assert np.array_equal(out[0], synthesize_reference(eigs, n, seed))
 
 
 @needs_cc
-@needs_ddot
 def test_compiled_balancing_is_loaded():
-    # a compiler and a cblas ddot in numpy's BLAS: the synthesizer must run
-    # the compiled loop, through a ddot that reproduces x @ y
+    # with a compiler, the synthesizer must run the compiled loop
     assert _native._library() is not None
     for d in (1, 7, 64, 65, 300, 1000):
-        assert _native._numpy_ddot(d) is not None, d
         b = np.ones((3, d))
         assert _native.balance_rows(b, np.einsum("ij,ij->i", b, b), d, 0.0)
 
 
-def _ddot_spy(monkeypatch, wrong_from=None):
-    """Make the only ddot candidate a callback into numpy's real ddot that
-    records the length of every call, and from length ``wrong_from`` on
-    returns one ulp more. Returns the recorded lengths."""
-    real = _native._ddot_candidates()[0][0]
-    lengths = []
-
-    @DDOT64
-    def spy(n, x, incx, y, incy):
-        lengths.append(n)
-        v = real(n, x, incx, y, incy)
-        return v if wrong_from is None or n < wrong_from else \
-            math.nextafter(v, math.inf)
-
-    monkeypatch.setattr(_native, "_ddot", None)
-    monkeypatch.setattr(_native, "_ddot_candidates", lambda: [(spy, True)])
-    return lengths
-
-
-#: the probe's calls: x @ y and x @ x at each length 1-64
-PROBE = [n for n in range(1, 65) for _ in range(2)]
-
-
 @needs_cc
-@needs_ddot
-def test_compiled_balancing_calls_the_given_ddot(monkeypatch):
-    lengths = _ddot_spy(monkeypatch)
-    eigs, n, seed = (1.0, 0.7, 0.3, 0.2, 0.1), 40, 6
-    X = synthesize_dataset(SpectrumSpec(eigs), n, seed)
-    assert np.array_equal(X.data, synthesize_reference(eigs, n, seed))
-    # the probe, the probe at d=5, then three dot products per rotation
-    assert lengths[:128] == PROBE
-    at_d = lengths[128:]
-    assert at_d == [5] * len(at_d) and len(at_d) % 3 == 2
-    assert 2 < len(at_d) <= 2 + 3 * n
-
-
-@needs_cc
-@needs_ddot
-@pytest.mark.parametrize("wrong_from, probed", [
-    (1, [1]), (30, PROBE[:58] + [30]), (65, PROBE + [70])])
-def test_ddot_failing_the_probe_falls_back(monkeypatch, wrong_from, probed):
-    # a candidate that differs from x @ y, at short lengths or only at the
-    # call's own d, must not run: the numpy loop keeps the bits
-    lengths = _ddot_spy(monkeypatch, wrong_from)
-    eigs = spectrum_k1(70)
-    X = synthesize_dataset(SpectrumSpec(eigs), 140, 4)
-    assert lengths == probed
-    assert np.array_equal(X.data, synthesize_reference(eigs, 140, 4))
-
-
-@needs_cc
-@needs_ddot
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 64, 65])
 def test_compiled_balancing_breaks_ties_like_argmin(n):
     # rows and their negations have bitwise-equal norms, so argmin and
     # argmax see exact ties from the first rotation on; the compiled trees
     # must pick the first index as they do, on every tree size
     d = 6
-    assert _native._numpy_ddot(d) is not None
     rng = np.random.default_rng(n)
     half = rng.standard_normal(((n + 1) // 2, d))
     b = np.ascontiguousarray(np.concatenate([half, -half])[:n])
@@ -605,9 +533,6 @@ def test_balancing_contract_refused_before_any_c_call(monkeypatch,
                                                        violation):
     spy = _SpyLibrary()
     monkeypatch.setattr(_native, "_library", lambda: spy)
-    # a ddot that the spy never calls: only the operands are in question
-    never = DDOT64(lambda *args: 0.0)
-    monkeypatch.setattr(_native, "_numpy_ddot", lambda d: (never, True))
     rng = np.random.default_rng(1)
     b = rng.standard_normal((6, 3))
     norms = np.einsum("ij,ij->i", b, b)
@@ -643,8 +568,8 @@ def test_ctypes_table_matches_the_c_prototypes():
 def test_import_builds_and_loads_nothing():
     code = ("import sys, vrpca; from vrpca import _native; "
             "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)), "
-            "_native._lib, _native._ddot)")
+            "_native._lib)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["[]", "None", "None"]
+    assert out.stdout.split() == ["[]", "None"]

@@ -176,7 +176,7 @@ def no_compiler(monkeypatch, tmp_path):
 
 
 #: (eigenvalues, n, seed) instances whose synthesized bits must equal the
-#: original loop's
+#: reference loop's
 SYNTH_CASES = [
     ((2.0,), 3, 0),
     ((1.0, 0.7, 0.4), 10, 4),

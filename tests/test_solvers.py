@@ -405,8 +405,8 @@ class TestSeedStreams:
         w = w0.entries[:, 0].copy()
         for t in range(1, 301):
             x = X.data[:, idx[t - 1]]
-            wp = w + (0.5 / t * solvers._sum8(x * w)) * x
-            w = wp * (1.0 / np.sqrt(solvers._sum8(wp * wp)))
+            wp = w + (0.5 / t * _native._sum8(x * w)) * x
+            w = wp * (1.0 / np.sqrt(_native._sum8(wp * wp)))
         compiled = oja_baseline(X, w0, 0.5, 300, seed=seed)
         assert np.array_equal(compiled.final_frame.entries[:, 0], w)
         monkeypatch.setattr(_native, "_library", lambda: None)
