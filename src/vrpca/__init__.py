@@ -21,19 +21,18 @@ from .matrix import (DataMatrix, OrthonormalFrame, Rotation, covariance_apply,
                      rayleigh_residual, rescale_dataset)
 from .oracle import (Spectrum, SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (DEFAULT_CONSTANTS, ConvergenceTrace, SolverConfig,
-                      SolverConstants, TraceRecord, burn_in, deflation_solve,
-                      oja_baseline, orthogonal_iteration, select_parameters,
-                      vrpca_block, vrpca_vector)
+from .solvers import (ConvergenceTrace, SolverConfig, TraceRecord, burn_in,
+                      deflation_solve, oja_baseline, orthogonal_iteration,
+                      select_parameters, vrpca_block, vrpca_vector)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConvergenceTrace", "ConvexRegion", "DataMatrix",
-    "DatasetFormatError", "DEFAULT_CONSTANTS", "DegenerateIterateError",
+    "DatasetFormatError", "DegenerateIterateError",
     "DimensionMismatchError", "ExperimentConfig", "GapWarning", "InitReport",
     "NonConvergenceError", "OrthonormalFrame", "Rotation", "RunReport",
-    "SolverConfig", "SolverConstants", "Spectrum", "SpectrumSpec",
+    "SolverConfig", "Spectrum", "SpectrumSpec",
     "TightnessCounterexample", "TraceRecord", "VrpcaError",
     "build_convex_region", "burn_in", "compare_baselines", "covariance_apply",
     "deflation_solve", "dense_eigh", "directional_curvature", "gaussian_init",

@@ -22,9 +22,10 @@ from .io import load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (ConvergenceTrace, SolverConfig, burn_in, deflation_solve,
-                      oja_baseline, orthogonal_iteration, select_parameters,
-                      vrpca_block, vrpca_vector)
+from .solvers import (ConvergenceTrace, SolverConfig, _check_epsilon,
+                      _check_run, burn_in, deflation_solve, oja_baseline,
+                      orthogonal_iteration, select_parameters, vrpca_block,
+                      vrpca_vector)
 
 SOLVERS = ("vrpca_vector", "vrpca_block", "oja", "orthogonal_iteration",
            "deflation")
@@ -39,7 +40,7 @@ MODEL_EPSILON = 1e-6
 #: the most inner steps, m * epochs, that a run may take with the m that
 #: select_parameters chose: that m grows as 1/gap^2, so a zero or tiny
 #: eigengap selects one that no run finishes (at d = 100, 10^9 compiled
-#: steps take about two minutes, and each index segment holds m/10 int64s)
+#: steps take about two minutes). An explicit m is the way round it.
 STEP_BUDGET = 10**9
 
 #: keys of a trace row, one per TraceRecord field in declaration order
@@ -104,27 +105,16 @@ class ExperimentConfig:
         if self.solver in ("vrpca_vector", "oja") and self.k != 1:
             raise ConfigError(f"solver {self.solver} needs k == 1, got "
                               f"k={self.k}; vrpca_block solves k >= 2")
-        if self.sweeps < 0:
-            raise ConfigError(f"sweeps must be >= 0, got {self.sweeps}")
-        if self.oja_iters is not None and self.oja_iters < 0:
-            raise ConfigError(f"oja_iters must be >= 0, got {self.oja_iters}")
-        if self.oja_eta0 is not None and not self.oja_eta0 > 0.0:
-            raise ConfigError(
-                f"oja_eta0 must be positive, got {self.oja_eta0}")
-        # the run ranges SolverConfig, select_parameters and burn_in check
-        # too, refused here before any data is loaded or synthesized
-        if self.eta is not None and not self.eta > 0.0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.m is not None and self.m < 1:
-            raise ConfigError(f"epoch length m must be >= 1, got {self.m}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0,1), got {self.delta}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.zeta is not None and not 0.0 < self.zeta <= 1.0:
-            raise ConfigError(f"zeta must lie in (0,1], got {self.zeta}")
+        # the run ranges the solvers check too, refused here before any
+        # data is loaded or synthesized
+        _check_run(k=self.k, eta=self.eta, m=self.m, epochs=self.epochs,
+                   delta=self.delta, epsilon=self.epsilon, zeta=self.zeta,
+                   lambda_hat=self.lambda_hat, sweeps=self.sweeps,
+                   oja_iters=self.oja_iters, oja_eta0=self.oja_eta0)
+        if self.solver in _EPOCH_SOLVERS:
+            _check_epsilon(self.epsilon,
+                           deflation=self.solver == "deflation",
+                           reference=self.oracle_check)
         if (self.eta is None) != (self.m is None) and self._selects_steps:
             raise ConfigError(
                 "set both eta and m, or neither to select them from the "

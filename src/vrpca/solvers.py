@@ -67,31 +67,65 @@ def _steps_k1(xd, idx, a, eu, eta, w, anchor=None, basis=None, btx=None,
     return _steps_k1_numpy(*args) if bad is None else bad
 
 
-@dataclass(frozen=True)
-class SolverConstants:
-    """Numerical constants of the step-size / epoch-length selection rules
-    and of the burn-in phase.
+#: constants of the step-size / epoch-length selection rule (c, c', c'')
+#: and of the burn-in (burn_c, burn_c'), read at call time. The guarantees
+#: leave them unspecified positive constants; these are engineering choices
+#: calibrated once on the reference synthetic instances, not derived values.
+C, C_PRIME, C_DPRIME = 1.0, 10.0, 1.0
+BURN_C, BURN_C_PRIME = 1000.0, 10.0
 
-    The convergence guarantees leave these as unspecified positive
-    constants; the defaults are engineering choices calibrated once on the
-    reference synthetic instances, not derived values.
-    """
+#: the most indices _segments draws for one steps call: a segment of more
+#: steps runs as several calls, so the index array does not grow with m
+_CHUNK = 1 << 16
 
-    c: float = 1.0
-    c_prime: float = 10.0
-    c_dprime: float = 1.0
-    burn_c: float = 1000.0
-    burn_c_prime: float = 10.0
+#: the admissible range of every run parameter, name -> (test, rule); each
+#: test is written so that NaN fails it
+_RANGES = {
+    "k": (lambda v: v >= 1, "be >= 1"),
+    "eta": (lambda v: v > 0.0, "be positive"),
+    "m": (lambda v: v >= 1, "be >= 1"),
+    "epochs": (lambda v: v >= 0, "be >= 0"),
+    "delta": (lambda v: 0.0 < v < 1.0, "lie in (0,1)"),
+    "epsilon": (lambda v: v > 0.0, "be positive"),
+    "zeta": (lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
+    "lambda_hat": (lambda v: v > 0.0, "be positive"),
+    "r": (lambda v: v > 0.0, "be positive"),
+    "sweeps": (lambda v: v >= 0, "be >= 0"),
+    "oja_iters": (lambda v: v >= 0, "be >= 0"),
+    "oja_eta0": (lambda v: v > 0.0, "be positive"),
+}
 
 
-DEFAULT_CONSTANTS = SolverConstants()
+def _check_run(**values):
+    """Refuse the first value outside its _RANGES rule; None is unset."""
+    for name, value in values.items():
+        test, rule = _RANGES[name]
+        if value is not None and not test(value):
+            raise ConfigError(f"{name} must {rule}, got {value}")
+
+
+def _check_epsilon(epsilon, deflation=False, reference=True):
+    """Refuse an epsilon that no run can stop on: one given to deflation,
+    whose stages run every epoch, or one without a ``reference`` to measure
+    the potential against."""
+    if epsilon is None:
+        return
+    if deflation:
+        raise ConfigError(
+            f"epsilon={epsilon}: deflation runs every epoch of every "
+            "stage and cannot stop on it; vrpca_block stops on epsilon")
+    if not reference:
+        raise ConfigError(
+            f"epsilon={epsilon} needs the oracle reference to stop on "
+            f"(oracle_check, d <= DENSE_GUARD = {DENSE_GUARD})")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters shared by the stochastic solvers. ``delta`` is
-    checked and carried but read by no solver: select_parameters and
-    burn_in take their delta as an argument."""
+    """Run parameters shared by the stochastic solvers, each checked
+    against its _RANGES rule. ``delta`` is checked and carried but read by
+    no solver: select_parameters and burn_in take their delta as an
+    argument."""
 
     k: int
     eta: float
@@ -103,18 +137,8 @@ class SolverConfig:
     use_rotation: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.eta > 0.0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.m < 1:
-            raise ConfigError(f"epoch length m must be >= 1, got {self.m}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0,1), got {self.delta}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        _check_run(k=self.k, eta=self.eta, m=self.m, epochs=self.epochs,
+                   delta=self.delta, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -155,32 +179,35 @@ class ConvergenceTrace:
         return self.records[-1].samples if self.records else 0
 
 
-def select_parameters(lambda_hat: float, r: float, k: int, delta: float,
-                      constants: SolverConstants = DEFAULT_CONSTANTS):
+def select_parameters(lambda_hat: float, r: float, k: int, delta: float):
     """Step size and epoch length from the eigengap estimate.
 
     eta = a * delta^2 * lambda_hat / r^2 with
     a = min(c, c''/(4 delta^2 c k L), (1/(4 delta^2 c)) (c''/(k L))^2),
-    L = log(2/delta), and m = ceil(c' L / (eta lambda_hat)).
+    L = log(2/delta), and m = ceil(c' L / (eta lambda_hat)), with c, c',
+    c'' the module constants C, C_PRIME, C_DPRIME. r, k and delta must lie
+    in their _RANGES; a nonpositive gap, or one so small that m is not a
+    finite number, is refused with a ConfigError naming the gap.
     """
     if not lambda_hat > 0.0:
         raise ConfigError(
             "nonpositive eigengap estimate; run burn_in first and estimate "
             "the gap from the oracle spectrum")
-    if not r > 0.0:
-        raise ConfigError(f"r must be positive, got {r}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0,1), got {delta}")
-    c, cp, cpp = constants.c, constants.c_prime, constants.c_dprime
+    _check_run(r=r, k=k, delta=delta)
     big_l = float(np.log(2.0 / delta))
-    a = min(c,
-            cpp / (4.0 * delta**2 * c * k * big_l),
-            (1.0 / (4.0 * delta**2 * c)) * (cpp / (k * big_l)) ** 2)
+    a = min(C,
+            C_DPRIME / (4.0 * delta**2 * C * k * big_l),
+            (1.0 / (4.0 * delta**2 * C)) * (C_DPRIME / (k * big_l)) ** 2)
     eta = a * delta**2 * lambda_hat / r**2
-    m = int(np.ceil(cp * big_l / (eta * lambda_hat)))
-    return eta, m
+    # for a tiny gap eta * lambda_hat underflows, to 0 or to a subnormal
+    # whose quotient overflows; in Python floats neither warns
+    rate = float(eta * lambda_hat)
+    m = C_PRIME * big_l / rate if rate > 0.0 else np.inf
+    if not np.isfinite(m):
+        raise ConfigError(
+            f"eigengap estimate {lambda_hat:.3e} selects an epoch length m "
+            "too large to represent; set eta and m explicitly")
+    return eta, int(np.ceil(m))
 
 
 class _Recorder:
@@ -276,24 +303,26 @@ def _segments(rng, n, total, stride, w, where, steps):
     """Run ``total`` steps on the iterate ``w`` as segments of ``stride``
     steps, yielding the steps done after each segment.
 
-    Each segment draws its own indices from ``rng`` when it runs;
-    consecutive Philox draws equal one block draw bit for bit, so the
-    index array holds one segment, not ``total``. It then calls
-    steps(idx, t0), t0 the steps before it, which returns 0 or the 1-based
-    step whose candidate was degenerate; such a step raises
-    DegenerateIterateError with its number and size. After each segment
-    the iterate must pass _check_iterate. ``where`` (e.g. "at epoch 2,")
-    places both in their messages.
+    Each segment draws its indices from ``rng`` when it runs, in chunks of
+    at most _CHUNK; consecutive Philox draws equal one block draw bit for
+    bit, so the index array holds one chunk, not ``total`` or ``stride``.
+    Each chunk calls steps(idx, t0), t0 the steps before it, which returns
+    0 or the 1-based step whose candidate was degenerate; such a step
+    raises DegenerateIterateError with its number and size. After each
+    segment the iterate must pass _check_iterate. ``where`` (e.g. "at
+    epoch 2,") places both in their messages.
     """
     for t0 in range(0, total, stride):
         t1 = min(t0 + stride, total)
-        bad = steps(rng.integers(0, n, size=t1 - t0), t0)
-        if bad:
-            size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
-                    "Gram matrix min eigenvalue "
-                    f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
-            raise DegenerateIterateError(
-                f"degenerate iterate {where} step {t0 + bad}: {size}")
+        for c0 in range(t0, t1, _CHUNK):
+            bad = steps(rng.integers(0, n, size=min(c0 + _CHUNK, t1) - c0),
+                        c0)
+            if bad:
+                size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
+                        "Gram matrix min eigenvalue "
+                        f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
+                raise DegenerateIterateError(
+                    f"degenerate iterate {where} step {c0 + bad}: {size}")
         _check_iterate(w, f"{where} step {t1}")
         yield t1
 
@@ -328,10 +357,7 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
     come from the run stream _stream(cfg.seed) jumped ``jump`` times.
     ``rotate`` applies the block solver's aligning rotation.
     """
-    if cfg.epsilon is not None and reference is None:
-        raise ConfigError(
-            f"epsilon={cfg.epsilon} needs the oracle reference to stop on "
-            f"(oracle_check, d <= DENSE_GUARD = {DENSE_GUARD})")
+    _check_epsilon(cfg.epsilon, reference=reference is not None)
     xd = X.data
     eta = cfg.eta
     m = cfg.m
@@ -447,16 +473,18 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
 
 def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
             lambda_hat: float, reference: OrthonormalFrame | None = None,
-            eta: float | None = None,
-            constants: SolverConstants = DEFAULT_CONSTANTS, seed: int = 0):
+            eta: float | None = None, seed: int = 0):
     """Drive a k=1 iterate from squared alignment >= zeta down to potential
     <= 1/2, after which the geometric-convergence parameter regime applies.
 
-    Runs stochastic steps against the fixed anchor w0 with the burn-in step
-    size eta = burn_c * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
-    (overridable), one _steps_k1 call per stopping-rule check (_segments),
-    on indices from the burn-in stream _stream(seed, BURN_IN_STREAM); after
-    each call |w^T w - 1| must be <= ORTHO_TOL, the solvers' iterate check.
+    zeta, delta, lambda_hat and an ``eta`` override must lie in their
+    _RANGES. Runs stochastic steps against the fixed anchor w0 with the
+    burn-in step size
+    eta = BURN_C * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
+    unless overridden, one _steps_k1 call per stopping-rule check
+    (_segments), on indices from the burn-in stream
+    _stream(seed, BURN_IN_STREAM); after each call |w^T w - 1| must be
+    <= ORTHO_TOL, the solvers' iterate check.
     With a reference frame the stopping rule is potential <= 1/2, checked
     up front so an already-good start returns immediately with 0
     iterations.
@@ -469,24 +497,18 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     for X^T w0.
 
     The iteration budget is 10x the burn-in horizon
-    T = floor(burn_c' log(2/delta) / (eta lambda_hat zeta)); exhausting it
-    raises NonConvergenceError carrying the partial trace, the last iterate
-    and the iteration count.
+    T = floor(BURN_C_PRIME log(2/delta) / (eta lambda_hat zeta));
+    exhausting it raises NonConvergenceError carrying the partial trace,
+    the last iterate and the iteration count.
 
     Returns (frame, iterations_performed).
     """
     _check_frame(X, w0, 1)
-    if not 0.0 < zeta <= 1.0:
-        raise ConfigError(f"zeta must lie in (0,1], got {zeta}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0,1), got {delta}")
-    if not lambda_hat > 0.0:
-        raise ConfigError("burn-in needs a positive eigengap estimate")
+    _check_run(zeta=zeta, delta=delta, lambda_hat=lambda_hat, eta=eta)
     big_l = float(np.log(2.0 / delta))
     if eta is None:
-        eta = constants.burn_c * delta**2 * lambda_hat * zeta**3 / (
-            X.r**2 * big_l**2)
-    horizon = int(constants.burn_c_prime * big_l / (eta * lambda_hat * zeta))
+        eta = BURN_C * delta**2 * lambda_hat * zeta**3 / (X.r**2 * big_l**2)
+    horizon = int(BURN_C_PRIME * big_l / (eta * lambda_hat * zeta))
     budget = 10 * horizon
 
     # with a reference the stop rule reads only the potential; without one
@@ -536,9 +558,11 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     ``eta_schedule`` is either a callable t -> eta_t (t starts at 1) or a
     positive number c giving the classical c/t schedule. Comparison
     baseline only: the runtime to a fixed accuracy scales polynomially in
-    it. The steps are _steps_k1's with a = 0, eu = 0 and each segment's
-    eta_t as ``etas``, one segment per record (every max(iters // 10, 1)
-    steps), with the solvers' degenerate-step report and iterate check.
+    it. ``iters`` and a numeric ``eta_schedule`` are checked as the run
+    parameters oja_iters and oja_eta0 (_RANGES). The steps are _steps_k1's
+    with a = 0, eu = 0 and each segment's eta_t as ``etas``, one segment
+    per record (every max(iters // 10, 1) steps), with the solvers'
+    degenerate-step report and iterate check.
 
     Each record's residual needs A w: from the covariance memo
     X.covariance() when a ``reference`` is given at d <= DENSE_GUARD,
@@ -546,16 +570,12 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     on it.
     """
     _check_frame(X, w0, 1)
-    if iters < 0:
-        raise ConfigError(f"Oja iterations must be >= 0, got {iters}")
-    if callable(eta_schedule):
-        sched = np.vectorize(eta_schedule, otypes=[np.float64])
+    numeric = not callable(eta_schedule)
+    _check_run(oja_iters=iters, oja_eta0=eta_schedule if numeric else None)
+    if numeric:
+        sched = partial(np.divide, float(eta_schedule))  # t -> c0 / t
     else:
-        c0 = float(eta_schedule)
-        if not c0 > 0.0:
-            raise ConfigError(f"Oja step-size constant must be positive, "
-                              f"got {c0}")
-        sched = partial(np.divide, c0)  # t -> c0 / t
+        sched = np.vectorize(eta_schedule, otypes=[np.float64])
     cov = _dense_covariance(X, reference)
     a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)
@@ -584,8 +604,7 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
     without one each is a covariance pass.
     """
     _check_frame(X, W0, W0.k)
-    if sweeps < 0:
-        raise ConfigError(f"sweeps must be >= 0, got {sweeps}")
+    _check_run(sweeps=sweeps)
     cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
     w = W0.entries.copy()
@@ -629,10 +648,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     The stages run every epoch: they have no reference to measure a
     potential against, so cfg.epsilon is refused (vrpca_block stops on it).
     """
-    if cfg.epsilon is not None:
-        raise ConfigError(
-            f"epsilon={cfg.epsilon}: deflation runs every epoch of every "
-            "stage and cannot stop on it; vrpca_block stops on epsilon")
+    _check_epsilon(cfg.epsilon, deflation=True)
     _check_frame(X, W0, cfg.k)
     cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)

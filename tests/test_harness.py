@@ -146,15 +146,15 @@ class TestRunExperiment:
         assert rep.final_potential <= 1e-8
 
     def test_failed_burn_in_reports_iterations(self, monkeypatch):
-        from vrpca import NonConvergenceError, SolverConstants, burn_in
+        from vrpca import NonConvergenceError, burn_in, solvers
         import vrpca.harness
 
         raised = []
+        monkeypatch.setattr(solvers, "BURN_C_PRIME", 0.01)
 
         def short_burn_in(*args, **kw):
             try:
-                return burn_in(*args, **kw,
-                               constants=SolverConstants(burn_c_prime=0.01))
+                return burn_in(*args, **kw)
             except NonConvergenceError as exc:
                 raised.append(exc)
                 raise
@@ -509,9 +509,17 @@ class TestCli:
         (["--epochs", "-1"], "epochs must be >= 0, got -1"),
         (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
         (["--eta", "-1", "--m", "5"], "eta must be positive, got -1.0"),
-        (["--eta", "0.1", "--m", "0"],
-         "epoch length m must be >= 1, got 0"),
-        (["--burn-in", "--zeta", "5"], "zeta must lie in (0,1], got 5.0")])
+        (["--eta", "0.1", "--m", "0"], "m must be >= 1, got 0"),
+        (["--burn-in", "--zeta", "5"], "zeta must lie in (0,1], got 5.0"),
+        (["--no-oracle-check", "--lambda-hat", "-1"],
+         "lambda_hat must be positive, got -1.0"),
+        (["--lambda-hat", "nan"], "lambda_hat must be positive, got nan"),
+        (["--solver", "deflation", "--k", "2", "--epsilon", "1e-3"],
+         "epsilon=0.001: deflation runs every epoch of every stage and "
+         "cannot stop on it; vrpca_block stops on epsilon"),
+        (["--no-oracle-check", "--epsilon", "1e-3"],
+         "epsilon=0.001 needs the oracle reference to stop on "
+         "(oracle_check, d <= DENSE_GUARD = 2000)")])
     def test_bad_run_fields_refused_before_synthesis(self, monkeypatch,
                                                      capsys, flags, message):
         def refuse(*args):
@@ -534,6 +542,16 @@ class TestCli:
         assert err.startswith("error: eigengap ") and "Traceback" not in err
         assert re.search(r"selects m = \d+: 3 epochs of m steps exceed the "
                          r"step budget of 1000000000", err)
+
+    def test_tiny_lambda_hat_refused(self, capsys):
+        # eta * lambda_hat underflows to 0 in the selection rule
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "200",
+                       "--no-oracle-check", "--lambda-hat", "1e-200",
+                       "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigengap estimate ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", [
         ["synth", "--spectrum", "1,0.5", "--n", "4"],

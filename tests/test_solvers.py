@@ -1,13 +1,17 @@
 """Solvers: parameter selection, the vector and block variance-reduced
 solvers, burn-in, and the baselines."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
                    DimensionMismatchError,
                    GapWarning, NonConvergenceError,
-                   OrthonormalFrame, SolverConfig, SolverConstants, burn_in,
+                   OrthonormalFrame, SolverConfig, burn_in,
                    deflation_solve,
                    gaussian_init, oja_baseline, orthogonal_iteration,
                    potential, power_warm_start, rayleigh_residual,
@@ -19,12 +23,12 @@ from conftest import GramCounter, Instance, counted
 
 
 class TestSelectParameters:
-    def test_frozen_evaluation(self):
+    def test_frozen_evaluation(self, monkeypatch):
         # direct evaluation of the selection rule at
         # lambda=0.3, r=1, k=1, delta=0.1 with unit constants
-        from vrpca import SolverConstants
-        ones = SolverConstants(c=1.0, c_prime=1.0, c_dprime=1.0)
-        eta, m = select_parameters(0.3, 1.0, 1, 0.1, constants=ones)
+        for name in ("C", "C_PRIME", "C_DPRIME"):
+            monkeypatch.setattr(solvers, name, 1.0)
+        eta, m = select_parameters(0.3, 1.0, 1, 0.1)
         big_l = np.log(20.0)
         a = min(1.0, 1.0 / (4 * 0.01 * big_l), (1.0 / (4 * 0.01)) / big_l**2)
         assert eta == pytest.approx(a * 0.01 * 0.3, rel=1e-15)
@@ -51,6 +55,99 @@ class TestSelectParameters:
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(ConfigError, match="burn_in"):
             select_parameters(0.0, 1.0, 1, 0.25)
+
+    @pytest.mark.parametrize("gap", [1e-200, 1e-160])
+    def test_tiny_gap_refused(self, gap):
+        # eta * gap underflows: to 0 at 1e-200, to a subnormal whose
+        # quotient overflows at 1e-160
+        with pytest.raises(ConfigError, match=rf"eigengap estimate "
+                           rf"{gap:.3e} selects an epoch length m too large"):
+            select_parameters(gap, 1.0, 1, 0.25)
+
+
+def _tiny():
+    """A 3 x 4 instance and a k=1 start on it."""
+    X = DataMatrix(np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                             [0.5, 0.5, 0.0, 0.0]]))
+    return X, gaussian_init(3, 1, seed=1)
+
+
+def _config(**kw):
+    return SolverConfig(**dict(dict(k=1, eta=0.1, m=5, epochs=1), **kw))
+
+
+def _burn(**kw):
+    X, w0 = _tiny()
+    return burn_in(X, w0, **dict(dict(zeta=0.5, delta=0.25, lambda_hat=0.3),
+                                 **kw))
+
+
+def _oja(**kw):
+    X, w0 = _tiny()
+    return oja_baseline(X, w0, **dict(dict(eta_schedule=0.5, iters=5), **kw))
+
+
+#: every run parameter's public entry point: name -> (value out of range,
+#: call(value)); each float parameter is also given NaN
+RANGE_CASES = {
+    "k": (0, lambda v: _config(k=v)),
+    "eta": (-1.0, lambda v: _config(eta=v)),
+    "m": (0, lambda v: _config(m=v)),
+    "epochs": (-1, lambda v: _config(epochs=v)),
+    "delta": (1.0, lambda v: _config(delta=v)),
+    "epsilon": (0.0, lambda v: _config(epsilon=v)),
+    "zeta": (1.5, lambda v: _burn(zeta=v)),
+    "lambda_hat": (-0.3, lambda v: _burn(lambda_hat=v)),
+    "r": (0.0, lambda v: select_parameters(0.3, v, 1, 0.25)),
+    "sweeps": (-2, lambda v: orthogonal_iteration(*_tiny(), sweeps=v)),
+    "oja_iters": (-5, lambda v: _oja(iters=v)),
+    "oja_eta0": (0.0, lambda v: _oja(eta_schedule=v)),
+}
+
+
+class TestRunRanges:
+    def test_every_range_has_a_case(self):
+        assert set(RANGE_CASES) == set(solvers._RANGES)
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, bad) for name, (bad, _) in RANGE_CASES.items()),
+        *((name, float("nan")) for name, (bad, _) in RANGE_CASES.items()
+          if isinstance(bad, float))])
+    def test_entry_point_refuses_out_of_range(self, name, value):
+        rule = solvers._RANGES[name][1]
+        with pytest.raises(ConfigError) as err:
+            RANGE_CASES[name][1](value)
+        assert str(err.value) == f"{name} must {rule}, got {value}"
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0])
+    def test_burn_in_eta_override_refused_before_any_step(self, monkeypatch,
+                                                          eta):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_steps_k1 called")
+
+        monkeypatch.setattr(solvers, "_steps_k1", refuse)
+        with pytest.raises(ConfigError,
+                           match=rf"^eta must be positive, got {eta}$"):
+            _burn(eta=eta)
+
+    def test_every_range_refusal_goes_through_the_table(self):
+        # a ConfigError that states a range ("must be/lie ... got") is
+        # raised only by _check_run, so no second copy of a rule can drift
+        src = Path(solvers.__file__).parent
+        stray = []
+        for name in ("solvers.py", "harness.py"):
+            tree = ast.parse((src / name).read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef) or \
+                        func.name == "_check_run":
+                    continue
+                for call in ast.walk(func):
+                    if (isinstance(call, ast.Call) and call.args
+                            and ast.unparse(call.func) == "ConfigError"
+                            and re.search(r"must (be|lie) .* got",
+                                          ast.unparse(call.args[0]))):
+                        stray.append((name, call.lineno))
+        assert not stray, f"range refusals outside _check_run: {stray}"
 
 
 class TestVectorSolver:
@@ -261,21 +358,21 @@ class TestBurnIn:
         assert err.value.trace.records
         assert err.value.frame is not None
 
-    def test_exhausted_budget_reports_iterations(self, small_k1):
+    def test_exhausted_budget_reports_iterations(self, small_k1,
+                                                 monkeypatch):
         # a tiny horizon constant shrinks the budget below what this start
         # needs; the error counts steps taken, not trace checkpoints
         ref = small_k1.reference(1)
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=1)
         zeta, delta = 1.0 / small_k1.Xs.d, 0.25
-        consts = SolverConstants(burn_c_prime=0.01)
+        monkeypatch.setattr(solvers, "BURN_C_PRIME", 0.01)
         with pytest.raises(NonConvergenceError) as err:
             burn_in(small_k1.Xs, w0, zeta=zeta, delta=delta,
-                    lambda_hat=small_k1.gap, reference=ref,
-                    constants=consts)
+                    lambda_hat=small_k1.gap, reference=ref)
         big_l = np.log(2.0 / delta)
-        eta = consts.burn_c * delta**2 * small_k1.gap * zeta**3 / (
+        eta = solvers.BURN_C * delta**2 * small_k1.gap * zeta**3 / (
             small_k1.Xs.r**2 * big_l**2)
-        budget = 10 * int(consts.burn_c_prime * big_l
+        budget = 10 * int(solvers.BURN_C_PRIME * big_l
                           / (eta * small_k1.gap * zeta))
         assert err.value.iterations == budget
         assert len(err.value.trace.records) < budget
@@ -434,9 +531,9 @@ class TestOja:
         assert abs(abs(w[0]) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("schedule, iters, message", [
-        (0.5, -5, r"Oja iterations must be >= 0, got -5"),
-        (-1.0, 10, r"Oja step-size constant must be positive, got -1.0"),
-        (0.0, 10, r"Oja step-size constant must be positive, got 0.0")])
+        (0.5, -5, r"oja_iters must be >= 0, got -5"),
+        (-1.0, 10, r"oja_eta0 must be positive, got -1.0"),
+        (0.0, 10, r"oja_eta0 must be positive, got 0.0")])
     def test_bad_arguments_refused(self, small_k1, schedule, iters, message):
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
         with pytest.raises(ConfigError, match=message):
@@ -631,6 +728,46 @@ class TestRng:
         assert np.array_equal(np.concatenate(drawn), np.concatenate(expected))
 
 
+    def test_segments_draw_bounded_chunks(self):
+        # a segment longer than _CHUNK runs as several steps calls, each
+        # told its first step, so no index array grows with the total
+        calls = []
+
+        def steps(idx, t0):
+            calls.append((len(idx), t0))
+            return 1 if len(calls) == 2 else 0
+
+        w = np.array([0.6, 0.8])
+        with pytest.raises(DegenerateIterateError,
+                           match=r"at epoch 1, step 65537: norm 1\.000e\+00"):
+            for _ in solvers._segments(_stream(0), 5, 10**30, 10**29, w,
+                                       "at epoch 1,", steps):
+                pass
+        assert calls == [(2**16, 0), (2**16, 2**16)]
+
+    def test_chunks_change_no_bit(self, monkeypatch, small_k1):
+        # chunked draws continue one stream, and Oja's step sizes follow
+        # each chunk's first step
+        X = small_k1.Xs
+        w1, w2 = gaussian_init(X.d, 1, seed=3), gaussian_init(X.d, 2, seed=3)
+        cfg = SolverConfig(k=1, eta=0.01, m=97, epochs=2, seed=21)
+
+        def runs():
+            traces = (vrpca_vector(X, w1, cfg),
+                      vrpca_block(X, w2, SolverConfig(
+                          k=2, eta=0.01, m=97, epochs=2, seed=21)),
+                      oja_baseline(X, w1, 0.5, 97, seed=21))
+            return [([(r.epoch, r.iteration, r.samples, r.residual)
+                      for r in t.records], t.final_frame.entries)
+                    for t in traces]
+
+        whole = runs()
+        monkeypatch.setattr(solvers, "_CHUNK", 4)
+        for (recs, frame), (recs4, frame4) in zip(whole, runs()):
+            assert recs4 == recs
+            assert np.array_equal(frame4, frame)
+
+
 class _PassCounter(np.ndarray):
     """Data whose X^T W products are counted: each covariance pass of a
     solver makes one, whether or not it goes through covariance_apply."""
@@ -774,10 +911,11 @@ def _burn_in_exhausted(X, reference, gap):
     # a budget of 450 steps (7 checks): the reference rule (potential
     # <= 1/2) and the proxy rule (8 checks without progress) both stay
     # unmet, so both runs take every step and return their last iterate
-    with pytest.raises(NonConvergenceError) as info:
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.raises(NonConvergenceError) as info:
+        mp.setattr(solvers, "BURN_C_PRIME", 0.008)
         burn_in(X, gaussian_init(X.d, 1, seed=4), zeta=1.0 / X.d, delta=0.5,
-                lambda_hat=gap, reference=reference, eta=0.02,
-                constants=SolverConstants(burn_c_prime=0.008))
+                lambda_hat=gap, reference=reference, eta=0.02)
     return info.value.frame, info.value.iterations
 
 
