@@ -73,18 +73,18 @@ def _tiny():
 
 
 def _config(**kw):
-    return SolverConfig(**dict(dict(k=1, eta=0.1, m=5, epochs=1), **kw))
+    return SolverConfig(**{"k": 1, "eta": 0.1, "m": 5, "epochs": 1, **kw})
 
 
 def _burn(**kw):
     X, w0 = _tiny()
-    return burn_in(X, w0, **dict(dict(zeta=0.5, delta=0.25, lambda_hat=0.3),
-                                 **kw))
+    return burn_in(X, w0, **{"zeta": 0.5, "delta": 0.25, "lambda_hat": 0.3,
+                             **kw})
 
 
 def _oja(**kw):
     X, w0 = _tiny()
-    return oja_baseline(X, w0, **dict(dict(eta_schedule=0.5, iters=5), **kw))
+    return oja_baseline(X, w0, **{"eta_schedule": 0.5, "iters": 5, **kw})
 
 
 #: every run parameter's public entry point: name -> (value out of range,
