@@ -16,7 +16,7 @@ from .harness import (ExperimentConfig, RunReport, compare_baselines,
 from .initialization import (InitReport, gaussian_init, numerical_rank,
                              power_warm_start)
 from .io import load_dataset, save_dataset
-from .matrix import (DataMatrix, OrthonormalFrame, Rotation, covariance_apply,
+from .matrix import (DataMatrix, OrthonormalFrame, covariance_apply,
                      polar_normalize, potential, procrustes_rotation,
                      rayleigh_residual, rescale_dataset)
 from .oracle import (Spectrum, SpectrumSpec, dense_eigh, leading_subspace,
@@ -31,7 +31,7 @@ __all__ = [
     "ConfigError", "ConvergenceTrace", "ConvexRegion", "DataMatrix",
     "DatasetFormatError", "DegenerateIterateError",
     "DimensionMismatchError", "ExperimentConfig", "GapWarning", "InitReport",
-    "NonConvergenceError", "OrthonormalFrame", "Rotation", "RunReport",
+    "NonConvergenceError", "OrthonormalFrame", "RunReport",
     "SolverConfig", "Spectrum", "SpectrumSpec",
     "TightnessCounterexample", "TraceRecord", "VrpcaError",
     "build_convex_region", "burn_in", "compare_baselines", "covariance_apply",

@@ -5,9 +5,10 @@ trace/report emission."""
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,14 @@ from .geometry import (build_convex_region, nonconvexity_certificate,
                        tightness_counterexample)
 from .initialization import (_check_seed, _stream, gaussian_init,
                              power_warm_start)
-from .io import load_dataset
+from .io import FORMATS, load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (ConvergenceTrace, SolverConfig, _check_epsilon,
-                      _check_run, burn_in, deflation_solve, oja_baseline,
-                      orthogonal_iteration, select_parameters, vrpca_block,
-                      vrpca_vector)
+from .solvers import (_INTEGER, _RANGES, _REAL, ConvergenceTrace, SolverConfig,
+                      _check, _check_epsilon, _check_run, burn_in,
+                      deflation_solve, oja_baseline, orthogonal_iteration,
+                      select_parameters, vrpca_block, vrpca_vector)
 
 SOLVERS = ("vrpca_vector", "vrpca_block", "oja", "orthogonal_iteration",
            "deflation")
@@ -47,11 +48,33 @@ STEP_BUDGET = 10**9
 #: ("iter" holds TraceRecord.iteration)
 TRACE_KEYS = ("epoch", "iter", "potential", "residual", "samples", "elapsed_s")
 
+_FLAG = (lambda v: isinstance(v, bool), "be true or false")
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)), "be a path")
+#: the kind, a (test, rule) pair, of every ExperimentConfig field: a run
+#: parameter's is its _RANGES kind. A field whose default is None may
+#: also be None.
+_KINDS = {
+    **{name: kind for name, (_, _, kind) in _RANGES.items()},
+    "dataset_path": _PATH, "out_dir": _PATH, "gap_index": _INTEGER,
+    "n": _INTEGER, "synth_seed": _INTEGER, "use_rotation": _FLAG,
+    "run_burn_in": _FLAG, "rescale": _FLAG, "oracle_check": _FLAG,
+    "dataset_format": (lambda v: v in FORMATS, f"be one of {FORMATS}"),
+    "solver": (lambda v: v in SOLVERS, f"be one of {SOLVERS}"),
+    "init": (lambda v: v in INITS, f"be one of {INITS}"),
+    "spectrum": (lambda v: isinstance(v, tuple) and all(map(_REAL[0], v)),
+                 "be a tuple of numbers"),
+    "seeds": (lambda v: isinstance(v, tuple) and all(map(_INTEGER[0], v))
+              and 0 < len(set(v)) == len(v),
+              "be a non-empty tuple of distinct integers"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a dataset source (file or inline spectrum), a solver,
-    its parameters, and the seed list for repetitions."""
+    its parameters, and the seed list for repetitions. Every field must be
+    of its _KINDS kind, and the run parameters within their _RANGES, or
+    construction raises ConfigError before any data is read."""
 
     dataset_path: str | None = None
     dataset_format: str = "csv"
@@ -83,23 +106,19 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                _check(f.name, value, _KINDS[f.name])
         sources = (self.dataset_path is not None) + (self.spectrum is not None)
         if sources != 1:
             raise ConfigError(
                 "exactly one dataset source (dataset_path or spectrum) required")
         if self.spectrum is not None and self.n is None:
             raise ConfigError("synthetic datasets need the column count n")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}; one of {SOLVERS}")
-        if self.init not in INITS:
-            raise ConfigError(f"unknown init {self.init!r}; one of {INITS}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
         for seed in self.seeds:
             _check_seed(seed)
         _check_seed(self.synth_seed, "synth_seed")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
         if self.run_burn_in and self.k != 1:
             raise ConfigError(f"burn-in needs k == 1, got k={self.k}")
         if self.solver in ("vrpca_vector", "oja") and self.k != 1:
@@ -107,10 +126,8 @@ class ExperimentConfig:
                               f"k={self.k}; vrpca_block solves k >= 2")
         # the run ranges the solvers check too, refused here before any
         # data is loaded or synthesized
-        _check_run(k=self.k, eta=self.eta, m=self.m, epochs=self.epochs,
-                   delta=self.delta, epsilon=self.epsilon, zeta=self.zeta,
-                   lambda_hat=self.lambda_hat, sweeps=self.sweeps,
-                   oja_iters=self.oja_iters, oja_eta0=self.oja_eta0)
+        _check_run(**{f.name: getattr(self, f.name) for f in fields(self)
+                      if f.name in _RANGES})
         if self.solver in _EPOCH_SOLVERS:
             _check_epsilon(self.epsilon,
                            deflation=self.solver == "deflation",
@@ -130,15 +147,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         raw = dict(raw)
-        if "spectrum" in raw and raw["spectrum"] is not None:
-            raw["spectrum"] = tuple(float(v) for v in raw["spectrum"])
-        if "seeds" in raw:
-            raw["seeds"] = tuple(int(s) for s in raw["seeds"])
+        for key in ("spectrum", "seeds"):  # JSON arrays arrive as lists
+            if isinstance(raw.get(key), list):
+                raw[key] = tuple(raw[key])
         return cls(**raw)
 
 
@@ -214,6 +229,13 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
     elif cfg.lambda_hat is not None:
         gap = cfg.lambda_hat / scale  # estimate refers to the original data
     return X, X0.r, scale, reference, gap
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` to ``path`` as indented JSON and a newline, making the
+    directories above it as needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="ascii")
 
 
 def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
@@ -354,9 +376,7 @@ def run_experiment(cfg: ExperimentConfig):
         out.mkdir(parents=True, exist_ok=True)
         for report, trace in runs:
             _write_trace(out / f"trace_seed{report.seed}.jsonl", trace)
-        with (out / "report.json").open("w", encoding="ascii") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "report.json", [r.to_dict() for r in reports])
     return reports
 
 
@@ -400,11 +420,7 @@ def compare_baselines(cfg: ExperimentConfig):
         "sample_budget": budget, "series": series,
     }
     if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "comparison.json").open("w", encoding="ascii") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
+        _write_json(Path(cfg.out_dir) / "comparison.json", result)
     return result
 
 
@@ -474,7 +490,5 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
         },
     }
     if out is not None:
-        with Path(out).open("w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(Path(out), report)
     return report

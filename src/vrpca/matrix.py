@@ -97,17 +97,13 @@ class DataMatrix:
                 self._cov = cov
         return self._cov
 
-    def column(self, i):
-        """Contiguous view of data point ``i``."""
-        return self.data[:, i]
-
     def __repr__(self):
         return f"DataMatrix(d={self.d}, n={self.n}, r={self.r:.6g})"
 
 
 def _deviation(arr):
     """max |W^T W - I| of a raw d x k array: the orthonormality invariant
-    that frames, rotations and solver iterates are held to (ORTHO_TOL)."""
+    that frames and solver iterates are held to (ORTHO_TOL)."""
     return float(np.max(np.abs(arr.T @ arr - np.eye(arr.shape[1]))))
 
 
@@ -138,32 +134,9 @@ class OrthonormalFrame:
         return f"OrthonormalFrame(d={self.d}, k={self.k})"
 
 
-class Rotation:
-    """A k x k orthogonal matrix, validated at construction."""
-
-    __slots__ = ("entries", "k")
-
-    def __init__(self, entries):
-        arr = _as_2d(entries, "rotation")
-        k = arr.shape[0]
-        if arr.shape != (k, k):
-            raise DimensionMismatchError(f"rotation must be square, got {arr.shape}")
-        dev = _deviation(arr)
-        if not dev <= ORTHO_TOL:
-            raise DimensionMismatchError(
-                f"matrix is not orthogonal: max |B^T B - I| = {dev:.3e}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.entries = arr
-        self.k = k
-
-    def __repr__(self):
-        return f"Rotation(k={self.k})"
-
-
-def _raw(a, name="operand"):
-    """Unwrap frames to plain arrays; pass arrays through."""
-    if isinstance(a, (OrthonormalFrame, Rotation)):
+def _raw(a):
+    """Unwrap a frame to its plain array; pass arrays through."""
+    if isinstance(a, OrthonormalFrame):
         return a.entries
     return np.asarray(a, dtype=np.float64)
 
@@ -233,8 +206,9 @@ def _procrustes(c, d):
     return vt.T @ u.T
 
 
-def procrustes_rotation(C: OrthonormalFrame, D: OrthonormalFrame) -> Rotation:
-    """Orthogonal k x k matrix B minimizing ||C - D B||_F.
+def procrustes_rotation(C: OrthonormalFrame,
+                        D: OrthonormalFrame) -> np.ndarray:
+    """The orthogonal k x k matrix B minimizing ||C - D B||_F, as an array.
 
     B = V U^T where U S V^T is an SVD of C^T D. Any valid SVD yields the
     same objective value, so ties from repeated singular values are benign.
@@ -242,7 +216,7 @@ def procrustes_rotation(C: OrthonormalFrame, D: OrthonormalFrame) -> Rotation:
     if C.d != D.d or C.k != D.k:
         raise DimensionMismatchError(
             f"frames disagree: ({C.d},{C.k}) vs ({D.d},{D.k})")
-    return Rotation(_procrustes(C.entries, D.entries))
+    return _procrustes(C.entries, D.entries)
 
 
 def _potential(v, w):

@@ -90,10 +90,6 @@ class SpectrumSpec:
         if not 1 <= self.k < max(len(vals), 2):
             raise DimensionMismatchError(f"gap position k={self.k} out of range")
 
-    @property
-    def d(self):
-        return len(self.eigenvalues)
-
 
 def _balance_rows_numpy(b, norms, tau, tol):
     """Reference for _balance_rows, one interpreted rotation at a time, in

@@ -4,10 +4,10 @@ Every solver emits a ConvergenceTrace."""
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -78,30 +78,46 @@ BURN_C, BURN_C_PRIME = 1000.0, 10.0
 #: steps runs as several calls, so the index array does not grow with m
 _CHUNK = 1 << 16
 
-#: the admissible range of every run parameter, name -> (test, rule); each
-#: test is written so that NaN fails it
+#: two kinds of value, (test, rule); a bool is of neither kind, although
+#: isinstance counts it as an int
+_INTEGER = (lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool), "be an integer")
+_REAL = (lambda v: isinstance(v, numbers.Real)
+         and not isinstance(v, bool), "be a number")
+
+#: the admissible range and the kind of every run parameter, name ->
+#: (test, rule, kind); each test is written so that NaN fails it
 _RANGES = {
-    "k": (lambda v: v >= 1, "be >= 1"),
-    "eta": (lambda v: v > 0.0, "be positive"),
-    "m": (lambda v: v >= 1, "be >= 1"),
-    "epochs": (lambda v: v >= 0, "be >= 0"),
-    "delta": (lambda v: 0.0 < v < 1.0, "lie in (0,1)"),
-    "epsilon": (lambda v: v > 0.0, "be positive"),
-    "zeta": (lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
-    "lambda_hat": (lambda v: v > 0.0, "be positive"),
-    "r": (lambda v: v > 0.0, "be positive"),
-    "sweeps": (lambda v: v >= 0, "be >= 0"),
-    "oja_iters": (lambda v: v >= 0, "be >= 0"),
-    "oja_eta0": (lambda v: v > 0.0, "be positive"),
+    "k": (lambda v: v >= 1, "be >= 1", _INTEGER),
+    "eta": (lambda v: v > 0.0, "be positive", _REAL),
+    "m": (lambda v: v >= 1, "be >= 1", _INTEGER),
+    "epochs": (lambda v: v >= 0, "be >= 0", _INTEGER),
+    "delta": (lambda v: 0.0 < v < 1.0, "lie in (0,1)", _REAL),
+    "epsilon": (lambda v: v > 0.0, "be positive", _REAL),
+    "zeta": (lambda v: 0.0 < v <= 1.0, "lie in (0,1]", _REAL),
+    "lambda_hat": (lambda v: v > 0.0, "be positive", _REAL),
+    "r": (lambda v: v > 0.0, "be positive", _REAL),
+    "sweeps": (lambda v: v >= 0, "be >= 0", _INTEGER),
+    "oja_iters": (lambda v: v >= 0, "be >= 0", _INTEGER),
+    "oja_eta0": (lambda v: v > 0.0, "be positive", _REAL),
 }
 
 
+def _check(name, value, *rules):
+    """Refuse ``value`` at the first of the (test, rule) pairs ``rules``
+    that it fails."""
+    for test, rule in rules:
+        if not test(value):
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
 def _check_run(**values):
-    """Refuse the first value outside its _RANGES rule; None is unset."""
+    """Refuse the first value not of its _RANGES kind or outside its
+    range; None is unset."""
     for name, value in values.items():
-        test, rule = _RANGES[name]
-        if value is not None and not test(value):
-            raise ConfigError(f"{name} must {rule}, got {value}")
+        test, rule, kind = _RANGES[name]
+        if value is not None:
+            _check(name, value, kind, (test, rule))
 
 
 def _check_epsilon(epsilon, deflation=False, reference=True):
@@ -247,8 +263,6 @@ def _check_frame(X, w0, k):
             f"start frame has d={w0.d}, data has d={X.d}")
     if w0.k != k:
         raise DimensionMismatchError(f"start frame has k={w0.k}, config k={k}")
-    if not 1 <= k <= X.d:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={X.d}")
 
 
 def _check_iterate(w, where):
@@ -555,14 +569,13 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     """Plain stochastic power steps w' = w + eta_t x (x^T w), normalized,
     on indices drawn from the run stream _stream(seed).
 
-    ``eta_schedule`` is either a callable t -> eta_t (t starts at 1) or a
-    positive number c giving the classical c/t schedule. Comparison
-    baseline only: the runtime to a fixed accuracy scales polynomially in
-    it. ``iters`` and a numeric ``eta_schedule`` are checked as the run
-    parameters oja_iters and oja_eta0 (_RANGES). The steps are _steps_k1's
-    with a = 0, eu = 0 and each segment's eta_t as ``etas``, one segment
-    per record (every max(iters // 10, 1) steps), with the solvers'
-    degenerate-step report and iterate check.
+    ``eta_schedule`` is a positive number c giving the classical schedule
+    eta_t = c/t, t from 1. Comparison baseline only: the runtime to a fixed
+    accuracy scales polynomially in it. ``iters`` and ``eta_schedule`` are
+    checked as the run parameters oja_iters and oja_eta0 (_RANGES). The
+    steps are _steps_k1's with a = 0, eu = 0 and each chunk's eta_t as
+    ``etas``, one segment per record (every max(iters // 10, 1) steps),
+    with the solvers' degenerate-step report and iterate check.
 
     Each record's residual needs A w: from the covariance memo
     X.covariance() when a ``reference`` is given at d <= DENSE_GUARD,
@@ -570,12 +583,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     on it.
     """
     _check_frame(X, w0, 1)
-    numeric = not callable(eta_schedule)
-    _check_run(oja_iters=iters, oja_eta0=eta_schedule if numeric else None)
-    if numeric:
-        sched = partial(np.divide, float(eta_schedule))  # t -> c0 / t
-    else:
-        sched = np.vectorize(eta_schedule, otypes=[np.float64])
+    _check_run(oja_iters=iters, oja_eta0=eta_schedule)
     cov = _dense_covariance(X, reference)
     a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)
@@ -583,7 +591,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     rec.add(0, 0, w, 0, _apply(X, cov, w))
 
     def steps(idx, t0):
-        etas = sched(np.arange(t0 + 1, t0 + len(idx) + 1))
+        etas = float(eta_schedule) / np.arange(t0 + 1, t0 + len(idx) + 1)
         return _steps_k1(X.data, idx, a, eu, 0.0, w, etas=etas)
 
     for t in _segments(_stream(seed), X.n, iters, max(iters // 10, 1), w,

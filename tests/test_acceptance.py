@@ -238,7 +238,7 @@ def test_procrustes_optimality():
             d_frame = OrthonormalFrame(random_orthogonal(6, rng)[:, :2])
             b = procrustes_rotation(c, d_frame)
             achieved = float(np.linalg.norm(
-                c.entries - d_frame.entries @ b.entries) ** 2)
+                c.entries - d_frame.entries @ b) ** 2)
             vals = np.linalg.norm(
                 c.entries[None] - d_frame.entries[None] @ grid,
                 axis=(1, 2)) ** 2
@@ -250,7 +250,7 @@ def test_procrustes_optimality():
             d_frame = OrthonormalFrame(random_orthogonal(7, rng)[:, :k])
             b = procrustes_rotation(c, d_frame)
             lhs = float(np.linalg.norm(
-                c.entries - d_frame.entries @ b.entries) ** 2)
+                c.entries - d_frame.entries @ b) ** 2)
             rhs = 2.0 * (k - float(np.linalg.norm(
                 c.entries.T @ d_frame.entries) ** 2))
             assert lhs <= rhs + 1e-10

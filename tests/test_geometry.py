@@ -5,11 +5,11 @@ counterexample."""
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, DataMatrix, build_convex_region, dense_eigh,
-                   directional_curvature, nonconvexity_certificate,
-                   probe_strong_convexity, rayleigh, rayleigh_grad,
-                   rayleigh_hessian, synthesize_dataset,
-                   tightness_counterexample)
+from vrpca import (ConfigError, DataMatrix, DimensionMismatchError, Spectrum,
+                   build_convex_region, dense_eigh, directional_curvature,
+                   nonconvexity_certificate, probe_strong_convexity,
+                   rayleigh, rayleigh_grad, rayleigh_hessian,
+                   synthesize_dataset, tightness_counterexample)
 from vrpca.oracle import SpectrumSpec
 
 
@@ -221,6 +221,28 @@ class TestConvexRegion:
         w0 /= np.linalg.norm(w0)
         with pytest.raises(ConfigError, match="44"):
             build_convex_region(spec, w0)
+
+    def test_start_near_minus_v1_flips_its_sign(self, gap_instance):
+        # the leading eigenvector's sign is the one nearer to w0
+        X, spec, lam = gap_instance
+        v1 = spec.eigenvectors.entries[:, 0]
+        region = build_convex_region(spec, -v1)
+        np.testing.assert_allclose(region.projected_optimum, -v1, atol=1e-12)
+        assert region.contains(-v1)
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda s, v: (s, np.append(v, 0.0)), DimensionMismatchError,
+         "w0 has size 9, spectrum dimension is 8"),
+        (lambda s, v: (s, 2.0 * v), ConfigError, "w0 must be a unit vector"),
+        (lambda s, v: (Spectrum(2.0 * s.eigenvalues, s.eigenvectors), v),
+         ConfigError, r"spectral norm must be 1 \(got 2\)"),
+        (lambda s, v: (Spectrum(np.ones(8), s.eigenvectors), v),
+         ConfigError, "zero eigengap")])
+    def test_malformed_inputs_rejected(self, gap_instance, change, error,
+                                       message):
+        X, spec, lam = gap_instance
+        with pytest.raises(error, match=message):
+            build_convex_region(*change(spec, spec.eigenvectors.entries[:, 0]))
 
     def test_probe_bounds(self, gap_instance):
         X, spec, lam = gap_instance

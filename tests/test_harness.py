@@ -3,7 +3,7 @@ the geometry report, and the CLI."""
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"spectrum": (1.0, 0.5), "n": 4,
                                         "bogus": 1})
+
+    def test_every_field_has_a_kind(self):
+        # __post_init__ looks every field's kind up in harness._KINDS, so
+        # a field added without one fails here and in every config
+        assert {f.name for f in fields(ExperimentConfig)} <= set(
+            harness._KINDS)
+
+    def test_numpy_scalars_are_of_their_kind(self):
+        cfg = synth_cfg(n=np.int64(64), gap_index=np.int32(1),
+                        seeds=(np.int64(1),), spectrum=tuple(
+                            np.float64(v) for v in spectrum_k1(d=12)))
+        assert cfg.n == 64
 
     def test_burn_in_needs_k1(self):
         # burn-in is a k=1 phase; a block run must not report one it skipped
@@ -200,6 +212,12 @@ class TestRunExperiment:
         rep = run_experiment(cfg)[0]
         assert rep.eta == 0.01
         assert rep.m == 400
+
+    def test_burn_in_needs_a_gap(self):
+        cfg = synth_cfg(oracle_check=False, eta=0.1, m=5, run_burn_in=True)
+        with pytest.raises(ConfigError,
+                           match="burn-in needs an eigengap estimate"):
+            run_experiment(cfg)
 
     def test_no_oracle_requires_gap_or_params(self):
         cfg = synth_cfg(oracle_check=False)
@@ -359,6 +377,11 @@ class TestCompareBaselines:
             for row in rows]
         assert result["sample_budget"] == rows[-1]["samples"]
 
+    def test_out_dir_holds_the_comparison(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        result = compare_baselines(synth_cfg(epochs=2, out_dir=str(out)))
+        assert json.loads((out / "comparison.json").read_text()) == result
+
     def test_one_seed_only(self):
         # a comparison is one seed's run; more seeds are refused, not dropped
         with pytest.raises(ConfigError, match="one seed"):
@@ -430,6 +453,62 @@ class TestCli:
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())[0]
         assert rep["epochs_run"] == 3  # flag overrides the file
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config .*cfg.json: .*No such file"),
+        ("{not json", "cannot read config .*cfg.json: Expecting property"),
+        ("[1, 2]", "config file must hold a JSON object$")])
+    def test_unusable_config_file(self, tmp_path, capsys, content, message):
+        cfgfile = tmp_path / "cfg.json"
+        if content is not None:
+            cfgfile.write_text(content)
+        assert cli_main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert re.match(f"error: {message}", err[:-1])
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"eta": "0.1", "m": 5}, "eta must be a number, got '0.1'"),
+        ({"n": "50"}, "n must be an integer, got '50'"),
+        ({"n": None}, "synthetic datasets need the column count n"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"epochs": None}, "epochs must be an integer, got None"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"gap_index": 1.0}, "gap_index must be an integer, got 1.0"),
+        ({"synth_seed": "5"}, "synth_seed must be an integer, got '5'"),
+        ({"spectrum": [1, "0.5"]},
+         "spectrum must be a tuple of numbers, got (1, '0.5')"),
+        ({"seeds": [1.5]},
+         "seeds must be a non-empty tuple of distinct integers, got (1.5,)"),
+        ({"seeds": []},
+         "seeds must be a non-empty tuple of distinct integers, got ()"),
+        ({"seeds": 5},
+         "seeds must be a non-empty tuple of distinct integers, got 5"),
+        ({"rescale": "false"}, "rescale must be true or false, got 'false'"),
+        ({"use_rotation": 1}, "use_rotation must be true or false, got 1"),
+        ({"oracle_check": None},
+         "oracle_check must be true or false, got None"),
+        ({"solver": "lanczos"}, "solver must be one of ('vrpca_vector', "
+         "'vrpca_block', 'oja', 'orthogonal_iteration', 'deflation'), "
+         "got 'lanczos'"),
+        ({"init": "zeros"},
+         "init must be one of ('gaussian', 'power'), got 'zeros'"),
+        ({"dataset_format": "parquet"},
+         "dataset_format must be one of ('csv', 'f64le'), got 'parquet'"),
+        ({"out_dir": 3}, "out_dir must be a path, got 3")])
+    def test_wrongly_typed_config_values_refused(self, tmp_path, monkeypatch,
+                                                 capsys, changes, message):
+        # JSON values reach the config as they are: none is coerced
+        def refuse(*args):
+            raise AssertionError("synthesize_dataset called")
+
+        monkeypatch.setattr(harness, "synthesize_dataset", refuse)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "spectrum": list(spectrum_k1(d=12)), "n": 64, "seeds": [1],
+            **changes}))
+        assert cli_main(["solve", "--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_geometry_verb(self, tmp_path):
         out = tmp_path / "geom.json"

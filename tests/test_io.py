@@ -71,6 +71,15 @@ class TestCsv:
         with pytest.raises(DatasetFormatError, match="empty"):
             load_dataset(p, "csv")
 
+    def test_blank_lines_skipped(self, tmp_path):
+        # blank lines hold no data point but still count as lines
+        p = tmp_path / "gaps.csv"
+        p.write_text("\n1,0\n\n   \n0,1\n\n")
+        np.testing.assert_array_equal(load_dataset(p, "csv").data, np.eye(2))
+        p.write_text("\n1,0\n\n0\n")
+        with pytest.raises(DatasetFormatError, match="line 4: expected 2"):
+            load_dataset(p, "csv")
+
 
 class TestRoundTripProperty:
     @settings(max_examples=40, deadline=None)
@@ -205,6 +214,11 @@ class TestBinary:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="unknown format"):
             load_dataset(tmp_path / "x", "parquet")
+
+    def test_unknown_format_not_written(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="unknown format"):
+            save_dataset(DataMatrix(np.eye(2)), tmp_path / "x", "parquet")
+        assert not (tmp_path / "x").exists()
 
 
 def _big(seed=6):

@@ -233,7 +233,7 @@ class TestProcrustesProperties:
         rng = np.random.default_rng(seed)
         c = frame_of(random_orthogonal(d, rng)[:, :k])
         d_frame = frame_of(random_orthogonal(d, rng)[:, :k])
-        b = procrustes_rotation(c, d_frame).entries
+        b = procrustes_rotation(c, d_frame)
         assert np.max(np.abs(b.T @ b - np.eye(k))) <= 1e-12
         achieved = np.linalg.norm(c.entries - d_frame.entries @ b)
         for _ in range(20):
@@ -247,7 +247,7 @@ class TestProcrustes:
         rng = np.random.default_rng(4)
         c = frame_of(random_orthogonal(5, rng)[:, :2])
         b = procrustes_rotation(c, c)
-        np.testing.assert_allclose(b.entries, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(b, np.eye(2), atol=1e-12)
 
     def test_recovers_permutation(self):
         rng = np.random.default_rng(5)
@@ -255,7 +255,7 @@ class TestProcrustes:
         perm = np.eye(3)[:, [2, 0, 1]]
         c = frame_of(d_frame.entries @ perm)
         b = procrustes_rotation(c, d_frame)
-        np.testing.assert_allclose(b.entries, perm, atol=1e-12)
+        np.testing.assert_allclose(b, perm, atol=1e-12)
 
     def test_beats_dense_rotation_grid(self):
         # brute-force O(2) grid: 5000 rotations plus 5000 reflections
@@ -263,7 +263,7 @@ class TestProcrustes:
         c = frame_of(random_orthogonal(6, rng)[:, :2])
         d_frame = frame_of(random_orthogonal(6, rng)[:, :2])
         b = procrustes_rotation(c, d_frame)
-        achieved = np.linalg.norm(c.entries - d_frame.entries @ b.entries) ** 2
+        achieved = np.linalg.norm(c.entries - d_frame.entries @ b) ** 2
         theta = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
         ct, st = np.cos(theta), np.sin(theta)
         rots = np.stack([np.stack([ct, -st], -1), np.stack([st, ct], -1)], -2)
@@ -281,7 +281,7 @@ class TestProcrustes:
             d_frame = frame_of(random_orthogonal(6, rng)[:, :k])
             b = procrustes_rotation(c, d_frame)
             achieved = np.linalg.norm(
-                c.entries - d_frame.entries @ b.entries) ** 2
+                c.entries - d_frame.entries @ b) ** 2
             for _ in range(1000 // 3):
                 q = random_orthogonal(k, rng)
                 assert achieved <= np.linalg.norm(
@@ -295,7 +295,7 @@ class TestProcrustes:
             c = frame_of(random_orthogonal(5, rng)[:, :k])
             d_frame = frame_of(random_orthogonal(5, rng)[:, :k])
             b = procrustes_rotation(c, d_frame)
-            lhs = np.linalg.norm(c.entries - d_frame.entries @ b.entries) ** 2
+            lhs = np.linalg.norm(c.entries - d_frame.entries @ b) ** 2
             rhs = 2.0 * (k - np.linalg.norm(c.entries.T @ d_frame.entries) ** 2)
             assert lhs <= rhs + 1e-10
 

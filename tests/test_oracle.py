@@ -152,6 +152,16 @@ class TestSpectrumAccess:
         span = v2.entries @ v2.entries.T
         np.testing.assert_allclose(span, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: leading_subspace(s, 0), r"k=0 outside \[1, 3\]"),
+        (lambda s: leading_subspace(s, 4), r"k=4 outside \[1, 3\]"),
+        (lambda s: s.gap_at(0), r"gap index 0 outside \[1, 2\]"),
+        (lambda s: s.gap_at(3), r"gap index 3 outside \[1, 2\]")])
+    def test_index_out_of_range_refused(self, call, message):
+        spec = dense_eigh(random_covariance_data(3, 8, seed=4))
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            call(spec)
+
     def test_identity_spectrum_warns(self):
         spec = dense_eigh(DataMatrix(np.eye(4) * 2.0))
         with pytest.warns(GapWarning):
@@ -240,6 +250,16 @@ class TestSynthesize:
         with pytest.raises(DimensionMismatchError,
                            match=rf"non-finite eigenvalue {named} requested"):
             SpectrumSpec(eigenvalues=eigs)
+
+    @pytest.mark.parametrize("eigs, k, message", [
+        ((), 1, "empty spectrum"),
+        ((0.5, 1.0), 1, "eigenvalues must be non-increasing"),
+        ((1.0, 0.5), 0, "gap position k=0 out of range"),
+        ((1.0, 0.5), 2, "gap position k=2 out of range"),
+        ((1.0,), 2, "gap position k=2 out of range")])
+    def test_malformed_spec_rejected(self, eigs, k, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            SpectrumSpec(eigenvalues=eigs, k=k)
 
     @pytest.mark.parametrize("eigs, n", [((1e308,), 10),
                                          ((1e305, 1.0), 10**4)])

@@ -11,15 +11,17 @@ import pytest
 from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
                    DimensionMismatchError,
                    GapWarning, NonConvergenceError,
-                   OrthonormalFrame, SolverConfig, burn_in,
-                   deflation_solve,
-                   gaussian_init, oja_baseline, orthogonal_iteration,
+                   OrthonormalFrame, SolverConfig, SpectrumSpec, burn_in,
+                   deflation_solve, dense_eigh,
+                   gaussian_init, leading_subspace, oja_baseline,
+                   orthogonal_iteration,
                    potential, power_warm_start, rayleigh_residual,
-                   select_parameters, vrpca_block, vrpca_vector)
+                   rescale_dataset, select_parameters, synthesize_dataset,
+                   vrpca_block, vrpca_vector)
 from vrpca import ExperimentConfig, _native, harness, matrix, solvers
 from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
 
-from conftest import GramCounter, Instance, counted
+from conftest import GramCounter, Instance, counted, spectrum_k1
 
 
 class TestSelectParameters:
@@ -118,6 +120,23 @@ class TestRunRanges:
         with pytest.raises(ConfigError) as err:
             RANGE_CASES[name][1](value)
         assert str(err.value) == f"{name} must {rule}, got {value}"
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in RANGE_CASES for value in (True, "1")),
+        *((name, 1.0) for name, (bad, _) in RANGE_CASES.items()
+          if isinstance(bad, int))])
+    def test_entry_point_refuses_wrong_kind(self, name, value):
+        # a bool is neither an integer nor a number, and an integer
+        # parameter refuses a float even when it is integral
+        kind = solvers._RANGES[name][2][1]
+        with pytest.raises(ConfigError) as err:
+            RANGE_CASES[name][1](value)
+        assert str(err.value) == f"{name} must {kind}, got {value!r}"
+
+    def test_numpy_scalars_are_of_their_kind(self):
+        cfg = _config(k=np.int64(1), eta=np.float32(0.1), m=np.int32(5),
+                      epochs=np.uint8(1))
+        assert (cfg.k, cfg.m, cfg.epochs) == (1, 5, 1)
 
     @pytest.mark.parametrize("eta", [-1.0, 0.0])
     def test_burn_in_eta_override_refused_before_any_step(self, monkeypatch,
@@ -516,24 +535,19 @@ class TestSeedStreams:
 
 
 class TestOja:
-    def test_zero_schedule_keeps_start(self, small_k1):
-        w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
-        trace = oja_baseline(small_k1.Xs, w0, lambda t: 0.0, iters=50)
-        np.testing.assert_allclose(trace.final_frame.entries, w0.entries,
-                                   atol=1e-15)
-
     def test_single_eigendirection(self):
         from vrpca import DataMatrix
         X = DataMatrix(np.array([[1.0], [0.0], [0.0]]))
         w0 = gaussian_init(3, 1, seed=4)
-        trace = oja_baseline(X, w0, lambda t: 0.5, iters=2000)
+        trace = oja_baseline(X, w0, 5.0, iters=2000)
         w = trace.final_frame.column(0)
         assert abs(abs(w[0]) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("schedule, iters, message", [
         (0.5, -5, r"oja_iters must be >= 0, got -5"),
         (-1.0, 10, r"oja_eta0 must be positive, got -1.0"),
-        (0.0, 10, r"oja_eta0 must be positive, got 0.0")])
+        (0.0, 10, r"oja_eta0 must be positive, got 0.0"),
+        (lambda t: 0.5, 10, r"oja_eta0 must be a number, got <function")])
     def test_bad_arguments_refused(self, small_k1, schedule, iters, message):
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
         with pytest.raises(ConfigError, match=message):
@@ -668,6 +682,79 @@ class TestDeflation:
         assert not np.array_equal(a, b)
         with pytest.raises(DimensionMismatchError, match="config k=2"):
             deflation_solve(X, gaussian_init(X.d, 1, seed=4), cfg)
+
+
+@pytest.fixture(scope="module")
+def zero_columns():
+    """A d=20, n=200 instance of the standard k=1 family with every third
+    data point (column) set to zero, rescaled, and its oracle spectrum:
+    DataMatrix accepts such data, so every solver must cope with it."""
+    data = synthesize_dataset(SpectrumSpec(spectrum_k1(d=20)), 200,
+                              seed=7).data.copy()
+    data[:, ::3] = 0.0
+    X, _ = rescale_dataset(DataMatrix(data))
+    return X, dense_eigh(X)
+
+
+def _start(X, init, k):
+    if init == "gaussian":
+        return gaussian_init(X.d, k, seed=3)
+    return power_warm_start(X, 3, k=k).frame
+
+
+@pytest.mark.parametrize("init", ["gaussian", "power"])
+class TestZeroColumns:
+    @pytest.mark.parametrize("solve, k", [
+        (vrpca_vector, 1), (vrpca_block, 1), (vrpca_block, 2),
+        (deflation_solve, 2)])
+    def test_variance_reduced_solvers_converge(self, zero_columns, init,
+                                               solve, k):
+        X, spec = zero_columns
+        # m = n and eta = 1/(r sqrt(n)), with r = 1 after rescaling
+        cfg = SolverConfig(k=k, eta=1.0 / np.sqrt(X.n), m=X.n, epochs=15,
+                           seed=3)
+        trace = solve(X, _start(X, init, k), cfg)
+        assert potential(leading_subspace(spec, k),
+                         trace.final_frame) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_orthogonal_iteration_converges(self, zero_columns, init, k):
+        X, spec = zero_columns
+        trace = orthogonal_iteration(X, _start(X, init, k), 60)
+        assert potential(leading_subspace(spec, k),
+                         trace.final_frame) <= 1e-12
+
+    def test_oja_converges(self, zero_columns, init):
+        X, spec = zero_columns
+        trace = oja_baseline(X, _start(X, init, 1), 1.0 / spec.gap_at(1),
+                             20000, seed=3)
+        assert potential(leading_subspace(spec, 1),
+                         trace.final_frame) <= 1e-2
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_burn_in_stops_under_both_rules(self, zero_columns, init,
+                                            with_reference):
+        # with a reference it stops at potential <= 1/2; without one, on
+        # the residual proxy, which here stops well inside that
+        X, spec = zero_columns
+        ref = leading_subspace(spec, 1)
+        frame, _ = burn_in(X, _start(X, init, 1), 1.0 / X.d, 0.25,
+                           spec.gap_at(1), seed=3,
+                           reference=ref if with_reference else None)
+        assert potential(ref, frame) <= 0.5
+
+
+
+def test_rank_one_zero_column_data_refuses_a_two_column_power_start():
+    # the data spans one direction: a one-column power start lands on it,
+    # and a two-column one, which finds no second direction, is refused
+    data = np.zeros((20, 200))
+    data[0, 1::3] = 1.0
+    X = DataMatrix(data)
+    e1 = OrthonormalFrame(np.eye(20)[:, :1])
+    assert potential(e1, power_warm_start(X, 3).frame) == 0.0
+    with pytest.raises(DegenerateIterateError, match="numerical rank < 2"):
+        power_warm_start(X, 3, k=2)
 
 
 class TestRng:
