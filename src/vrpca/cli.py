@@ -54,6 +54,8 @@ def _add_experiment_flags(p):
                    action="store_true", default=None)
     p.add_argument("--no-rotation", dest="use_rotation", action="store_false")
     p.add_argument("--sweeps", type=int)
+    p.add_argument("--oja-iters", type=int, dest="oja_iters")
+    p.add_argument("--oja-eta0", type=float, dest="oja_eta0")
     p.add_argument("--init", choices=INITS)
     p.add_argument("--burn-in", dest="run_burn_in",
                    action="store_true", default=None)

@@ -127,7 +127,8 @@ class ExperimentConfig:
         # the run ranges the solvers check too, refused here before any
         # data is loaded or synthesized
         _check_run(**{f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name in _RANGES})
+                      if f.name in _RANGES
+                      and getattr(self, f.name) is not None})
         if self.solver in _EPOCH_SOLVERS:
             _check_epsilon(self.epsilon,
                            deflation=self.solver == "deflation",

@@ -11,6 +11,7 @@ import pytest
 from vrpca import (ConfigError, ExperimentConfig, GapWarning,
                    compare_baselines, geometry_report, harness, read_trace,
                    run_experiment, runtime_model, trace_fingerprint)
+from vrpca.cli import build_parser
 from vrpca.cli import main as cli_main
 
 from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
@@ -674,6 +675,27 @@ class TestCli:
                        "--eta", "0.01", "--m", "50", "--epochs", "1",
                        "--seeds", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("verb", ["solve", "compare"])
+    def test_every_config_field_has_a_flag(self, verb):
+        # the flags mirror the ExperimentConfig fields, one flag per field
+        (sub,) = [a for a in build_parser()._actions if a.choices]
+        dests = {a.dest for a in sub.choices[verb]._actions}
+        assert {f.name for f in fields(ExperimentConfig)} <= dests
+
+    def test_oja_flags_reach_the_run(self, capsys):
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--solver", "oja", "--oja-iters", "0",
+                       "--oja-eta0", "0.5", "--seeds", "1"])
+        assert rc == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["samples"] == 0
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--solver", "oja", "--oja-iters", "30",
+                       "--oja-eta0", "-1", "--seeds", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: oja_eta0 must be positive, got -1.0\n"
 
     def test_compare_verb(self, tmp_path, capsys):
         rc = cli_main(["compare", "--spectrum", "1,0.7,0.23", "--n", "24",

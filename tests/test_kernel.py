@@ -1,5 +1,6 @@
-"""The compiled kernel: the k=1 steps bit for bit with their numpy reference
-and with a portable build, the degenerate-step report, the numpy fallback,
+"""The compiled kernel: the k=1 steps bit for bit with their numpy reference,
+across calls that carry the pending scale and across the builds of each
+per-CPU copy, the degenerate-step report, the numpy fallback,
 and the build cache under concurrent first use; the synthesizer's row
 balancing, bit for bit with its numpy loop and an -O0 build; the operand
 contracts checked before any C call, and the ctypes table against the C
@@ -21,11 +22,10 @@ from hypothesis import strategies as st
 from synth_reference import _dot8, synthesize_reference
 
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
-                   ExperimentConfig,
-                   SolverConfig, SpectrumSpec, burn_in, gaussian_init,
-                   oja_baseline, power_warm_start, run_experiment,
-                   select_parameters, synthesize_dataset, vrpca_block,
-                   vrpca_vector)
+                   ExperimentConfig, SolverConfig, SpectrumSpec, burn_in,
+                   deflation_solve, gaussian_init, oja_baseline,
+                   power_warm_start, run_experiment, select_parameters,
+                   synthesize_dataset, vrpca_block, vrpca_vector)
 from vrpca import _native, oracle, solvers
 
 needs_cc = pytest.mark.skipif(_native._compiler() is None,
@@ -53,18 +53,10 @@ def fresh_kernel(monkeypatch, tmp_path):
     return builds
 
 
-@needs_cc
-@settings(max_examples=80, deadline=None)
-@given(d=st.integers(1, 40), n=st.integers(1, 30), m=st.integers(0, 120),
-       j=st.integers(0, 3), rotate=st.booleans(), per_step=st.booleans(),
-       eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
-# one column taken 91 times with the rotation on: w^T w~ keeps changing
-# sign, which amplified any difference in rounding past 1e-12
-@example(d=4, n=1, m=91, j=0, rotate=True, per_step=True, eta=0.03125,
-         seed=0)
-def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
-                                          seed):
-    assert _native._library() is not None  # a compiler is here: it must build
+def _random_operands(d, n, m, j, rotate, per_step, eta, seed):
+    """Operands (xd, idx, a, eu, w0, anchor, basis, btx, etas) of m k=1
+    steps on random d x n data scaled as the pipeline runs it, with up to
+    j deflation columns (fewer than d)."""
     rng = np.random.default_rng(seed)
     X = DataMatrix(rng.standard_normal((d, n)))
     xd = X.data / np.sqrt(X.r)  # unit max column norm, as the pipeline runs
@@ -80,24 +72,76 @@ def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
     eu = eta * (xd @ a / n)
     w0 = _unit(rng.standard_normal(d))
     idx = rng.integers(0, n, size=m)
-    anchor = wt if rotate else None
     etas = rng.uniform(1e-3, 0.3, size=m) if per_step else None
+    return xd, idx, a, eu, w0, wt if rotate else None, basis, btx, etas
+
+
+@needs_cc
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 40), n=st.integers(1, 30), m=st.integers(0, 120),
+       j=st.integers(0, 3), rotate=st.booleans(), per_step=st.booleans(),
+       eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
+# one column taken 91 times with the rotation on: w^T w~ keeps changing
+# sign, which amplified any difference in rounding past 1e-12
+@example(d=4, n=1, m=91, j=0, rotate=True, per_step=True, eta=0.03125,
+         seed=0)
+def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
+                                          seed):
+    assert _native._library() is not None  # a compiler is here: it must build
+    xd, idx, a, eu, w0, anchor, basis, btx, etas = _random_operands(
+        d, n, m, j, rotate, per_step, eta, seed)
     w_c, w_np = w0.copy(), w0.copy()
-    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, anchor, basis, btx,
-                              etas)
-    bad_np = solvers._steps_k1_numpy(xd, idx, a, eu, eta, w_np, anchor,
+    sc_c, sc_np = np.ones(1), np.ones(1)
+    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, sc_c, anchor, basis,
+                              btx, etas)
+    bad_np = solvers._steps_k1_numpy(xd, idx, a, eu, eta, w_np, sc_np, anchor,
                                      basis, btx, etas)
     assert bad_c == bad_np
     assert np.array_equal(w_c, w_np)
+    assert np.array_equal(sc_c, sc_np)
     if not bad_c:
-        assert abs(np.linalg.norm(w_c) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(w_c * sc_c[0]) - 1.0) <= 1e-14
 
 
-def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx, etas):
-    """The kernel's arithmetic, one Python float operation at a time."""
+@pytest.mark.parametrize("steps", [
+    pytest.param(solvers._steps_k1, marks=needs_cc, id="compiled"),
+    pytest.param(solvers._steps_k1_numpy, id="numpy")])
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 20), n=st.integers(1, 12), m=st.integers(0, 40),
+       split=st.integers(0, 40), j=st.integers(0, 2), rotate=st.booleans(),
+       per_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_split_calls_give_the_bits_of_one(steps, d, n, m, split, j, rotate,
+                                          per_step, seed):
+    # the iterate stays unnormalized between calls: one call of m steps,
+    # and two calls split at any step that carry w and its pending scale,
+    # must leave the same bits (a call's first x^T w is the sum the pass
+    # before it would have made)
+    if steps is solvers._steps_k1:
+        assert _native._library() is not None
+    xd, idx, a, eu, w0, anchor, basis, btx, etas = _random_operands(
+        d, n, m, j, rotate, per_step, 0.05, seed)
+    k = min(split, m)
+    w1, sc1 = w0.copy(), np.ones(1)
+    bad1 = steps(xd, idx, a, eu, 0.05, w1, sc1, anchor, basis, btx, etas)
+    w2, sc2 = w0.copy(), np.ones(1)
+    bad2 = steps(xd, idx[:k], a, eu, 0.05, w2, sc2, anchor, basis, btx,
+                 None if etas is None else etas[:k])
+    if not bad2:
+        bad2 = steps(xd, idx[k:], a, eu, 0.05, w2, sc2, anchor, basis, btx,
+                     None if etas is None else etas[k:])
+        bad2 = bad2 and k + bad2
+    assert bad1 == bad2
+    assert np.array_equal(w1, w2)
+    assert np.array_equal(sc1, sc2)
+
+
+def _steps_k1_scalar(xd, idx, a, eu, eta, w, inv, anchor, basis, btx, etas):
+    """The kernel's arithmetic in its one-pass order, one Python float
+    operation at a time, on the iterate w * inv: the new (w, inv)."""
     d = len(w)
     w = [float(v) for v in w]
-    for t, i in enumerate(idx):
+
+    def column(i):
         x = [float(v) for v in xd[:, i]]
         if basis is not None:
             for k in range(d):
@@ -105,13 +149,22 @@ def _steps_k1_scalar(xd, idx, a, eu, eta, w, anchor, basis, btx, etas):
                 for l in range(basis.shape[1]):
                     p += float(basis[k, l]) * float(btx[i, l])
                 x[k] = x[k] - p
-        s = 1.0 if anchor is None or _dot8(w, anchor) >= 0.0 else -1.0
+        return x
+
+    x = column(idx[0])
+    p = _dot8(x, w)
+    pa = 0.0 if anchor is None else _dot8(w, anchor)
+    for t, i in enumerate(idx):
+        s = 1.0 if pa >= 0.0 else -1.0
         e = eta if etas is None else float(etas[t])
-        c = e * (_dot8(x, w) - s * float(a[i]))
-        w = [(w[k] + c * x[k]) + s * float(eu[k]) for k in range(d)]
+        c = e * (inv * p - s * float(a[i]))
+        w = [(w[k] * inv + c * x[k]) + s * float(eu[k]) for k in range(d)]
+        x = column(idx[t + 1]) if t + 1 < len(idx) else x
+        p = _dot8(x, w)
+        if anchor is not None:
+            pa = _dot8(w, anchor)
         inv = 1.0 / math.sqrt(_dot8(w, w))
-        w = [v * inv for v in w]
-    return np.array(w)
+    return np.array(w), inv
 
 
 def _segments(d, n, m, eta, seed):
@@ -146,11 +199,13 @@ def test_compiled_sums_in_the_written_order(d):
     assert _native._library() is not None
     for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(d, 9, 30, 0.05,
                                                               d):
-        w = w0.copy()
-        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, anchor, b, btx,
-                                 etas) == 0
-        assert np.array_equal(w, _steps_k1_scalar(xd, idx, a, eu, 0.05, w0,
-                                                  anchor, b, btx, etas))
+        w, scale = w0.copy(), np.array([0.75])  # a pending scale carried in
+        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, scale, anchor, b,
+                                 btx, etas) == 0
+        w_ref, inv_ref = _steps_k1_scalar(xd, idx, a, eu, 0.05, w0, 0.75,
+                                          anchor, b, btx, etas)
+        assert np.array_equal(w, w_ref)
+        assert scale[0] == inv_ref
 
 
 @needs_cc
@@ -185,41 +240,46 @@ def _unoptimized_library(monkeypatch, tmp_path):
     return _other_library(monkeypatch, tmp_path, flags)
 
 
-def _portable_library(monkeypatch, tmp_path):
+def _library_without(monkeypatch, tmp_path, *copies):
     """The library built with the default flags from a copy of the kernel
-    without its target_clones line: one copy of the k=1 steps, for the
-    baseline instruction set, wherever the default build adds a copy for
-    the running CPU."""
+    without the #define lines of the named copies of the k=1 steps
+    ("AVX512", "AVX2"): without both, only the baseline copy is left,
+    wherever the default build runs a copy for the running CPU."""
     lines = _native._SRC.read_text().splitlines(keepends=True)
-    clones = [line for line in lines if "target_clones(" in line]
-    assert len(clones) == 1  # the attribute, on a line of its own
-    src = tmp_path / "portable" / "_kernel.c"
+    drop = [line for line in lines
+            if line.split()[:2] in [["#define", f"{c}_COPY"] for c in copies]]
+    assert len(drop) == len(copies)  # each define on a line of its own
+    src = tmp_path / "-".join(copies) / "_kernel.c"
     src.parent.mkdir()
-    src.write_text("".join(line for line in lines if line not in clones))
-    return _other_library(monkeypatch, tmp_path / "portable", src=src)
+    src.write_text("".join(line for line in lines if line not in drop))
+    return _other_library(monkeypatch, src.parent, src=src)
 
 
 @needs_cc
 def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
-    # the default build vectorizes, and on an AVX2 CPU runs its AVX2 copy
-    # of the steps; it must not move one bit from the kernel as written,
-    # compiled without optimization, nor from the baseline copy alone
+    # the default build vectorizes, and runs the widest copy of the steps
+    # the CPU has (AVX-512, AVX2 or the baseline); it must not move one
+    # bit from the kernel as written, compiled without optimization, nor
+    # from a build without the AVX-512 copy or with the baseline copy alone
     default = _native._library()
     assert default is not None
-    plain = _unoptimized_library(monkeypatch, tmp_path)
-    portable = _portable_library(monkeypatch, tmp_path)
+    libs = (default, _unoptimized_library(monkeypatch, tmp_path),
+            _library_without(monkeypatch, tmp_path, "AVX512"),
+            _library_without(monkeypatch, tmp_path, "AVX512", "AVX2"))
     for d in range(1, 41):  # every remainder of 8, in the fused loop too
         for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(
                 d, 23, 150, 0.05, 8 + d):
             out = []
-            for lib in (default, plain, portable):
+            for lib in libs:
                 monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
-                w = w0.copy()
-                out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w,
-                                              anchor, b, btx, etas), w))
-            assert out[0][0] == out[1][0] == out[2][0] == 0
-            assert np.array_equal(out[0][1], out[1][1]), (d, anchor, b, etas)
-            assert np.array_equal(out[0][1], out[2][1]), (d, anchor, b, etas)
+                w, scale = w0.copy(), np.ones(1)
+                out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w, scale,
+                                              anchor, b, btx, etas), w,
+                            scale))
+            for bad, w, scale in out[1:]:
+                assert bad == out[0][0] == 0
+                assert np.array_equal(w, out[0][1]), (d, anchor, b, etas)
+                assert scale == out[0][2], (d, anchor, b, etas)
 
 
 def _synth_cases():
@@ -287,23 +347,26 @@ def test_degenerate_step_reported_at_step_one(steps, with_anchor):
     rng = np.random.default_rng(4)
     xd = np.asfortranarray(rng.standard_normal((6, 5)))
     w = _unit(rng.standard_normal(6))
-    w_in = w.copy()
-    bad = steps(xd, np.array([2, 0, 1]), xd.T @ w, -w, 1.0, w_in,
+    w_in, scale = w.copy(), np.ones(1)
+    bad = steps(xd, np.array([2, 0, 1]), xd.T @ w, -w, 1.0, w_in, scale,
                 anchor=w if with_anchor else None)
     assert bad == 1
     assert np.linalg.norm(w_in) < solvers._NORM_FLOOR
+    assert scale[0] == 1.0  # w holds the candidate itself
 
 
 def _degenerate_third_segment(monkeypatch, name="_steps_k1"):
     """Make the third call of the step function ``name`` in a run see
-    cancelling operands (a_i = x_i^T W, eta u = -W)."""
+    cancelling operands (a_i = x_i^T W, eta u = -W, W the iterate: at
+    k=1 the kernel's w times its pending scale)."""
     real = getattr(solvers, name)
     calls = []
 
     def steps(xd, idx, a, eu, eta, w, *args, **kwargs):
         calls.append(len(idx))
         if len(calls) == 3:
-            return real(xd, idx, xd.T @ w, -w, 1.0, w)
+            it = w * args[0][0] if name == "_steps_k1" else w
+            return real(xd, idx, xd.T @ it, -it, 1.0, w, *args[:1])
         return real(xd, idx, a, eu, eta, w, *args, **kwargs)
 
     monkeypatch.setattr(solvers, name, steps)
@@ -366,19 +429,33 @@ def test_off_sphere_iterate_raises(monkeypatch, small_k1):
 
 @needs_cc
 def test_numpy_fallback_matches_compiled_run(monkeypatch, std_k1):
-    ref = std_k1.reference(1)
-    w0 = power_warm_start(std_k1.Xs, seed=1, reference=ref).frame
+    # every solver that steps at k=1, compiled and then in numpy
+    X, ref = std_k1.Xs, std_k1.reference(1)
+    w0 = power_warm_start(X, seed=1, reference=ref).frame
     eta, m = select_parameters(std_k1.gap, 1.0, 1, 0.25)
     cfg = SolverConfig(k=1, eta=eta, m=m, epochs=3, seed=1)
+    cfg2 = SolverConfig(k=2, eta=eta, m=m, epochs=2, seed=1)
+    start = gaussian_init(X.d, 1, seed=7)
+
+    def runs():
+        frame, iters = burn_in(X, start, 1.0 / X.d, 0.25, std_k1.gap, ref,
+                               eta=0.05, seed=1)
+        assert iters > 0
+        traces = [vrpca_vector(X, w0, cfg, ref),
+                  vrpca_block(X, w0, cfg, ref),  # use_rotation: the anchor
+                  deflation_solve(X, gaussian_init(X.d, 2, seed=7), cfg2,
+                                  ref),
+                  oja_baseline(X, start, 0.5, 3000, ref, seed=1)]
+        return [([(r.samples, r.potential, r.residual) for r in t.records],
+                 t.final_frame.entries) for t in traces] + [
+            ([iters], frame.entries)]
+
     assert _native._library() is not None
-    compiled = vrpca_vector(std_k1.Xs, w0, cfg, ref)
+    compiled = runs()
     monkeypatch.setattr(_native, "_library", lambda: None)
-    reference = vrpca_vector(std_k1.Xs, w0, cfg, ref)
-    assert compiled.samples == reference.samples
-    assert [r.potential for r in compiled.records] == \
-        [r.potential for r in reference.records]
-    assert np.array_equal(compiled.final_frame.entries,
-                          reference.final_frame.entries)
+    for (recs, frame), (recs_np, frame_np) in zip(compiled, runs()):
+        assert recs == recs_np
+        assert np.array_equal(frame, frame_np)
 
 
 def test_missing_compiler_falls_back_with_a_warning(monkeypatch, small_k1,
@@ -466,8 +543,9 @@ def _k1_operands():
     w = _unit(rng.standard_normal(d))
     basis = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((d, 2)))[0])
     return dict(xd=xd, idx=np.array([0, 3, 6]), a=xd.T @ w, eu=0.1 * w,
-                eta=0.1, w=w, anchor=w.copy(), basis=basis, btx=xd.T @ basis,
-                etas=np.array([0.1, 0.2, 0.3]), norm_floor=1e-12)
+                eta=0.1, w=w, scale=np.ones(1), anchor=w.copy(), basis=basis,
+                btx=xd.T @ basis, etas=np.array([0.1, 0.2, 0.3]),
+                norm_floor=1e-12)
 
 
 def _read_only(v):
@@ -492,6 +570,9 @@ K1_VIOLATIONS = {
     "w read-only": lambda o: dict(w=_read_only(o["w"])),
     "a short": lambda o: dict(a=o["a"][:-1]),
     "w long": lambda o: dict(w=np.append(o["w"], 0.0)),
+    "scale read-only": lambda o: dict(scale=_read_only(o["scale"])),
+    "scale a float": lambda o: dict(scale=1.0),
+    "scale long": lambda o: dict(scale=np.ones(2)),
     "anchor short": lambda o: dict(anchor=o["anchor"][:-1]),
     "basis F-ordered": lambda o: dict(basis=np.asfortranarray(o["basis"])),
     "btx short": lambda o: dict(btx=np.ascontiguousarray(o["btx"][:-1])),

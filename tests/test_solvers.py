@@ -133,6 +133,20 @@ class TestRunRanges:
             RANGE_CASES[name][1](value)
         assert str(err.value) == f"{name} must {kind}, got {value!r}"
 
+    @pytest.mark.parametrize("name, call", [
+        *((name, call) for name, (_, call) in RANGE_CASES.items()
+          if name != "epsilon"),  # the one optional parameter
+        ("delta", lambda v: _burn(delta=v)),
+        ("lambda_hat", lambda v: select_parameters(v, 1.0, 1, 0.25)),
+        ("delta", lambda v: select_parameters(0.3, 1.0, 1, v))])
+    def test_entry_point_refuses_none(self, name, call):
+        # None is no value of a required parameter: it is refused by name,
+        # not taken as unset to fail later in the arithmetic
+        kind = solvers._RANGES[name][2][1]
+        with pytest.raises(ConfigError) as err:
+            call(None)
+        assert str(err.value) == f"{name} must {kind}, got None"
+
     def test_numpy_scalars_are_of_their_kind(self):
         cfg = _config(k=np.int64(1), eta=np.float32(0.1), m=np.int32(5),
                       epochs=np.uint8(1))
@@ -511,18 +525,22 @@ class TestSeedStreams:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_oja_draws_the_run_stream(self, monkeypatch, small_k1, seed):
-        # Oja's steps, written out on the run stream's indices and summed in
-        # the kernel's order: the compiled steps and the numpy fallback
-        # reproduce them bit for bit
+        # Oja's steps, written out on the run stream's indices in the
+        # kernel's one-pass order (the normalization carried as inv into
+        # the next step, each sum in the kernel's order): the compiled
+        # steps and the numpy fallback reproduce them bit for bit
         X = small_k1.Xs
         w0 = gaussian_init(X.d, 1, seed=3)
         idx = np.random.Generator(np.random.Philox(key=seed)).integers(
             0, X.n, size=300)
-        w = w0.entries[:, 0].copy()
+        v, inv = w0.entries[:, 0].copy(), 1.0
+        p = _native._sum8(X.data[:, idx[0]] * v)  # x^T v for the step
         for t in range(1, 301):
             x = X.data[:, idx[t - 1]]
-            wp = w + (0.5 / t * _native._sum8(x * w)) * x
-            w = wp * (1.0 / np.sqrt(_native._sum8(wp * wp)))
+            v = v * inv + (0.5 / t * (inv * p)) * x
+            p = _native._sum8(X.data[:, idx[min(t, 299)]] * v)
+            inv = 1.0 / np.sqrt(_native._sum8(v * v))
+        w = v * inv
         compiled = oja_baseline(X, w0, 0.5, 300, seed=seed)
         assert np.array_equal(compiled.final_frame.entries[:, 0], w)
         monkeypatch.setattr(_native, "_library", lambda: None)
