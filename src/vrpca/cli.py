@@ -2,8 +2,9 @@
 
 Verbs: solve, compare, geometry, synth, convert. Flags mirror the
 ExperimentConfig field names; a JSON config file provides defaults that
-individual flags override. Exit codes: 0 success, 1 parse/config error,
-2 solver degeneracy/non-convergence.
+individual flags override. Exit codes: 0 success, 1 parse/config error
+or a file that cannot be read or written, 2 solver degeneracy or
+non-convergence.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (ConfigError, DatasetFormatError, DegenerateIterateError,
-                     DimensionMismatchError, NonConvergenceError)
+from .errors import (ConfigError, DegenerateIterateError, NonConvergenceError,
+                     VrpcaError)
 from .harness import (INITS, SOLVERS, ExperimentConfig, compare_baselines,
                       geometry_report, run_experiment)
 from .io import FORMATS, load_dataset, save_dataset
@@ -150,12 +151,12 @@ def main(argv=None) -> int:
             X = load_dataset(args.src, args.src_format)
             save_dataset(X, args.dst, args.dst_format)
             print(f"wrote {X.d} x {X.n} dataset to {args.dst}")
-    except (ConfigError, DatasetFormatError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DegenerateIterateError, NonConvergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except (VrpcaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

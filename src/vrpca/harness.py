@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -167,6 +166,9 @@ class RunReport:
     rescaled data's units, while ``eigengap`` and ``realized_r`` are in
     the original data's units. ``eta`` and ``m`` are None when the solver
     read neither: orthogonal iteration, and Oja given ``oja_iters``.
+    ``elapsed_s`` is the wall time of this seed's run alone, from
+    parameter selection to the report; the shared load, rescale and
+    oracle are not in it.
     """
 
     seed: int
@@ -357,19 +359,15 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
 def run_experiment(cfg: ExperimentConfig):
     """Full pipeline: load/synthesize -> optional rescale -> init ->
     optional burn-in -> parameter selection -> solve -> optional oracle
-    verification. Returns a list of RunReport, one per seed; when out_dir
-    is set, writes trace_seed<seed>.jsonl and report.json there.
+    verification. The data and oracle are prepared once; the seeds then
+    run one after another in config order, in the calling thread. Returns
+    a list of RunReport, one per seed in that order; when out_dir is set,
+    writes trace_seed<seed>.jsonl and report.json there.
 
     Burn-in non-convergence is reported in the run report, not raised.
     """
     prep = _prepare(cfg)
-    if len(cfg.seeds) == 1:
-        runs = [_single_run(*prep, cfg, cfg.seeds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), 8)) as pool:
-            futures = [pool.submit(_single_run, *prep, cfg, s)
-                       for s in cfg.seeds]
-            runs = [f.result() for f in futures]
+    runs = [_single_run(*prep, cfg, s) for s in cfg.seeds]
 
     reports = [r for r, _ in runs]
     if cfg.out_dir is not None:

@@ -127,8 +127,12 @@ def _replacing(path: Path, mode: str, encoding=None):
 def _load_csv(path: Path) -> DataMatrix:
     rows = []
     width = None
-    with path.open("r", encoding="ascii") as fh:
+    # a byte that is not ASCII decodes to a lone surrogate, so the line
+    # that holds it can be named
+    with path.open("r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise DatasetFormatError(f"{path}: line {lineno}: not ASCII")
             line = line.strip()
             if not line:
                 continue

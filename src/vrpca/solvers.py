@@ -563,7 +563,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     The iteration budget is 10x the burn-in horizon
     T = floor(BURN_C_PRIME log(2/delta) / (eta lambda_hat zeta));
     exhausting it raises NonConvergenceError carrying the partial trace,
-    the last iterate and the iteration count.
+    the last iterate and the iteration count. A horizon that overflows is
+    refused before any step, with a ConfigError naming zeta, lambda_hat
+    and eta.
 
     Returns (frame, iterations_performed).
     """
@@ -574,8 +576,14 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     big_l = float(np.log(2.0 / delta))
     if eta is None:
         eta = BURN_C * delta**2 * lambda_hat * zeta**3 / (X.r**2 * big_l**2)
-    horizon = int(BURN_C_PRIME * big_l / (eta * lambda_hat * zeta))
-    budget = 10 * horizon
+    # as in select_parameters, the rate can underflow to 0 or to a
+    # subnormal whose quotient overflows
+    rate = float(eta * lambda_hat * zeta)
+    horizon = BURN_C_PRIME * big_l / rate if rate > 0.0 else np.inf
+    if not np.isfinite(horizon):
+        raise ConfigError(f"burn-in horizon overflows at zeta={zeta:.3e}, "
+                          f"lambda_hat={lambda_hat:.3e} and eta={eta:.3e}")
+    budget = 10 * int(horizon)
 
     # with a reference the stop rule reads only the potential; without one
     # the proxy rule reads residuals, at one covariance pass per check
@@ -609,7 +617,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
             return OrthonormalFrame(w[:, None]), done
     raise NonConvergenceError(
         f"burn-in budget of {budget} iterations exhausted "
-        f"(eta={eta:.3e}, horizon={horizon})",
+        f"(eta={eta:.3e}, horizon={int(horizon)})",
         trace=rec.trace(w), frame=OrthonormalFrame(w[:, None]),
         iterations=budget)
 

@@ -142,14 +142,25 @@ class TestRunExperiment:
         assert again == [json.dumps(r) for r in rows]
 
     def test_multi_seed_runs_and_report_file(self, tmp_path):
+        # the seeds run in config order, each as it runs alone
+        def timeless(rep):
+            return {k: v for k, v in rep.items() if k != "elapsed_s"}
+
         out = tmp_path / "multi"
-        cfg = synth_cfg(seeds=(1, 2, 3), out_dir=str(out))
+        cfg = synth_cfg(seeds=(3, 1, 2), out_dir=str(out))
         reports = run_experiment(cfg)
-        assert sorted(r.seed for r in reports) == [1, 2, 3]
+        assert [r.seed for r in reports] == [3, 1, 2]
         saved = json.loads((out / "report.json").read_text())
-        assert len(saved) == 3
-        for rep in saved:
-            assert rep["final_potential"] <= 1e-6
+        assert saved == [r.to_dict() for r in reports]
+        for rep in reports:
+            assert rep.final_potential <= 1e-6
+            alone_dir = tmp_path / f"alone{rep.seed}"
+            (alone,) = run_experiment(replace(cfg, seeds=(rep.seed,),
+                                              out_dir=str(alone_dir)))
+            assert timeless(rep.to_dict()) == timeless(alone.to_dict())
+            name = f"trace_seed{rep.seed}.jsonl"
+            assert trace_fingerprint(out / name) == \
+                trace_fingerprint(alone_dir / name)
 
     def test_burn_in_path(self):
         cfg = synth_cfg(run_burn_in=True, init="gaussian", epochs=4)
@@ -622,6 +633,46 @@ class TestCli:
         assert err.startswith("error: eigengap ") and "Traceback" not in err
         assert re.search(r"selects m = \d+: 3 epochs of m steps exceed the "
                          r"step budget of 1000000000", err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--zeta", "1e-120"], ["--zeta", "1e-100"],
+        ["--no-oracle-check", "--lambda-hat", "1e-300"]])
+    def test_burn_in_horizon_refused(self, capsys, flags):
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.2", "--n", "50",
+                       "--eta", "0.1", "--m", "10", "--epochs", "1",
+                       "--burn-in", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: burn-in horizon overflows at zeta=")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--dataset", "{missing}", "--format", "f64le"],
+         "No such file or directory: '{missing}'"),
+        (["solve", "--dataset", "{tmp}", "--format", "f64le"],
+         "Is a directory: '{tmp}'"),
+        (["compare", "--dataset", "{missing}", "--format", "csv"],
+         "No such file or directory: '{missing}'"),
+        (["convert", "{missing}", "{tmp}/x.csv", "--from", "f64le",
+          "--to", "csv"], "No such file or directory: '{missing}'"),
+        (["synth", "--spectrum", "1,0.5", "--n", "10",
+          "--out", "{missing}/x.vrpc"], "No such file or directory"),
+        (["solve", "--spectrum", "1,0.5,0.1", "--n", "20",
+          "--out", "{file}"], "File exists: '{file}'")],
+        ids=["solve-missing", "solve-directory", "compare-missing",
+             "convert-missing", "synth-missing-directory", "solve-out-file"])
+    def test_file_errors_print_one_line(self, tmp_path, capsys, argv,
+                                        message):
+        names = dict(missing=tmp_path / "missing", tmp=tmp_path,
+                     file=tmp_path / "file")
+        names["file"].write_text("")
+        if argv[0] in ("solve", "compare"):
+            argv = [*argv, "--eta", "0.1", "--m", "10", "--epochs", "1"]
+        rc = cli_main([a.format(**names) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message.format(**names) in err
 
     def test_tiny_lambda_hat_refused(self, capsys):
         # eta * lambda_hat underflows to 0 in the selection rule

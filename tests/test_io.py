@@ -71,6 +71,23 @@ class TestCsv:
         with pytest.raises(DatasetFormatError, match="empty"):
             load_dataset(p, "csv")
 
+    @pytest.mark.parametrize("content, line", [
+        (b"\xff\xfe1,0\n0,1\n", 1),
+        (b"1,0\n0,1\n2,\xe9\n", 3),
+        (b"VRPA\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+         b"\x00\x00\x00\x00\x00\x00\xf0\x3f", 1)],
+        ids=["bom", "latin1", "f64le"])
+    def test_non_ascii_reports_line(self, tmp_path, capsys, content, line):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(content)
+        with pytest.raises(DatasetFormatError,
+                           match=f"bad.csv: line {line}: not ASCII$"):
+            load_dataset(p, "csv")
+        assert cli_main(["convert", str(p), str(tmp_path / "out.vrpc"),
+                         "--from", "csv", "--to", "f64le"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {p}: line {line}: not ASCII\n"
+
     def test_blank_lines_skipped(self, tmp_path):
         # blank lines hold no data point but still count as lines
         p = tmp_path / "gaps.csv"

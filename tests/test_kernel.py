@@ -512,14 +512,29 @@ def test_racing_builders_leave_one_entry(tmp_path):
 
 @needs_cc
 def test_concurrent_first_use_in_run_experiment(tmp_path, fresh_kernel):
+    # run_experiment runs its seeds in the calling thread, but a caller's
+    # own threads can still load the kernel at the same time
     base = dict(spectrum=spectrum_k1(d=12), n=64, synth_seed=5,
                 solver="vrpca_vector", k=1, epochs=4, delta=0.5,
                 init="power", m=256, eta=0.05)
-    both = run_experiment(ExperimentConfig(**base, seeds=(1, 2)))
+    start = threading.Barrier(2)
+    got = {}
+
+    def run(seed):
+        start.wait(timeout=30)
+        got[seed] = run_experiment(ExperimentConfig(**base, seeds=(seed,)))[0]
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == [1, 2]
     assert fresh_kernel == [tmp_path]
     assert len(list(tmp_path.iterdir())) == 1
-    for rep in both:
-        alone = run_experiment(ExperimentConfig(**base, seeds=(rep.seed,)))[0]
+    for seed, rep in got.items():
+        alone = run_experiment(ExperimentConfig(**base, seeds=(seed,)))[0]
         assert rep.samples == alone.samples
         assert rep.epoch_potentials == alone.epoch_potentials
 

@@ -410,6 +410,21 @@ class TestBurnIn:
         assert err.value.iterations == budget
         assert len(err.value.trace.records) < budget
 
+    @pytest.mark.parametrize("changes", [
+        dict(zeta=1e-120), dict(zeta=1e-100), dict(lambda_hat=1e-300),
+        dict(eta=1e-320)])
+    def test_unrepresentable_horizon_refused_before_any_step(
+            self, monkeypatch, changes):
+        # eta * lambda_hat * zeta underflows, to 0 or to a subnormal whose
+        # quotient overflows
+        def refuse(*args, **kwargs):
+            raise AssertionError("_steps_k1 called")
+
+        monkeypatch.setattr(solvers, "_steps_k1", refuse)
+        with pytest.raises(ConfigError, match=r"^burn-in horizon overflows "
+                           r"at zeta=\S+, lambda_hat=\S+ and eta=\S+$"):
+            _burn(**changes)
+
     def test_invalid_zeta(self, burn_instance):
         w0 = gaussian_init(burn_instance.Xs.d, 1, seed=1)
         with pytest.raises(ConfigError):
