@@ -74,6 +74,10 @@ def _add_experiment_flags(p):
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """The config of the solve or compare verb: the --config file's
+    object, overridden by the flags given. compare runs vrpca_vector at
+    k = 1 and vrpca_block otherwise, whatever the solver, so at k >= 2
+    it takes vrpca_block when neither sets one."""
     raw = {}
     if args.config:
         try:
@@ -86,6 +90,8 @@ def _experiment_config(args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
+    if args.verb == "compare" and raw.get("k", 1) != 1:
+        raw.setdefault("solver", "vrpca_block")
     return ExperimentConfig.from_dict(raw)
 
 

@@ -198,7 +198,10 @@ class RunReport:
 def runtime_model(d: int, k: int, n: int, r: float, eigengap: float,
                   epsilon: float) -> float:
     """Cost-model prediction d k (n + r^2 k^3 / eigengap^2) log(1/epsilon);
-    a pure function of the instance parameters, no timing involved."""
+    a pure function of the instance parameters, no timing involved. A
+    nonpositive eigengap, for which the model predicts nothing, is refused
+    with a ConfigError."""
+    _check("eigengap", eigengap, _REAL, _RANGES["lambda_hat"][:2])
     return float(d * k * (n + r**2 * k**3 / eigengap**2)
                  * np.log(1.0 / epsilon))
 
@@ -336,7 +339,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     boundaries = trace.boundary_records()
 
     model = None
-    if gap is not None:
+    if gap is not None and gap > 0.0:
         model = runtime_model(d, k, n, original_r, gap * scale,
                               cfg.epsilon or MODEL_EPSILON)
     report = RunReport(

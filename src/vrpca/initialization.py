@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateIterateError, DimensionMismatchError
 from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
-                     _dense_covariance, _polar, polar_normalize)
+                     _check_r, _dense_covariance, _polar, polar_normalize)
 
 
 #: purpose ids of _stream; 0 is the run stream
@@ -85,7 +85,7 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     eigenvector from about 1/d to about 1/nrank(A). The k > 1 variant
     orthonormalizes A G for a Gaussian d x k matrix G; it is a natural
     extrapolation and is only guaranteed to satisfy the frame invariant.
-    G is one draw from the run stream _stream(seed) (a vector at k = 1).
+    G is one d x k draw from the run stream _stream(seed).
 
     A k above X.d raises DimensionMismatchError before the draw, as
     gaussian_init does. When A G has numerical rank < k (_polar's rule,
@@ -99,10 +99,10 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     rounding.
     """
     _check_k(k, X.d)
-    g = _stream(seed).standard_normal((X.d, k) if k > 1 else X.d)
+    g = _stream(seed).standard_normal((X.d, k))
     ag = _apply(X, _dense_covariance(X, reference), g)
     try:
-        frame = OrthonormalFrame(_polar(ag.reshape(X.d, k)))
+        frame = OrthonormalFrame(_polar(ag))
     except DegenerateIterateError as exc:
         raise DegenerateIterateError(
             f"power warm start: A G has numerical rank < {k} ({exc})"
@@ -120,12 +120,14 @@ def numerical_rank(X: DataMatrix) -> float:
     Computed from the eigenvalues of the smaller-side Gram matrix: A
     itself, from X's covariance memo, when n >= d, else (1/n) X^T X, which
     shares the nonzero spectrum of A, so the d x d covariance is never
-    formed when n < d. Refuses min(d, n) > DENSE_GUARD. Always in
+    formed when n < d. Refuses min(d, n) > DENSE_GUARD, and data whose
+    largest squared column norm overflows (matrix._check_r). Always in
     [1, rank(A)].
     """
     _check_dense(min(X.d, X.n),
                  "numerical_rank forms a min(d, n)-square Gram matrix")
     if X.n < X.d:
+        _check_r(X, "form the Gram matrix")
         m = X.data.T @ X.data / X.n
     else:
         m = X.covariance()

@@ -110,11 +110,15 @@ def _replacing(path: Path, mode: str, encoding=None):
         with path.open(mode, encoding=encoding) as fh:
             yield fh
         return
-    path = path.resolve()
+    target, path = path, path.resolve()
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never write through a file that already exists; mode 0o666
-    # is narrowed by the umask, as open(..., "wb") does
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # is narrowed by the umask, as open(..., "wb") does. A failure names
+    # the target, not the temporary file.
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
     try:
         with open(fd, mode, encoding=encoding) as fh:
             yield fh

@@ -56,7 +56,9 @@ class DataMatrix:
     The column norms double as the finiteness check: a NaN or an infinite
     entry makes its column's squared norm NaN or inf, so the entries are
     scanned only when some norm is not finite. A column of finite entries
-    whose squared norm overflows is accepted, with r = inf.
+    whose squared norm overflows is accepted, with r = inf; forming a Gram
+    matrix of it (``covariance()``, numerical_rank) or rescaling it is
+    then refused with a DegenerateIterateError naming the column.
 
     ``covariance()`` forms A = X X^T / n on its first call (d <= DENSE_GUARD
     only) and keeps it: the oracle eigendecomposes it, and a solve given a
@@ -86,8 +88,10 @@ class DataMatrix:
     def covariance(self):
         """The read-only d x d covariance A = X X^T / n, formed once (under
         a lock, so concurrent callers share one) and kept for the life of
-        this matrix; it costs d^2 doubles. Refused for d > DENSE_GUARD."""
+        this matrix; it costs d^2 doubles. Refused for d > DENSE_GUARD, and
+        for r = inf (_check_r)."""
         _check_dense(self.d, "use the iterative solvers at this scale")
+        _check_r(self, "form the covariance")
         if self._cov is not None:
             return self._cov
         with _cov_lock:
@@ -99,6 +103,18 @@ class DataMatrix:
 
     def __repr__(self):
         return f"DataMatrix(d={self.d}, n={self.n}, r={self.r:.6g})"
+
+
+def _check_r(X, action):
+    """Refuse to ``action`` data whose largest squared column norm
+    overflows (r = inf), naming the first such column."""
+    if np.isfinite(X.r):
+        return
+    norms = np.einsum("ij,ij->j", X.data, X.data)
+    j = int(np.flatnonzero(~np.isfinite(norms))[0])
+    raise DegenerateIterateError(
+        f"cannot {action}: the squared norm of column {j} overflows to "
+        f"{norms[j]} (largest entry {np.max(np.abs(X.data[:, j])):.3e})")
 
 
 def _deviation(arr):
@@ -266,11 +282,9 @@ def _apply(X: DataMatrix, cov, w):
 
 
 def _residual(w, aw):
-    """rayleigh_residual of the raw frame (or unit vector) ``w`` from a
-    product aw = A w already computed."""
-    arr = w if w.ndim == 2 else w[:, None]
-    aw = aw if aw.ndim == 2 else aw[:, None]
-    return float(np.linalg.norm(aw - arr @ (arr.T @ aw)))
+    """rayleigh_residual of the raw d x k frame ``w`` from a product
+    aw = A w already computed."""
+    return float(np.linalg.norm(aw - w @ (w.T @ aw)))
 
 
 def rescale_dataset(X: DataMatrix):
@@ -287,10 +301,5 @@ def rescale_dataset(X: DataMatrix):
     """
     if X.r <= 0.0:
         raise DegenerateIterateError("cannot rescale an all-zero dataset")
-    if not np.isfinite(X.r):
-        norms = np.einsum("ij,ij->j", X.data, X.data)
-        j = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise DegenerateIterateError(
-            f"cannot rescale: the squared norm of column {j} overflows to "
-            f"{norms[j]} (largest entry {np.max(np.abs(X.data[:, j])):.3e})")
+    _check_r(X, "rescale")
     return DataMatrix(X.data / np.sqrt(X.r)), X.r

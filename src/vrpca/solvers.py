@@ -66,7 +66,7 @@ def _steps_k1_numpy(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
 def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
               btx=None, etas=None):
     """Run len(idx) k=1 VR-PCA steps in place on the iterate w * scale[0],
-    a unit vector held as ``w`` and its pending scale:
+    a d x 1 unit frame held as ``w`` and its pending scale:
     w <- normalize(w + eta (x_i^T w - a_i) x_i + eu), i over ``idx``.
 
     The normalization is carried, not applied: each step makes one pass
@@ -88,28 +88,16 @@ def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
     x_i - B B^T x_i. Returns 0, or the 1-based step whose candidate norm
     fell below _NORM_FLOOR; ``w`` then holds that candidate and ``scale``
     1.
+
+    ``w``, ``a``, ``eu`` and ``anchor`` may be d x 1 (``a``: n x 1) arrays
+    or vectors: the kernels see reshape(-1) views of them, the one place
+    where a solver's iterate is a vector.
     """
+    a, eu, w, anchor = (None if v is None else v.reshape(-1)
+                        for v in (a, eu, w, anchor))
     args = (xd, idx, a, eu, eta, w, scale, anchor, basis, btx, etas)
     bad = _native.steps_k1(*args, _NORM_FLOOR)
     return _steps_k1_numpy(*args) if bad is None else bad
-
-
-def _unit_steps(w, run):
-    """_segments' steps function for the k=1 unit iterate ``w``.
-
-    run(idx, t0, v, scale) runs _steps_k1 on v, a copy of ``w`` that stays
-    unnormalized between calls, with its pending scale; after each call
-    ``w`` is set to v * scale, the iterate the checks and records read.
-    The kernel's operands are never renormalized between calls, so a chunk
-    or checkpoint split moves no bit.
-    """
-    v, scale = w.copy(), np.ones(1)
-
-    def steps(idx, t0):
-        bad = run(idx, t0, v, scale)
-        np.multiply(v, scale[0], out=w)
-        return bad
-    return steps
 
 
 #: constants of the step-size / epoch-length selection rule (c, c', c'')
@@ -288,8 +276,7 @@ class _Recorder:
         self.inner_len = inner_len
 
     def add(self, epoch, iteration, w, samples, aw=None):
-        arr = w if w.ndim == 2 else w[:, None]
-        pot = None if self.ref is None else _potential(self.ref, arr)
+        pot = None if self.ref is None else _potential(self.ref, w)
         self.records.append(TraceRecord(
             epoch=epoch, iteration=iteration, potential=pot,
             residual=None if aw is None else _residual(w, aw),
@@ -300,8 +287,8 @@ class _Recorder:
         self.records[-1] = replace(self.records[-1], residual=_residual(w, aw))
 
     def trace(self, final):
-        frame = OrthonormalFrame(final if final.ndim == 2 else final[:, None])
-        return ConvergenceTrace(records=self.records, final_frame=frame,
+        return ConvergenceTrace(records=self.records,
+                                final_frame=OrthonormalFrame(final),
                                 inner_len=self.inner_len)
 
 
@@ -314,11 +301,11 @@ def _check_frame(X, w0, k):
 
 
 def _check_iterate(w, where):
-    """The one iterate check: max |W^T W - I| <= ORTHO_TOL, which for a k=1
-    vector w is |w^T w - 1| <= ORTHO_TOL."""
-    dev = _deviation(w if w.ndim == 2 else w[:, None])
+    """The one iterate check: max |W^T W - I| <= ORTHO_TOL, which for a
+    d x 1 iterate w is |w^T w - 1| <= ORTHO_TOL."""
+    dev = _deviation(w)
     if not dev <= ORTHO_TOL:
-        what = ("iterate left the unit sphere" if w.ndim == 1
+        what = ("iterate left the unit sphere" if w.shape[1] == 1
                 else "iterate columns lost orthonormality")
         raise DegenerateIterateError(
             f"{what} {where}: max |W^T W - I| = {dev:.3e}")
@@ -361,27 +348,45 @@ def _anchor_gradient(X, wt, cov):
     return a, (X.data @ a / X.n if cov is None else cov @ wt)
 
 
+def _project_out(w, basis):
+    """In place, w <- normalize(w - B B^T w) for a d x 1 ``w`` and an
+    orthonormal deflation ``basis`` B; nothing when B is None."""
+    if basis is not None:
+        w -= basis @ (basis.T @ w)
+        w /= np.linalg.norm(w)
+
+
 def _segments(rng, n, total, stride, w, where, steps):
-    """Run ``total`` steps on the iterate ``w`` as segments of ``stride``
-    steps, yielding the steps done after each segment.
+    """Run ``total`` steps on the d x k iterate ``w`` as segments of
+    ``stride`` steps, yielding the steps done after each segment.
 
     Each segment draws its indices from ``rng`` when it runs, in chunks of
     at most _CHUNK; consecutive Philox draws equal one block draw bit for
     bit, so the index array holds one chunk, not ``total`` or ``stride``.
-    Each chunk calls steps(idx, t0), t0 the steps before it, which returns
-    0 or the 1-based step whose candidate was degenerate; such a step
-    raises DegenerateIterateError with its number and size. After each
-    segment the iterate must pass _check_iterate. ``where`` (e.g. "at
-    epoch 2,") places both in their messages.
+    Each chunk calls steps(idx, t0, v, scale), t0 the steps before it,
+    which returns 0 or the 1-based step whose candidate was degenerate;
+    such a step raises DegenerateIterateError with its number and size.
+
+    At k >= 2, v is ``w`` itself and scale None, _steps_block's operands.
+    At k = 1 they are _steps_k1's: v, a copy of ``w`` that stays
+    unnormalized between calls, and its pending scale; after each call
+    ``w`` is set to v * scale, the iterate the checks and records read.
+    The kernel's operands are never renormalized between calls, so a
+    chunk or checkpoint split moves no bit. After each segment the
+    iterate must pass _check_iterate. ``where`` (e.g. "at epoch 2,")
+    places both in their messages.
     """
+    v, scale = (w.copy(), np.ones(1)) if w.shape[1] == 1 else (w, None)
     for t0 in range(0, total, stride):
         t1 = min(t0 + stride, total)
         for c0 in range(t0, t1, _CHUNK):
             bad = steps(rng.integers(0, n, size=min(c0 + _CHUNK, t1) - c0),
-                        c0)
+                        c0, v, scale)
+            if scale is not None:
+                np.multiply(v, scale[0], out=w)
             if bad:
-                size = (f"norm {np.sqrt(w @ w):.3e}" if w.ndim == 1 else
-                        "Gram matrix min eigenvalue "
+                size = (f"norm {np.linalg.norm(w):.3e}" if scale is not None
+                        else "Gram matrix min eigenvalue "
                         f"{np.linalg.eigvalsh(w.T @ w)[0]:.3e}")
                 raise DegenerateIterateError(
                     f"degenerate iterate {where} step {c0 + bad}: {size}")
@@ -389,7 +394,7 @@ def _segments(rng, n, total, stride, w, where, steps):
         yield t1
 
 
-def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
+def _epochs(X, w_start, cfg, reference, cov, basis=None, jump=0,
             rotate=False, final_pass=True):
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
@@ -399,10 +404,10 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
     _dense_covariance: it was given a reference and d <= DENSE_GUARD) or
     else streamed. The epoch then runs its m steps from W~ in _segments,
     one segment per trace checkpoint (every max(m // 10, 1) steps, and the
-    epoch end): _steps_k1 for a 1-D ``w_start``, _steps_block for a d x k
-    one. The run stops after cfg.epochs epochs or at a boundary potential
-    <= epsilon, so an epsilon without a ``reference`` to measure it is
-    refused.
+    epoch end): _steps_k1 for a d x 1 ``w_start``, _steps_block for a
+    d x k one, k >= 2. The run stops after cfg.epochs epochs or at a
+    boundary potential <= epsilon, so an epsilon without a ``reference``
+    to measure it is refused.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's u, and the run's last boundary from one final product
@@ -412,10 +417,11 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
     without it. With ``final_pass`` off the final product is skipped and
     the last boundary's residual stays None.
 
-    ``deflate`` (k=1 only) is an optional d x j orthonormal basis; sampled
-    columns and the epoch anchor are projected against it on the fly, so
-    the stage solves the covariance operator restricted to its orthogonal
-    complement (its residuals stay those of the full operator). Indices
+    ``basis`` (k=1 only) is an optional C-ordered d x j orthonormal
+    deflation basis; sampled columns and the epoch anchor are projected
+    against it on the fly, so the stage solves the covariance operator
+    restricted to its orthogonal complement (its residuals stay those of
+    the full operator). Indices
     come from the run stream _stream(cfg.seed) jumped ``jump`` times.
     ``rotate`` applies the block solver's aligning rotation.
     """
@@ -425,21 +431,14 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
     m = cfg.m
     rng = _stream(cfg.seed, jump=jump)
     rec = _Recorder(reference, m)
-    basis = btx = None
-    if deflate is not None:
-        basis = np.ascontiguousarray(deflate)
-        btx = xd.T @ basis
+    btx = None if basis is None else xd.T @ basis
 
     wt = w_start.copy()
-    if basis is not None:
-        wt -= basis @ (basis.T @ wt)
-        wt /= np.linalg.norm(wt)
+    _project_out(wt, basis)
     samples = 0
     rec.add(0, 0, wt, samples)
     for s in range(1, cfg.epochs + 1):
-        if basis is not None:
-            wt -= basis @ (basis.T @ wt)
-            wt /= np.linalg.norm(wt)
+        _project_out(wt, basis)
         a, u = _anchor_gradient(X, wt, cov)
         rec.settle(wt, u)  # the last boundary's residual, full operator
         if basis is not None:
@@ -449,13 +448,11 @@ def _epochs(X, w_start, cfg, reference, cov, deflate=None, jump=0,
         w = wt.copy()
         anchor = wt if rotate else None
 
-        if w.ndim == 1:
-            steps = _unit_steps(w, lambda idx, t0, v, scale: _steps_k1(
-                xd, idx, a, eu, eta, v, scale, anchor=anchor, basis=basis,
-                btx=btx))
-        else:
-            def steps(idx, t0):
-                return _steps_block(xd, idx, a, u, eta, w, anchor=anchor)
+        def steps(idx, t0, v, scale):
+            if scale is None:
+                return _steps_block(xd, idx, a, u, eta, v, anchor=anchor)
+            return _steps_k1(xd, idx, a, eu, eta, v, scale, anchor=anchor,
+                             basis=basis, btx=btx)
 
         for t1 in _segments(rng, X.n, m, max(m // 10, 1), w,
                             f"at epoch {s},", steps):
@@ -499,7 +496,7 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     _check_frame(X, w0, 1)
     if cfg.k != 1:
         raise ConfigError(f"vector solver requires cfg.k == 1, got {cfg.k}")
-    return _epochs(X, w0.entries[:, 0], cfg, reference,
+    return _epochs(X, w0.entries, cfg, reference,
                    _dense_covariance(X, reference))
 
 
@@ -518,8 +515,8 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     step whose candidate collapses (norm below 1e-12) or loses rank,
     raises DegenerateIterateError with its epoch and step.
 
-    k = 1 steps in _steps_k1, with the rotation reduced to the sign of the
-    overlap w^T anchor. The iterate sequence therefore coincides with
+    At k = 1 the d x 1 frame steps in _steps_k1, with the rotation reduced
+    to the sign of the overlap w^T anchor. The iterate sequence therefore coincides with
     vrpca_vector under the same seed when use_rotation is off, or while
     that overlap stays >= 0; once it turns negative the rotation is B = -I
     and the two runs part.
@@ -530,16 +527,16 @@ def vrpca_block(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     Without one, cfg.epsilon is refused.
     """
     _check_frame(X, W0, cfg.k)
-    w = W0.entries[:, 0] if cfg.k == 1 else W0.entries
-    return _epochs(X, w, cfg, reference, _dense_covariance(X, reference),
-                   rotate=cfg.use_rotation)
+    return _epochs(X, W0.entries, cfg, reference,
+                   _dense_covariance(X, reference), rotate=cfg.use_rotation)
 
 
 def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
             lambda_hat: float, reference: OrthonormalFrame | None = None,
             eta: float | None = None, seed: int = 0):
-    """Drive a k=1 iterate from squared alignment >= zeta down to potential
-    <= 1/2, after which the geometric-convergence parameter regime applies.
+    """Drive a d x 1 iterate from squared alignment >= zeta down to
+    potential <= 1/2, after which the geometric-convergence parameter
+    regime applies.
 
     zeta, delta, lambda_hat and an ``eta`` override must lie in their
     _RANGES. Runs stochastic steps against the fixed anchor w0 with the
@@ -589,7 +586,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     # the proxy rule reads residuals, at one covariance pass per check
     proxy = reference is None
     rec = _Recorder(reference, None)
-    wt = w0.entries[:, 0].copy()
+    wt = w0.entries.copy()
     rec.add(0, 0, wt, 0, covariance_apply(X, wt) if proxy else None)
     if reference is not None and rec.records[0].potential <= 0.5:
         return w0, 0
@@ -600,8 +597,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     r0 = best = rec.records[0].residual
     stale = 0  # checks since the residual last fell by 1%
 
-    steps = _unit_steps(w, lambda idx, t0, v, scale: _steps_k1(
-        X.data, idx, a, eu, eta, v, scale))
+    def steps(idx, t0, v, scale):
+        return _steps_k1(X.data, idx, a, eu, eta, v, scale)
+
     for done in _segments(_stream(seed, BURN_IN_STREAM), X.n, budget,
                           max(min(budget // 512, 8192), 64), w,
                           "in burn-in at", steps):
@@ -614,11 +612,11 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
                 stale += 1
         if ((best <= 0.5 * r0 and stale >= 8) if proxy
                 else last.potential <= 0.5):
-            return OrthonormalFrame(w[:, None]), done
+            return OrthonormalFrame(w), done
     raise NonConvergenceError(
         f"burn-in budget of {budget} iterations exhausted "
         f"(eta={eta:.3e}, horizon={int(horizon)})",
-        trace=rec.trace(w), frame=OrthonormalFrame(w[:, None]),
+        trace=rec.trace(w), frame=OrthonormalFrame(w),
         iterations=budget)
 
 
@@ -646,12 +644,12 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     cov = _dense_covariance(X, reference)
     a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)
-    w = w0.entries[:, 0].copy()
+    w = w0.entries.copy()
     rec.add(0, 0, w, 0, _apply(X, cov, w))
 
-    steps = _unit_steps(w, lambda idx, t0, v, scale: _steps_k1(
-        X.data, idx, a, eu, 0.0, v, scale,
-        etas=float(eta_schedule) / np.arange(t0 + 1, t0 + len(idx) + 1)))
+    def steps(idx, t0, v, scale):
+        return _steps_k1(X.data, idx, a, eu, 0.0, v, scale, etas=float(
+            eta_schedule) / np.arange(t0 + 1, t0 + len(idx) + 1))
 
     for t in _segments(_stream(seed), X.n, iters, max(iters // 10, 1), w,
                        "in Oja at", steps):
@@ -724,18 +722,16 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     epoch = samples = 0
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
-        stage = _epochs(X, W0.entries[:, j - 1], cfg, None, cov,
-                        deflate=basis, jump=j - 1, final_pass=False)
-        v = stage.final_frame.entries[:, 0].copy()
-        if basis is not None:
-            v -= basis @ (basis.T @ v)
-            v /= np.linalg.norm(v)
-        found = np.column_stack((found, v))
+        stage = _epochs(X, W0.entries[:, j - 1:j], cfg, None, cov,
+                        basis=basis, jump=j - 1, final_pass=False)
+        v = stage.final_frame.entries.copy()
+        _project_out(v, basis)
+        found = np.hstack((found, v))
         epoch += stage.records[-1].epoch
         samples += stage.samples
         aw = _apply(X, cov, found)
         rec.add(epoch, 0, found, samples, aw)
-        estimates.append(float(v @ aw[:, -1]))
+        estimates.append((v.T @ aw[:, -1:]).item())
         if j >= 2 and estimates[-2] - estimates[-1] < 1e-3:
             warnings.warn(
                 f"estimated eigenvalues {j - 1} and {j} differ by "

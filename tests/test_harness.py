@@ -8,9 +8,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from vrpca import (ConfigError, ExperimentConfig, GapWarning,
+from vrpca import (ConfigError, DataMatrix, ExperimentConfig, GapWarning,
                    compare_baselines, geometry_report, harness, read_trace,
-                   run_experiment, runtime_model, trace_fingerprint)
+                   run_experiment, runtime_model, save_dataset,
+                   trace_fingerprint)
 from vrpca.cli import build_parser
 from vrpca.cli import main as cli_main
 
@@ -353,6 +354,11 @@ class TestRuntimeModel:
                                  rep.eigengap, 1e-6)
         assert rep.runtime_model == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [0.0, -0.1, float("nan")])
+    def test_nonpositive_gap_refused(self, gap):
+        with pytest.raises(ConfigError, match="eigengap must be positive"):
+            runtime_model(50, 1, 500, 2.0, gap, 1e-6)
+
 
 class TestCompareBaselines:
     def test_ordering_and_equivalence(self):
@@ -656,16 +662,24 @@ class TestCli:
         (["convert", "{missing}", "{tmp}/x.csv", "--from", "f64le",
           "--to", "csv"], "No such file or directory: '{missing}'"),
         (["synth", "--spectrum", "1,0.5", "--n", "10",
-          "--out", "{missing}/x.vrpc"], "No such file or directory"),
+          "--out", "{missing}/x.vrpc"],
+         "No such file or directory: '{missing}/x.vrpc'"),
+        (["synth", "--spectrum", "1,0.5", "--n", "10", "--format", "csv",
+          "--out", "{missing}/x.csv"],
+         "No such file or directory: '{missing}/x.csv'"),
+        (["convert", "{file}", "{missing}/x.vrpc", "--from", "csv",
+          "--to", "f64le"], "No such file or directory: '{missing}/x.vrpc'"),
         (["solve", "--spectrum", "1,0.5,0.1", "--n", "20",
           "--out", "{file}"], "File exists: '{file}'")],
         ids=["solve-missing", "solve-directory", "compare-missing",
-             "convert-missing", "synth-missing-directory", "solve-out-file"])
+             "convert-missing", "synth-missing-directory",
+             "synth-csv-missing-directory", "convert-missing-directory",
+             "solve-out-file"])
     def test_file_errors_print_one_line(self, tmp_path, capsys, argv,
                                         message):
         names = dict(missing=tmp_path / "missing", tmp=tmp_path,
                      file=tmp_path / "file")
-        names["file"].write_text("")
+        names["file"].write_text("1,0\n0,1\n")
         if argv[0] in ("solve", "compare"):
             argv = [*argv, "--eta", "0.1", "--m", "10", "--epochs", "1"]
         rc = cli_main([a.format(**names) for a in argv])
@@ -673,6 +687,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message.format(**names) in err
+        assert ".tmp" not in err  # the writer's temporary file is not named
+
+    @pytest.mark.parametrize("flags", [
+        ["--eta", "0.1", "--m", "5"],
+        ["--solver", "orthogonal_iteration", "--sweeps", "3"]])
+    def test_zero_eigengap_reports_no_runtime_model(self, tmp_path, capsys,
+                                                    flags):
+        data = tmp_path / "eq.csv"
+        data.write_text("1,0\n0,1\n")  # A = I / 2: the gap is exactly 0
+        with pytest.warns(GapWarning):
+            rc = cli_main(["solve", "--dataset", str(data), *flags])
+        assert rc == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["eigengap"] == 0.0
+        assert report["runtime_model"] is None
+
+    @pytest.mark.parametrize("rescale, words", [
+        ("--no-rescale", "cannot form the covariance"),
+        ("--rescale", "cannot rescale")])
+    def test_overflowing_column_is_a_solver_error(self, tmp_path, capsys,
+                                                  rescale, words):
+        cols = np.ones((4, 30))
+        cols[:, 0] = 1e200  # finite entries, squared norm overflows
+        path = tmp_path / "ovf.vrpc"
+        save_dataset(DataMatrix(cols), path, "f64le")
+        rc = cli_main(["solve", "--dataset", str(path), "--format", "f64le",
+                       rescale, "--eta", "0.1", "--m", "40", "--epochs", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"solver error: {words}: the squared norm of column 0 overflows "
+            "to inf (largest entry 1.000e+200)\n")
 
     def test_tiny_lambda_hat_refused(self, capsys):
         # eta * lambda_hat underflows to 0 in the selection rule
@@ -747,6 +792,17 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: oja_eta0 must be positive, got -1.0\n"
+
+    def test_compare_verb_picks_the_solver_from_k(self, capsys):
+        # compare runs vrpca_block at k >= 2; without --solver the config
+        # must not take vrpca_vector, which needs k == 1
+        rc = cli_main(["compare", "--spectrum", "1,0.5,0.2,0.1", "--n", "40",
+                       "--k", "2", "--eta", "0.05", "--m", "40",
+                       "--epochs", "2"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["series"]) == {"vrpca", "orthogonal_iteration"}
+        assert payload["k"] == 2
 
     def test_compare_verb(self, tmp_path, capsys):
         rc = cli_main(["compare", "--spectrum", "1,0.7,0.23", "--n", "24",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
                    OrthonormalFrame, covariance_apply, polar_normalize,
-                   potential, procrustes_rotation, rayleigh_residual,
-                   rescale_dataset)
+                   numerical_rank, potential, procrustes_rotation,
+                   rayleigh_residual, rescale_dataset)
 from conftest import random_orthogonal
 
 
@@ -61,6 +61,21 @@ class TestDataMatrix:
         X = DataMatrix(cols)
         assert X.r == np.inf
         assert np.array_equal(X.data, cols)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_gram_of_overflowing_column_refused(self, shape):
+        # its Gram matrix would hold inf, which eigh cannot decompose;
+        # refused in rescale_dataset's words, naming the column
+        cols = np.ones(shape)
+        cols[:, 1] = 1e200
+        X = DataMatrix(cols)
+        match = r"the squared norm of column 1 overflows to inf \(largest"
+        with pytest.raises(DegenerateIterateError,
+                           match="cannot form the covariance: " + match):
+            X.covariance()
+        assert X._cov is None
+        with pytest.raises(DegenerateIterateError, match=match):
+            numerical_rank(X)  # n < d forms X^T X, else the covariance
 
     def test_covariance_memo(self):
         rng = np.random.default_rng(12)

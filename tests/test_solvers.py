@@ -505,7 +505,7 @@ class TestSeedStreams:
 
         monkeypatch.setattr(matrix, "covariance_apply", identity)
         frame = power_warm_start(X, seed=9, k=k).frame
-        g = _philox(9).standard_normal((5, k) if k > 1 else 5)
+        g = _philox(9).standard_normal((5, k))
         assert len(drawn) == 1 and np.array_equal(drawn[0], g)
         np.testing.assert_array_equal(
             frame.entries, matrix.polar_normalize(g).entries)
@@ -853,11 +853,11 @@ class TestRng:
         # told its first step, so no index array grows with the total
         calls = []
 
-        def steps(idx, t0):
+        def steps(idx, t0, v, scale):
             calls.append((len(idx), t0))
             return 1 if len(calls) == 2 else 0
 
-        w = np.array([0.6, 0.8])
+        w = np.array([[0.6], [0.8]])
         with pytest.raises(DegenerateIterateError,
                            match=r"at epoch 1, step 65537: norm 1\.000e\+00"):
             for _ in solvers._segments(_stream(0), 5, 10**30, 10**29, w,
