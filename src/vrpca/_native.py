@@ -8,12 +8,19 @@ RuntimeWarning says why, once; ``steps_k1`` then returns None and
 ``balance_rows`` False. Callers then run their numpy references,
 _steps_k1_numpy and _balance_rows_numpy, which sum through _sum8 and so
 give the compiled loops' bits. Operands outside the C contract raise
-DimensionMismatchError before any C call."""
+DimensionMismatchError before any C call.
+
+The module also reaches into the OpenBLAS that numpy loaded:
+``one_blas_thread`` holds it at one thread, so that the synthesizer's
+factorizations give the same bits whatever the caller's thread count.
+Where no OpenBLAS thread-count functions are found it does nothing."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import re
 import threading
 import warnings
 from pathlib import Path
@@ -33,6 +40,17 @@ _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
                                       _I))}
 _lock = threading.Lock()
 _lib = None  # the loaded library; False once it proved unavailable
+
+#: an OpenBLAS file name: numpy's bundled scipy-openblas or a plain build
+_BLAS_FILE = re.compile(r"lib(scipy_)?openblas")
+#: its (get, set) thread-count symbols, in the order they are looked for
+_BLAS_PAIRS = (("scipy_openblas_get_num_threads64_",
+                "scipy_openblas_set_num_threads64_"),
+               ("openblas_get_num_threads", "openblas_set_num_threads"))
+_blas_lock = threading.Lock()
+_blas = None  # (get, set) of numpy's BLAS; False once none was found
+_blas_depth = 0  # callers inside one_blas_thread
+_blas_saved = 0  # the thread count the first of them found
 
 
 def _compiler():
@@ -173,3 +191,73 @@ def balance_rows(b, norms, tau, tol):
                            bi.ctypes.data, bj.ctypes.data, tree.ctypes.data,
                            leaves)
     return True
+
+
+def _loaded_libraries():
+    """Paths of the files mapped into this process; none where
+    /proc/self/maps cannot be read (outside Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8",
+                  errors="replace") as fh:
+            # address, perms, offset, device, inode, then the path if any
+            rows = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    return sorted({row[5].strip() for row in rows if len(row) == 6})
+
+
+def _find_blas(paths):
+    """The (get, set) thread-count functions of the first _BLAS_PAIRS
+    pair that a library among ``paths`` exports, or None. Only files
+    whose name matches _BLAS_FILE are opened."""
+    libs = []
+    for path in paths:
+        if _BLAS_FILE.match(os.path.basename(path)):
+            try:
+                libs.append(ctypes.CDLL(path))
+            except OSError:
+                pass
+    for names in _BLAS_PAIRS:
+        for lib in libs:
+            if all(hasattr(lib, name) for name in names):
+                get, set_ = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+def blas_threads():
+    """(get, set): the thread-count functions of the OpenBLAS numpy
+    loaded, looked up once; None where there are none."""
+    global _blas
+    with _blas_lock:
+        if _blas is None:
+            _blas = _find_blas(_loaded_libraries()) or False
+        return _blas or None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's BLAS on one thread, then restore the
+    thread count.
+
+    The count belongs to the process: while any caller is inside, the BLAS
+    calls of every other thread run on one thread too. Calls nest and may
+    overlap across threads: the first caller in saves the count and sets
+    it to 1, the last one out restores it. Without blas_threads() the body
+    just runs."""
+    global _blas_depth, _blas_saved
+    pair = blas_threads()
+    with _blas_lock:
+        if pair and _blas_depth == 0:
+            _blas_saved = pair[0]()
+            pair[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if pair and _blas_depth == 0:
+                pair[1](_blas_saved)

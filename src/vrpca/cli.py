@@ -75,9 +75,9 @@ def _add_experiment_flags(p):
 
 def _experiment_config(args) -> ExperimentConfig:
     """The config of the solve or compare verb: the --config file's
-    object, overridden by the flags given. compare runs vrpca_vector at
-    k = 1 and vrpca_block otherwise, whatever the solver, so at k >= 2
-    it takes vrpca_block when neither sets one."""
+    object, overridden by the flags given. At k >= 2 compare takes
+    vrpca_block when neither sets a solver, since the default
+    vrpca_vector needs k == 1."""
     raw = {}
     if args.config:
         try:

@@ -390,11 +390,15 @@ def compare_baselines(cfg: ExperimentConfig):
     Every series is one _single_run of cfg with the oracle forced on and its
     one seed (more than one is a ConfigError), so init, burn-in, epsilon and
     oja_eta0 apply as in solve.
-    The variance-reduced run (vrpca_vector at k=1, else vrpca_block) sets
-    the budget: Oja takes oja_iters = budget and orthogonal iteration
-    sweeps = max(ceil(budget / n), 1). Each baseline starts from the same
-    deterministic init as the variance-reduced run.
+    The variance-reduced run, of cfg.solver (vrpca_vector or vrpca_block;
+    any other is a ConfigError), sets the budget: Oja takes oja_iters =
+    budget and orthogonal iteration sweeps = max(ceil(budget / n), 1).
+    Each baseline starts from the same deterministic init as the
+    variance-reduced run.
     """
+    if cfg.solver not in ("vrpca_vector", "vrpca_block"):
+        raise ConfigError("compare runs vrpca_vector or vrpca_block, got "
+                          f"solver {cfg.solver}")
     if len(cfg.seeds) > 1:
         raise ConfigError(f"compare runs one seed, got seeds {cfg.seeds}")
     prep = _prepare(replace(cfg, oracle_check=True))
@@ -405,8 +409,7 @@ def compare_baselines(cfg: ExperimentConfig):
     def run(**changes):
         return _single_run(*prep, replace(cfg, **changes), seed)
 
-    report, vr_trace = run(
-        solver="vrpca_vector" if cfg.k == 1 else "vrpca_block")
+    report, vr_trace = run()
     budget = vr_trace.samples
     series = {"vrpca": _series(vr_trace)}
     if cfg.k == 1:

@@ -149,8 +149,10 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     its products of those norms overflow, are refused.
 
     The output bits define every instance. They may depend on the BLAS
-    build and its thread count only through the two QR factorizations and
-    the product Q B^T: the balancing sums every dot product in the compiled
+    build only through the two QR factorizations and the product Q B^T,
+    which run with numpy's OpenBLAS held at one thread (so not on the
+    caller's thread count, wherever _native.blas_threads finds that
+    library): the balancing sums every dot product in the compiled
     kernel's fixed order, compiled or not.
     """
     eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
@@ -164,21 +166,23 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
         raise DimensionMismatchError(
             f"n * max eigenvalue = {n} * {top} overflows a double")
 
-    rng = _stream(seed)
-    gq = rng.standard_normal((d, d))
-    q, rq = np.linalg.qr(gq)
-    q = q * np.sign(np.diag(rq))
-    gr = rng.standard_normal((n, d))
-    r0, rr = np.linalg.qr(gr)
-    r0 = r0 * np.sign(np.diag(rr))
+    with _native.one_blas_thread():
+        rng = _stream(seed)
+        gq = rng.standard_normal((d, d))
+        q, rq = np.linalg.qr(gq)
+        q = q * np.sign(np.diag(rq))
+        gr = rng.standard_normal((n, d))
+        r0, rr = np.linalg.qr(gr)
+        r0 = r0 * np.sign(np.diag(rr))
 
-    # rows of B are the (scaled) data points; balance their norms to the
-    # common value tau without touching B^T B = diag(n s)
-    b = np.ascontiguousarray(r0 * np.sqrt(n * eigs))
-    tau = float(eigs.sum())
-    norms = np.einsum("ij,ij->i", b, b)
-    _balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
-    if not np.all(np.isfinite(norms)):
-        raise DimensionMismatchError(
-            f"n * max eigenvalue = {n} * {top} overflows the row balancing")
-    return DataMatrix(q @ b.T)
+        # rows of B are the (scaled) data points; balance their norms to the
+        # common value tau without touching B^T B = diag(n s)
+        b = np.ascontiguousarray(r0 * np.sqrt(n * eigs))
+        tau = float(eigs.sum())
+        norms = np.einsum("ij,ij->i", b, b)
+        _balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
+        if not np.all(np.isfinite(norms)):
+            raise DimensionMismatchError(
+                f"n * max eigenvalue = {n} * {top} overflows the row "
+                "balancing")
+        return DataMatrix(q @ b.T)

@@ -2,9 +2,12 @@
 reference: ``synthesize_dataset`` must reproduce its output exactly, since
 those bits define every instance. Every dot product of the balancing comes
 from ``_dot8``, one Python float operation at a time in the compiled
-kernel's order."""
+kernel's order. Its QRs and its product run under the synthesizer's own
+one-thread BLAS hold, so the two define the same bits."""
 
 import numpy as np
+
+from vrpca._native import one_blas_thread
 
 
 def _dot8(a, b):
@@ -26,10 +29,11 @@ def synthesize_reference(eigenvalues, n, seed):
     d = eigs.size
     rng = np.random.Generator(np.random.Philox(key=seed))
     gq = rng.standard_normal((d, d))
-    q, rq = np.linalg.qr(gq)
-    q = q * np.sign(np.diag(rq))
     gr = rng.standard_normal((n, d))
-    r0, rr = np.linalg.qr(gr)
+    with one_blas_thread():
+        q, rq = np.linalg.qr(gq)
+        r0, rr = np.linalg.qr(gr)
+    q = q * np.sign(np.diag(rq))
     r0 = r0 * np.sign(np.diag(rr))
 
     b = r0 * np.sqrt(n * eigs)
@@ -54,4 +58,5 @@ def synthesize_reference(eigenvalues, n, seed):
         b[j] = bj
         norms[i] = _dot8(bi.tolist(), bi.tolist())
         norms[j] = _dot8(bj.tolist(), bj.tolist())
-    return q @ b.T
+    with one_blas_thread():
+        return q @ b.T

@@ -405,6 +405,25 @@ class TestCompareBaselines:
         with pytest.raises(ConfigError, match="one seed"):
             compare_baselines(synth_cfg(epochs=4, seeds=(3, 4)))
 
+    @pytest.mark.parametrize("solver", ["vrpca_vector", "vrpca_block"])
+    def test_runs_the_configured_solver(self, monkeypatch, solver):
+        # at k=1 vrpca_block is taken as asked, not swapped for vrpca_vector
+        called = []
+        for name, fn in list(harness._EPOCH_SOLVERS.items()):
+            monkeypatch.setitem(
+                harness._EPOCH_SOLVERS, name,
+                lambda *a, name=name, fn=fn: called.append(name) or fn(*a))
+        compare_baselines(synth_cfg(epochs=2, solver=solver))
+        assert called == [solver]
+
+    @pytest.mark.parametrize("changes", [
+        {"solver": "oja"}, {"solver": "orthogonal_iteration"},
+        {"solver": "deflation", "k": 2, "gap_index": 2}])
+    def test_other_solvers_refused(self, changes):
+        with pytest.raises(ConfigError, match="^compare runs vrpca_vector "
+                           f"or vrpca_block, got solver {changes['solver']}$"):
+            compare_baselines(synth_cfg(epochs=2, **changes))
+
     def test_init_and_epsilon_reach_compare(self):
         base = compare_baselines(synth_cfg(epochs=4))
         gauss = compare_baselines(synth_cfg(epochs=4, init="gaussian"))
@@ -803,6 +822,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["series"]) == {"vrpca", "orthogonal_iteration"}
         assert payload["k"] == 2
+
+    def test_compare_verb_refuses_other_solvers(self, capsys):
+        rc = cli_main(["compare", "--spectrum", "1,0.5,0.2,0.1", "--n", "40",
+                       "--k", "2", "--eta", "0.05", "--m", "40",
+                       "--epochs", "2", "--solver", "deflation"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: compare runs vrpca_vector or "
+                                "vrpca_block, got solver deflation\n")
 
     def test_compare_verb(self, tmp_path, capsys):
         rc = cli_main(["compare", "--spectrum", "1,0.7,0.23", "--n", "24",

@@ -1,10 +1,14 @@
 """Oracle: LAPACK-backed dense_eigh checked against the test-side Jacobi
 reference, Jacobi correctness and sweep monotonicity, spectrum round-trips
 through the synthesizer and its bits on the compiled and the numpy
-balancing, the synthesizer's input checks, and gap warnings."""
+balancing, the synthesizer's input checks, its one-thread BLAS hold, and
+gap warnings."""
 
+import _ctypes
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from vrpca import (DataMatrix, DimensionMismatchError, GapWarning,
                    SpectrumSpec, dense_eigh, leading_subspace,
                    orthogonal_iteration, polar_normalize, potential,
                    synthesize_dataset)
-from vrpca import _native
+from vrpca import _native, oracle
 from conftest import spectrum_k1, spectrum_k3
 from jacobi_reference import jacobi_eigh
 from synth_reference import synthesize_reference
@@ -311,3 +315,102 @@ class TestSynthesize:
         a = synthesize_dataset(spec_req, 8, seed=11)
         b = synthesize_dataset(spec_req, 8, seed=11)
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.fixture
+def blas_count():
+    """(get, set) of numpy's BLAS thread count, restored afterwards; skips
+    where the helper finds no such functions."""
+    pair = _native.blas_threads()
+    if pair is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    saved = pair[0]()
+    yield pair
+    pair[1](saved)
+
+
+class TestOneBlasThread:
+    def test_finds_the_bundled_openblas(self):
+        # the speedup and the thread-free bits rest on this lookup; a numpy
+        # upgrade that renames the library must fail here, not go quiet
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy is built on {blas.get('name')}")
+        assert _native.blas_threads() is not None
+
+    def test_only_openblas_names_are_opened(self, blas_count, monkeypatch,
+                                            tmp_path):
+        # an unrelated library under an "openblas" directory is never
+        # opened, and one named like OpenBLAS without the thread-count
+        # pair does not hide the real one after it
+        real = [p for p in _native._loaded_libraries()
+                if _native._BLAS_FILE.match(os.path.basename(p))]
+        other = _ctypes.__file__  # links no BLAS, so exports no pair
+        decoys = tmp_path / "openblas"
+        decoys.mkdir()
+        (decoys / "libother.so").symlink_to(other)
+        (decoys / "libopenblas_decoy.so").symlink_to(other)
+        opened = []
+        cdll = _native.ctypes.CDLL
+        monkeypatch.setattr(_native.ctypes, "CDLL",
+                            lambda path: opened.append(path) or cdll(path))
+        paths = [str(decoys / "libother.so"),
+                 str(decoys / "libopenblas_decoy.so")]
+        assert _native._find_blas(paths) is None
+        get, _ = _native._find_blas([*paths, *real])
+        assert get() == blas_count[0]()
+        assert str(decoys / "libother.so") not in opened
+        assert str(decoys / "libopenblas_decoy.so") in opened
+
+    @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
+    def test_same_bits_at_two_threads_and_one(self, blas_count, eigs, n,
+                                              seed):
+        get, set_ = blas_count
+        out = []
+        for count in (2, 1):
+            set_(count)
+            out.append(synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n,
+                                          seed).data)
+            assert get() == count
+        assert np.array_equal(*out)
+
+    def test_count_restored_after_return_and_raise(self, blas_count,
+                                                   monkeypatch):
+        get, set_ = blas_count
+        set_(2)
+        seen = []
+        balance = oracle._balance_rows
+        monkeypatch.setattr(oracle, "_balance_rows",
+                            lambda *a: seen.append(get()) or balance(*a))
+        synthesize_dataset(SpectrumSpec(eigenvalues=(1.0, 0.5)), 10, seed=0)
+        assert get() == 2
+        with pytest.raises(DimensionMismatchError, match="row balancing"):
+            synthesize_dataset(SpectrumSpec(eigenvalues=(1e300,)), 10, seed=0)
+        assert get() == 2
+        assert seen == [1, 1]
+
+    def test_concurrent_callers_get_the_one_thread_bits(self, blas_count):
+        get, set_ = blas_count
+        original = get()
+        eigs, n, seed = spectrum_k1(), 500, 1
+        set_(1)
+        expected = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n,
+                                      seed).data
+        set_(original)
+        barrier = threading.Barrier(2)
+        out = [None, None]
+
+        def synthesize(i):
+            barrier.wait()
+            out[i] = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n,
+                                        seed).data
+
+        workers = [threading.Thread(target=synthesize, args=(i,))
+                   for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        assert all(np.array_equal(x, expected) for x in out)
+        assert get() == original
