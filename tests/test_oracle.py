@@ -8,6 +8,7 @@ import _ctypes
 import math
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -397,20 +398,28 @@ class TestOneBlasThread:
         expected = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n,
                                       seed).data
         set_(original)
-        barrier = threading.Barrier(2)
-        out = [None, None]
+        # more callers than cores, switching often: a lost update to the
+        # depth count would restore the count while a caller is inside
+        workers = 4
+        barrier = threading.Barrier(workers)
+        out = [None] * workers
 
         def synthesize(i):
             barrier.wait()
             out[i] = synthesize_dataset(SpectrumSpec(eigenvalues=eigs), n,
                                         seed).data
 
-        workers = [threading.Thread(target=synthesize, args=(i,))
-                   for i in range(2)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-            assert not w.is_alive()
+        threads = [threading.Thread(target=synthesize, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert all(np.array_equal(x, expected) for x in out)
         assert get() == original
