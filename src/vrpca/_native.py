@@ -10,17 +10,17 @@ _steps_k1_numpy and _balance_rows_numpy, which sum through _sum8 and so
 give the compiled loops' bits. Operands outside the C contract raise
 DimensionMismatchError before any C call.
 
-The module also reaches into the OpenBLAS that numpy loaded:
-``one_blas_thread`` holds it at one thread, so that the synthesizer's
-factorizations give the same bits whatever the caller's thread count.
-Where no OpenBLAS thread-count functions are found it does nothing."""
+The module also reaches into the OpenBLAS that numpy.linalg links, found
+through that extension module's own handle: ``one_blas_thread`` holds it
+at one thread, so that the synthesizer's factorizations give the same bits
+whatever the caller's thread count. Where the handle resolves no OpenBLAS
+thread-count functions it does nothing."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import os
-import re
 import threading
 import warnings
 from pathlib import Path
@@ -41,9 +41,8 @@ _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
 _lock = threading.Lock()
 _lib = None  # the loaded library; False once it proved unavailable
 
-#: an OpenBLAS file name: numpy's bundled scipy-openblas or a plain build
-_BLAS_FILE = re.compile(r"lib(scipy_)?openblas")
-#: its (get, set) thread-count symbols, in the order they are looked for
+#: OpenBLAS's (get, set) thread-count symbols, numpy's bundled
+#: scipy-openblas first, in the order they are looked for
 _BLAS_PAIRS = (("scipy_openblas_get_num_threads64_",
                 "scipy_openblas_set_num_threads64_"),
                ("openblas_get_num_threads", "openblas_set_num_threads"))
@@ -193,37 +192,21 @@ def balance_rows(b, norms, tau, tol):
     return True
 
 
-def _loaded_libraries():
-    """Paths of the files mapped into this process; none where
-    /proc/self/maps cannot be read (outside Linux)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8",
-                  errors="replace") as fh:
-            # address, perms, offset, device, inode, then the path if any
-            rows = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    return sorted({row[5].strip() for row in rows if len(row) == 6})
-
-
-def _find_blas(paths):
+def _find_blas():
     """The (get, set) thread-count functions of the first _BLAS_PAIRS
-    pair that a library among ``paths`` exports, or None. Only files
-    whose name matches _BLAS_FILE are opened."""
-    libs = []
-    for path in paths:
-        if _BLAS_FILE.match(os.path.basename(path)):
-            try:
-                libs.append(ctypes.CDLL(path))
-            except OSError:
-                pass
+    pair that numpy.linalg's extension module resolves, or None. dlsym on
+    its handle searches the libraries it links, so this finds the OpenBLAS
+    whose factorizations the hold is for."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
     for names in _BLAS_PAIRS:
-        for lib in libs:
-            if all(hasattr(lib, name) for name in names):
-                get, set_ = (getattr(lib, name) for name in names)
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
+        if all(hasattr(lib, name) for name in names):
+            get, set_ = (getattr(lib, name) for name in names)
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
     return None
 
 
@@ -233,7 +216,7 @@ def blas_threads():
     global _blas
     with _blas_lock:
         if _blas is None:
-            _blas = _find_blas(_loaded_libraries()) or False
+            _blas = _find_blas() or False
         return _blas or None
 
 

@@ -438,7 +438,13 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
                     seed: int = 0):
     """Diagnostics bundle: Hessian-determinant sweep on the 2-D projector
     instance, extremal curvatures over the convexity region, and the
-    tightness-counterexample values. JSON-serializable."""
+    tightness-counterexample values. JSON-serializable.
+
+    ``lam`` and ``eps`` must lie in (0, 1/2), and ``seed`` in
+    [0, 2**64 - 4], as the report draws from seed to seed + 3; values
+    outside are refused before any draw."""
+    cx = tightness_counterexample(lam, eps)
+    _check_seed(seed, last=3)
     # 2-D instance with covariance diag(1, 0): determinant of the Hessian
     # is -4 w1^2 w2^2 / ||w||^8, nonpositive everywhere
     X2 = DataMatrix(np.array([[1.0], [0.0]]))
@@ -475,7 +481,6 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
     region = build_convex_region(spec, w0)
     lo, hi = probe_strong_convexity(region, Xp, samples, seed + 3)
 
-    cx = tightness_counterexample(lam, eps)
     v1_dist = float(np.linalg.norm(np.array([1.0, 0.0, 0.0]) - cx.w0))
     report = {
         "determinant_sweep": det_sweep,

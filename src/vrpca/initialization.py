@@ -16,10 +16,15 @@ from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
 RUN_STREAM, BURN_IN_STREAM = 0, 1
 
 
-def _check_seed(seed, name="seed"):
-    """Refuse a seed outside [0, 2**64), the range _stream keys on."""
+def _check_seed(seed, name="seed", last=0):
+    """Refuse a seed outside [0, 2**64), the range _stream keys on, or,
+    for a caller that draws from seed to seed + ``last``, one whose
+    seed + last lies outside it."""
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+    if seed + last >= 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64 - {last + 1}], as "
+                          f"{name} + {last} is drawn from too; got {seed}")
 
 
 def _stream(seed, purpose=RUN_STREAM, jump=0):

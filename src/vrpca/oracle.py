@@ -151,9 +151,10 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     The output bits define every instance. They may depend on the BLAS
     build only through the two QR factorizations and the product Q B^T,
     which run with numpy's OpenBLAS held at one thread (so not on the
-    caller's thread count, wherever _native.blas_threads finds that
-    library): the balancing sums every dot product in the compiled
-    kernel's fixed order, compiled or not.
+    caller's thread count, wherever _native.blas_threads resolves that
+    library's thread-count functions through numpy.linalg's own handle):
+    the balancing sums every dot product in the compiled kernel's fixed
+    order, compiled or not.
     """
     eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
     d = eigs.size

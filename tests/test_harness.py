@@ -760,6 +760,33 @@ class TestCli:
             "error: seed must lie in [0, 2**64), got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lam", "1.5"], "eigengap must lie in (0, 1/2), got 1.5"),
+        (["--lam", "nan"], "eigengap must lie in (0, 1/2), got nan"),
+        (["--lam", "-0.1"], "eigengap must lie in (0, 1/2), got -0.1"),
+        (["--eps", "0.5"], "eps must lie in (0, 1/2), got 0.5"),
+        (["--seed", "18446744073709551613"],
+         "seed must lie in [0, 2**64 - 4], as seed + 3 is drawn from too; "
+         "got 18446744073709551613")])
+    def test_geometry_refuses_bad_values_before_synthesis(
+            self, monkeypatch, capsys, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesize_dataset called")
+
+        monkeypatch.setattr(harness, "synthesize_dataset", refuse)
+        given = {"--lam": "0.3", "--eps": "0.1", "--samples": "5"}
+        given.update(zip(flags[::2], flags[1::2]))
+        rc = cli_main(["geometry", *(x for kv in given.items() for x in kv)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_geometry_takes_the_largest_seed(self, capsys):
+        rc = cli_main(["geometry", "--lam", "0.3", "--eps", "0.1",
+                       "--samples", "5", "--seed", str(2**64 - 4)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["convexity_probe"][
+            "samples"] == 5
+
     def test_solve_refuses_epsilon_with_deflation(self, capsys):
         rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
                        "--solver", "deflation", "--k", "2",

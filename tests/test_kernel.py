@@ -3,8 +3,8 @@ across calls that carry the pending scale and across the builds of each
 per-CPU copy, the degenerate-step report, the numpy fallback,
 and the build cache under concurrent first use; the synthesizer's row
 balancing, bit for bit with its numpy loop and an -O0 build; the operand
-contracts checked before any C call, and the ctypes table against the C
-prototypes."""
+contracts checked before any C call, the ctypes table against the C
+prototypes, and the suite's numpy floating-point warnings as errors."""
 
 import ctypes
 import math
@@ -468,6 +468,18 @@ def test_missing_compiler_falls_back_with_a_warning(monkeypatch, small_k1,
     cfg = SolverConfig(k=1, eta=0.01, m=100, epochs=2, seed=0)
     trace = vrpca_vector(small_k1.Xs, w0, cfg, small_k1.reference(1))
     assert trace.samples == 2 * (small_k1.Xs.n + 100)
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: np.float64(1e308) * 10, "overflow"),
+    (lambda: np.float64(0.0) / 0.0, "invalid value"),
+    (lambda: np.float64(1.0) / 0.0, "divide by zero")],
+    ids=["overflow", "invalid", "divide"])
+def test_numpy_float_warnings_fail_the_suite(op, message):
+    # pyproject.toml makes these errors, so no NaN or inf reaches a report
+    # unseen; the kernel-unavailable RuntimeWarning above stays a warning
+    with pytest.raises(RuntimeWarning, match=f"{message} encountered"):
+        op()
 
 
 @needs_cc

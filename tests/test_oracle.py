@@ -4,9 +4,7 @@ through the synthesizer and its bits on the compiled and the numpy
 balancing, the synthesizer's input checks, its one-thread BLAS hold, and
 gap warnings."""
 
-import _ctypes
 import math
-import os
 import re
 import sys
 import threading
@@ -339,29 +337,31 @@ class TestOneBlasThread:
             pytest.skip(f"numpy is built on {blas.get('name')}")
         assert _native.blas_threads() is not None
 
-    def test_only_openblas_names_are_opened(self, blas_count, monkeypatch,
-                                            tmp_path):
-        # an unrelated library under an "openblas" directory is never
-        # opened, and one named like OpenBLAS without the thread-count
-        # pair does not hide the real one after it
-        real = [p for p in _native._loaded_libraries()
-                if _native._BLAS_FILE.match(os.path.basename(p))]
-        other = _ctypes.__file__  # links no BLAS, so exports no pair
-        decoys = tmp_path / "openblas"
-        decoys.mkdir()
-        (decoys / "libother.so").symlink_to(other)
-        (decoys / "libopenblas_decoy.so").symlink_to(other)
+    def test_lookup_opens_only_numpy_linalg(self, blas_count, monkeypatch):
+        # the functions come from the handle of the module whose QR the
+        # hold is for; no other file is opened
         opened = []
         cdll = _native.ctypes.CDLL
         monkeypatch.setattr(_native.ctypes, "CDLL",
                             lambda path: opened.append(path) or cdll(path))
-        paths = [str(decoys / "libother.so"),
-                 str(decoys / "libopenblas_decoy.so")]
-        assert _native._find_blas(paths) is None
-        get, _ = _native._find_blas([*paths, *real])
+        monkeypatch.setattr(_native, "_blas", None)
+        get, _ = _native.blas_threads()
+        assert opened == [np.linalg._umath_linalg.__file__]
         assert get() == blas_count[0]()
-        assert str(decoys / "libother.so") not in opened
-        assert str(decoys / "libopenblas_decoy.so") in opened
+
+    def test_no_exported_pair_runs_the_body_unheld(self, blas_count,
+                                                   monkeypatch):
+        get, set_ = blas_count
+        set_(2)
+        monkeypatch.setattr(_native, "_BLAS_PAIRS",
+                            (("vrpca_no_such_get", "vrpca_no_such_set"),))
+        monkeypatch.setattr(_native, "_blas", None)
+        assert _native.blas_threads() is None
+        seen = []
+        with _native.one_blas_thread():
+            seen.append(get())
+        assert seen == [2]
+        assert get() == 2
 
     @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
     def test_same_bits_at_two_threads_and_one(self, blas_count, eigs, n,
