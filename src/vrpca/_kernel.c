@@ -131,24 +131,6 @@ INLINE double pass(double *w, const double *x, const double *eu, double inv,
     return SUM8(q);
 }
 
-/* Column i of x, or with a basis x_i - B (B^T x_i) written into buf. */
-INLINE const double *column(const double *x, int64_t i, int64_t d,
-                            const double *basis, const double *btx, int64_t j,
-                            double *buf)
-{
-    const double *xi = x + i * d;
-    if (!basis)
-        return xi;
-    const double *bi = btx + i * j;
-    for (int64_t k = 0; k < d; k++) {
-        double p = 0.0;
-        for (int64_t l = 0; l < j; l++)
-            p += basis[k * j + l] * bi[l];
-        buf[k] = xi[k] - p;
-    }
-    return buf;
-}
-
 INLINE void prefetch(const double *p, int64_t len)
 {
     for (int64_t k = 0; k < len; k += 8) /* one 64-byte line per 8 doubles */
@@ -159,11 +141,8 @@ INLINE void prefetch(const double *p, int64_t len)
 #define STEP_PARAMS                                                         \
     const double *x, int64_t d, const int64_t *idx, int64_t m,              \
         const double *a, const double *eu, double eta, const double *etas,  \
-        const double *anchor, const double *basis, const double *btx,       \
-        int64_t j, double *w, double *scale, double *buf, double norm_floor
-#define STEP_ARGS                                                           \
-    x, d, idx, m, a, eu, eta, etas, anchor, basis, btx, j, w, scale, buf,   \
-        norm_floor
+        const double *anchor, double *w, double *scale, double norm_floor
+#define STEP_ARGS x, d, idx, m, a, eu, eta, etas, anchor, w, scale, norm_floor
 
 /* vrpca_steps_k1 with lanes of ``width`` doubles. */
 INLINE int64_t steps(STEP_PARAMS, int width)
@@ -171,7 +150,7 @@ INLINE int64_t steps(STEP_PARAMS, int width)
     if (m == 0)
         return 0;
     double inv = *scale;
-    const double *xi = column(x, idx[0], d, basis, btx, j, buf);
+    const double *xi = x + idx[0] * d;
     double p = dot(xi, w, d);
     double pa = anchor ? dot(w, anchor, d) : 0.0;
     for (int64_t t = 0; t < m; t++) {
@@ -180,9 +159,7 @@ INLINE int64_t steps(STEP_PARAMS, int width)
             prefetch(a + idx[t + PREFETCH_AHEAD], 1);
         }
         /* the last step sums against its own column, unread */
-        const double *xn = t + 1 < m ? column(x, idx[t + 1], d, basis, btx,
-                                              j, buf + (t + 1) % 2 * d)
-                                     : xi;
+        const double *xn = t + 1 < m ? x + idx[t + 1] * d : xi;
         double s = pa >= 0.0 ? 1.0 : -1.0; /* +1 without an anchor */
         double c = (etas ? etas[t] : eta) * (inv * p - s * a[idx[t]]);
         double nrm2 = anchor ? pass(w, xi, eu, inv, c, s, xn, &p, anchor,
@@ -220,22 +197,20 @@ __attribute__((target("avx2"))) static int64_t avx2_steps(STEP_PARAMS)
 }
 #endif
 
-/* solvers._steps_k1 on its operands, x being its xd: etas, anchor or basis
- * NULL for none (etas NULL: every step takes eta), j the columns of basis
- * and btx, buf 2 d doubles of scratch for two projected columns. The
- * iterate is w times the pending scale *scale, read at entry and written
- * back at exit: a step's reciprocal norm 1 / sqrt(w^T w) becomes the next
- * step's scale, and the step after uses c = eta (inv x^T w - s a_i). The
- * first step's x^T w and w^T anchor come from dot, the same sums a pass
- * before them would have made, so splitting a run into calls moves no
- * bit. A degenerate candidate is left in w with *scale = 1. Runs the
- * widest copy the CPU has. */
+/* solvers._steps_k1 on its operands, x being its xd, whose sampled
+ * columns are read in place (a deflation stage passes its projected copy
+ * of the data): etas or anchor NULL for none (etas NULL: every step takes
+ * eta). The iterate is w times the pending scale *scale, read at entry
+ * and written back at exit: a step's reciprocal norm 1 / sqrt(w^T w)
+ * becomes the next step's scale, and the step after uses
+ * c = eta (inv x^T w - s a_i). The first step's x^T w and w^T anchor come
+ * from dot, the same sums a pass before them would have made, so
+ * splitting a run into calls moves no bit. A degenerate candidate is left
+ * in w with *scale = 1. Runs the widest copy the CPU has. */
 int64_t vrpca_steps_k1(const double *x, int64_t d, const int64_t *idx,
                        int64_t m, const double *a, const double *eu,
                        double eta, const double *etas, const double *anchor,
-                       const double *basis, const double *btx, int64_t j,
-                       double *w, double *scale, double *buf,
-                       double norm_floor)
+                       double *w, double *scale, double norm_floor)
 {
 #ifdef AVX512_COPY
     if (__builtin_cpu_supports("avx512f"))

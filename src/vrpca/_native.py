@@ -35,7 +35,7 @@ _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 #: the C signature of each exported function: (return type, parameter types)
 _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
-                                _I, _P, _P, _P, _D)),
+                                _D)),
         "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _P, _P,
                                       _I))}
 _lock = threading.Lock()
@@ -146,34 +146,31 @@ def _sum8(p):
     return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
 
 
-def steps_k1(xd, idx, a, eu, eta, w, scale, anchor, basis, btx, etas,
-             norm_floor):
+def steps_k1(xd, idx, a, eu, eta, w, scale, anchor, etas, norm_floor):
     """solvers._steps_k1 in C, ``norm_floor`` its degenerate-norm bound:
     the step code, or None when the library is unavailable.
 
     The iterate is w * scale[0]: ``w`` stays unnormalized, and ``scale``,
     a float64 array of one element, carries its pending normalization from
-    call to call; the kernel reads and writes both in place. A step costs
+    call to call; the kernel reads and writes both in place. It reads the
+    sampled columns of ``xd`` in place; a deflation stage hands in its
+    projected copy of the data (solvers.deflation_solve). A step costs
     about 44-69 ns at d = 100 and 105-173 ns at d = 300, by the copy the
     CPU runs (README, *Performance*)."""
     lib = _library()
     if lib is None:
         return None
     d, n = xd.shape
-    j = 0 if basis is None else basis.shape[1]
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    buf = np.empty(2 * d)
-    _check("k=1 kernel", (basis is None) == (btx is None)
-           and (len(idx) == 0 or (idx.min() >= 0 and idx.max() < n)),
+    _check("k=1 kernel", len(idx) == 0 or (idx.min() >= 0 and idx.max() < n),
            (xd, (d, n), "F"), (a, (n,), "C"), (eu, (d,), "C"),
-           (w, (d,), "CW"), (scale, (1,), "CW"), (anchor, (d,), "C"), (basis, (d, j), "C"),
-           (btx, (n, j), "C"), (etas, idx.shape, "C"))
-    opt = [None if v is None else v.ctypes.data
-           for v in (etas, anchor, basis, btx)]
+           (w, (d,), "CW"), (scale, (1,), "CW"), (anchor, (d,), "C"),
+           (etas, idx.shape, "C"))
+    opt = [None if v is None else v.ctypes.data for v in (etas, anchor)]
     return lib.vrpca_steps_k1(
         xd.ctypes.data, d, idx.ctypes.data, len(idx), a.ctypes.data,
-        eu.ctypes.data, eta, *opt, j, w.ctypes.data, scale.ctypes.data,
-        buf.ctypes.data, norm_floor)
+        eu.ctypes.data, eta, *opt, w.ctypes.data, scale.ctypes.data,
+        norm_floor)
 
 
 def balance_rows(b, norms, tau, tol):

@@ -27,12 +27,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _csv_floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _csv(kind, what):
+    """An argparse type: text -> tuple of ``kind``, comma-separated; a
+    value that is not one is refused with a message naming ``what``."""
+    def parse(text):
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
-def _csv_ints(text):
-    return tuple(int(v) for v in text.split(","))
+_csv_floats = _csv(float, "numbers")
+_csv_ints = _csv(int, "integers")
 
 
 def _add_experiment_flags(p):

@@ -440,11 +440,12 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
     instance, extremal curvatures over the convexity region, and the
     tightness-counterexample values. JSON-serializable.
 
-    ``lam`` and ``eps`` must lie in (0, 1/2), and ``seed`` in
-    [0, 2**64 - 4], as the report draws from seed to seed + 3; values
-    outside are refused before any draw."""
+    ``lam`` and ``eps`` must lie in (0, 1/2), ``seed`` in [0, 2**64 - 4],
+    as the report draws from seed to seed + 3, and ``samples`` in its
+    _RANGES; values outside are refused before any draw."""
     cx = tightness_counterexample(lam, eps)
     _check_seed(seed, last=3)
+    _check_run(samples=samples)
     # 2-D instance with covariance diag(1, 0): determinant of the Hessian
     # is -4 w1^2 w2^2 / ||w||^8, nonpositive everywhere
     X2 = DataMatrix(np.array([[1.0], [0.0]]))

@@ -24,29 +24,18 @@ from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
 _NORM_FLOOR = 1e-12
 
 
-def _steps_k1_numpy(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
-                    btx=None, etas=None):
+def _steps_k1_numpy(xd, idx, a, eu, eta, w, scale, anchor=None, etas=None):
     """Reference for _steps_k1, one interpreted step at a time, in the
     compiled kernel's arithmetic and order: the same bits."""
-
-    def column(i):
-        x = xd[:, i]
-        if basis is not None:
-            p = np.zeros(len(x))
-            for l in range(basis.shape[1]):
-                p += basis[:, l] * btx[i, l]
-            x = x - p
-        return x
-
     if len(idx) == 0:
         return 0
     inv = scale[0]
-    x = column(idx[0])
+    x = xd[:, idx[0]]
     p = _sum8(x * w)
     pa = 0.0 if anchor is None else _sum8(w * anchor)
     for t, i in enumerate(idx, 1):
         # the last step sums against its own column, unread
-        xn = column(idx[t]) if t < len(idx) else x
+        xn = xd[:, idx[t]] if t < len(idx) else x
         s = 1.0 if pa >= 0.0 else -1.0  # the aligning rotation of w^T w~
         e = eta if etas is None else etas[t - 1]
         w[:] = (w * inv + (e * (inv * p - s * a[i])) * x) + s * eu
@@ -63,8 +52,7 @@ def _steps_k1_numpy(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
     return 0
 
 
-def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
-              btx=None, etas=None):
+def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, etas=None):
     """Run len(idx) k=1 VR-PCA steps in place on the iterate w * scale[0],
     a d x 1 unit frame held as ``w`` and its pending scale:
     w <- normalize(w + eta (x_i^T w - a_i) x_i + eu), i over ``idx``.
@@ -83,11 +71,10 @@ def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
     step t takes etas[t] in place of eta; with a = 0 and eu = 0 the steps
     are Oja's. With ``anchor`` = w~, each step first takes
     s = sign(w^T w~) (+1 at zero) and uses s a_i and s eu: the block
-    solver's aligning rotation at k=1. With a C-ordered d x j deflation
-    ``basis`` B and ``btx`` = X^T B (n x j, C-ordered), x_i is replaced by
-    x_i - B B^T x_i. Returns 0, or the 1-based step whose candidate norm
-    fell below _NORM_FLOOR; ``w`` then holds that candidate and ``scale``
-    1.
+    solver's aligning rotation at k=1. A deflation stage passes its
+    projected copy of the data as ``xd`` (deflation_solve). Returns 0, or
+    the 1-based step whose candidate norm fell below _NORM_FLOOR; ``w``
+    then holds that candidate and ``scale`` 1.
 
     ``w``, ``a``, ``eu`` and ``anchor`` may be d x 1 (``a``: n x 1) arrays
     or vectors: the kernels see reshape(-1) views of them, the one place
@@ -95,7 +82,7 @@ def _steps_k1(xd, idx, a, eu, eta, w, scale, anchor=None, basis=None,
     """
     a, eu, w, anchor = (None if v is None else v.reshape(-1)
                         for v in (a, eu, w, anchor))
-    args = (xd, idx, a, eu, eta, w, scale, anchor, basis, btx, etas)
+    args = (xd, idx, a, eu, eta, w, scale, anchor, etas)
     bad = _native.steps_k1(*args, _NORM_FLOOR)
     return _steps_k1_numpy(*args) if bad is None else bad
 
@@ -133,6 +120,7 @@ _RANGES = {
     "sweeps": (lambda v: v >= 0, "be >= 0", _INTEGER),
     "oja_iters": (lambda v: v >= 0, "be >= 0", _INTEGER),
     "oja_eta0": (lambda v: v > 0.0, "be positive", _REAL),
+    "samples": (lambda v: v >= 1, "be >= 1", _INTEGER),
 }
 
 
@@ -356,6 +344,20 @@ def _project_out(w, basis):
         w /= np.linalg.norm(w)
 
 
+def _deflated(X, cov, basis):
+    """A deflation stage's data and memo: with P = I - B B^T for an
+    orthonormal ``basis`` B, the copy P X as a new DataMatrix (d x n
+    doubles, built F-ordered) and P A = cov - B (B^T cov), None without
+    the memo ``cov``. For a w~ in the complement of B, (P A) w~ is the
+    copy's covariance applied, P A P w~. (X, cov) itself when B is None."""
+    if basis is None:
+        return X, cov
+    p = (X.data.T @ basis) @ basis.T
+    np.subtract(X.data.T, p, out=p)
+    return DataMatrix(p.T), (None if cov is None
+                             else cov - basis @ (basis.T @ cov))
+
+
 def _segments(rng, n, total, stride, w, where, steps):
     """Run ``total`` steps on the d x k iterate ``w`` as segments of
     ``stride`` steps, yielding the steps done after each segment.
@@ -394,8 +396,8 @@ def _segments(rng, n, total, stride, w, where, steps):
         yield t1
 
 
-def _epochs(X, w_start, cfg, reference, cov, basis=None, jump=0,
-            rotate=False, final_pass=True):
+def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
+            final_pass=True):
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
@@ -415,15 +417,11 @@ def _epochs(X, w_start, cfg, reference, cov, basis=None, jump=0,
     potential but residual None. So a run of E epochs reads the data in E
     products X^T W~ with ``cov``, and makes E + 1 covariance passes
     without it. With ``final_pass`` off the final product is skipped and
-    the last boundary's residual stays None.
+    the last boundary's residual stays None. A deflation stage is an
+    ordinary caller: it hands in its projected copy of the data and memo.
 
-    ``basis`` (k=1 only) is an optional C-ordered d x j orthonormal
-    deflation basis; sampled columns and the epoch anchor are projected
-    against it on the fly, so the stage solves the covariance operator
-    restricted to its orthogonal complement (its residuals stay those of
-    the full operator). Indices
-    come from the run stream _stream(cfg.seed) jumped ``jump`` times.
-    ``rotate`` applies the block solver's aligning rotation.
+    Indices come from the run stream _stream(cfg.seed) jumped ``jump``
+    times. ``rotate`` applies the block solver's aligning rotation.
     """
     _check_epsilon(cfg.epsilon, reference=reference is not None)
     xd = X.data
@@ -431,18 +429,13 @@ def _epochs(X, w_start, cfg, reference, cov, basis=None, jump=0,
     m = cfg.m
     rng = _stream(cfg.seed, jump=jump)
     rec = _Recorder(reference, m)
-    btx = None if basis is None else xd.T @ basis
 
     wt = w_start.copy()
-    _project_out(wt, basis)
     samples = 0
     rec.add(0, 0, wt, samples)
     for s in range(1, cfg.epochs + 1):
-        _project_out(wt, basis)
         a, u = _anchor_gradient(X, wt, cov)
-        rec.settle(wt, u)  # the last boundary's residual, full operator
-        if basis is not None:
-            u -= basis @ (basis.T @ u)
+        rec.settle(wt, u)  # the last boundary's residual
         samples += X.n
         eu = eta * u
         w = wt.copy()
@@ -451,8 +444,7 @@ def _epochs(X, w_start, cfg, reference, cov, basis=None, jump=0,
         def steps(idx, t0, v, scale):
             if scale is None:
                 return _steps_block(xd, idx, a, u, eta, v, anchor=anchor)
-            return _steps_k1(xd, idx, a, eu, eta, v, scale, anchor=anchor,
-                             basis=basis, btx=btx)
+            return _steps_k1(xd, idx, a, eu, eta, v, scale, anchor=anchor)
 
         for t1 in _segments(rng, X.n, m, max(m // 10, 1), w,
                             f"at epoch {s},", steps):
@@ -686,13 +678,18 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
                     reference: OrthonormalFrame | None = None
                     ) -> ConvergenceTrace:
     """Recover cfg.k leading eigenvectors one at a time with the vector
-    solver, projecting sampled columns against the vectors already found.
+    solver, each stage on the data projected off the vectors already found.
 
-    Stage j runs on the covariance operator restricted to the orthogonal
-    complement of the previous stages (columns are deflated on the fly, the
-    dataset is never rewritten). It starts from column j of ``W0`` and
-    samples from the run stream _stream(cfg.seed) jumped j-1 times, so stage
-    1 reproduces vrpca_vector from column 1 exactly.
+    Stage j >= 2, with the found vectors B and P = I - B B^T, runs _epochs
+    on a projected copy P X of the data (_deflated), so it solves the
+    covariance operator restricted to the orthogonal complement of B. Its
+    start, column j of ``W0``, is projected into that complement, and its
+    final vector once more against B; in between every sampled column and
+    every anchor gradient u lies in the complement, so the iterates stay
+    there. The copy costs d x n doubles (80 MB at d = 100, n = 10^5), one
+    at a time. Stage j samples from the run stream _stream(cfg.seed)
+    jumped j-1 times; stage 1 runs on X itself and reproduces vrpca_vector
+    from column 1 exactly.
 
     After each stage one covariance pass over the j vectors found so far
     gives the trace one sweep-style record (cumulative epoch and samples,
@@ -702,13 +699,15 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     1e-3, since deflation needs a positive eigengap between all top k
     eigenvalues. The last record is the final frame's.
 
-    Given a ``reference`` at d <= DENSE_GUARD, each stage's anchor
-    gradient u (taken on the full operator, then projected) and each
-    record's A V come from the covariance memo X.covariance(): a run of E
-    epochs per stage reads the data k E + (k - 1) times, once per stage
-    epoch for X^T w~ and once per deflation basis for X^T B. Without one,
-    u and A V are covariance passes: k E + (k - 1) + k in all (a stage
-    makes no final pass of its own, as the record pass replaces it).
+    Given a ``reference`` at d <= DENSE_GUARD, each record's A V comes from
+    the covariance memo X.covariance(), and each stage's anchor gradient u
+    from the memo or its projection P A. A run of E epochs per stage then
+    reads the data in k E + (k - 1) products X^T W: E per stage, for X^T w~
+    over X or the stage's copy, and one X^T B per copy. Building a copy
+    also reads X once more, to subtract, and the copy once, for its column
+    norms. Without a reference, u and A V are covariance passes: k E +
+    (k - 1) + k products in all (a stage makes no final pass of its own,
+    as the record pass replaces it).
 
     The stages run every epoch: they have no reference to measure a
     potential against, so cfg.epsilon is refused (vrpca_block stops on it).
@@ -722,8 +721,12 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     epoch = samples = 0
     for j in range(1, cfg.k + 1):
         basis = found if j > 1 else None
-        stage = _epochs(X, W0.entries[:, j - 1:j], cfg, None, cov,
-                        basis=basis, jump=j - 1, final_pass=False)
+        w = W0.entries[:, j - 1:j].copy()
+        _project_out(w, basis)
+        Xj, cov_j = _deflated(X, cov, basis)
+        stage = _epochs(Xj, w, cfg, None, cov_j, jump=j - 1,
+                        final_pass=False)
+        del Xj, cov_j  # hold one stage copy at a time
         v = stage.final_frame.entries.copy()
         _project_out(v, basis)
         found = np.hstack((found, v))

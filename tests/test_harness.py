@@ -767,18 +767,37 @@ class TestCli:
         (["--eps", "0.5"], "eps must lie in (0, 1/2), got 0.5"),
         (["--seed", "18446744073709551613"],
          "seed must lie in [0, 2**64 - 4], as seed + 3 is drawn from too; "
-         "got 18446744073709551613")])
+         "got 18446744073709551613"),
+        (["--samples", "0"], "samples must be >= 1, got 0"),
+        (["--samples", "-1"], "samples must be >= 1, got -1"),
+        ({"samples": 1.5}, "samples must be an integer, got 1.5")])
     def test_geometry_refuses_bad_values_before_synthesis(
             self, monkeypatch, capsys, flags, message):
+        # a dict of flags goes through the API, where --samples' int
+        # conversion cannot catch a fraction
         def refuse(*args, **kwargs):
             raise AssertionError("synthesize_dataset called")
 
         monkeypatch.setattr(harness, "synthesize_dataset", refuse)
+        if isinstance(flags, dict):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                geometry_report(0.3, 0.1, **flags)
+            return
         given = {"--lam": "0.3", "--eps": "0.1", "--samples": "5"}
         given.update(zip(flags[::2], flags[1::2]))
         rc = cli_main(["geometry", *(x for kv in given.items() for x in kv)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "1,x", "expected comma-separated integers, got '1,x'"),
+        ("--spectrum", "1,x", "expected comma-separated numbers, got '1,x'")])
+    def test_bad_csv_flag_names_what_it_expected(self, capsys, flag, value,
+                                                 message):
+        rc = cli_main(["solve", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: argument {flag}: {message}\n"
 
     def test_geometry_takes_the_largest_seed(self, capsys):
         rc = cli_main(["geometry", "--lam", "0.3", "--eps", "0.1",

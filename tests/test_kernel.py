@@ -53,49 +53,40 @@ def fresh_kernel(monkeypatch, tmp_path):
     return builds
 
 
-def _random_operands(d, n, m, j, rotate, per_step, eta, seed):
-    """Operands (xd, idx, a, eu, w0, anchor, basis, btx, etas) of m k=1
-    steps on random d x n data scaled as the pipeline runs it, with up to
-    j deflation columns (fewer than d)."""
+def _random_operands(d, n, m, rotate, per_step, eta, seed):
+    """Operands (xd, idx, a, eu, w0, anchor, etas) of m k=1 steps on random
+    d x n data scaled as the pipeline runs it."""
     rng = np.random.default_rng(seed)
     X = DataMatrix(rng.standard_normal((d, n)))
     xd = X.data / np.sqrt(X.r)  # unit max column norm, as the pipeline runs
     xd = np.asfortranarray(xd)
-    j = min(j, d - 1)
-    basis = btx = None
-    if j:
-        basis = np.ascontiguousarray(
-            np.linalg.qr(rng.standard_normal((d, j)))[0])
-        btx = xd.T @ basis
     wt = _unit(rng.standard_normal(d))
     a = xd.T @ wt
     eu = eta * (xd @ a / n)
     w0 = _unit(rng.standard_normal(d))
     idx = rng.integers(0, n, size=m)
     etas = rng.uniform(1e-3, 0.3, size=m) if per_step else None
-    return xd, idx, a, eu, w0, wt if rotate else None, basis, btx, etas
+    return xd, idx, a, eu, w0, wt if rotate else None, etas
 
 
 @needs_cc
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(1, 40), n=st.integers(1, 30), m=st.integers(0, 120),
-       j=st.integers(0, 3), rotate=st.booleans(), per_step=st.booleans(),
+       rotate=st.booleans(), per_step=st.booleans(),
        eta=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
 # one column taken 91 times with the rotation on: w^T w~ keeps changing
 # sign, which amplified any difference in rounding past 1e-12
-@example(d=4, n=1, m=91, j=0, rotate=True, per_step=True, eta=0.03125,
-         seed=0)
-def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
+@example(d=4, n=1, m=91, rotate=True, per_step=True, eta=0.03125, seed=0)
+def test_compiled_matches_numpy_reference(d, n, m, rotate, per_step, eta,
                                           seed):
     assert _native._library() is not None  # a compiler is here: it must build
-    xd, idx, a, eu, w0, anchor, basis, btx, etas = _random_operands(
-        d, n, m, j, rotate, per_step, eta, seed)
+    xd, idx, a, eu, w0, anchor, etas = _random_operands(
+        d, n, m, rotate, per_step, eta, seed)
     w_c, w_np = w0.copy(), w0.copy()
     sc_c, sc_np = np.ones(1), np.ones(1)
-    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, sc_c, anchor, basis,
-                              btx, etas)
+    bad_c = solvers._steps_k1(xd, idx, a, eu, eta, w_c, sc_c, anchor, etas)
     bad_np = solvers._steps_k1_numpy(xd, idx, a, eu, eta, w_np, sc_np, anchor,
-                                     basis, btx, etas)
+                                     etas)
     assert bad_c == bad_np
     assert np.array_equal(w_c, w_np)
     assert np.array_equal(sc_c, sc_np)
@@ -108,9 +99,9 @@ def test_compiled_matches_numpy_reference(d, n, m, j, rotate, per_step, eta,
     pytest.param(solvers._steps_k1_numpy, id="numpy")])
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 20), n=st.integers(1, 12), m=st.integers(0, 40),
-       split=st.integers(0, 40), j=st.integers(0, 2), rotate=st.booleans(),
+       split=st.integers(0, 40), rotate=st.booleans(),
        per_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_split_calls_give_the_bits_of_one(steps, d, n, m, split, j, rotate,
+def test_split_calls_give_the_bits_of_one(steps, d, n, m, split, rotate,
                                           per_step, seed):
     # the iterate stays unnormalized between calls: one call of m steps,
     # and two calls split at any step that carry w and its pending scale,
@@ -118,16 +109,16 @@ def test_split_calls_give_the_bits_of_one(steps, d, n, m, split, j, rotate,
     # before it would have made)
     if steps is solvers._steps_k1:
         assert _native._library() is not None
-    xd, idx, a, eu, w0, anchor, basis, btx, etas = _random_operands(
-        d, n, m, j, rotate, per_step, 0.05, seed)
+    xd, idx, a, eu, w0, anchor, etas = _random_operands(
+        d, n, m, rotate, per_step, 0.05, seed)
     k = min(split, m)
     w1, sc1 = w0.copy(), np.ones(1)
-    bad1 = steps(xd, idx, a, eu, 0.05, w1, sc1, anchor, basis, btx, etas)
+    bad1 = steps(xd, idx, a, eu, 0.05, w1, sc1, anchor, etas)
     w2, sc2 = w0.copy(), np.ones(1)
-    bad2 = steps(xd, idx[:k], a, eu, 0.05, w2, sc2, anchor, basis, btx,
+    bad2 = steps(xd, idx[:k], a, eu, 0.05, w2, sc2, anchor,
                  None if etas is None else etas[:k])
     if not bad2:
-        bad2 = steps(xd, idx[k:], a, eu, 0.05, w2, sc2, anchor, basis, btx,
+        bad2 = steps(xd, idx[k:], a, eu, 0.05, w2, sc2, anchor,
                      None if etas is None else etas[k:])
         bad2 = bad2 and k + bad2
     assert bad1 == bad2
@@ -135,23 +126,12 @@ def test_split_calls_give_the_bits_of_one(steps, d, n, m, split, j, rotate,
     assert np.array_equal(sc1, sc2)
 
 
-def _steps_k1_scalar(xd, idx, a, eu, eta, w, inv, anchor, basis, btx, etas):
+def _steps_k1_scalar(xd, idx, a, eu, eta, w, inv, anchor, etas):
     """The kernel's arithmetic in its one-pass order, one Python float
     operation at a time, on the iterate w * inv: the new (w, inv)."""
     d = len(w)
     w = [float(v) for v in w]
-
-    def column(i):
-        x = [float(v) for v in xd[:, i]]
-        if basis is not None:
-            for k in range(d):
-                p = 0.0
-                for l in range(basis.shape[1]):
-                    p += float(basis[k, l]) * float(btx[i, l])
-                x[k] = x[k] - p
-        return x
-
-    x = column(idx[0])
+    x = xd[:, idx[0]].tolist()
     p = _dot8(x, w)
     pa = 0.0 if anchor is None else _dot8(w, anchor)
     for t, i in enumerate(idx):
@@ -159,7 +139,7 @@ def _steps_k1_scalar(xd, idx, a, eu, eta, w, inv, anchor, basis, btx, etas):
         e = eta if etas is None else float(etas[t])
         c = e * (inv * p - s * float(a[i]))
         w = [(w[k] * inv + c * x[k]) + s * float(eu[k]) for k in range(d)]
-        x = column(idx[t + 1]) if t + 1 < len(idx) else x
+        x = xd[:, idx[t + 1]].tolist() if t + 1 < len(idx) else x
         p = _dot8(x, w)
         if anchor is not None:
             pa = _dot8(w, anchor)
@@ -168,9 +148,9 @@ def _steps_k1_scalar(xd, idx, a, eu, eta, w, inv, anchor, basis, btx, etas):
 
 
 def _segments(d, n, m, eta, seed):
-    """Operands (xd, idx, a, eu, w0, anchor, basis, btx, etas) of one
-    segment of m steps at dimension d: plain, with the anchor, deflated,
-    and both, each with the scalar eta and with per-step etas."""
+    """Operands (xd, idx, a, eu, w0, anchor, etas) of one segment of m
+    steps at dimension d: plain and with the anchor, each with the scalar
+    eta and with per-step etas."""
     rng = np.random.default_rng(seed)
     xd = np.asfortranarray(rng.standard_normal((d, n)))
     xd /= np.sqrt(np.max(np.einsum("ij,ij->j", xd, xd)))
@@ -179,16 +159,9 @@ def _segments(d, n, m, eta, seed):
     eu = eta * (xd @ a / n)
     w0 = _unit(rng.standard_normal(d))
     idx = rng.integers(0, n, size=m)
-    j = min(2, d - 1)
-    bases = [None]
-    if j:
-        bases.append(np.ascontiguousarray(
-            np.linalg.qr(rng.standard_normal((d, j)))[0]))
     per_step = eta * rng.uniform(0.5, 2.0, size=m)
-    return [(xd, idx, a, eu, w0, anchor, b, None if b is None else xd.T @ b,
-             etas)
-            for anchor in (None, wt) for b in bases
-            for etas in (None, per_step)]
+    return [(xd, idx, a, eu, w0, anchor, etas)
+            for anchor in (None, wt) for etas in (None, per_step)]
 
 
 @needs_cc
@@ -197,13 +170,12 @@ def test_compiled_sums_in_the_written_order(d):
     # bitwise: a reordered sum, a fused multiply-add or a division in
     # place of the reciprocal multiply would move the bits
     assert _native._library() is not None
-    for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(d, 9, 30, 0.05,
-                                                              d):
+    for xd, idx, a, eu, w0, anchor, etas in _segments(d, 9, 30, 0.05, d):
         w, scale = w0.copy(), np.array([0.75])  # a pending scale carried in
-        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, scale, anchor, b,
-                                 btx, etas) == 0
+        assert solvers._steps_k1(xd, idx, a, eu, 0.05, w, scale, anchor,
+                                 etas) == 0
         w_ref, inv_ref = _steps_k1_scalar(xd, idx, a, eu, 0.05, w0, 0.75,
-                                          anchor, b, btx, etas)
+                                          anchor, etas)
         assert np.array_equal(w, w_ref)
         assert scale[0] == inv_ref
 
@@ -267,19 +239,18 @@ def test_unoptimized_build_is_bit_identical(monkeypatch, tmp_path):
             _library_without(monkeypatch, tmp_path, "AVX512"),
             _library_without(monkeypatch, tmp_path, "AVX512", "AVX2"))
     for d in range(1, 41):  # every remainder of 8, in the fused loop too
-        for xd, idx, a, eu, w0, anchor, b, btx, etas in _segments(
+        for xd, idx, a, eu, w0, anchor, etas in _segments(
                 d, 23, 150, 0.05, 8 + d):
             out = []
             for lib in libs:
                 monkeypatch.setattr(_native, "_library", lambda lib=lib: lib)
                 w, scale = w0.copy(), np.ones(1)
                 out.append((solvers._steps_k1(xd, idx, a, eu, 0.05, w, scale,
-                                              anchor, b, btx, etas), w,
-                            scale))
+                                              anchor, etas), w, scale))
             for bad, w, scale in out[1:]:
                 assert bad == out[0][0] == 0
-                assert np.array_equal(w, out[0][1]), (d, anchor, b, etas)
-                assert scale == out[0][2], (d, anchor, b, etas)
+                assert np.array_equal(w, out[0][1]), (d, anchor, etas)
+                assert scale == out[0][2], (d, anchor, etas)
 
 
 def _synth_cases():
@@ -568,11 +539,9 @@ def _k1_operands():
     d, n = 5, 7
     xd = np.asfortranarray(rng.standard_normal((d, n)))
     w = _unit(rng.standard_normal(d))
-    basis = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((d, 2)))[0])
     return dict(xd=xd, idx=np.array([0, 3, 6]), a=xd.T @ w, eu=0.1 * w,
-                eta=0.1, w=w, scale=np.ones(1), anchor=w.copy(), basis=basis,
-                btx=xd.T @ basis, etas=np.array([0.1, 0.2, 0.3]),
-                norm_floor=1e-12)
+                eta=0.1, w=w, scale=np.ones(1), anchor=w.copy(),
+                etas=np.array([0.1, 0.2, 0.3]), norm_floor=1e-12)
 
 
 def _read_only(v):
@@ -601,9 +570,6 @@ K1_VIOLATIONS = {
     "scale a float": lambda o: dict(scale=1.0),
     "scale long": lambda o: dict(scale=np.ones(2)),
     "anchor short": lambda o: dict(anchor=o["anchor"][:-1]),
-    "basis F-ordered": lambda o: dict(basis=np.asfortranarray(o["basis"])),
-    "btx short": lambda o: dict(btx=np.ascontiguousarray(o["btx"][:-1])),
-    "basis without btx": lambda o: dict(btx=None),
     "index n": lambda o: dict(idx=np.array([0, 7, 1])),
     "index -1": lambda o: dict(idx=np.array([-1, 2, 1])),
     "etas short": lambda o: dict(etas=o["etas"][:-1]),

@@ -104,6 +104,7 @@ RANGE_CASES = {
     "sweeps": (-2, lambda v: orthogonal_iteration(*_tiny(), sweeps=v)),
     "oja_iters": (-5, lambda v: _oja(iters=v)),
     "oja_eta0": (0.0, lambda v: _oja(eta_schedule=v)),
+    "samples": (0, lambda v: harness.geometry_report(0.3, 0.1, samples=v)),
 }
 
 
@@ -703,6 +704,35 @@ class TestDeflation:
         assert trace.records[-1].potential == pytest.approx(
             potential(ref, trace.final_frame), rel=0, abs=1e-15)
 
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_stage_vectors_stay_in_the_complement(self, monkeypatch, std_k3,
+                                                  with_reference):
+        # stage j >= 2 steps on the projected copy with u = P A w~ (from
+        # the memo with a reference, streamed without), so its final vector
+        # is orthogonal to the vectors found before it already; the last
+        # projection corrects only rounding
+        calls = []
+        real = solvers._project_out
+
+        def record(w, basis):
+            if basis is not None:
+                calls.append((w.copy(), basis.copy()))
+            real(w, basis)
+
+        monkeypatch.setattr(solvers, "_project_out", record)
+        X, ref = std_k3.Xs, std_k3.reference(3)
+        eta, m = select_parameters(std_k3.gap, 1.0, 3, 0.8)
+        cfg = SolverConfig(k=3, eta=eta, m=m, epochs=4, seed=1, delta=0.8)
+        deflation_solve(X, power_warm_start(X, k=3, seed=1,
+                                            reference=ref).frame, cfg,
+                        ref if with_reference else None)
+        starts, finals = calls[::2], calls[1::2]
+        assert [b.shape[1] for _, b in finals] == [1, 2]
+        for w, basis in starts:  # the start columns needed the projection
+            assert np.max(np.abs(basis.T @ w)) > 1e-6
+        for v, basis in finals:
+            assert np.max(np.abs(basis.T @ v)) <= 1e-12
+
     def test_stage_j_starts_from_column_j(self, small_k1):
         # stage 2 runs from the start frame's second column: swapping the
         # columns changes the run, and cfg.k must match the frame
@@ -971,13 +1001,20 @@ class TestRecorderPasses:
                 assert (r.residual is not None) == boundary
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_deflation_passes_and_none_from_the_pipeline(self, k, small_k1):
-        # k stages of E anchor passes (no stage-final pass) and one X^T B
-        # per deflation basis; without a reference also one pass per stage
-        # record, with one the records and the stage u come from the memo.
-        # The pipeline adds no pass of its own
-        X = DataMatrix(small_k1.Xs.data)
-        X.data = X.data.view(_PassCounter)
+    def test_deflation_passes_and_none_from_the_pipeline(self, k, small_k1,
+                                                         monkeypatch):
+        # k stages of E anchor passes (no stage-final pass), stage 1 over X
+        # and stage j >= 2 over its projected copy, and one X^T B per copy;
+        # without a reference also one pass per stage record, with one the
+        # records and the stage u come from the memo. The pipeline adds no
+        # pass of its own
+        def counted_copy(data):
+            copy = DataMatrix(data)
+            copy.data = copy.data.view(_PassCounter)
+            return copy
+
+        monkeypatch.setattr(solvers, "DataMatrix", counted_copy)
+        X = counted_copy(small_k1.Xs.data)
         epochs, seed = 4, 3
         cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=seed)
         run_cfg = ExperimentConfig(spectrum=small_k1.spec_req.eigenvalues,
