@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Verbs: solve, compare, geometry, synth, convert. Flags mirror the
-ExperimentConfig field names; a JSON config file provides defaults that
-individual flags override. Exit codes: 0 success, 1 parse/config error
-or a file that cannot be read or written, 2 solver degeneracy or
-non-convergence.
+Verbs: solve, compare, geometry, synth, convert. The solve and compare
+flags are built from the ExperimentConfig fields: --<field-name>, with
+--dataset, --format, --burn-in, --out and --use-rotation/--no-rotation
+for the fields they name, a --no- form for each true-or-false field, and
+comma-separated lists for --spectrum and --seeds. A JSON config file
+provides defaults that individual flags override. Exit codes: 0 success,
+1 parse/config error or a file that cannot be read or written, 2 solver
+degeneracy or non-convergence.
 """
 
 from __future__ import annotations
@@ -12,14 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (ConfigError, DegenerateIterateError, NonConvergenceError,
                      VrpcaError)
-from .harness import (INITS, SOLVERS, ExperimentConfig, compare_baselines,
-                      geometry_report, run_experiment)
+from .harness import (_FLAG, _KINDS, INITS, SOLVERS, ExperimentConfig,
+                      compare_baselines, geometry_report, run_experiment)
 from .io import FORMATS, load_dataset, save_dataset
 from .oracle import SpectrumSpec, synthesize_dataset
+from .solvers import _INTEGER, _REAL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,42 +48,30 @@ _csv_floats = _csv(float, "numbers")
 _csv_ints = _csv(int, "integers")
 
 
+#: the flags not spelled --<field-name>
+_SPELLINGS = {"dataset_path": ("--dataset",), "dataset_format": ("--format",),
+              "run_burn_in": ("--burn-in",), "out_dir": ("--out",),
+              "use_rotation": ("--use-rotation", "--rotation")}
+#: the argparse type of each value kind; a path or a name stays a string
+_TYPES = {_INTEGER: int, _REAL: float, _KINDS["spectrum"]: _csv_floats,
+          _KINDS["seeds"]: _csv_ints}
+_CHOICES = {"solver": SOLVERS, "init": INITS, "dataset_format": FORMATS}
+
+
 def _add_experiment_flags(p):
+    """One flag per ExperimentConfig field, parsing to the field's _KINDS
+    kind; a true-or-false field also takes the --no- form of each of its
+    spellings."""
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--dataset", dest="dataset_path")
-    p.add_argument("--format", dest="dataset_format", choices=FORMATS)
-    p.add_argument("--spectrum", type=_csv_floats,
-                   help="comma-separated eigenvalues for a synthetic dataset")
-    p.add_argument("--gap-index", type=int, dest="gap_index")
-    p.add_argument("--n", type=int)
-    p.add_argument("--synth-seed", type=int, dest="synth_seed")
-    p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--use-rotation", dest="use_rotation",
-                   action="store_true", default=None)
-    p.add_argument("--no-rotation", dest="use_rotation", action="store_false")
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--oja-iters", type=int, dest="oja_iters")
-    p.add_argument("--oja-eta0", type=float, dest="oja_eta0")
-    p.add_argument("--init", choices=INITS)
-    p.add_argument("--burn-in", dest="run_burn_in",
-                   action="store_true", default=None)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--rescale", dest="rescale", action="store_true",
-                   default=None)
-    p.add_argument("--no-rescale", dest="rescale", action="store_false")
-    p.add_argument("--oracle-check", dest="oracle_check",
-                   action="store_true", default=None)
-    p.add_argument("--no-oracle-check", dest="oracle_check",
-                   action="store_false")
-    p.add_argument("--lambda-hat", type=float, dest="lambda_hat")
-    p.add_argument("--seeds", type=_csv_ints)
-    p.add_argument("--out", dest="out_dir")
+    for f in fields(ExperimentConfig):
+        names = _SPELLINGS.get(f.name, ("--" + f.name.replace("_", "-"),))
+        kind = _KINDS[f.name]
+        if kind is _FLAG:
+            p.add_argument(*names, dest=f.name,
+                           action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(*names, dest=f.name, type=_TYPES.get(kind),
+                           choices=_CHOICES.get(f.name))
 
 
 def _experiment_config(args) -> ExperimentConfig:

@@ -13,6 +13,7 @@ from .errors import ConfigError, DimensionMismatchError
 from .initialization import _stream
 from .matrix import DataMatrix, _check_dense, covariance_apply
 from .oracle import Spectrum
+from .solvers import _check_run
 
 
 def _vec(w, d):
@@ -166,10 +167,10 @@ def probe_strong_convexity(region: ConvexRegion, X: DataMatrix,
     (perturbations orthogonal to w0, norm <= radius); directions g are unit
     vectors orthogonal to w0. The guarantee places every curvature in
     [eigengap, 20]; the probe is a falsification harness for that claim,
-    not a proof.
+    not a proof. ``samples`` must be of its _RANGES kind and range, or it
+    is refused with a ConfigError before any draw.
     """
-    if samples < 1:
-        raise ConfigError("empty probe: need at least one sample")
+    _check_run(samples=samples)
     d = region.w0.size
     if X.d != d:
         raise DimensionMismatchError(f"data dimension {X.d} != region dimension {d}")

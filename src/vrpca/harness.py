@@ -199,9 +199,11 @@ def runtime_model(d: int, k: int, n: int, r: float, eigengap: float,
                   epsilon: float) -> float:
     """Cost-model prediction d k (n + r^2 k^3 / eigengap^2) log(1/epsilon);
     a pure function of the instance parameters, no timing involved. A
-    nonpositive eigengap, for which the model predicts nothing, is refused
-    with a ConfigError."""
+    nonpositive eigengap or an epsilon outside (0, 1), for which the model
+    predicts nothing (or a nonpositive cost), is refused with a
+    ConfigError."""
     _check("eigengap", eigengap, _REAL, _RANGES["lambda_hat"][:2])
+    _check("epsilon", epsilon, _REAL, _RANGES["delta"][:2])
     return float(d * k * (n + r**2 * k**3 / eigengap**2)
                  * np.log(1.0 / epsilon))
 
@@ -338,10 +340,12 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         trace = _EPOCH_SOLVERS[cfg.solver](X, frame, solver_cfg, reference)
     boundaries = trace.boundary_records()
 
+    # the model predicts nothing for a nonpositive gap or an epsilon >= 1,
+    # which a run may still stop on: the potential lies in [0, k]
     model = None
-    if gap is not None and gap > 0.0:
-        model = runtime_model(d, k, n, original_r, gap * scale,
-                              cfg.epsilon or MODEL_EPSILON)
+    model_epsilon = cfg.epsilon or MODEL_EPSILON
+    if gap is not None and gap > 0.0 and model_epsilon < 1.0:
+        model = runtime_model(d, k, n, original_r, gap * scale, model_epsilon)
     report = RunReport(
         seed=seed, solver=cfg.solver, d=d, n=n, k=k,
         realized_r=original_r,

@@ -3,6 +3,7 @@ warm start, and numerical-rank computation."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,21 @@ class InitReport:
 
 
 def _check_k(k, d):
-    """Refuse a frame of more columns than dimensions."""
+    """Refuse a column count that is not an integer >= 1 (ConfigError, in
+    the wording of solvers._RANGES, which imports this module) and a frame
+    of more columns than dimensions."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise ConfigError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k!r}")
     if k > d:
         raise DimensionMismatchError(f"k={k} exceeds d={d}")
 
 
 def gaussian_init(d: int, k: int, seed: int) -> OrthonormalFrame:
-    """Orthonormalized standard-Gaussian d x k frame (seeded, reproducible)."""
+    """Orthonormalized standard-Gaussian d x k frame (seeded, reproducible).
+    A k that is not an integer >= 1, or above d, is refused (_check_k)
+    before the draw."""
     _check_k(k, d)
     return polar_normalize(_stream(seed).standard_normal((d, k)))
 
@@ -92,11 +101,12 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     extrapolation and is only guaranteed to satisfy the frame invariant.
     G is one d x k draw from the run stream _stream(seed).
 
-    A k above X.d raises DimensionMismatchError before the draw, as
-    gaussian_init does. When A G has numerical rank < k (_polar's rule,
-    relative to the scale of A G) it raises DegenerateIterateError. Short
-    of a null set of draws, that happens only when A itself has rank < k
-    (all-zero data included), so no second draw is made.
+    A k that is not an integer >= 1 raises ConfigError, and a k above X.d
+    DimensionMismatchError, before the draw, as in gaussian_init. When A G
+    has numerical rank < k (_polar's rule, relative to the scale of A G)
+    it raises DegenerateIterateError. Short of a null set of draws, that
+    happens only when A itself has rank < k (all-zero data included), so
+    no second draw is made.
 
     Given a ``reference`` (and d <= DENSE_GUARD) A is applied from the
     covariance memo X.covariance(), as the solvers do, so the start makes

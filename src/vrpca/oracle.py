@@ -69,8 +69,9 @@ def leading_subspace(spec: Spectrum, k: int) -> OrthonormalFrame:
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """Synthetic-data recipe: requested eigenvalues (descending) and the
-    position k whose eigengap the instance is built to exercise."""
+    """Synthetic-data recipe: requested eigenvalues (descending) and a gap
+    position k. k is checked against the spectrum's length and read by no
+    solver or synthesizer: the instance is the same for every k."""
 
     eigenvalues: tuple
     k: int = 1

@@ -2,9 +2,12 @@
 non-convexity certificate, the convexity region, and the tightness
 counterexample."""
 
+import re
+
 import numpy as np
 import pytest
 
+from vrpca import geometry
 from vrpca import (ConfigError, DataMatrix, DimensionMismatchError, Spectrum,
                    build_convex_region, dense_eigh, directional_curvature,
                    nonconvexity_certificate, probe_strong_convexity,
@@ -265,8 +268,22 @@ class TestConvexRegion:
     def test_empty_probe_rejected(self, gap_instance):
         X, spec, lam = gap_instance
         region = build_convex_region(spec, spec.eigenvectors.entries[:, 0])
-        with pytest.raises(ConfigError, match="empty probe"):
+        with pytest.raises(ConfigError, match=r"^samples must be >= 1, got 0$"):
             probe_strong_convexity(region, X, samples=0, seed=0)
+
+    @pytest.mark.parametrize("samples, message", [
+        (1.5, "samples must be an integer, got 1.5"),
+        (True, "samples must be an integer, got True"),
+        (0, "samples must be >= 1, got 0"),
+        (-1, "samples must be >= 1, got -1")])
+    def test_sample_count_refused_before_the_draw(self, monkeypatch,
+                                                  gap_instance, samples,
+                                                  message):
+        X, spec, lam = gap_instance
+        region = build_convex_region(spec, spec.eigenvectors.entries[:, 0])
+        monkeypatch.setattr(geometry, "_stream", None)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            probe_strong_convexity(region, X, samples=samples, seed=0)
 
 
 class TestTightnessCounterexample:

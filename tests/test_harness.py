@@ -2,7 +2,10 @@
 the geometry report, and the CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,7 +15,7 @@ from vrpca import (ConfigError, DataMatrix, ExperimentConfig, GapWarning,
                    compare_baselines, geometry_report, harness, read_trace,
                    run_experiment, runtime_model, save_dataset,
                    trace_fingerprint)
-from vrpca.cli import build_parser
+from vrpca.cli import _experiment_config, build_parser
 from vrpca.cli import main as cli_main
 
 from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
@@ -33,6 +36,44 @@ BAD_BASELINE_VALUES = [
     ("oja_eta0", -1.0, r"oja_eta0 must be positive, got -1.0"),
     ("oja_eta0", 0.0, r"oja_eta0 must be positive, got 0.0"),
     ("oja_eta0", float("nan"), r"oja_eta0 must be positive, got nan"),
+]
+
+
+#: each solve/compare field flag: (argv, field, parsed value); the last
+#: three are new with the flags built from the fields: the --no- forms
+#: BooleanOptionalAction derives and the --rotation alias
+FIELD_FLAGS = [
+    (["--dataset", "d.csv"], "dataset_path", "d.csv"),
+    (["--format", "f64le"], "dataset_format", "f64le"),
+    (["--spectrum", "1,0.5"], "spectrum", (1.0, 0.5)),
+    (["--gap-index", "2"], "gap_index", 2),
+    (["--n", "40"], "n", 40),
+    (["--synth-seed", "3"], "synth_seed", 3),
+    (["--solver", "oja"], "solver", "oja"),
+    (["--k", "2"], "k", 2),
+    (["--eta", "0.5"], "eta", 0.5),
+    (["--m", "7"], "m", 7),
+    (["--epochs", "4"], "epochs", 4),
+    (["--delta", "0.3"], "delta", 0.3),
+    (["--epsilon", "1e-3"], "epsilon", 1e-3),
+    (["--use-rotation"], "use_rotation", True),
+    (["--no-rotation"], "use_rotation", False),
+    (["--sweeps", "5"], "sweeps", 5),
+    (["--oja-iters", "6"], "oja_iters", 6),
+    (["--oja-eta0", "0.25"], "oja_eta0", 0.25),
+    (["--init", "gaussian"], "init", "gaussian"),
+    (["--burn-in"], "run_burn_in", True),
+    (["--zeta", "0.1"], "zeta", 0.1),
+    (["--rescale"], "rescale", True),
+    (["--no-rescale"], "rescale", False),
+    (["--oracle-check"], "oracle_check", True),
+    (["--no-oracle-check"], "oracle_check", False),
+    (["--lambda-hat", "0.2"], "lambda_hat", 0.2),
+    (["--seeds", "1,2"], "seeds", (1, 2)),
+    (["--out", "res"], "out_dir", "res"),
+    (["--no-burn-in"], "run_burn_in", False),
+    (["--no-use-rotation"], "use_rotation", False),
+    (["--rotation"], "use_rotation", True),
 ]
 
 
@@ -358,6 +399,13 @@ class TestRuntimeModel:
     def test_nonpositive_gap_refused(self, gap):
         with pytest.raises(ConfigError, match="eigengap must be positive"):
             runtime_model(50, 1, 500, 2.0, gap, 1e-6)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0, 0.0, -0.5, float("nan")])
+    def test_epsilon_outside_unit_interval_refused(self, epsilon):
+        # log(1/epsilon) would make the cost zero or negative
+        with pytest.raises(ConfigError, match=re.escape(
+                f"epsilon must lie in (0,1), got {epsilon!r}")):
+            runtime_model(10, 1, 100, 1.0, 0.3, epsilon)
 
 
 class TestCompareBaselines:
@@ -722,6 +770,18 @@ class TestCli:
         assert report["eigengap"] == 0.0
         assert report["runtime_model"] is None
 
+    @pytest.mark.parametrize("epsilon", ["1", "2"])
+    def test_epsilon_of_one_or_more_reports_no_runtime_model(self, capsys,
+                                                             epsilon):
+        # the run is legal, as the potential lies in [0, k]; the model
+        # predicts nothing for it
+        rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",
+                       "--epsilon", epsilon, "--seeds", "1", "--epochs", "2"])
+        assert rc == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["epochs_run"] == 1
+        assert report["runtime_model"] is None
+
     @pytest.mark.parametrize("rescale, words", [
         ("--no-rescale", "cannot form the covariance"),
         ("--rescale", "cannot rescale")])
@@ -843,6 +903,36 @@ class TestCli:
         (sub,) = [a for a in build_parser()._actions if a.choices]
         dests = {a.dest for a in sub.choices[verb]._actions}
         assert {f.name for f in fields(ExperimentConfig)} <= dests
+
+    @pytest.mark.parametrize("argv, field, value", FIELD_FLAGS,
+                             ids=[" ".join(a) for a, _, _ in FIELD_FLAGS])
+    @pytest.mark.parametrize("verb", ["solve", "compare"])
+    def test_field_flag_parses_to_its_field(self, verb, argv, field, value):
+        args = build_parser().parse_args([verb, *argv])
+        assert repr(getattr(args, field)) == repr(value)
+        assert all(getattr(args, f.name) is None
+                   for f in fields(ExperimentConfig) if f.name != field)
+
+    def test_no_burn_in_overrides_the_config_file(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "spectrum": [1, 0.7, 0.23], "n": 24, "run_burn_in": True}))
+        parser = build_parser()
+        on = _experiment_config(parser.parse_args(
+            ["solve", "--config", str(cfgfile)]))
+        off = _experiment_config(parser.parse_args(
+            ["solve", "--config", str(cfgfile), "--no-burn-in"]))
+        assert (on.run_burn_in, off.run_burn_in) == (True, False)
+
+    @pytest.mark.parametrize("verb", [
+        [], ["solve"], ["compare"], ["geometry"], ["synth"], ["convert"]])
+    def test_help_exits_0(self, verb):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-m", "vrpca.cli", *verb,
+                              "--help"], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(" ".join(["usage: vrpca", *verb]))
 
     def test_oja_flags_reach_the_run(self, capsys):
         rc = cli_main(["solve", "--spectrum", "1,0.7,0.23", "--n", "24",

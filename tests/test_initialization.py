@@ -2,6 +2,7 @@
 and numerical rank."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ from conftest import GramCounter, counted
 
 import vrpca
 from vrpca import initialization, matrix
-from vrpca import (DataMatrix, DegenerateIterateError, DimensionMismatchError,
-                   SpectrumSpec, covariance_apply, gaussian_init,
-                   numerical_rank, power_warm_start, synthesize_dataset)
+from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
+                   DimensionMismatchError, SpectrumSpec, covariance_apply,
+                   gaussian_init, numerical_rank, power_warm_start,
+                   synthesize_dataset)
 
 
 def _numpy_random_calls(path):
@@ -115,6 +117,22 @@ class TestPowerWarmStart:
         monkeypatch.setattr(initialization, "_apply", None)
         with pytest.raises(DimensionMismatchError, match=r"^k=4 exceeds d=3$"):
             init(X, 4)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1, got 0"),
+        (-1, "k must be >= 1, got -1"),
+        (1.5, "k must be an integer, got 1.5")])
+    @pytest.mark.parametrize("init", [
+        lambda X, k: gaussian_init(X.d, k, seed=1),
+        lambda X, k: power_warm_start(X, seed=1, k=k)],
+        ids=["gaussian", "power"])
+    def test_k_below_one_or_not_integer_refused_before_the_draw(
+            self, monkeypatch, init, k, message):
+        X = DataMatrix(np.random.default_rng(0).standard_normal((3, 8)))
+        monkeypatch.setattr(initialization, "_stream", None)
+        monkeypatch.setattr(initialization, "_apply", None)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            init(X, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_data_raises_after_one_application(self, monkeypatch, k):
