@@ -12,9 +12,20 @@ DimensionMismatchError before any C call.
 
 The module also reaches into the OpenBLAS that numpy.linalg links, found
 through that extension module's own handle: ``one_blas_thread`` holds it
-at one thread, so that the synthesizer's factorizations give the same bits
-whatever the caller's thread count. Where the handle resolves no OpenBLAS
-thread-count functions it does nothing."""
+at one thread, so that the synthesizer's factorizations and the oracle's
+eigh (d <= 512) give the same bits whatever the caller's thread count.
+Where the handle resolves no OpenBLAS thread-count functions it does
+nothing.
+
+``column_pass`` runs every pass over a d x n data matrix (the norm pass,
+the covariance memo, the products X^T W and X A, and a deflation stage's
+projected copy) in fixed column blocks under that hold, on the caller and
+a small persistent pool of threads of this module's own, as many in all as
+the thread count the hold saved. The blocks depend on the shape alone, so
+the bits do not follow the thread count, and no pass hands OpenBLAS
+threaded work, whose idle worker would then spin on a second CPU. The pool
+starts on the first pass with more than one block, not at import; a forked
+child starts its own."""
 
 from __future__ import annotations
 
@@ -50,6 +61,14 @@ _blas_lock = threading.Lock()
 _blas = None  # (get, set) of numpy's BLAS; False once none was found
 _blas_depth = 0  # callers inside one_blas_thread
 _blas_saved = 0  # the thread count the first of them found
+
+#: column_pass gives each block at least this many multiply-adds
+#: (about 1 ms of one core's work), so that a pass too small to repay the
+#: waking of a second thread runs inline; and at most _MAX_BLOCKS blocks
+_BLOCK_WORK = 1 << 21
+_MAX_BLOCKS = 4
+_pool_lock = threading.Lock()
+_pool = None  # (pid, task queue, threads) of column_pass's worker threads
 
 
 def _compiler():
@@ -220,13 +239,18 @@ def blas_threads():
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with numpy's BLAS on one thread, then restore the
-    thread count.
+    thread count; the body gets that count (None without blas_threads()).
 
     The count belongs to the process: while any caller is inside, the BLAS
     calls of every other thread run on one thread too. Calls nest and may
     overlap across threads: the first caller in saves the count and sets
     it to 1, the last one out restores it. Without blas_threads() the body
-    just runs."""
+    just runs.
+
+    Holding one thread also keeps OpenBLAS's own workers idle. After each
+    call that OpenBLAS threads, its idle worker spins for about 130 ms
+    before it sleeps, so a loop of such calls keeps a second CPU busy
+    (README, *Performance*)."""
     global _blas_depth, _blas_saved
     pair = blas_threads()
     with _blas_lock:
@@ -234,10 +258,136 @@ def one_blas_thread():
             _blas_saved = pair[0]()
             pair[1](1)
         _blas_depth += 1
+        saved = _blas_saved if pair else None
     try:
-        yield
+        yield saved
     finally:
         with _blas_lock:
             _blas_depth -= 1
             if pair and _blas_depth == 0:
                 pair[1](_blas_saved)
+
+
+def column_blocks(d, n, work=1):
+    """The column bounds (start, stop) of column_pass's blocks of a d x n
+    operand, for a pass of ``work`` multiply-adds per entry: at most
+    _MAX_BLOCKS blocks of at least _BLOCK_WORK multiply-adds each, all of
+    one width rounded up to whole 8-column groups (so every block of an
+    aligned d x n array starts aligned) but the ragged last. They depend
+    on (d, n, work) alone."""
+    count = min(_MAX_BLOCKS, d * n * work // _BLOCK_WORK) or 1
+    width = -(-n // count // 8) * 8 if count > 1 else n
+    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
+def _pool_size(saved):
+    """Threads that run a pass's blocks, the caller among them, given the
+    BLAS thread count the hold saved (None without a thread-count pair):
+    that count, or 1 where there is none."""
+    return saved or 1
+
+
+def _work(tasks):
+    """A pool thread: run each task in turn."""
+    while True:
+        _run(*tasks.get())
+
+
+def _run(fn, block, i, done):
+    """Put (i, fn(*block), None) on ``done``, or (i, None, the exception).
+    A function of its own, so that an idle thread holds no block: a block
+    held would keep its matrix, say a file mapping, alive."""
+    try:
+        done.put((i, fn(*block), None))
+    except BaseException as exc:  # noqa: BLE001 -- the caller raises it
+        done.put((i, None, exc))
+
+
+def _pool_tasks(workers):
+    """The task queue of this process's pool, grown to at least ``workers``
+    threads. The pool starts on first use; a forked child, which inherits
+    the queue but none of the threads, starts its own."""
+    import queue
+
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), queue.SimpleQueue(), [])
+        _, tasks, threads = _pool
+        while len(threads) < workers:
+            thread = threading.Thread(target=_work, args=(tasks,),
+                                      name="vrpca-pass", daemon=True)
+            thread.start()
+            threads.append(thread)
+        return tasks
+
+
+def column_pass(fn, arr, fold=None, work=1):
+    """fn over the column blocks of the d x n array ``arr`` for a pass of
+    ``work`` multiply-adds per entry (column_blocks), with numpy's BLAS
+    held at one thread (one_blas_thread): the list of fn(arr[:, cols],
+    cols), cols = slice(lo, hi), in block order, or with ``fold`` its left
+    fold, fold(...fold(r_0, r_1)..., r_last). A pass with one result per
+    column writes it through ``cols`` into an array of its own, so no
+    concatenation follows the pass.
+
+    The blocks run on as many threads as the BLAS thread count that the
+    hold saved, but no more than there are blocks: the caller and a
+    persistent pool of one fewer. So OPENBLAS_NUM_THREADS still sets how
+    many CPUs a pass uses. With one block, a count of 1, or no
+    thread-count pair, the caller runs them all. The partition and the order of the fold depend on (d, n, work)
+    alone, so the results are the same bits for any number of threads.
+    At most as many blocks as threads are handed out and not yet folded,
+    so at most that many results and the fold's own are alive at once. An
+    exception from fn reaches the caller once every block on the pool has
+    come back; the hold, too, ends only then. fn must not call
+    column_pass: it could wait on the pool it runs in."""
+    blocks = [(arr[:, lo:hi], slice(lo, hi))
+              for lo, hi in column_blocks(*arr.shape, work)]
+    out = []
+
+    def take(result):
+        if fold is None or not out:
+            out.append(result)
+        else:
+            out[0] = fold(out[0], result)
+
+    with one_blas_thread() as saved:
+        workers = min(_pool_size(saved), len(blocks))
+        if workers > 1:
+            _pooled(fn, blocks, workers, take)
+        else:
+            for block in blocks:
+                take(fn(*block))
+    return out if fold is None else out[0]
+
+
+def _pooled(fn, blocks, workers, take):
+    """take(fn(*block)) for each block in order, the fn calls run by the
+    caller and a pool of workers - 1 threads, with at most ``workers``
+    blocks handed out and not yet taken; returns or raises only once every
+    block sent to the pool has come back."""
+    import queue
+
+    tasks, done = _pool_tasks(workers - 1), queue.SimpleQueue()
+    held, sent, away = {}, 0, 0  # away: blocks on the pool
+    try:
+        for i in range(len(blocks)):
+            while i not in held:
+                if sent < len(blocks) and sent < i + workers:
+                    if away < workers - 1:
+                        tasks.put((fn, blocks[sent], sent, done))
+                        away += 1
+                    else:
+                        held[sent] = fn(*blocks[sent])
+                    sent += 1
+                else:
+                    j, result, exc = done.get()
+                    away -= 1
+                    if exc is not None:
+                        raise exc
+                    held[j] = result
+            take(held.pop(i))
+    finally:
+        for _ in range(away):
+            done.get()

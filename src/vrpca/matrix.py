@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 
+from . import _native
 from .errors import DegenerateIterateError, DimensionMismatchError
 
 #: max-entry tolerance for the orthonormal-columns invariant
@@ -31,6 +32,20 @@ def _as_2d(a, name):
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
     return arr
+
+
+def _column_norms(arr):
+    """The squared Euclidean norms of the columns of the 2-D ``arr``, in
+    one column_pass."""
+    out = np.empty(arr.shape[1])
+    _native.column_pass(
+        lambda b, cols: np.einsum("ij,ij->j", b, b, out=out[cols]), arr)
+    return out
+
+
+def _add_into(acc, part):
+    """acc += part, in place; a column_pass fold."""
+    return np.add(acc, part, out=acc)
 
 
 def _check_dense(d, instead):
@@ -63,6 +78,12 @@ class DataMatrix:
     ``covariance()`` forms A = X X^T / n on its first call (d <= DENSE_GUARD
     only) and keeps it: the oracle eigendecomposes it, and a solve given a
     reference frame applies A as A @ W instead of streaming X twice.
+
+    The norm pass and the memo run in _native.column_pass: fixed column
+    blocks on one BLAS thread each, spread over the threads that
+    OPENBLAS_NUM_THREADS allows. A is the sum of the block Grams
+    X_b X_b^T in block order, divided by n, so its bits depend on (d, n)
+    and the data alone, not on the thread count.
     """
 
     __slots__ = ("data", "d", "n", "r", "_cov")
@@ -75,7 +96,7 @@ class DataMatrix:
         d, n = arr.shape
         if d < 1 or n < 1:
             raise DimensionMismatchError(f"empty data matrix (shape {arr.shape})")
-        norms = np.einsum("ij,ij->j", arr, arr)
+        norms = _column_norms(arr)
         if not np.isfinite(norms).all() and not np.isfinite(arr).all():
             raise DimensionMismatchError("data matrix contains non-finite entries")
         arr.flags.writeable = False
@@ -96,7 +117,9 @@ class DataMatrix:
             return self._cov
         with _cov_lock:
             if self._cov is None:
-                cov = self.data @ self.data.T / self.n
+                cov = _native.column_pass(lambda b, _: b @ b.T, self.data,
+                                          fold=_add_into, work=self.d)
+                cov /= self.n
                 cov.flags.writeable = False
                 self._cov = cov
         return self._cov
@@ -110,7 +133,7 @@ def _check_r(X, action):
     overflows (r = inf), naming the first such column."""
     if np.isfinite(X.r):
         return
-    norms = np.einsum("ij,ij->j", X.data, X.data)
+    norms = _column_norms(X.data)
     j = int(np.flatnonzero(~np.isfinite(norms))[0])
     raise DegenerateIterateError(
         f"cannot {action}: the squared norm of column {j} overflows to "
@@ -133,11 +156,14 @@ class OrthonormalFrame:
         d, k = arr.shape
         if not 1 <= k <= d:
             raise DimensionMismatchError(f"frame needs 1 <= k <= d, got d={d}, k={k}")
+        # checked on the column-major copy: W^T W of a contiguous array
+        # is one syrk, of a strided view (dense_eigh's reversed
+        # eigenvectors) a copy of each operand and a full gemm
+        arr = arr.copy(order="F")
         dev = _deviation(arr)
         if not dev <= ORTHO_TOL:
             raise DimensionMismatchError(
                 f"columns are not orthonormal: max |W^T W - I| = {dev:.3e}")
-        arr = arr.copy(order="F")
         arr.flags.writeable = False
         self.entries = arr
         self.d = d
@@ -160,14 +186,19 @@ def _raw(a):
 def covariance_apply(X: DataMatrix, W):
     """Apply the covariance operator (1/n) X X^T to W without forming it.
 
-    Computes (1/n) X (X^T W) in O(n d k); accepts a vector or a d x k
+    Computes (1/n) sum_b X_b (X_b^T W) over the column blocks X_b of
+    _native.column_pass, in block order, in O(n d k), so the bits do not
+    depend on the BLAS thread count; accepts a vector or a d x k
     array/frame and preserves the input's dimensionality.
     """
     arr = _raw(W)
     if arr.shape[0] != X.d:
         raise DimensionMismatchError(
             f"operand has {arr.shape[0]} rows, data dimension is {X.d}")
-    return X.data @ (X.data.T @ arr) / X.n
+    # np.dot, not @: numpy's matmul holds the interpreter lock for the
+    # transposed block b, so pool threads running it would take turns
+    return _native.column_pass(lambda b, _: np.dot(b, b.T @ arr), X.data,
+                               fold=_add_into) / X.n
 
 
 def _polar(arr):

@@ -17,8 +17,9 @@ from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError
                      GapWarning, NonConvergenceError)
 from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
-                     _apply, _dense_covariance, _deviation, _polar,
-                     _potential, _procrustes, _residual, covariance_apply)
+                     _add_into, _apply, _dense_covariance, _deviation,
+                     _polar, _potential, _procrustes, _residual,
+                     covariance_apply)
 
 #: a step whose candidate's (Frobenius) norm falls below this has collapsed
 _NORM_FLOOR = 1e-12
@@ -331,9 +332,21 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
 def _anchor_gradient(X, wt, cov):
     """The exact gradient at the anchor W~: (a, u) with a = X^T W~, which
     the steps read, and u = A W~, from the covariance memo ``cov`` (see
-    _dense_covariance) or else as X a / n, a second read of the data."""
-    a = X.data.T @ wt
-    return a, (X.data @ a / X.n if cov is None else cov @ wt)
+    _dense_covariance) or else as X a / n. One _native.column_pass reads
+    each column block X_b once for both a_b = X_b^T W~ and, without the
+    memo, X_b a_b, summed in block order; so neither depends on the BLAS
+    thread count."""
+    a = np.empty((X.n, wt.shape[1]))
+    if cov is not None:
+        _native.column_pass(
+            lambda b, cols: np.matmul(b.T, wt, out=a[cols]), X.data)
+        return a, cov @ wt
+
+    def block(b, cols):
+        # np.dot: numpy's matmul holds the interpreter lock for this one
+        return np.dot(b, np.matmul(b.T, wt, out=a[cols]))
+
+    return a, _native.column_pass(block, X.data, fold=_add_into) / X.n
 
 
 def _project_out(w, basis):
@@ -349,13 +362,21 @@ def _deflated(X, cov, basis):
     orthonormal ``basis`` B, the copy P X as a new DataMatrix (d x n
     doubles, built F-ordered) and P A = cov - B (B^T cov), None without
     the memo ``cov``. For a w~ in the complement of B, (P A) w~ is the
-    copy's covariance applied, P A P w~. (X, cov) itself when B is None."""
+    copy's covariance applied, P A P w~. (X, cov) itself when B is None.
+    The copy is made in one _native.column_pass, each block's rows of
+    X^T - (X^T B) B^T written in place into the copy's own storage."""
     if basis is None:
         return X, cov
-    p = (X.data.T @ basis) @ basis.T
-    np.subtract(X.data.T, p, out=p)
-    return DataMatrix(p.T), (None if cov is None
-                             else cov - basis @ (basis.T @ cov))
+    copy = np.empty((X.d, X.n), order="F")
+
+    def block(b, cols):
+        rows = copy[:, cols].T
+        np.matmul(b.T @ basis, basis.T, out=rows)
+        np.subtract(b.T, rows, out=rows)
+
+    _native.column_pass(block, X.data, work=2 * basis.shape[1])
+    return DataMatrix(copy), (None if cov is None
+                              else cov - basis @ (basis.T @ cov))
 
 
 def _segments(rng, n, total, stride, w, where, steps):

@@ -69,7 +69,9 @@ def random_orthogonal(k, rng):
 
 
 class GramCounter(np.ndarray):
-    """Data whose X X^T products, the covariance memo's, are counted."""
+    """Data whose X X^T products, the covariance memo's, are counted: one
+    per block Gram, so one per memo for data of one column block (every
+    matrix ``counted`` is given here)."""
 
     formed = 0
 

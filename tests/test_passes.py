@@ -1,0 +1,300 @@
+"""The data passes in fixed column blocks (_native.column_pass): their bits
+follow the partition, never the thread count; they survive a fork and
+concurrent callers; and no pipeline call leaves OpenBLAS's idle worker
+spinning."""
+
+import json
+import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
+                   _native, covariance_apply, run_experiment, save_dataset,
+                   trace_fingerprint)
+from vrpca.matrix import _add_into, _column_norms
+from vrpca.solvers import _anchor_gradient
+
+from conftest import spectrum_k1
+
+#: (d, n) under a block of 64 multiply-adds: a ragged last block; n below
+#: one 8-column group, so one block; d = 1
+SHAPES = [(7, 1001), (5, 6), (1, 999)]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 64 multiply-adds, so that small matrices split; returns a
+    function that forces the number of threads a pass runs on."""
+    monkeypatch.setattr(_native, "_BLOCK_WORK", 64)
+
+    def force(workers):
+        monkeypatch.setattr(_native, "_pool_size", lambda saved: workers)
+
+    return force
+
+
+def blas_count():
+    pair = _native.blas_threads()
+    return None if pair is None else pair[0]()
+
+
+def passes(arr, w):
+    """Every pass over ``arr``: norms, Gram, X^T w, X a and the applied
+    covariance of a two-column operand."""
+    X = DataMatrix(arr)
+    a, u = _anchor_gradient(X, w, None)
+    return {"norms": _column_norms(X.data), "r": X.r,
+            "gram": X.covariance(), "xtw": a, "xa": u,
+            "apply": covariance_apply(X, np.hstack((w, w[::-1])))}
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_the_partition_not_the_workers_fixes_the_bits(small_blocks, d, n):
+    rng = np.random.default_rng(d * n)
+    arr = np.asfortranarray(rng.standard_normal((d, n)))
+    w = rng.standard_normal((d, 1))
+    runs = []
+    for workers in (1, 2, 3):
+        small_blocks(workers)
+        runs.append(passes(arr, w))
+    for run in runs[1:]:
+        for key, value in runs[0].items():
+            assert np.array_equal(run[key], value), key
+    blocks = _native.column_blocks(d, n, d)
+    if n < 8:
+        assert blocks == [(0, n)]
+    else:  # four blocks of whole 8-column groups, the last one ragged
+        assert len(blocks) == 4 and blocks[-1][1] == n
+        assert all(lo % 8 == 0 for lo, _ in blocks)
+        assert n - blocks[-1][0] < blocks[0][1]
+    ref = arr @ arr.T / n
+    gram = runs[0]["gram"]
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_overflow_refusal_names_the_column(small_blocks, workers):
+    small_blocks(workers)
+    arr = np.ones((4, 300))
+    arr[:, 257] = 1e200
+    X = DataMatrix(arr)
+    assert X.r == math.inf
+    with pytest.raises(DegenerateIterateError) as err:
+        X.covariance()
+    assert str(err.value) == (
+        "cannot form the covariance: the squared norm of column 257 "
+        "overflows to inf (largest entry 1.000e+200)")
+
+
+class FailingGram(np.ndarray):
+    """Data whose third block Gram raises."""
+
+    lock = threading.Lock()
+    formed = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            with FailingGram.lock:
+                FailingGram.formed += 1
+                if FailingGram.formed == 3:
+                    raise FloatingPointError("block Gram 3 failed")
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs),
+                                      **kwargs)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_a_failing_block_gram_reaches_the_caller(small_blocks, workers):
+    small_blocks(workers)
+    before = blas_count()
+    arr = np.asfortranarray(np.random.default_rng(3).standard_normal(
+        (6, 500)))
+    want = DataMatrix(arr).covariance()
+    X = DataMatrix(arr)
+    X.data = X.data.view(FailingGram)
+    FailingGram.formed = 0
+    with pytest.raises(FloatingPointError, match="block Gram 3 failed"):
+        X.covariance()
+    assert blas_count() == before
+    assert X._cov is None
+    assert np.array_equal(X.covariance(), want)
+
+
+def _covariance_in_child(arr):
+    cov = DataMatrix(arr).covariance()
+    return cov, _native._pool[0] == os.getpid(), len(_native._pool[2])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_a_forked_child_forms_the_parents_bits(small_blocks):
+    small_blocks(3)
+    arr = np.asfortranarray(np.random.default_rng(4).standard_normal(
+        (9, 2000)))
+    parent = DataMatrix(arr).covariance()
+    assert len(_native._pool[2]) >= 2  # the pool has run in this process
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child, own_pool, threads = pool.apply_async(
+            _covariance_in_child, (arr,)).get(timeout=60)
+    assert np.array_equal(child, parent)
+    assert own_pool and threads == 2
+
+
+def test_four_threads_form_their_own_covariances(small_blocks):
+    small_blocks(2)
+    before = blas_count()
+    rng = np.random.default_rng(5)
+    mats = [np.asfortranarray(rng.standard_normal((9, 700 + 37 * i)))
+            for i in range(4)]
+    alone = [DataMatrix(m).covariance() for m in mats]
+    wrong = []
+    barrier = threading.Barrier(len(mats))
+
+    def form(i):
+        barrier.wait(timeout=30)
+        for _ in range(25):
+            if not np.array_equal(DataMatrix(mats[i]).covariance(),
+                                  alone[i]):
+                wrong.append(i)
+
+    threads = [threading.Thread(target=form, args=(i,))
+               for i in range(len(mats))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert blas_count() == before
+
+
+def spiked_file(path, d=100, n=20_000):
+    """A spike-1, bulk-0.1 Gaussian f64le file; its largest squared column
+    norm r."""
+    rng = np.random.default_rng(11)
+    scale = np.full((d, 1), math.sqrt(0.1))
+    scale[0] = 1.0
+    X = DataMatrix(scale * rng.standard_normal((d, n)))
+    save_dataset(X, path, "f64le")
+    return X.r
+
+
+def file_config(path, r, n=20_000, **kw):
+    """The file instance through the pipeline with m = n and the oracle
+    on, as the benchmark runs its file workload."""
+    cfg = dict(dataset_path=str(path), dataset_format="f64le", rescale=False,
+               m=n, eta=1.0 / (r * math.sqrt(n)), epsilon=1e-8, epochs=10,
+               seeds=(1,))
+    return ExperimentConfig(**dict(cfg, **kw))
+
+
+_RUN_BOTH = """
+import json, sys
+from vrpca import ExperimentConfig, run_experiment, trace_fingerprint
+out = []
+for cfg in json.loads(sys.argv[1]):
+    rep = run_experiment(ExperimentConfig.from_dict(cfg))[0].to_dict()
+    rep.pop("elapsed_s")
+    fp = trace_fingerprint(cfg["out_dir"] + "/trace_seed1.jsonl")
+    out.append([rep, fp.decode()])
+print(json.dumps(out))
+"""
+
+
+def test_runs_do_not_follow_the_blas_thread_count(tmp_path):
+    if _native.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    path = tmp_path / "data.vrpc"
+    r = spiked_file(path)
+    outs = []
+    for threads in ("1", "2"):
+        cfgs = [dict(spectrum=spectrum_k1(), n=500, synth_seed=1, seeds=[1],
+                     epochs=4, out_dir=str(tmp_path / f"std{threads}")),
+                asdict(file_config(path, r,
+                                   out_dir=str(tmp_path / f"file{threads}")))]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", _RUN_BOTH,
+                               json.dumps(cfgs)], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=300)
+        outs.append(json.loads(proc.stdout))
+    for (one, fp1), (two, fp2) in zip(*outs):
+        assert one == two
+        assert fp1 == fp2
+
+
+def _task_ticks():
+    """utime + stime, in clock ticks, of each thread of this process."""
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread has exited
+            continue
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc thread statistics")
+def test_no_pipeline_call_leaves_a_blas_worker_spinning(tmp_path):
+    if _native.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    path = tmp_path / "data.vrpc"
+    cfgs = [file_config(path, spiked_file(path), epochs=2),
+            ExperimentConfig(spectrum=spectrum_k1(300), n=3000,
+                             synth_seed=1, seeds=(1,), epochs=3,
+                             epsilon=1e-8)]
+    for cfg in cfgs:  # the kernel build and the pool start
+        run_experiment(cfg)
+    # a worker woken by an earlier test spins about 0.13 s, then sleeps
+    time.sleep(0.3)
+    before = _task_ticks()
+    for _ in range(4):
+        for cfg in cfgs:
+            run_experiment(cfg)
+    after = _task_ticks()
+    ours = {threading.get_native_id()}
+    if _native._pool is not None:
+        ours |= {t.native_id for t in _native._pool[2]}
+    others = {tid: n - before.get(tid, 0) for tid, n in after.items()
+              if tid not in ours}
+    assert sum(others.values()) <= 2, others
+
+
+def test_import_starts_no_thread():
+    code = ("import sys, threading, vrpca; from vrpca import _native; "
+            "print(threading.active_count(), _native._pool, "
+            "'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["1", "None", "False"]
+
+
+def test_fold_keeps_block_order(small_blocks):
+    small_blocks(3)
+    arr = np.asfortranarray(np.arange(4.0 * 1001).reshape(4, 1001))
+    starts = _native.column_pass(lambda b, cols: cols.start, arr)
+    assert starts == [lo for lo, _ in _native.column_blocks(4, 1001)]
+    total = _native.column_pass(lambda b, _: b.sum(axis=1), arr,
+                                fold=_add_into)
+    want = np.zeros(4)
+    for lo, hi in _native.column_blocks(4, 1001):
+        want += arr[:, lo:hi].sum(axis=1)
+    assert np.array_equal(total, want)
