@@ -19,18 +19,19 @@ nothing.
 
 ``column_pass`` runs every pass over a d x n data matrix (the norm pass,
 the covariance memo, the products X^T W and X A, and a deflation stage's
-projected copy) in fixed column blocks under that hold, on the caller and
-a small persistent pool of threads of this module's own, as many in all as
-the thread count the hold saved. The blocks depend on the shape alone, so
-the bits do not follow the thread count, and no pass hands OpenBLAS
-threaded work, whose idle worker would then spin on a second CPU. The pool
-starts on the first pass with more than one block, not at import; a forked
-child starts its own."""
+projected copy) in fixed column blocks under that hold: block i on thread
+i mod t of the caller and a concurrent.futures executor, t the thread
+count the hold saved. The blocks depend on the shape alone, so the bits
+do not follow the thread count, and no pass hands OpenBLAS threaded work,
+whose idle worker would then spin on a second CPU. The executor, and the
+import of concurrent.futures, come with the first pass of more than one
+block, not at import; a forked child builds its own."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 import warnings
@@ -67,8 +68,8 @@ _blas_saved = 0  # the thread count the first of them found
 #: waking of a second thread runs inline; and at most _MAX_BLOCKS blocks
 _BLOCK_WORK = 1 << 21
 _MAX_BLOCKS = 4
-_pool_lock = threading.Lock()
-_pool = None  # (pid, task queue, threads) of column_pass's worker threads
+_executor_lock = threading.Lock()
+_executor = None  # (pid, executor) of column_pass's threads
 
 
 def _compiler():
@@ -280,46 +281,22 @@ def column_blocks(d, n, work=1):
     return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
-def _pool_size(saved):
-    """Threads that run a pass's blocks, the caller among them, given the
-    BLAS thread count the hold saved (None without a thread-count pair):
-    that count, or 1 where there is none."""
-    return saved or 1
+def _pass_executor():
+    """This process's executor for column_pass's blocks: up to
+    _MAX_BLOCKS - 1 threads named vrpca-pass_*, each started only when a
+    block is handed out and no thread is idle. An idle thread holds no
+    block (the executor drops each task once run), so it keeps no matrix,
+    say a file mapping, alive. Built on first use, which imports
+    concurrent.futures; a forked child, which inherits the executor but
+    none of its threads, builds its own."""
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _work(tasks):
-    """A pool thread: run each task in turn."""
-    while True:
-        _run(*tasks.get())
-
-
-def _run(fn, block, i, done):
-    """Put (i, fn(*block), None) on ``done``, or (i, None, the exception).
-    A function of its own, so that an idle thread holds no block: a block
-    held would keep its matrix, say a file mapping, alive."""
-    try:
-        done.put((i, fn(*block), None))
-    except BaseException as exc:  # noqa: BLE001 -- the caller raises it
-        done.put((i, None, exc))
-
-
-def _pool_tasks(workers):
-    """The task queue of this process's pool, grown to at least ``workers``
-    threads. The pool starts on first use; a forked child, which inherits
-    the queue but none of the threads, starts its own."""
-    import queue
-
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), queue.SimpleQueue(), [])
-        _, tasks, threads = _pool
-        while len(threads) < workers:
-            thread = threading.Thread(target=_work, args=(tasks,),
-                                      name="vrpca-pass", daemon=True)
-            thread.start()
-            threads.append(thread)
-        return tasks
+    global _executor
+    with _executor_lock:
+        if _executor is None or _executor[0] != os.getpid():
+            _executor = (os.getpid(), ThreadPoolExecutor(
+                _MAX_BLOCKS - 1, thread_name_prefix="vrpca-pass"))
+        return _executor[1]
 
 
 def column_pass(fn, arr, fold=None, work=1):
@@ -331,63 +308,37 @@ def column_pass(fn, arr, fold=None, work=1):
     column writes it through ``cols`` into an array of its own, so no
     concatenation follows the pass.
 
-    The blocks run on as many threads as the BLAS thread count that the
-    hold saved, but no more than there are blocks: the caller and a
-    persistent pool of one fewer. So OPENBLAS_NUM_THREADS still sets how
-    many CPUs a pass uses. With one block, a count of 1, or no
-    thread-count pair, the caller runs them all. The partition and the order of the fold depend on (d, n, work)
-    alone, so the results are the same bits for any number of threads.
-    At most as many blocks as threads are handed out and not yet folded,
-    so at most that many results and the fold's own are alive at once. An
-    exception from fn reaches the caller once every block on the pool has
-    come back; the hold, too, ends only then. fn must not call
-    column_pass: it could wait on the pool it runs in."""
+    The blocks run on t threads, t the BLAS thread count that the hold
+    saved but no more than there are blocks: block i runs on thread
+    i mod t, thread 0 the caller and the others the executor's
+    (_pass_executor). So OPENBLAS_NUM_THREADS still sets how many CPUs a
+    pass uses. With one block, a count of 1, or no thread-count pair, the
+    caller runs them all. The partition and the order of the fold depend
+    on (d, n, work) alone, so the results are the same bits for any
+    number of threads. Every block's result is alive until the fold, at
+    most _MAX_BLOCKS of them. An exception from fn reaches the caller
+    once every block has come back; the hold, too, ends only then. fn
+    must not call column_pass: it could wait on the threads it runs on."""
     blocks = [(arr[:, lo:hi], slice(lo, hi))
               for lo, hi in column_blocks(*arr.shape, work)]
-    out = []
-
-    def take(result):
-        if fold is None or not out:
-            out.append(result)
-        else:
-            out[0] = fold(out[0], result)
-
+    out = [None] * len(blocks)
     with one_blas_thread() as saved:
-        workers = min(_pool_size(saved), len(blocks))
-        if workers > 1:
-            _pooled(fn, blocks, workers, take)
+        t = min(saved or 1, len(blocks))
+
+        def share(j):
+            for i in range(j, len(blocks), t):
+                out[i] = fn(*blocks[i])
+
+        if t == 1:
+            share(0)
         else:
-            for block in blocks:
-                take(fn(*block))
-    return out if fold is None else out[0]
+            from concurrent.futures import wait
 
-
-def _pooled(fn, blocks, workers, take):
-    """take(fn(*block)) for each block in order, the fn calls run by the
-    caller and a pool of workers - 1 threads, with at most ``workers``
-    blocks handed out and not yet taken; returns or raises only once every
-    block sent to the pool has come back."""
-    import queue
-
-    tasks, done = _pool_tasks(workers - 1), queue.SimpleQueue()
-    held, sent, away = {}, 0, 0  # away: blocks on the pool
-    try:
-        for i in range(len(blocks)):
-            while i not in held:
-                if sent < len(blocks) and sent < i + workers:
-                    if away < workers - 1:
-                        tasks.put((fn, blocks[sent], sent, done))
-                        away += 1
-                    else:
-                        held[sent] = fn(*blocks[sent])
-                    sent += 1
-                else:
-                    j, result, exc = done.get()
-                    away -= 1
-                    if exc is not None:
-                        raise exc
-                    held[j] = result
-            take(held.pop(i))
-    finally:
-        for _ in range(away):
-            done.get()
+            futures = [_pass_executor().submit(share, j) for j in range(1, t)]
+            try:
+                share(0)
+            finally:
+                wait(futures)
+            for future in futures:
+                future.result()
+    return out if fold is None else functools.reduce(fold, out)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError, DegenerateIterateError, DimensionMismatchError
 from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
                      _check_r, _dense_covariance, _polar, polar_normalize)
@@ -135,18 +136,22 @@ def numerical_rank(X: DataMatrix) -> float:
     Computed from the eigenvalues of the smaller-side Gram matrix: A
     itself, from X's covariance memo, when n >= d, else (1/n) X^T X, which
     shares the nonzero spectrum of A, so the d x d covariance is never
-    formed when n < d. Refuses min(d, n) > DENSE_GUARD, and data whose
+    formed when n < d. Both Grams and the eigensolve run with numpy's
+    BLAS held at one thread (_native.one_blas_thread): the result does not
+    follow the thread count, and no call leaves OpenBLAS's idle worker
+    spinning. Refuses min(d, n) > DENSE_GUARD, and data whose
     largest squared column norm overflows (matrix._check_r). Always in
     [1, rank(A)].
     """
     _check_dense(min(X.d, X.n),
                  "numerical_rank forms a min(d, n)-square Gram matrix")
-    if X.n < X.d:
-        _check_r(X, "form the Gram matrix")
-        m = X.data.T @ X.data / X.n
-    else:
-        m = X.covariance()
-    evals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    with _native.one_blas_thread():
+        if X.n < X.d:
+            _check_r(X, "form the Gram matrix")
+            m = X.data.T @ X.data / X.n
+        else:
+            m = X.covariance()
+        evals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     sp = float(evals[-1])
     if sp <= 0.0:
         raise DegenerateIterateError("numerical rank of an all-zero matrix")

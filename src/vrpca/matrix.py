@@ -196,7 +196,7 @@ def covariance_apply(X: DataMatrix, W):
         raise DimensionMismatchError(
             f"operand has {arr.shape[0]} rows, data dimension is {X.d}")
     # np.dot, not @: numpy's matmul holds the interpreter lock for the
-    # transposed block b, so pool threads running it would take turns
+    # transposed block b, so pass threads running it would take turns
     return _native.column_pass(lambda b, _: np.dot(b, b.T @ arr), X.data,
                                fold=_add_into) / X.n
 

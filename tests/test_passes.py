@@ -31,14 +31,29 @@ SHAPES = [(7, 1001), (5, 6), (1, 999)]
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 64 multiply-adds, so that small matrices split; returns a
-    function that forces the number of threads a pass runs on."""
+    """Blocks of 64 multiply-adds, so that small matrices split; yields a
+    function that sets OpenBLAS's thread count, which a pass runs on (at
+    most one thread per block), and skips a count above 1 where there is
+    no thread-count pair. The count is restored afterwards."""
     monkeypatch.setattr(_native, "_BLOCK_WORK", 64)
+    pair = _native.blas_threads()
+    before = blas_count()
 
-    def force(workers):
-        monkeypatch.setattr(_native, "_pool_size", lambda saved: workers)
+    def force(threads):
+        if pair is not None:
+            pair[1](threads)
+        elif threads > 1:
+            pytest.skip("no OpenBLAS thread-count functions found")
 
-    return force
+    yield force
+    if pair is not None:
+        pair[1](before)
+
+
+def pass_threads():
+    """The library's pass threads alive in this process, by name."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith("vrpca-pass")]
 
 
 def blas_count():
@@ -129,8 +144,8 @@ def test_a_failing_block_gram_reaches_the_caller(small_blocks, workers):
 
 
 def _covariance_in_child(arr):
-    cov = DataMatrix(arr).covariance()
-    return cov, _native._pool[0] == os.getpid(), len(_native._pool[2])
+    assert pass_threads() == []  # a forked child inherits no thread
+    return DataMatrix(arr).covariance(), len(pass_threads())
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -140,12 +155,12 @@ def test_a_forked_child_forms_the_parents_bits(small_blocks):
     arr = np.asfortranarray(np.random.default_rng(4).standard_normal(
         (9, 2000)))
     parent = DataMatrix(arr).covariance()
-    assert len(_native._pool[2]) >= 2  # the pool has run in this process
+    assert pass_threads()  # the child inherits an executor in use
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        child, own_pool, threads = pool.apply_async(
+        child, threads = pool.apply_async(
             _covariance_in_child, (arr,)).get(timeout=60)
     assert np.array_equal(child, parent)
-    assert own_pool and threads == 2
+    assert 1 <= threads <= 2  # the child started its own
 
 
 def test_four_threads_form_their_own_covariances(small_blocks):
@@ -237,6 +252,30 @@ def test_runs_do_not_follow_the_blas_thread_count(tmp_path):
         assert fp1 == fp2
 
 
+_RANKS = """
+import numpy as np
+from vrpca import DataMatrix, numerical_rank
+rng = np.random.default_rng(12)
+print([numerical_rank(DataMatrix(rng.standard_normal(shape))).hex()
+       for shape in ((600, 400), (1000, 700), (100, 2000))])
+"""
+
+
+def test_numerical_rank_does_not_follow_the_blas_thread_count():
+    # n < d forms X^T X, whose 700-square eigensolve read other bits on
+    # two threads than on one before the hold; n >= d uses the memo
+    if _native.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outs.append(subprocess.run([sys.executable, "-c", _RANKS], env=env,
+                                   check=True, capture_output=True,
+                                   text=True, timeout=300).stdout)
+    assert outs[0] == outs[1]
+
+
 def _task_ticks():
     """utime + stime, in clock ticks, of each thread of this process."""
     ticks = {}
@@ -269,22 +308,21 @@ def test_no_pipeline_call_leaves_a_blas_worker_spinning(tmp_path):
         for cfg in cfgs:
             run_experiment(cfg)
     after = _task_ticks()
-    ours = {threading.get_native_id()}
-    if _native._pool is not None:
-        ours |= {t.native_id for t in _native._pool[2]}
+    ours = {threading.get_native_id()} | {t.native_id
+                                          for t in pass_threads()}
     others = {tid: n - before.get(tid, 0) for tid, n in after.items()
               if tid not in ours}
     assert sum(others.values()) <= 2, others
 
 
 def test_import_starts_no_thread():
-    code = ("import sys, threading, vrpca; from vrpca import _native; "
-            "print(threading.active_count(), _native._pool, "
+    code = ("import sys, threading, vrpca; "
+            "print(threading.active_count(), "
             "'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["1", "None", "False"]
+    assert out.stdout.split() == ["1", "False"]
 
 
 def test_fold_keeps_block_order(small_blocks):
@@ -298,3 +336,36 @@ def test_fold_keeps_block_order(small_blocks):
     for lo, hi in _native.column_blocks(4, 1001):
         want += arr[:, lo:hi].sum(axis=1)
     assert np.array_equal(total, want)
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+def test_a_pass_runs_on_at_most_the_blas_thread_count(small_blocks,
+                                                      threads):
+    small_blocks(threads)
+    arr = np.zeros((4, 1001))
+    assert len(_native.column_blocks(4, 1001)) == 4
+    idents = _native.column_pass(lambda b, _: threading.get_ident(), arr)
+    assert len(set(idents)) <= min(threads, 4)
+    assert threading.get_ident() in idents  # the caller runs a block too
+
+
+def test_a_callers_failing_block_waits_for_the_pass_threads(small_blocks):
+    small_blocks(2)
+    caller = threading.get_ident()
+    started, begun, counts = threading.Event(), [], []
+
+    def fn(block, cols):
+        if threading.get_ident() == caller:
+            assert started.wait(timeout=30)
+            raise FloatingPointError("the caller's block failed")
+        begun.append(cols.start)
+        started.set()
+        time.sleep(0.2)  # still running when the caller's block raises
+        counts.append(blas_count())
+
+    with pytest.raises(FloatingPointError, match="the caller's block"):
+        _native.column_pass(fn, np.zeros((4, 1001)))
+    # every block the other thread began had come back, under the hold,
+    # before the exception reached the caller
+    assert begun and counts == [1] * len(begun)
+    assert blas_count() == 2
