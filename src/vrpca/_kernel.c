@@ -258,12 +258,11 @@ static void build(int64_t *tree, int64_t leaves, const double *v, int64_t n,
         tree[k] = pick(v, tree[2 * k], tree[2 * k + 1], sign);
 }
 
-/* oracle._balance_rows on its operands, b being n x d. bi and bj are d
- * doubles of scratch, tree 4 * leaves int64 (leaves: the least power of two
- * >= n) for the argmin and argmax tournament trees. */
+/* oracle._balance_rows on its operands, b being n x d, each rotation in
+ * place on its two rows. tree is 4 * leaves int64 (leaves: the least power
+ * of two >= n) for the argmin and argmax tournament trees. */
 void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
-                        double tau, double tol, double *bi, double *bj,
-                        int64_t *tree, int64_t leaves)
+                        double tau, double tol, int64_t *tree, int64_t leaves)
 {
     int64_t *lo_tree = tree, *hi_tree = tree + 2 * leaves;
     build(lo_tree, leaves, norms, n, -1.0);
@@ -284,15 +283,12 @@ void vrpca_balance_rows(double *b, int64_t n, int64_t d, double *norms,
         double c = 1.0 / sqrt(1.0 + t * t);
         double s = t * c;
         for (int64_t k = 0; k < d; k++) {
-            bi[k] = row_i[k] * c - row_j[k] * s;
-            bj[k] = row_i[k] * s + row_j[k] * c;
+            double xi = row_i[k], xj = row_j[k];
+            row_i[k] = xi * c - xj * s;
+            row_j[k] = xi * s + xj * c;
         }
-        for (int64_t k = 0; k < d; k++)
-            row_i[k] = bi[k];
-        for (int64_t k = 0; k < d; k++)
-            row_j[k] = bj[k];
-        norms[i] = dot(bi, bi, d);
-        norms[j] = dot(bj, bj, d);
+        norms[i] = dot(row_i, row_i, d);
+        norms[j] = dot(row_j, row_j, d);
         replay(lo_tree, leaves, norms, i, -1.0);
         replay(lo_tree, leaves, norms, j, -1.0);
         replay(hi_tree, leaves, norms, i, 1.0);

@@ -48,8 +48,7 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 #: the C signature of each exported function: (return type, parameter types)
 _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
                                 _D)),
-        "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _P, _P,
-                                      _I))}
+        "vrpca_balance_rows": (None, (_P, _I, _I, _P, _D, _D, _P, _I))}
 _lock = threading.Lock()
 _lib = None  # the loaded library; False once it proved unavailable
 
@@ -201,11 +200,9 @@ def balance_rows(b, norms, tau, tol):
     n, d = b.shape
     _check("balancing", True, (b, (n, d), "CW"), (norms, (n,), "CW"))
     leaves = 1 << (n - 1).bit_length()
-    bi, bj = np.empty(d), np.empty(d)
     tree = np.empty(4 * leaves, dtype=np.int64)
     lib.vrpca_balance_rows(b.ctypes.data, n, d, norms.ctypes.data, tau, tol,
-                           bi.ctypes.data, bj.ctypes.data, tree.ctypes.data,
-                           leaves)
+                           tree.ctypes.data, leaves)
     return True
 
 

@@ -18,13 +18,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import (ConfigError, DegenerateIterateError, NonConvergenceError,
-                     VrpcaError)
-from .harness import (_FLAG, _KINDS, INITS, SOLVERS, ExperimentConfig,
+from .errors import (_FLAG, _INTEGER, _REAL, ConfigError,
+                     DegenerateIterateError, NonConvergenceError, VrpcaError)
+from .harness import (_KINDS, INITS, SOLVERS, ExperimentConfig,
                       compare_baselines, geometry_report, run_experiment)
 from .io import FORMATS, load_dataset, save_dataset
 from .oracle import SpectrumSpec, synthesize_dataset
-from .solvers import _INTEGER, _REAL
 
 
 class _Parser(argparse.ArgumentParser):

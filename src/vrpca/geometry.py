@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import (_RANGES, _REAL, ConfigError, DimensionMismatchError,
+                     _check, _check_run)
 from .initialization import _stream
 from .matrix import DataMatrix, _check_dense, covariance_apply
 from .oracle import Spectrum
-from .solvers import _check_run
 
 
 def _vec(w, d):
@@ -167,10 +167,10 @@ def probe_strong_convexity(region: ConvexRegion, X: DataMatrix,
     (perturbations orthogonal to w0, norm <= radius); directions g are unit
     vectors orthogonal to w0. The guarantee places every curvature in
     [eigengap, 20]; the probe is a falsification harness for that claim,
-    not a proof. ``samples`` must be of its _RANGES kind and range, or it
-    is refused with a ConfigError before any draw.
+    not a proof. ``samples`` and ``seed`` must be of their errors._RANGES
+    kind and range, or they are refused with a ConfigError before any draw.
     """
-    _check_run(samples=samples)
+    _check_run(samples=samples, seed=seed)
     d = region.w0.size
     if X.d != d:
         raise DimensionMismatchError(f"data dimension {X.d} != region dimension {d}")
@@ -221,11 +221,11 @@ def tightness_counterexample(lam: float, eps: float) -> TightnessCounterexample:
     restriction of the objective to the tangent hyperplane at w0 is
     strictly concave along the returned ray near t = 0 (second derivative
     -2 eps lam), so no neighborhood of w0 on the hyperplane is convex.
+    ``lam`` (named eigengap) and ``eps`` must be numbers in (0, 1/2), the
+    "eps" rule of errors._RANGES, or a ConfigError is raised.
     """
-    if not 0.0 < lam < 0.5:
-        raise ConfigError(f"eigengap must lie in (0, 1/2), got {lam}")
-    if not 0.0 < eps < 0.5:
-        raise ConfigError(f"eps must lie in (0, 1/2), got {eps}")
+    _check("eigengap", lam, _REAL, _RANGES["eps"][:2])
+    _check_run(eps=eps)
     n = 3
     cols = np.zeros((3, n))
     cols[0, 0] = np.sqrt(n * 1.0)

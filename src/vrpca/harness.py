@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError
+from .errors import (_FLAG, _INTEGER, _RANGES, _REAL, ConfigError,
+                     NonConvergenceError, _check, _check_run)
 from .geometry import (build_convex_region, nonconvexity_certificate,
                        probe_strong_convexity, rayleigh, rayleigh_hessian,
                        tightness_counterexample)
@@ -22,8 +23,7 @@ from .io import FORMATS, load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
                      synthesize_dataset)
-from .solvers import (_INTEGER, _RANGES, _REAL, ConvergenceTrace, SolverConfig,
-                      _check, _check_epsilon, _check_run, burn_in,
+from .solvers import (ConvergenceTrace, SolverConfig, _check_epsilon, burn_in,
                       deflation_solve, oja_baseline, orthogonal_iteration,
                       select_parameters, vrpca_block, vrpca_vector)
 
@@ -47,7 +47,6 @@ STEP_BUDGET = 10**9
 #: ("iter" holds TraceRecord.iteration)
 TRACE_KEYS = ("epoch", "iter", "potential", "residual", "samples", "elapsed_s")
 
-_FLAG = (lambda v: isinstance(v, bool), "be true or false")
 _PATH = (lambda v: isinstance(v, (str, os.PathLike)), "be a path")
 #: the kind, a (test, rule) pair, of every ExperimentConfig field: a run
 #: parameter's is its _RANGES kind. A field whose default is None may
@@ -323,8 +322,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         except NonConvergenceError as exc:
             burn_ok = False
             burn_iters = exc.iterations
-            if exc.frame is not None:
-                frame = exc.frame
+            frame = exc.frame
 
     if cfg.solver == "oja":
         iters = cfg.oja_iters if cfg.oja_iters is not None else m * cfg.epochs

@@ -3,13 +3,13 @@ warm start, and numerical-rank computation."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
-from .errors import ConfigError, DegenerateIterateError, DimensionMismatchError
+from .errors import (_RANGES, DegenerateIterateError, DimensionMismatchError,
+                     _check, _check_run)
 from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
                      _check_r, _dense_covariance, _polar, polar_normalize)
 
@@ -19,21 +19,23 @@ RUN_STREAM, BURN_IN_STREAM = 0, 1
 
 
 def _check_seed(seed, name="seed", last=0):
-    """Refuse a seed outside [0, 2**64), the range _stream keys on, or,
-    for a caller that draws from seed to seed + ``last``, one whose
-    seed + last lies outside it."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
-    if seed + last >= 2**64:
-        raise ConfigError(f"{name} must lie in [0, 2**64 - {last + 1}], as "
-                          f"{name} + {last} is drawn from too; got {seed}")
+    """Refuse, as ``name``, a seed that is not an integer in [0, 2**64),
+    the range _stream keys on (errors._RANGES["seed"]), or, for a caller
+    that draws from seed to seed + ``last``, one whose seed + last lies
+    outside it."""
+    test, rule, kind = _RANGES["seed"]
+    _check(name, seed, kind, (test, rule),
+           (lambda v: v < 2**64 - last, f"lie in [0, 2**64 - {last + 1}], "
+            f"as {name} + {last} is drawn from too"))
 
 
 def _stream(seed, purpose=RUN_STREAM, jump=0):
     """Generator(Philox(key=(seed, purpose))) jumped ``jump`` times: the
-    one source of the library's random draws. ``seed`` must lie in
-    [0, 2**64) (_check_seed), so that the key's two 64-bit words are
-    (seed, purpose).
+    one source of the library's random draws. ``seed`` must be an integer
+    in [0, 2**64), so that the key's two 64-bit words are (seed, purpose);
+    any other is refused with a ConfigError (_check_seed) before the draw.
+    So every public call that draws refuses a seed of 1.5, True or "1"
+    rather than drawing the stream of another seed.
 
     ====================  =====  ==========================================
     purpose               jump   draws
@@ -72,13 +74,10 @@ class InitReport:
 
 
 def _check_k(k, d):
-    """Refuse a column count that is not an integer >= 1 (ConfigError, in
-    the wording of solvers._RANGES, which imports this module) and a frame
-    of more columns than dimensions."""
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
-        raise ConfigError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k!r}")
+    """Refuse a column count that is not of its errors._RANGES kind and
+    range (ConfigError), and a frame of more columns than dimensions
+    (DimensionMismatchError)."""
+    _check_run(k=k)
     if k > d:
         raise DimensionMismatchError(f"k={k} exceeds d={d}")
 

@@ -4,7 +4,6 @@ Every solver emits a ConvergenceTrace."""
 
 from __future__ import annotations
 
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -13,8 +12,9 @@ import numpy as np
 
 from . import _native
 from ._native import _sum8
-from .errors import (ConfigError, DegenerateIterateError, DimensionMismatchError,
-                     GapWarning, NonConvergenceError)
+from .errors import (_FLAG, _REAL, ConfigError, DegenerateIterateError,
+                     DimensionMismatchError, GapWarning, NonConvergenceError,
+                     _check, _check_run)
 from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
                      _add_into, _apply, _dense_covariance, _deviation,
@@ -99,48 +99,6 @@ BURN_C, BURN_C_PRIME = 1000.0, 10.0
 #: steps runs as several calls, so the index array does not grow with m
 _CHUNK = 1 << 16
 
-#: two kinds of value, (test, rule); a bool is of neither kind, although
-#: isinstance counts it as an int
-_INTEGER = (lambda v: isinstance(v, numbers.Integral)
-            and not isinstance(v, bool), "be an integer")
-_REAL = (lambda v: isinstance(v, numbers.Real)
-         and not isinstance(v, bool), "be a number")
-
-#: the admissible range and the kind of every run parameter, name ->
-#: (test, rule, kind); each test is written so that NaN fails it
-_RANGES = {
-    "k": (lambda v: v >= 1, "be >= 1", _INTEGER),
-    "eta": (lambda v: v > 0.0, "be positive", _REAL),
-    "m": (lambda v: v >= 1, "be >= 1", _INTEGER),
-    "epochs": (lambda v: v >= 0, "be >= 0", _INTEGER),
-    "delta": (lambda v: 0.0 < v < 1.0, "lie in (0,1)", _REAL),
-    "epsilon": (lambda v: v > 0.0, "be positive", _REAL),
-    "zeta": (lambda v: 0.0 < v <= 1.0, "lie in (0,1]", _REAL),
-    "lambda_hat": (lambda v: v > 0.0, "be positive", _REAL),
-    "r": (lambda v: v > 0.0, "be positive", _REAL),
-    "sweeps": (lambda v: v >= 0, "be >= 0", _INTEGER),
-    "oja_iters": (lambda v: v >= 0, "be >= 0", _INTEGER),
-    "oja_eta0": (lambda v: v > 0.0, "be positive", _REAL),
-    "samples": (lambda v: v >= 1, "be >= 1", _INTEGER),
-}
-
-
-def _check(name, value, *rules):
-    """Refuse ``value`` at the first of the (test, rule) pairs ``rules``
-    that it fails."""
-    for test, rule in rules:
-        if not test(value):
-            raise ConfigError(f"{name} must {rule}, got {value!r}")
-
-
-def _check_run(**values):
-    """Refuse the first value not of its _RANGES kind or outside its
-    range. None is of neither kind, so a caller passes an optional
-    parameter only when it is set."""
-    for name, value in values.items():
-        test, rule, kind = _RANGES[name]
-        _check(name, value, kind, (test, rule))
-
 
 def _check_epsilon(epsilon, deflation=False, reference=True):
     """Refuse an epsilon that no run can stop on: one given to deflation,
@@ -160,10 +118,12 @@ def _check_epsilon(epsilon, deflation=False, reference=True):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters shared by the stochastic solvers, each checked
-    against its _RANGES rule. ``delta`` is checked and carried but read by
-    no solver: select_parameters and burn_in take their delta as an
-    argument."""
+    """Run parameters shared by the stochastic solvers: each number is
+    checked against its errors._RANGES kind and range (the seed is an
+    integer in [0, 2**64)), and use_rotation must be true or false, or
+    construction raises ConfigError. ``delta`` is checked and carried but
+    read by no solver: select_parameters and burn_in take their delta as
+    an argument."""
 
     k: int
     eta: float
@@ -176,9 +136,10 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_run(k=self.k, eta=self.eta, m=self.m, epochs=self.epochs,
-                   delta=self.delta)
+                   seed=self.seed, delta=self.delta)
         if self.epsilon is not None:
             _check_run(epsilon=self.epsilon)
+        _check("use_rotation", self.use_rotation, _FLAG)
 
 
 @dataclass(frozen=True)
@@ -551,9 +512,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     potential <= 1/2, after which the geometric-convergence parameter
     regime applies.
 
-    zeta, delta, lambda_hat and an ``eta`` override must lie in their
-    _RANGES. Runs stochastic steps against the fixed anchor w0 with the
-    burn-in step size
+    zeta, delta, lambda_hat, the seed and an ``eta`` override must lie in
+    their errors._RANGES, or ConfigError is raised before any pass. Runs
+    stochastic steps against the fixed anchor w0 with the burn-in step size
     eta = BURN_C * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
     unless overridden, one _steps_k1 call per stopping-rule check
     (_segments), on indices from the burn-in stream
@@ -564,7 +525,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     iterations.
     Without a reference, the run stops once the Rayleigh residual has at
     least halved and then plateaued; this proxy rule is a heuristic, not a
-    guarantee, and costs one covariance pass per check. With a reference
+    guarantee, and costs one covariance pass per check (the start's
+    residual comes from the anchor gradient's u = A w0, so such a run
+    reads the data once more, for the anchor pass). With a reference
     the records carry residual None and no pass is made for them, and at
     d <= DENSE_GUARD the anchor gradient u = A w0 comes from the
     covariance memo X.covariance(); the burn-in then reads the data once,
@@ -580,7 +543,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     Returns (frame, iterations_performed).
     """
     _check_frame(X, w0, 1)
-    _check_run(zeta=zeta, delta=delta, lambda_hat=lambda_hat)
+    _check_run(zeta=zeta, delta=delta, lambda_hat=lambda_hat, seed=seed)
     if eta is not None:
         _check_run(eta=eta)
     big_l = float(np.log(2.0 / delta))
@@ -600,11 +563,13 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     proxy = reference is None
     rec = _Recorder(reference, None)
     wt = w0.entries.copy()
-    rec.add(0, 0, wt, 0, covariance_apply(X, wt) if proxy else None)
-    if reference is not None and rec.records[0].potential <= 0.5:
+    rec.add(0, 0, wt, 0)
+    if not proxy and rec.records[0].potential <= 0.5:
         return w0, 0
 
     a, u = _anchor_gradient(X, wt, _dense_covariance(X, reference))
+    if proxy:
+        rec.settle(wt, u)  # the start's residual, from u = A w0
     eu = eta * u
     w = wt.copy()
     r0 = best = rec.records[0].residual
@@ -642,8 +607,9 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     ``eta_schedule`` is a positive number c giving the classical schedule
     eta_t = c/t, t from 1. Comparison baseline only: the runtime to a fixed
     accuracy scales polynomially in it. ``iters`` and ``eta_schedule`` are
-    checked as the run parameters oja_iters and oja_eta0 (_RANGES). The
-    steps are _steps_k1's with a = 0, eu = 0 and each chunk's eta_t as
+    checked as the run parameters oja_iters and oja_eta0, and ``seed`` as
+    the seed, against errors._RANGES before any pass. The steps are
+    _steps_k1's with a = 0, eu = 0 and each chunk's eta_t as
     ``etas``, one segment per record (every max(iters // 10, 1) steps),
     with the solvers' degenerate-step report and iterate check.
 
@@ -653,7 +619,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     on it.
     """
     _check_frame(X, w0, 1)
-    _check_run(oja_iters=iters, oja_eta0=eta_schedule)
+    _check_run(oja_iters=iters, oja_eta0=eta_schedule, seed=seed)
     cov = _dense_covariance(X, reference)
     a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)

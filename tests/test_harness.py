@@ -826,7 +826,7 @@ class TestCli:
         (["--lam", "-0.1"], "eigengap must lie in (0, 1/2), got -0.1"),
         (["--eps", "0.5"], "eps must lie in (0, 1/2), got 0.5"),
         (["--seed", "18446744073709551613"],
-         "seed must lie in [0, 2**64 - 4], as seed + 3 is drawn from too; "
+         "seed must lie in [0, 2**64 - 4], as seed + 3 is drawn from too, "
          "got 18446744073709551613"),
         (["--samples", "0"], "samples must be >= 1, got 0"),
         (["--samples", "-1"], "samples must be >= 1, got -1"),

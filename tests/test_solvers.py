@@ -11,14 +11,15 @@ import pytest
 from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
                    DimensionMismatchError,
                    GapWarning, NonConvergenceError,
-                   OrthonormalFrame, SolverConfig, SpectrumSpec, burn_in,
-                   deflation_solve, dense_eigh,
+                   OrthonormalFrame, SolverConfig, SpectrumSpec,
+                   build_convex_region, burn_in, deflation_solve, dense_eigh,
                    gaussian_init, leading_subspace, oja_baseline,
                    orthogonal_iteration,
-                   potential, power_warm_start, rayleigh_residual,
+                   potential, power_warm_start, probe_strong_convexity,
+                   rayleigh_residual,
                    rescale_dataset, select_parameters, synthesize_dataset,
-                   vrpca_block, vrpca_vector)
-from vrpca import ExperimentConfig, _native, harness, matrix, solvers
+                   tightness_counterexample, vrpca_block, vrpca_vector)
+from vrpca import ExperimentConfig, _native, errors, harness, matrix, solvers
 from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
 
 from conftest import GramCounter, Instance, counted, spectrum_k1
@@ -105,19 +106,21 @@ RANGE_CASES = {
     "oja_iters": (-5, lambda v: _oja(iters=v)),
     "oja_eta0": (0.0, lambda v: _oja(eta_schedule=v)),
     "samples": (0, lambda v: harness.geometry_report(0.3, 0.1, samples=v)),
+    "seed": (-1, lambda v: _config(seed=v)),
+    "eps": (0.5, lambda v: tightness_counterexample(0.3, v)),
 }
 
 
 class TestRunRanges:
     def test_every_range_has_a_case(self):
-        assert set(RANGE_CASES) == set(solvers._RANGES)
+        assert set(RANGE_CASES) == set(errors._RANGES)
 
     @pytest.mark.parametrize("name, value", [
         *((name, bad) for name, (bad, _) in RANGE_CASES.items()),
         *((name, float("nan")) for name, (bad, _) in RANGE_CASES.items()
           if isinstance(bad, float))])
     def test_entry_point_refuses_out_of_range(self, name, value):
-        rule = solvers._RANGES[name][1]
+        rule = errors._RANGES[name][1]
         with pytest.raises(ConfigError) as err:
             RANGE_CASES[name][1](value)
         assert str(err.value) == f"{name} must {rule}, got {value}"
@@ -129,7 +132,7 @@ class TestRunRanges:
     def test_entry_point_refuses_wrong_kind(self, name, value):
         # a bool is neither an integer nor a number, and an integer
         # parameter refuses a float even when it is integral
-        kind = solvers._RANGES[name][2][1]
+        kind = errors._RANGES[name][2][1]
         with pytest.raises(ConfigError) as err:
             RANGE_CASES[name][1](value)
         assert str(err.value) == f"{name} must {kind}, got {value!r}"
@@ -143,7 +146,7 @@ class TestRunRanges:
     def test_entry_point_refuses_none(self, name, call):
         # None is no value of a required parameter: it is refused by name,
         # not taken as unset to fail later in the arithmetic
-        kind = solvers._RANGES[name][2][1]
+        kind = errors._RANGES[name][2][1]
         with pytest.raises(ConfigError) as err:
             call(None)
         assert str(err.value) == f"{name} must {kind}, got None"
@@ -166,22 +169,69 @@ class TestRunRanges:
 
     def test_every_range_refusal_goes_through_the_table(self):
         # a ConfigError that states a range ("must be/lie ... got") is
-        # raised only by _check_run, so no second copy of a rule can drift
-        src = Path(solvers.__file__).parent
+        # raised only by errors._check, whose message is built from the
+        # table's rules, so no second copy of a rule can drift; every
+        # module of the library is scanned
         stray = []
-        for name in ("solvers.py", "harness.py"):
-            tree = ast.parse((src / name).read_text())
-            for func in ast.walk(tree):
-                if not isinstance(func, ast.FunctionDef) or \
-                        func.name == "_check_run":
-                    continue
-                for call in ast.walk(func):
-                    if (isinstance(call, ast.Call) and call.args
-                            and ast.unparse(call.func) == "ConfigError"
-                            and re.search(r"must (be|lie) .* got",
-                                          ast.unparse(call.args[0]))):
-                        stray.append((name, call.lineno))
-        assert not stray, f"range refusals outside _check_run: {stray}"
+        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(call, ast.Call) and call.args
+                        and ast.unparse(call.func) == "ConfigError"
+                        and re.search(r"must (be|lie) .* got",
+                                      ast.unparse(call.args[0]))):
+                    stray.append((path.name, call.lineno))
+        assert not stray, f"range refusals outside the table: {stray}"
+
+
+def _probe(seed):
+    X = synthesize_dataset(SpectrumSpec(eigenvalues=(1.0, 0.5, 0.2), k=1),
+                           12, seed=1)
+    spec = dense_eigh(X)
+    region = build_convex_region(spec, spec.eigenvectors.entries[:, 0])
+    return probe_strong_convexity(region, X, samples=5, seed=seed)
+
+
+#: every public call that takes a seed, as call(seed)
+SEED_CALLS = {
+    "gaussian_init": lambda s: gaussian_init(5, 1, seed=s),
+    "power_warm_start": lambda s: power_warm_start(_tiny()[0], s),
+    "synthesize_dataset": lambda s: synthesize_dataset(
+        SpectrumSpec(eigenvalues=(1.0, 0.5), k=1), 4, seed=s),
+    "SolverConfig": lambda s: _config(seed=s),
+    "oja_baseline": lambda s: _oja(seed=s),
+    "burn_in": lambda s: _burn(seed=s),
+    "probe_strong_convexity": _probe,
+    "geometry_report": lambda s: harness.geometry_report(0.3, 0.1, samples=5,
+                                                         seed=s),
+}
+
+
+class TestSeedRule:
+    """A seed is an integer in [0, 2**64) (errors._RANGES["seed"]): every
+    call that takes one refuses another kind by name rather than drawing
+    the stream of int(seed)."""
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_refuses_a_seed_that_is_not_an_integer(self, call, seed):
+        with pytest.raises(ConfigError) as err:
+            SEED_CALLS[call](seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_takes_numpy_integers(self, call, kind):
+        SEED_CALLS[call](kind(1))
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integer_draws_the_seeds_stream(self, kind):
+        np.testing.assert_array_equal(gaussian_init(5, 2, kind(7)).entries,
+                                      gaussian_init(5, 2, 7).entries)
+
+    def test_solver_config_refuses_a_rotation_that_is_not_a_flag(self):
+        with pytest.raises(ConfigError, match=r"^use_rotation must be true "
+                           r"or false, got 'no'$"):
+            _config(use_rotation="no")
 
 
 class TestVectorSolver:
@@ -1043,6 +1093,23 @@ class TestRecorderPasses:
                                lambda_hat=burn_instance.gap,
                                reference=burn_instance.reference(1))
         assert iters > 0
+
+    def test_burn_in_without_reference_makes_one_pass_per_record(
+            self, monkeypatch, burn_instance):
+        # the anchor pass's u = A w0 gives the start's residual: one pass
+        # for the anchor and record 0, and one per check record
+        X = DataMatrix(burn_instance.Xs.data)
+        X.data = X.data.view(_PassCounter)
+        records = []
+        add = solvers._Recorder.add
+        monkeypatch.setattr(solvers._Recorder, "add", lambda self, *a:
+                            records.append(a) or add(self, *a))
+        _PassCounter.passes = 0
+        frame, iters = burn_in(X, gaussian_init(X.d, 1, seed=11),
+                               zeta=1.0 / 30, delta=0.5,
+                               lambda_hat=burn_instance.gap)
+        assert iters > 0 and len(records) > 2
+        assert _PassCounter.passes == len(records)
 
     def test_orthogonal_iteration_reuses_its_sweep_product(self, monkeypatch,
                                                           small_k1):
