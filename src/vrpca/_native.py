@@ -19,13 +19,15 @@ nothing.
 
 ``column_pass`` runs every pass over a d x n data matrix (the norm pass,
 the covariance memo, the products X^T W and X A, and a deflation stage's
-projected copy) in fixed column blocks under that hold: block i on thread
-i mod t of the caller and a concurrent.futures executor, t the thread
-count the hold saved. The blocks depend on the shape alone, so the bits
-do not follow the thread count, and no pass hands OpenBLAS threaded work,
-whose idle worker would then spin on a second CPU. The executor, and the
-import of concurrent.futures, come with the first pass of more than one
-block, not at import; a forked child builds its own."""
+projected copy) but one, numerical_rank's Gram X^T X for n < d, which is
+a single product held at one BLAS thread. It runs them in fixed column
+blocks under that hold: block i on thread i mod t of the caller and a
+concurrent.futures executor, t the thread count the hold saved. The
+blocks depend on the shape alone, so the bits do not follow the thread
+count, and no pass hands OpenBLAS threaded work, whose idle worker would
+then spin on a second CPU. The executor, and the import of
+concurrent.futures, come with the first pass of more than one block, not
+at import; a forked child builds its own."""
 
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ degeneracy or non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -131,24 +132,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser()'s parser, built on main's first call and reused by
+    every later one in the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _json_result(args):
+    """The object that the solve, compare or geometry verb prints as JSON."""
+    if args.verb == "solve":
+        return [r.to_dict() for r in run_experiment(_experiment_config(args))]
+    if args.verb == "compare":
+        return compare_baselines(_experiment_config(args))
+    return geometry_report(args.lam, args.eps, out=args.out,
+                           samples=args.samples, seed=args.seed)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.verb == "solve":
-            reports = run_experiment(_experiment_config(args))
-            json.dump([r.to_dict() for r in reports], sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        elif args.verb == "compare":
-            result = compare_baselines(_experiment_config(args))
-            json.dump(result, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        elif args.verb == "geometry":
-            report = geometry_report(args.lam, args.eps, out=args.out,
-                                     samples=args.samples, seed=args.seed)
-            json.dump(report, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        elif args.verb == "synth":
+        args = _parser().parse_args(argv)
+        if args.verb == "synth":
             spec = SpectrumSpec(eigenvalues=args.spectrum)
             X = synthesize_dataset(spec, args.n, args.seed)
             save_dataset(X, args.out, args.format)
@@ -157,6 +161,9 @@ def main(argv=None) -> int:
             X = load_dataset(args.src, args.src_format)
             save_dataset(X, args.dst, args.dst_format)
             print(f"wrote {X.d} x {X.n} dataset to {args.dst}")
+        else:
+            json.dump(_json_result(args), sys.stdout, indent=2)
+            sys.stdout.write("\n")
     except (DegenerateIterateError, NonConvergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

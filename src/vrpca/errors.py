@@ -1,8 +1,10 @@
-"""Exception and warning types shared across the library, and the one
-table of admissible values (_RANGES) through which every module refuses a
-bad parameter with a ConfigError."""
+"""Exception and warning types shared across the library, the one table
+of admissible values (_RANGES) through which every module refuses a bad
+parameter with a ConfigError, and the one rule (_warn_gap) by which a gap
+too small to trust raises a GapWarning."""
 
 import numbers
+import warnings
 
 
 class VrpcaError(Exception):
@@ -42,6 +44,23 @@ class ConfigError(VrpcaError):
 
 class GapWarning(UserWarning):
     """A requested subspace sits on a zero or tiny eigengap."""
+
+
+#: a gap of at most this fraction of the leading eigenvalue is too small
+#: to trust (_warn_gap)
+GAP_RTOL = 1e-3
+
+
+def _warn_gap(gap, lead, what, why):
+    """The gap rule of leading_subspace and deflation_solve: a GapWarning
+    when ``gap`` is at most GAP_RTOL times |``lead``|, the leading
+    eigenvalue or its estimate, so data scaled by any c != 0 warns alike;
+    a zero gap always warns. The message reads "<what> is <gap>, ...;
+    <why>"."""
+    if gap <= GAP_RTOL * abs(lead):
+        warnings.warn(f"{what} is {gap:.3e}, at most {GAP_RTOL:g} of the "
+                      f"leading eigenvalue {lead:.3e}; {why}", GapWarning,
+                      stacklevel=3)
 
 
 #: three kinds of value, (test, rule); a bool is an integer or a number

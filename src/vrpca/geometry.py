@@ -92,13 +92,16 @@ def directional_curvature(X: DataMatrix, w, g) -> float:
 def nonconvexity_certificate(X: DataMatrix, w, psd_tol: float = 1e-10):
     """Check whether the Hessian at w is positive semidefinite.
 
-    Returns (is_psd, witness): when the minimum eigenvalue is below
-    -psd_tol the corresponding eigenvector is returned as a direction of
-    strictly negative curvature, else witness is None.
+    The test is relative to the Hessian's scale, as the Hessian scales with
+    the data's square: it is PSD when its minimum eigenvalue is at least
+    -psd_tol times its largest eigenvalue magnitude (a zero Hessian is
+    PSD). Returns (is_psd, witness): when it is not, the minimum
+    eigenvalue's eigenvector is returned as a direction of strictly
+    negative curvature, else witness is None.
     """
     h = rayleigh_hessian(X, w)
     evals, evecs = np.linalg.eigh(h)
-    is_psd = bool(evals[0] >= -psd_tol)
+    is_psd = bool(evals[0] >= -psd_tol * np.abs(evals).max())
     witness = None if is_psd else evecs[:, 0].copy()
     return is_psd, witness
 

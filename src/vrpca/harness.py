@@ -17,8 +17,8 @@ from .errors import (_FLAG, _INTEGER, _RANGES, _REAL, ConfigError,
 from .geometry import (build_convex_region, nonconvexity_certificate,
                        probe_strong_convexity, rayleigh, rayleigh_hessian,
                        tightness_counterexample)
-from .initialization import (_check_seed, _stream, gaussian_init,
-                             power_warm_start)
+from .initialization import (_alignment_sq, _check_seed, _stream,
+                             gaussian_init, power_warm_start)
 from .io import FORMATS, load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
@@ -227,12 +227,9 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
     gap = None
     if cfg.oracle_check and X.d <= DENSE_GUARD:
         spec = dense_eigh(X)
-        if cfg.k < X.d:
-            reference = leading_subspace(spec, cfg.k)
-            gap = spec.gap_at(cfg.k)
-        else:
-            reference = spec.eigenvectors
-            gap = float(spec.eigenvalues[-1])
+        reference = leading_subspace(spec, cfg.k)
+        gap = (spec.gap_at(cfg.k) if cfg.k < X.d
+               else float(spec.eigenvalues[-1]))
     elif cfg.lambda_hat is not None:
         gap = cfg.lambda_hat / scale  # estimate refers to the original data
     return X, X0.r, scale, reference, gap
@@ -300,14 +297,9 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
                 f"epochs of m steps exceed the step budget of {STEP_BUDGET}; "
                 "set eta and m explicitly")
 
-    if cfg.init == "gaussian":
-        frame = gaussian_init(d, k, seed)
-        align = None
-        if reference is not None and k == 1:
-            align = float((reference.column(0) @ frame.column(0)) ** 2)
-    else:
-        report = power_warm_start(X, seed, k=k, reference=reference)
-        frame, align = report.frame, report.alignment_sq
+    frame = (gaussian_init(d, k, seed) if cfg.init == "gaussian" else
+             power_warm_start(X, seed, k=k, reference=reference).frame)
+    align = _alignment_sq(frame, reference)
 
     burn_iters = 0
     burn_ok = True
@@ -336,7 +328,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
             k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed, delta=cfg.delta,
             epsilon=cfg.epsilon, use_rotation=cfg.use_rotation)
         trace = _EPOCH_SOLVERS[cfg.solver](X, frame, solver_cfg, reference)
-    boundaries = trace.boundary_records()
+    last = trace.boundary_records()[-1]
 
     # the model predicts nothing for a nonpositive gap or an epsilon >= 1,
     # which a run may still stop on: the potential lies in [0, k]
@@ -352,9 +344,9 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         burn_in_iterations=burn_iters, burn_in_converged=burn_ok,
         eta=eta, m=m,
         epochs_run=max(r.epoch for r in trace.records),
-        epoch_potentials=[b.potential for b in boundaries],
-        final_potential=boundaries[-1].potential,
-        final_residual=boundaries[-1].residual,
+        epoch_potentials=trace.epoch_potentials(),
+        final_potential=last.potential,
+        final_residual=last.residual,
         samples=trace.samples,
         elapsed_s=time.perf_counter() - t_start,
         runtime_model=model)

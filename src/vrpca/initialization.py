@@ -123,10 +123,18 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
             f"power warm start: A G has numerical rank < {k} ({exc})"
         ) from None
 
-    alignment = None
-    if reference is not None and k == 1:
-        alignment = float((reference.column(0) @ frame.column(0)) ** 2)
-    return InitReport(frame=frame, alignment_sq=alignment)
+    return InitReport(frame=frame,
+                      alignment_sq=_alignment_sq(frame, reference))
+
+
+def _alignment_sq(frame, reference):
+    """The squared alignment (w^T v_1)^2 of a k = 1 start ``frame`` with
+    the ``reference`` eigenvector v_1; None without a reference or at
+    k >= 2. InitReport.alignment_sq, and the report's init_alignment_sq
+    for either start."""
+    if reference is None or frame.k != 1:
+        return None
+    return float((reference.column(0) @ frame.column(0)) ** 2)
 
 
 def numerical_rank(X: DataMatrix) -> float:

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
 from ._native import _sum8
-from .errors import DimensionMismatchError, GapWarning
+from .errors import DimensionMismatchError, _warn_gap
 from .initialization import _stream
 from .matrix import DataMatrix, OrthonormalFrame, _check_dense
 
@@ -68,17 +67,16 @@ def dense_eigh(X: DataMatrix) -> Spectrum:
 
 
 def leading_subspace(spec: Spectrum, k: int) -> OrthonormalFrame:
-    """First k eigenvectors; warns when the eigengap at k is (near) zero,
-    in which case the subspace is not unique."""
+    """First k eigenvectors. A GapWarning says when the eigengap at k < d
+    is at most GAP_RTOL = 1e-3 of the leading eigenvalue (errors._warn_gap,
+    the rule deflation_solve applies to its estimates), since the subspace
+    may then not be unique."""
     if not 1 <= k <= spec.d:
         raise DimensionMismatchError(f"k={k} outside [1, {spec.d}]")
     if k < spec.d:
-        gap = spec.gap_at(k)
-        scale = max(abs(float(spec.eigenvalues[0])), 1.0)
-        if gap <= 1e-10 * scale:
-            warnings.warn(
-                f"eigengap at k={k} is {gap:.3e}; the leading subspace "
-                "is not unique", GapWarning, stacklevel=2)
+        _warn_gap(spec.gap_at(k), float(spec.eigenvalues[0]),
+                  f"eigengap at k={k}",
+                  "the leading subspace may not be unique")
     return OrthonormalFrame(spec.eigenvectors.entries[:, :k])
 
 

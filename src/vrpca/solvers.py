@@ -5,7 +5,6 @@ Every solver emits a ConvergenceTrace."""
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,8 +12,8 @@ import numpy as np
 from . import _native
 from ._native import _sum8
 from .errors import (_FLAG, _REAL, ConfigError, DegenerateIterateError,
-                     DimensionMismatchError, GapWarning, NonConvergenceError,
-                     _check, _check_run)
+                     DimensionMismatchError, NonConvergenceError, _check,
+                     _check_run, _warn_gap)
 from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
                      _add_into, _apply, _dense_covariance, _deviation,
@@ -310,6 +309,24 @@ def _anchor_gradient(X, wt, cov):
     return a, _native.column_pass(block, X.data, fold=_add_into) / X.n
 
 
+def _anchored_steps(X, wt, cov, eta, rotate=False):
+    """One epoch's set-up at the anchor W~ = ``wt``, shared by _epochs and
+    burn_in: the exact anchor gradient (a, u) of _anchor_gradient, and the
+    ``steps`` that _segments runs against it, _steps_k1 (with eu = eta u)
+    for a d x 1 iterate and _steps_block for a d x k one. ``rotate`` turns
+    on the block solver's aligning rotation to W~. Returns (u, steps)."""
+    a, u = _anchor_gradient(X, wt, cov)
+    eu = eta * u
+    anchor = wt if rotate else None
+
+    def steps(idx, t0, v, scale):
+        if scale is None:
+            return _steps_block(X.data, idx, a, u, eta, v, anchor=anchor)
+        return _steps_k1(X.data, idx, a, eu, eta, v, scale, anchor=anchor)
+
+    return u, steps
+
+
 def _project_out(w, basis):
     """In place, w <- normalize(w - B B^T w) for a d x 1 ``w`` and an
     orthonormal deflation ``basis`` B; nothing when B is None."""
@@ -383,15 +400,15 @@ def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
     """The epoch loop of vrpca_vector, of vrpca_block at every k and of the
     deflation stages.
 
-    Each epoch takes the exact anchor gradient (_anchor_gradient): a =
-    X^T W~ and u = A W~, from the covariance memo ``cov`` (the caller's
+    Each epoch is set up by _anchored_steps: the exact anchor gradient
+    a = X^T W~ and u = A W~, from the covariance memo ``cov`` (the caller's
     _dense_covariance: it was given a reference and d <= DENSE_GUARD) or
-    else streamed. The epoch then runs its m steps from W~ in _segments,
-    one segment per trace checkpoint (every max(m // 10, 1) steps, and the
-    epoch end): _steps_k1 for a d x 1 ``w_start``, _steps_block for a
-    d x k one, k >= 2. The run stops after cfg.epochs epochs or at a
-    boundary potential <= epsilon, so an epsilon without a ``reference``
-    to measure it is refused.
+    else streamed, and the steps against it. The epoch then runs its m
+    steps from W~ in _segments, one segment per trace checkpoint (every
+    max(m // 10, 1) steps, and the epoch end): _steps_k1 for a d x 1
+    ``w_start``, _steps_block for a d x k one, k >= 2. The run stops after
+    cfg.epochs epochs or at a boundary potential <= epsilon, so an epsilon
+    without a ``reference`` to measure it is refused.
 
     Each epoch boundary's residual ||u - W~ (W~^T u)|| is taken from the
     next epoch's u, and the run's last boundary from one final product
@@ -406,8 +423,6 @@ def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
     times. ``rotate`` applies the block solver's aligning rotation.
     """
     _check_epsilon(cfg.epsilon, reference=reference is not None)
-    xd = X.data
-    eta = cfg.eta
     m = cfg.m
     rng = _stream(cfg.seed, jump=jump)
     rec = _Recorder(reference, m)
@@ -416,18 +431,10 @@ def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
     samples = 0
     rec.add(0, 0, wt, samples)
     for s in range(1, cfg.epochs + 1):
-        a, u = _anchor_gradient(X, wt, cov)
+        u, steps = _anchored_steps(X, wt, cov, cfg.eta, rotate)
         rec.settle(wt, u)  # the last boundary's residual
         samples += X.n
-        eu = eta * u
         w = wt.copy()
-        anchor = wt if rotate else None
-
-        def steps(idx, t0, v, scale):
-            if scale is None:
-                return _steps_block(xd, idx, a, u, eta, v, anchor=anchor)
-            return _steps_k1(xd, idx, a, eu, eta, v, scale, anchor=anchor)
-
         for t1 in _segments(rng, X.n, m, max(m // 10, 1), w,
                             f"at epoch {s},", steps):
             if t1 != m:
@@ -514,7 +521,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
 
     zeta, delta, lambda_hat, the seed and an ``eta`` override must lie in
     their errors._RANGES, or ConfigError is raised before any pass. Runs
-    stochastic steps against the fixed anchor w0 with the burn-in step size
+    stochastic steps against the fixed anchor w0, set up as one solver
+    epoch is (_anchored_steps), with the burn-in step size
     eta = BURN_C * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
     unless overridden, one _steps_k1 call per stopping-rule check
     (_segments), on indices from the burn-in stream
@@ -567,17 +575,12 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     if not proxy and rec.records[0].potential <= 0.5:
         return w0, 0
 
-    a, u = _anchor_gradient(X, wt, _dense_covariance(X, reference))
+    u, steps = _anchored_steps(X, wt, _dense_covariance(X, reference), eta)
     if proxy:
         rec.settle(wt, u)  # the start's residual, from u = A w0
-    eu = eta * u
     w = wt.copy()
     r0 = best = rec.records[0].residual
     stale = 0  # checks since the residual last fell by 1%
-
-    def steps(idx, t0, v, scale):
-        return _steps_k1(X.data, idx, a, eu, eta, v, scale)
-
     for done in _segments(_stream(seed, BURN_IN_STREAM), X.n, budget,
                           max(min(budget // 512, 8192), 64), w,
                           "in burn-in at", steps):
@@ -682,8 +685,9 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     gives the trace one sweep-style record (cumulative epoch and samples,
     the potential of those vectors against ``reference``, their residual),
     the stage's eigenvalue estimate v_j^T (A V)_j, and the gap check: a
-    GapWarning is emitted when consecutive estimates differ by less than
-    1e-3, since deflation needs a positive eigengap between all top k
+    GapWarning is emitted when consecutive estimates differ by at most
+    GAP_RTOL = 1e-3 of the first (errors._warn_gap, leading_subspace's
+    rule), since deflation needs a positive eigengap between all top k
     eigenvalues. The last record is the final frame's.
 
     Given a ``reference`` at d <= DENSE_GUARD, each record's A V comes from
@@ -722,10 +726,9 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
         aw = _apply(X, cov, found)
         rec.add(epoch, 0, found, samples, aw)
         estimates.append((v.T @ aw[:, -1:]).item())
-        if j >= 2 and estimates[-2] - estimates[-1] < 1e-3:
-            warnings.warn(
-                f"estimated eigenvalues {j - 1} and {j} differ by "
-                f"{estimates[-2] - estimates[-1]:.3e}; deflation needs a "
-                "positive gap between all leading eigenvalues",
-                GapWarning, stacklevel=2)
+        if j >= 2:
+            _warn_gap(estimates[-2] - estimates[-1], estimates[0],
+                      f"the gap between estimated eigenvalues {j - 1} and {j}",
+                      "deflation needs a positive gap between all leading "
+                      "eigenvalues")
     return rec.trace(found)

@@ -160,6 +160,16 @@ class TestNonconvexityCertificate:
         h = rayleigh_hessian(X, np.array([1.0, 1.0]))
         assert float(witness @ h @ witness) < -1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+    def test_negative_curvature_is_found_at_every_scale(self, scale):
+        # the Hessian scales with the data's square: an absolute psd_tol
+        # called the 1e-6 instance's Hessian (eigenvalues ~1e-12) PSD
+        X = DataMatrix(np.array([[scale], [0.0]]))
+        w = np.array([0.6, 0.8])
+        is_psd, witness = nonconvexity_certificate(X, w)
+        assert not is_psd
+        assert float(witness @ rayleigh_hessian(X, w) @ witness) < 0.0
+
     def test_axis_point_is_borderline(self):
         X = projector_2d()
         is_psd, witness = nonconvexity_certificate(X, np.array([1.0, 0.0]))

@@ -15,6 +15,7 @@ from vrpca import (ConfigError, DataMatrix, ExperimentConfig, GapWarning,
                    compare_baselines, geometry_report, harness, read_trace,
                    run_experiment, runtime_model, save_dataset,
                    trace_fingerprint)
+from vrpca import cli
 from vrpca.cli import _experiment_config, build_parser
 from vrpca.cli import main as cli_main
 
@@ -602,6 +603,24 @@ class TestCli:
         assert rc == 0
         assert json.loads(out.read_text())["counterexample"][
             "second_derivative_at_0"] == pytest.approx(-0.04)
+
+    def test_main_builds_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+
+        def build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        cli._parser.cache_clear()
+        argv = ["geometry", "--lam", "0.2", "--eps", "0.1", "--samples", "200"]
+        outs = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(built) == 1
+        assert outs[0] == outs[1] == json.dumps(
+            geometry_report(0.2, 0.1, samples=200), indent=2) + "\n"
 
     def test_parse_error_exit_code(self, capsys):
         assert cli_main(["solve", "--epochs", "3"]) == 1  # no dataset source

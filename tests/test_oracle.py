@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ class TestSpectrumAccess:
         spec = dense_eigh(DataMatrix(np.eye(4) * 2.0))
         with pytest.warns(GapWarning):
             leading_subspace(spec, 2)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_zero_gap_warns_at_every_scale(self, scale):
+        spec = dense_eigh(DataMatrix(np.eye(4) * 2.0 * scale))
+        with pytest.warns(GapWarning):
+            leading_subspace(spec, 2)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_gap_rule_is_relative_to_the_leading_eigenvalue(self, scale):
+        # a 5% gap at k=1 at every scale of the data; a rule with an
+        # absolute floor warned once the eigenvalues fell below it
+        cols = np.diag(np.sqrt(3.0 * np.array([1.0, 0.95, 0.5]))) * scale
+        spec = dense_eigh(DataMatrix(cols))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GapWarning)
+            leading_subspace(spec, 1)
 
     def test_cross_validates_orthogonal_iteration(self, small_k1):
         ref = small_k1.reference(1)

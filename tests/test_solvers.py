@@ -3,6 +3,7 @@ solvers, burn-in, and the baselines."""
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -728,6 +729,28 @@ class TestDeflation:
         with pytest.warns(GapWarning):
             frame = deflation_solve(inst.Xs, w0, cfg).final_frame
         assert frame.k == 2  # converged or not, the frame is orthonormal
+
+    @pytest.mark.parametrize("scale", [0.01, 100.0])
+    def test_tied_pair_warns_at_every_scale(self, scale):
+        # the instance above scaled; eta / scale^2 keeps its steps
+        inst = Instance((1.0, 1.0, 0.4), n=16, seed=9)
+        X = DataMatrix(inst.Xs.data * scale)
+        cfg = SolverConfig(k=2, eta=0.02 / scale**2, m=1000, epochs=8,
+                           seed=5)
+        with pytest.warns(GapWarning):
+            deflation_solve(X, gaussian_init(X.d, 2, seed=5), cfg)
+
+    @pytest.mark.parametrize("scale", [0.01, 100.0])
+    def test_gap_rule_is_relative_to_the_leading_estimate(self, std_k3,
+                                                          scale):
+        # the top three eigenvalues 1, .95, .9 differ by 5%; a rule on
+        # the absolute difference warned twice at scale 0.01
+        X = DataMatrix(std_k3.X.data * scale)
+        eta, m = select_parameters(0.05 * scale**2, X.r, 1, 0.5)
+        cfg = SolverConfig(k=3, eta=eta, m=m, epochs=3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GapWarning)
+            deflation_solve(X, gaussian_init(X.d, 3, seed=1), cfg)
 
     def test_one_record_per_stage(self, small_k1):
         # each stage adds one sweep-style record: cumulative epochs and
