@@ -15,7 +15,11 @@ through that extension module's own handle: ``one_blas_thread`` holds it
 at one thread, so that the synthesizer's factorizations and the oracle's
 eigh (d <= 512) give the same bits whatever the caller's thread count.
 Where the handle resolves no OpenBLAS thread-count functions it does
-nothing.
+nothing. ``qr_in_place`` calls the LAPACK pair numpy.linalg.qr itself
+calls, dgeqrf and dorgqr, found through the same handle, on the caller's
+own column-major buffer: the same bits as numpy.linalg.qr without its
+copies of the operand. Where the handle resolves no such pair it returns
+None and the caller runs numpy.linalg.qr.
 
 ``column_pass`` runs every pass over a d x n data matrix (the norm pass,
 the covariance memo, the products X^T W and X A, and a deflation stage's
@@ -63,6 +67,10 @@ _blas_lock = threading.Lock()
 _blas = None  # (get, set) of numpy's BLAS; False once none was found
 _blas_depth = 0  # callers inside one_blas_thread
 _blas_saved = 0  # the thread count the first of them found
+#: LAPACK's (dgeqrf, dorgqr) as numpy's bundled scipy-openblas exports
+#: them: ILP64, every integer argument an int64
+_QR_PAIR = ("scipy_dgeqrf_64_", "scipy_dorgqr_64_")
+_qr = None  # (dgeqrf, dorgqr) of numpy's LAPACK; False once not found
 
 #: column_pass gives each block at least this many multiply-adds
 #: (about 1 ms of one core's work), so that a pass too small to repay the
@@ -208,22 +216,30 @@ def balance_rows(b, norms, tau, tol):
     return True
 
 
-def _find_blas():
-    """The (get, set) thread-count functions of the first _BLAS_PAIRS
-    pair that numpy.linalg's extension module resolves, or None. dlsym on
-    its handle searches the libraries it links, so this finds the OpenBLAS
-    whose factorizations the hold is for."""
+def _find(pairs):
+    """The functions of the first of ``pairs`` (tuples of symbol names)
+    that numpy.linalg's extension module resolves, or None. dlsym on its
+    handle searches the libraries it links, so this finds the OpenBLAS
+    whose factorizations numpy runs."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for names in _BLAS_PAIRS:
+    for names in pairs:
         if all(hasattr(lib, name) for name in names):
-            get, set_ = (getattr(lib, name) for name in names)
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
+            return tuple(getattr(lib, name) for name in names)
     return None
+
+
+def _find_blas():
+    """The (get, set) thread-count functions of the first _BLAS_PAIRS
+    pair numpy.linalg resolves (_find), typed, or None."""
+    pair = _find(_BLAS_PAIRS)
+    if pair:
+        get, set_ = pair
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return pair
 
 
 def blas_threads():
@@ -234,6 +250,67 @@ def blas_threads():
         if _blas is None:
             _blas = _find_blas() or False
         return _blas or None
+
+
+def _lapack_qr():
+    """(dgeqrf, dorgqr) of numpy's LAPACK (_QR_PAIR), typed, looked up
+    once; None where numpy.linalg resolves no such pair."""
+    global _qr
+    with _blas_lock:
+        if _qr is None:
+            _qr = _find((_QR_PAIR,)) or False
+            ip = ctypes.POINTER(_I)
+            for f, nints in zip(_qr or (), (2, 3)):
+                # (m, n[, k], a, lda, tau, work, lwork, info)
+                f.argtypes = (ip,) * nints + (_P, ip, _P, _P, ip, ip)
+                f.restype = None
+        return _qr or None
+
+
+def _lapack(f, *args):
+    """Call the LAPACK routine ``f`` with ``args``, ints passed by
+    reference and arrays by address, plus its lwork = -1 workspace query
+    first: numpy's rule, lwork = max(1, n, the optimum), n = args[1]. The
+    info argument comes last; a nonzero one is a LinAlgError."""
+    def call(work, lwork):
+        info = _I(0)
+        f(*(ctypes.byref(_I(v)) if isinstance(v, int) else v.ctypes.data
+            for v in args), work.ctypes.data, ctypes.byref(_I(lwork)),
+          ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"LAPACK {f.__name__} refused argument {-info.value}")
+
+    query = np.zeros(1)
+    call(query, -1)
+    lwork = max(1, args[1], int(query[0]))
+    call(np.empty(lwork), lwork)
+
+
+def qr_in_place(a):
+    """Overwrite the column-major, writeable m x n float64 array ``a``
+    (m >= n) with the Q of its reduced QR factorization and return the
+    diagonal of R; None where numpy's LAPACK exports no _QR_PAIR.
+
+    These are the calls numpy.linalg.qr makes, dgeqrf then dorgqr with
+    numpy's workspace sizes, so Q and diag(R) are its bits; but they run
+    on ``a`` itself, where numpy.linalg.qr copies its operand and copies
+    it into and out of column-major order around each call. The
+    transient memory is tau and a workspace of n times LAPACK's block
+    size doubles. Operands outside
+    this contract raise DimensionMismatchError before any LAPACK call."""
+    qr = _lapack_qr()
+    if qr is None:
+        return None
+    shape = np.shape(a)
+    _check("QR", len(shape) == 2 and shape[0] >= shape[1],
+           (a, shape, "FW"))
+    m, n = shape
+    tau = np.empty(n)
+    _lapack(qr[0], m, n, a, max(1, m), tau)
+    diag = a.diagonal().copy()
+    _lapack(qr[1], m, n, n, a, max(1, m), tau)
+    return diag
 
 
 @contextlib.contextmanager

@@ -222,6 +222,8 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
             SpectrumSpec(eigenvalues=cfg.spectrum, k=cfg.gap_index),
             cfg.n, cfg.synth_seed)
     X, scale = rescale_dataset(X0) if cfg.rescale else (X0, 1.0)
+    original_r = X0.r
+    del X0  # a rescaled run keeps one d x n copy, not two
 
     reference = None
     gap = None
@@ -232,7 +234,7 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
                else float(spec.eigenvalues[-1]))
     elif cfg.lambda_hat is not None:
         gap = cfg.lambda_hat / scale  # estimate refers to the original data
-    return X, X0.r, scale, reference, gap
+    return X, original_r, scale, reference, gap
 
 
 def _write_json(path: Path, obj) -> None:

@@ -150,6 +150,25 @@ def _balance_rows(b, norms, tau, tol):
         _balance_rows_numpy(b, norms, tau, tol)
 
 
+def _orthonormal(rng, shape, scale=1.0):
+    """The Q factor of a standard normal draw of ``shape`` (m >= n) from
+    ``rng``, its columns signed so that R's diagonal is nonnegative and
+    then multiplied by ``scale``: a C-ordered m x n array.
+
+    The draw is copied once to column-major order and dropped; the
+    factorization (_native.qr_in_place, else numpy.linalg.qr, the same
+    bits) and the scaling run in that copy, and the C-ordered result is
+    the one further copy. Multiplying by the sign, exactly +-1, and then
+    by ``scale`` rounds as multiplying by their product does."""
+    a = np.asfortranarray(rng.standard_normal(shape))
+    diag = _native.qr_in_place(a)
+    if diag is None:
+        a, r = np.linalg.qr(a)
+        diag = np.diagonal(r)
+    a *= np.sign(diag) * scale
+    return np.ascontiguousarray(a)
+
+
 def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     """Build X = Q diag(sqrt(n s)) R^T so that (1/n) X X^T has exactly the
     requested spectrum.
@@ -169,6 +188,9 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
     library's thread-count functions through numpy.linalg's own handle):
     the balancing sums every dot product in the compiled kernel's fixed
     order, compiled or not.
+
+    The factorizations run in place (_orthonormal), so the call's peak
+    memory is about twice the instance's d x n doubles.
     """
     eigs = np.asarray(spec.eigenvalues, dtype=np.float64)
     d = eigs.size
@@ -183,16 +205,10 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
 
     with _native.one_blas_thread():
         rng = _stream(seed)
-        gq = rng.standard_normal((d, d))
-        q, rq = np.linalg.qr(gq)
-        q = q * np.sign(np.diag(rq))
-        gr = rng.standard_normal((n, d))
-        r0, rr = np.linalg.qr(gr)
-        r0 = r0 * np.sign(np.diag(rr))
-
+        q = _orthonormal(rng, (d, d))
         # rows of B are the (scaled) data points; balance their norms to the
         # common value tau without touching B^T B = diag(n s)
-        b = np.ascontiguousarray(r0 * np.sqrt(n * eigs))
+        b = _orthonormal(rng, (n, d), np.sqrt(n * eigs))
         tau = float(eigs.sum())
         norms = np.einsum("ij,ij->i", b, b)
         _balance_rows(b, norms, tau, 1e-13 * max(tau, 1.0))
@@ -200,4 +216,6 @@ def synthesize_dataset(spec: SpectrumSpec, n: int, seed: int) -> DataMatrix:
             raise DimensionMismatchError(
                 f"n * max eigenvalue = {n} * {top} overflows the row "
                 "balancing")
-        return DataMatrix(q @ b.T)
+        x = q @ b.T
+        del b  # freed before DataMatrix copies x to column-major order
+        return DataMatrix(x)

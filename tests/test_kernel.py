@@ -3,7 +3,8 @@ across calls that carry the pending scale and across the builds of each
 per-CPU copy, the degenerate-step report, the numpy fallback,
 and the build cache under concurrent first use; the synthesizer's row
 balancing, bit for bit with its numpy loop and an -O0 build; the operand
-contracts checked before any C call, the ctypes table against the C
+contracts checked before any C call, the in-place LAPACK QR against
+numpy.linalg.qr and its contract, the ctypes table against the C
 prototypes, and the suite's numpy floating-point warnings as errors."""
 
 import ctypes
@@ -279,6 +280,34 @@ def test_unoptimized_build_balances_bit_identically(monkeypatch, tmp_path):
         assert np.array_equal(out[0], out[1]), (len(eigs), n)
         assert np.array_equal(out[0], out[2]), (len(eigs), n)
         assert np.array_equal(out[0], synthesize_reference(eigs, n, seed))
+
+
+@pytest.mark.parametrize("shape", [(3000, 300), (700, 120), (500, 50),
+                                   (40, 40), (34, 33), (5, 1), (1, 1)])
+def test_qr_in_place_gives_numpy_qr_bits(shape):
+    g = np.random.default_rng(shape[1]).standard_normal(shape)
+    a = np.array(g, order="F")  # a copy at any shape
+    with _native.one_blas_thread():
+        diag = _native.qr_in_place(a)
+        q, r = np.linalg.qr(g)
+    if diag is None:
+        pytest.skip("numpy.linalg resolves no dgeqrf/dorgqr pair")
+    assert np.array_equal(a, q)
+    assert np.array_equal(diag, np.diagonal(r))
+
+
+def test_numpy_qr_fallback_synthesizes_the_same_bits(monkeypatch):
+    # without the LAPACK pair the synthesizer runs numpy.linalg.qr; both
+    # give the reference's bits, square (n = d) and at d = 1 too
+    cases = _synth_cases() + [(spectrum_k1(d), d, d) for d in (2, 9, 33)]
+    direct = [synthesize_dataset(SpectrumSpec(eigs), n, seed).data
+              for eigs, n, seed in cases]
+    monkeypatch.setattr(_native, "_lapack_qr", lambda: None)
+    assert _native.qr_in_place(np.ones((1, 1), order="F")) is None
+    for (eigs, n, seed), x in zip(cases, direct):
+        fallback = synthesize_dataset(SpectrumSpec(eigs), n, seed).data
+        assert np.array_equal(fallback, x), (len(eigs), n)
+        assert np.array_equal(fallback, synthesize_reference(eigs, n, seed))
 
 
 @needs_cc
@@ -617,6 +646,31 @@ def test_balancing_contract_refused_before_any_c_call(monkeypatch,
                        match="balancing operands violate its contract"):
         _native.balance_rows(b, norms, 1.0, 0.0)
     assert spy.calls == ["vrpca_balance_rows"]
+
+
+QR_VIOLATIONS = {
+    "C-ordered": lambda a: np.ascontiguousarray(a),
+    "read-only": _read_only,
+    "float32": lambda a: a.astype(np.float32),
+    "m < n": lambda a: np.asfortranarray(a.T),
+    "1-D": lambda a: a[:, 0].copy(),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(QR_VIOLATIONS))
+def test_qr_contract_refused_before_any_lapack_call(monkeypatch, violation):
+    calls = []
+    monkeypatch.setattr(_native, "_lapack_qr", lambda: (
+        lambda *args: calls.append("dgeqrf"),
+        lambda *args: calls.append("dorgqr")))
+    a = np.asfortranarray(np.random.default_rng(2).standard_normal((6, 3)))
+    assert _native.qr_in_place(a) is not None
+    # each routine once for its workspace size and once to run
+    assert calls == ["dgeqrf"] * 2 + ["dorgqr"] * 2
+    with pytest.raises(DimensionMismatchError,
+                       match="QR operands violate its contract"):
+        _native.qr_in_place(QR_VIOLATIONS[violation](a))
+    assert len(calls) == 4
 
 
 def _c_kind(decl):

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -382,8 +383,18 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
     def test_same_bits_at_two_threads_and_one(self, blas_count, eigs, n,
-                                              seed):
+                                              seed, monkeypatch):
         get, set_ = blas_count
+        # the factorizations run in place wherever numpy exports the pair
+        direct = []
+        qr = _native.qr_in_place
+
+        def spy(a):
+            diag = qr(a)
+            direct.append(diag is not None)
+            return diag
+
+        monkeypatch.setattr(_native, "qr_in_place", spy)
         out = []
         for count in (2, 1):
             set_(count)
@@ -391,6 +402,7 @@ class TestOneBlasThread:
                                           seed).data)
             assert get() == count
         assert np.array_equal(*out)
+        assert direct == [_native._lapack_qr() is not None] * 4
 
     def test_count_restored_after_return_and_raise(self, blas_count,
                                                    monkeypatch):
@@ -440,3 +452,41 @@ class TestOneBlasThread:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(x, expected) for x in out)
         assert get() == original
+
+
+@pytest.fixture
+def lapack_qr():
+    """Skips where numpy's LAPACK exports no in-place QR pair, so that
+    _native.qr_in_place returns None."""
+    if _native.qr_in_place(np.ones((1, 1), order="F")) is None:
+        pytest.skip("numpy.linalg resolves no dgeqrf/dorgqr pair")
+
+
+class TestQrInPlace:
+    def test_lookup_opens_only_numpy_linalg(self, lapack_qr, monkeypatch):
+        # the pair comes from the handle of numpy.linalg's own QR; no other
+        # file is opened
+        opened = []
+        cdll = _native.ctypes.CDLL
+        monkeypatch.setattr(_native.ctypes, "CDLL",
+                            lambda path: opened.append(path) or cdll(path))
+        monkeypatch.setattr(_native, "_qr", None)
+        assert _native._lapack_qr() is not None
+        assert opened == [np.linalg._umath_linalg.__file__]
+
+    @pytest.mark.parametrize("d, n", [(100, 20_000), (300, 3000)])
+    def test_synthesis_peak_within_two_and_a_half_instances(self, lapack_qr,
+                                                             d, n):
+        # numpy reports its buffers to tracemalloc: the draws, their
+        # column-major copies, B, the product and DataMatrix's copy; the
+        # numpy.linalg.qr path read 5.04 and 5.41 instances here
+        spec = SpectrumSpec(eigenvalues=spectrum_k1(d))
+        synthesize_dataset(SpectrumSpec(eigenvalues=(1.0,)), 2, seed=0)
+        tracemalloc.start()
+        try:
+            X = synthesize_dataset(spec, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * X.data.nbytes, peak / X.data.nbytes
+
