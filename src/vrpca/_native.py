@@ -10,26 +10,30 @@ _steps_k1_numpy and _balance_rows_numpy, which sum through _sum8 and so
 give the compiled loops' bits. Operands outside the C contract raise
 DimensionMismatchError before any C call.
 
-The module also reaches into the OpenBLAS that numpy.linalg links, found
-through that extension module's own handle: ``one_blas_thread`` holds it
-at one thread, so that the synthesizer's factorizations and the oracle's
-eigh (d <= 512) give the same bits whatever the caller's thread count.
-Where the handle resolves no OpenBLAS thread-count functions it does
-nothing. ``qr_in_place`` calls the LAPACK pair numpy.linalg.qr itself
-calls, dgeqrf and dorgqr, found through the same handle, on the caller's
+The module also reaches into the OpenBLAS and LAPACK that numpy.linalg
+links, through that extension module's own handle, opened once
+(_numpy_linalg). Every function used there has its signature in one
+table, _NUMPY_ABI, as the compiled library's have in _ABI; _typed looks
+them up and types them for both. ``one_blas_thread`` holds OpenBLAS at
+one thread, so that the data passes, the synthesizer's factorizations
+and the oracle's eigh (d <= 512) give the same bits whatever the
+caller's thread count. Where the handle resolves no OpenBLAS
+thread-count functions it does nothing. ``qr_in_place`` calls the LAPACK
+pair numpy.linalg.qr itself calls, dgeqrf and dorgqr, on the caller's
 own column-major buffer: the same bits as numpy.linalg.qr without its
 copies of the operand. Where the handle resolves no such pair it returns
 None and the caller runs numpy.linalg.qr.
 
-``column_pass`` runs every pass over a d x n data matrix (the norm pass,
-the covariance memo, the products X^T W and X A, and a deflation stage's
-projected copy) but one, numerical_rank's Gram X^T X for n < d, which is
-a single product held at one BLAS thread. It runs them in fixed column
-blocks under that hold: block i on thread i mod t of the caller and a
-concurrent.futures executor, t the thread count the hold saved. The
-blocks depend on the shape alone, so the bits do not follow the thread
-count, and no pass hands OpenBLAS threaded work, whose idle worker would
-then spin on a second CPU. The executor, and the import of
+``column_pass`` runs every pass over a d x n data matrix but one,
+numerical_rank's Gram X^T X for n < d, which is a single product held at
+one BLAS thread. Its callers are all in matrix.py: the norm pass, the
+covariance memo, the products A W and X^T W (matrix._products) and a
+deflation stage's projected copy (matrix._projected). It runs them in
+fixed column blocks under that hold: block i on thread i mod t of the
+caller and a concurrent.futures executor, t the thread count the hold
+saved. The blocks depend on the shape alone, so the bits do not follow
+the thread count, and no pass hands OpenBLAS threaded work, whose idle
+worker would then spin on a second CPU. The executor, and the import of
 concurrent.futures, come with the first pass of more than one block, not
 at import; a forked child builds its own."""
 
@@ -51,6 +55,7 @@ _SRC = Path(__file__).with_name("_kernel.c")
 #: no -ffast-math and no -march (see the header of _kernel.c)
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_IP, _C = ctypes.POINTER(_I), ctypes.c_int  # int64_t * and int
 #: the C signature of each exported function: (return type, parameter types)
 _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
                                 _D)),
@@ -58,19 +63,24 @@ _ABI = {"vrpca_steps_k1": (_I, (_P, _I, _P, _I, _P, _P, _D, _P, _P, _P, _P,
 _lock = threading.Lock()
 _lib = None  # the loaded library; False once it proved unavailable
 
-#: OpenBLAS's (get, set) thread-count symbols, numpy's bundled
-#: scipy-openblas first, in the order they are looked for
+#: the signatures of the OpenBLAS and LAPACK functions used from the
+#: library numpy.linalg links: the thread-count pairs, numpy's bundled
+#: scipy-openblas first, and its ILP64 dgeqrf and dorgqr, every integer
+#: argument an int64: (m, n[, k], a, lda, tau, work, lwork, info)
+_NUMPY_ABI = {
+    "scipy_openblas_get_num_threads64_": (_C, ()),
+    "scipy_openblas_set_num_threads64_": (None, (_C,)),
+    "openblas_get_num_threads": (_C, ()),
+    "openblas_set_num_threads": (None, (_C,)),
+    "scipy_dgeqrf_64_": (None, (_IP, _IP, _P, _IP, _P, _P, _IP, _IP)),
+    "scipy_dorgqr_64_": (None, (_IP, _IP, _IP, _P, _IP, _P, _P, _IP, _IP))}
+#: the (get, set) thread-count pairs, in the order they are looked for
 _BLAS_PAIRS = (("scipy_openblas_get_num_threads64_",
                 "scipy_openblas_set_num_threads64_"),
                ("openblas_get_num_threads", "openblas_set_num_threads"))
 _blas_lock = threading.Lock()
-_blas = None  # (get, set) of numpy's BLAS; False once none was found
 _blas_depth = 0  # callers inside one_blas_thread
 _blas_saved = 0  # the thread count the first of them found
-#: LAPACK's (dgeqrf, dorgqr) as numpy's bundled scipy-openblas exports
-#: them: ILP64, every integer argument an int64
-_QR_PAIR = ("scipy_dgeqrf_64_", "scipy_dorgqr_64_")
-_qr = None  # (dgeqrf, dorgqr) of numpy's LAPACK; False once not found
 
 #: column_pass gives each block at least this many multiply-adds
 #: (about 1 ms of one core's work), so that a pass too small to repay the
@@ -141,9 +151,8 @@ def _library():
                 if cc is None:
                     raise OSError("no C compiler on PATH")
                 lib = ctypes.CDLL(str(_build(_cache_dir(), cc)))
-                for name, (ret, params) in _ABI.items():
-                    getattr(lib, name).restype = ret
-                    getattr(lib, name).argtypes = params
+                if _typed(lib, _ABI, _ABI) is None:
+                    raise OSError("the library lacks a function of _ABI")
                 _lib = lib
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
                 warnings.warn(f"vrpca: compiled kernel unavailable ({exc}); "
@@ -216,55 +225,46 @@ def balance_rows(b, norms, tau, tol):
     return True
 
 
-def _find(pairs):
-    """The functions of the first of ``pairs`` (tuples of symbol names)
-    that numpy.linalg's extension module resolves, or None. dlsym on its
-    handle searches the libraries it links, so this finds the OpenBLAS
-    whose factorizations numpy runs."""
+def _typed(lib, names, abi):
+    """The functions ``names`` of the ctypes library ``lib``, each typed
+    from its ``abi`` signature, as a tuple; None when ``lib`` does not
+    export them all, or is None (a library that could not be opened)."""
+    if not all(hasattr(lib, name) for name in names):
+        return None
+    funcs = tuple(getattr(lib, name) for name in names)
+    for f, name in zip(funcs, names):
+        f.restype, f.argtypes = abi[name]
+    return funcs
+
+
+@functools.cache
+def _numpy_linalg():
+    """numpy.linalg's extension module as a ctypes library, opened once
+    (threads racing on the first call may each open it, and dlopen just
+    counts one more reference); None where it cannot be. dlsym on
+    its handle searches the libraries it links, so its functions are
+    those of the OpenBLAS whose factorizations numpy runs."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for names in pairs:
-        if all(hasattr(lib, name) for name in names):
-            return tuple(getattr(lib, name) for name in names)
-    return None
 
 
-def _find_blas():
-    """The (get, set) thread-count functions of the first _BLAS_PAIRS
-    pair numpy.linalg resolves (_find), typed, or None."""
-    pair = _find(_BLAS_PAIRS)
-    if pair:
-        get, set_ = pair
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return pair
-
-
+@functools.cache
 def blas_threads():
     """(get, set): the thread-count functions of the OpenBLAS numpy
-    loaded, looked up once; None where there are none."""
-    global _blas
-    with _blas_lock:
-        if _blas is None:
-            _blas = _find_blas() or False
-        return _blas or None
+    loaded, the first of _BLAS_PAIRS that numpy.linalg resolves, looked
+    up once; None where there are none."""
+    return next(filter(None, (_typed(_numpy_linalg(), pair, _NUMPY_ABI)
+                              for pair in _BLAS_PAIRS)), None)
 
 
+@functools.cache
 def _lapack_qr():
-    """(dgeqrf, dorgqr) of numpy's LAPACK (_QR_PAIR), typed, looked up
-    once; None where numpy.linalg resolves no such pair."""
-    global _qr
-    with _blas_lock:
-        if _qr is None:
-            _qr = _find((_QR_PAIR,)) or False
-            ip = ctypes.POINTER(_I)
-            for f, nints in zip(_qr or (), (2, 3)):
-                # (m, n[, k], a, lda, tau, work, lwork, info)
-                f.argtypes = (ip,) * nints + (_P, ip, _P, _P, ip, ip)
-                f.restype = None
-        return _qr or None
+    """(dgeqrf, dorgqr) of numpy's LAPACK, looked up once; None where
+    numpy.linalg resolves no such pair."""
+    return _typed(_numpy_linalg(), ("scipy_dgeqrf_64_", "scipy_dorgqr_64_"),
+                  _NUMPY_ABI)
 
 
 def _lapack(f, *args):
@@ -273,10 +273,9 @@ def _lapack(f, *args):
     first: numpy's rule, lwork = max(1, n, the optimum), n = args[1]. The
     info argument comes last; a nonzero one is a LinAlgError."""
     def call(work, lwork):
-        info = _I(0)
-        f(*(ctypes.byref(_I(v)) if isinstance(v, int) else v.ctypes.data
-            for v in args), work.ctypes.data, ctypes.byref(_I(lwork)),
-          ctypes.byref(info))
+        info = _I(0)  # ctypes passes an int64 by reference to a POINTER
+        f(*(_I(v) if isinstance(v, int) else v.ctypes.data for v in args),
+          work.ctypes.data, _I(lwork), info)
         if info.value:
             raise np.linalg.LinAlgError(
                 f"LAPACK {f.__name__} refused argument {-info.value}")
@@ -290,7 +289,8 @@ def _lapack(f, *args):
 def qr_in_place(a):
     """Overwrite the column-major, writeable m x n float64 array ``a``
     (m >= n) with the Q of its reduced QR factorization and return the
-    diagonal of R; None where numpy's LAPACK exports no _QR_PAIR.
+    diagonal of R; None where numpy's LAPACK exports no such pair
+    (_lapack_qr).
 
     These are the calls numpy.linalg.qr makes, dgeqrf then dorgqr with
     numpy's workspace sizes, so Q and diag(R) are its bits; but they run

@@ -10,8 +10,8 @@ import numpy as np
 from . import _native
 from .errors import (_RANGES, DegenerateIterateError, DimensionMismatchError,
                      _check, _check_run)
-from .matrix import (DataMatrix, OrthonormalFrame, _apply, _check_dense,
-                     _check_r, _dense_covariance, _polar, polar_normalize)
+from .matrix import (DataMatrix, OrthonormalFrame, _check_dense, _check_r,
+                     _dense_covariance, _polar, _products, polar_normalize)
 
 
 #: purpose ids of _stream; 0 is the run stream
@@ -115,7 +115,7 @@ def power_warm_start(X: DataMatrix, seed: int, k: int = 1,
     """
     _check_k(k, X.d)
     g = _stream(seed).standard_normal((X.d, k))
-    ag = _apply(X, _dense_covariance(X, reference), g)
+    ag = _products(X, g, _dense_covariance(X, reference))
     try:
         frame = OrthonormalFrame(_polar(ag))
     except DegenerateIterateError as exc:

@@ -1,6 +1,10 @@
-"""Dense matrix core: column-major data storage, implicit covariance
-application, polar orthonormalization, Procrustes alignment and the
-subspace metrics shared by every solver."""
+"""Dense matrix core: column-major data storage, polar
+orthonormalization, Procrustes alignment, the subspace metrics shared by
+every solver, and every pass the library makes over a data matrix but
+numerical_rank's Gram for n < d. Each of those passes is one
+_native.column_pass here: the column norms, the covariance memo, the
+products A W and X^T W (_products) and a deflation stage's projected
+copy (_projected)."""
 
 from __future__ import annotations
 
@@ -75,9 +79,10 @@ class DataMatrix:
     matrix of it (``covariance()``, numerical_rank) or rescaling it is
     then refused with a DegenerateIterateError naming the column.
 
-    ``covariance()`` forms A = X X^T / n on its first call (d <= DENSE_GUARD
-    only) and keeps it: the oracle eigendecomposes it, and a solve given a
-    reference frame applies A as A @ W instead of streaming X twice.
+    ``covariance()`` forms A = X X^T / n, the uncentered second moment of
+    the data, on its first call (d <= DENSE_GUARD only) and keeps it: the
+    oracle eigendecomposes it, and a solve given a reference frame applies
+    A as A @ W instead of streaming X twice.
 
     The norm pass and the memo run in _native.column_pass: fixed column
     blocks on one BLAS thread each, spread over the threads that
@@ -107,8 +112,9 @@ class DataMatrix:
         self._cov = None
 
     def covariance(self):
-        """The read-only d x d covariance A = X X^T / n, formed once (under
-        a lock, so concurrent callers share one) and kept for the life of
+        """The read-only d x d covariance A = X X^T / n, the uncentered
+        second moment (the data are not centered), formed once (under a
+        lock, so concurrent callers share one) and kept for the life of
         this matrix; it costs d^2 doubles. Refused for d > DENSE_GUARD, and
         for r = inf (_check_r)."""
         _check_dense(self.d, "use the iterative solvers at this scale")
@@ -143,7 +149,9 @@ def _check_r(X, action):
 def _deviation(arr):
     """max |W^T W - I| of a raw d x k array: the orthonormality invariant
     that frames and solver iterates are held to (ORTHO_TOL)."""
-    return float(np.max(np.abs(arr.T @ arr - np.eye(arr.shape[1]))))
+    g = arr.T @ arr
+    g.flat[::g.shape[0] + 1] -= 1.0  # the diagonal, in place
+    return float(np.max(np.abs(g, out=g)))
 
 
 class OrthonormalFrame:
@@ -184,21 +192,16 @@ def _raw(a):
 
 
 def covariance_apply(X: DataMatrix, W):
-    """Apply the covariance operator (1/n) X X^T to W without forming it.
-
-    Computes (1/n) sum_b X_b (X_b^T W) over the column blocks X_b of
-    _native.column_pass, in block order, in O(n d k), so the bits do not
-    depend on the BLAS thread count; accepts a vector or a d x k
-    array/frame and preserves the input's dimensionality.
+    """Apply A = (1/n) X X^T, the uncentered second moment of the data, to
+    W without forming it: _products(X, W), one streamed pass in O(n d k)
+    whose bits do not depend on the BLAS thread count. Accepts a vector
+    or a d x k array/frame and preserves the input's dimensionality.
     """
     arr = _raw(W)
     if arr.shape[0] != X.d:
         raise DimensionMismatchError(
             f"operand has {arr.shape[0]} rows, data dimension is {X.d}")
-    # np.dot, not @: numpy's matmul holds the interpreter lock for the
-    # transposed block b, so pass threads running it would take turns
-    return _native.column_pass(lambda b, _: np.dot(b, b.T @ arr), X.data,
-                               fold=_add_into) / X.n
+    return _products(X, arr)
 
 
 def _polar(arr):
@@ -306,10 +309,48 @@ def _dense_covariance(X: DataMatrix, reference):
     return X.covariance()
 
 
-def _apply(X: DataMatrix, cov, w):
-    """A w: from the covariance memo ``cov`` (see _dense_covariance), or
-    streamed through covariance_apply when ``cov`` is None."""
-    return covariance_apply(X, w) if cov is None else cov @ w
+def _products(X: DataMatrix, w, cov=None, a=None):
+    """A w for A = X X^T / n, the uncentered second moment: cov @ w from
+    the covariance memo ``cov`` (see _dense_covariance), else
+    (1/n) sum_b X_b (X_b^T w) over the column blocks X_b of one
+    _native.column_pass, summed in block order, so the bits do not depend
+    on the BLAS thread count. Given an n x k array ``a``, it also writes
+    X^T w into it: with the memo in a pass of its own (the anchor
+    gradient's a), without it in the same pass, each block read once for
+    both X_b^T w and X_b (X_b^T w)."""
+    def xtw(b, cols):  # X_b^T w, written into a's rows when given
+        return np.matmul(b.T, w, out=None if a is None else a[cols])
+
+    if cov is not None:
+        if a is not None:
+            _native.column_pass(xtw, X.data)
+        return cov @ w
+    # np.dot, not @: numpy's matmul holds the interpreter lock for the
+    # transposed block b, so pass threads running it would take turns
+    return _native.column_pass(lambda b, cols: np.dot(b, xtw(b, cols)),
+                               X.data, fold=_add_into) / X.n
+
+
+def _projected(X: DataMatrix, cov, basis):
+    """A deflation stage's data and memo: with P = I - B B^T for an
+    orthonormal ``basis`` B, the copy P X as a new DataMatrix (d x n
+    doubles, built F-ordered) and P A = cov - B (B^T cov), None without
+    the memo ``cov``. For a w~ in the complement of B, (P A) w~ is the
+    copy's covariance applied, P A P w~. (X, cov) itself when B is None.
+    The copy is made in one _native.column_pass, each block's rows of
+    X^T - (X^T B) B^T written in place into the copy's own storage."""
+    if basis is None:
+        return X, cov
+    copy = np.empty((X.d, X.n), order="F")
+
+    def block(b, cols):
+        rows = copy[:, cols].T
+        np.matmul(b.T @ basis, basis.T, out=rows)
+        np.subtract(b.T, rows, out=rows)
+
+    _native.column_pass(block, X.data, work=2 * basis.shape[1])
+    return DataMatrix(copy), (None if cov is None
+                              else cov - basis @ (basis.T @ cov))
 
 
 def _residual(w, aw):

@@ -16,9 +16,8 @@ from .errors import (_FLAG, _REAL, ConfigError, DegenerateIterateError,
                      _check_run, _warn_gap)
 from .initialization import BURN_IN_STREAM, _stream
 from .matrix import (DENSE_GUARD, ORTHO_TOL, DataMatrix, OrthonormalFrame,
-                     _add_into, _apply, _dense_covariance, _deviation,
-                     _polar, _potential, _procrustes, _residual,
-                     covariance_apply)
+                     _dense_covariance, _deviation, _polar, _potential,
+                     _procrustes, _products, _projected, _residual)
 
 #: a step whose candidate's (Frobenius) norm falls below this has collapsed
 _NORM_FLOOR = 1e-12
@@ -289,33 +288,16 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
     return 0
 
 
-def _anchor_gradient(X, wt, cov):
-    """The exact gradient at the anchor W~: (a, u) with a = X^T W~, which
-    the steps read, and u = A W~, from the covariance memo ``cov`` (see
-    _dense_covariance) or else as X a / n. One _native.column_pass reads
-    each column block X_b once for both a_b = X_b^T W~ and, without the
-    memo, X_b a_b, summed in block order; so neither depends on the BLAS
-    thread count."""
-    a = np.empty((X.n, wt.shape[1]))
-    if cov is not None:
-        _native.column_pass(
-            lambda b, cols: np.matmul(b.T, wt, out=a[cols]), X.data)
-        return a, cov @ wt
-
-    def block(b, cols):
-        # np.dot: numpy's matmul holds the interpreter lock for this one
-        return np.dot(b, np.matmul(b.T, wt, out=a[cols]))
-
-    return a, _native.column_pass(block, X.data, fold=_add_into) / X.n
-
-
 def _anchored_steps(X, wt, cov, eta, rotate=False):
     """One epoch's set-up at the anchor W~ = ``wt``, shared by _epochs and
-    burn_in: the exact anchor gradient (a, u) of _anchor_gradient, and the
-    ``steps`` that _segments runs against it, _steps_k1 (with eu = eta u)
-    for a d x 1 iterate and _steps_block for a d x k one. ``rotate`` turns
-    on the block solver's aligning rotation to W~. Returns (u, steps)."""
-    a, u = _anchor_gradient(X, wt, cov)
+    burn_in: the exact anchor gradient, a = X^T W~, which the steps read,
+    and u = A W~, both from one matrix._products call (u from the memo
+    ``cov`` when there is one), and the ``steps`` that _segments runs
+    against it, _steps_k1 (with eu = eta u) for a d x 1 iterate and
+    _steps_block for a d x k one. ``rotate`` turns on the block solver's
+    aligning rotation to W~. Returns (u, steps)."""
+    a = np.empty((X.n, wt.shape[1]))
+    u = _products(X, wt, cov, a)
     eu = eta * u
     anchor = wt if rotate else None
 
@@ -333,28 +315,6 @@ def _project_out(w, basis):
     if basis is not None:
         w -= basis @ (basis.T @ w)
         w /= np.linalg.norm(w)
-
-
-def _deflated(X, cov, basis):
-    """A deflation stage's data and memo: with P = I - B B^T for an
-    orthonormal ``basis`` B, the copy P X as a new DataMatrix (d x n
-    doubles, built F-ordered) and P A = cov - B (B^T cov), None without
-    the memo ``cov``. For a w~ in the complement of B, (P A) w~ is the
-    copy's covariance applied, P A P w~. (X, cov) itself when B is None.
-    The copy is made in one _native.column_pass, each block's rows of
-    X^T - (X^T B) B^T written in place into the copy's own storage."""
-    if basis is None:
-        return X, cov
-    copy = np.empty((X.d, X.n), order="F")
-
-    def block(b, cols):
-        rows = copy[:, cols].T
-        np.matmul(b.T @ basis, basis.T, out=rows)
-        np.subtract(b.T, rows, out=rows)
-
-    _native.column_pass(block, X.data, work=2 * basis.shape[1])
-    return DataMatrix(copy), (None if cov is None
-                              else cov - basis @ (basis.T @ cov))
 
 
 def _segments(rng, n, total, stride, w, where, steps):
@@ -447,7 +407,7 @@ def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
                 rec.records[-1].potential <= cfg.epsilon):
             break
     if final_pass:
-        rec.settle(wt, _apply(X, cov, wt))
+        rec.settle(wt, _products(X, wt, cov))
     return rec.trace(wt)
 
 
@@ -455,8 +415,8 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
                  reference: OrthonormalFrame | None = None) -> ConvergenceTrace:
     """Variance-reduced stochastic solver for the leading eigenvector.
 
-    Each epoch applies the covariance operator to the anchor once, u = A w~,
-    then runs m stochastic steps
+    Each epoch applies A = (1/n) X X^T, the uncentered second moment of
+    the data, to the anchor once, u = A w~, then runs m stochastic steps
     w' = w + eta (x_i (x_i^T w - x_i^T anchor) + u), w <- w'/||w'||,
     with uniform with-replacement sampling from the run stream
     _stream(cfg.seed) (one segment of indices drawn per trace checkpoint).
@@ -464,8 +424,8 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     checkpoint. The trace records epoch boundaries and every m/10 inner
     steps; at each record |w^T w - 1| must be <= ORTHO_TOL, and a failed
     check, or a step whose norm falls below 1e-12, raises
-    DegenerateIterateError with its epoch and step. Residuals are recorded at epoch boundaries only, from
-    the anchor products u.
+    DegenerateIterateError with its epoch and step. Residuals are recorded
+    at epoch boundaries only, from the anchor products u.
 
     Given a ``reference`` at d <= DENSE_GUARD, u and the final residual
     come from the covariance memo X.covariance() (formed here if no
@@ -584,7 +544,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     for done in _segments(_stream(seed, BURN_IN_STREAM), X.n, budget,
                           max(min(budget // 512, 8192), 64), w,
                           "in burn-in at", steps):
-        rec.add(0, done, w, done, covariance_apply(X, w) if proxy else None)
+        rec.add(0, done, w, done, _products(X, w) if proxy else None)
         last = rec.records[-1]
         if proxy:
             if last.residual < best * 0.99:
@@ -627,7 +587,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     a, eu = np.zeros(X.n), np.zeros(X.d)
     rec = _Recorder(reference, iters if iters > 0 else None)
     w = w0.entries.copy()
-    rec.add(0, 0, w, 0, _apply(X, cov, w))
+    rec.add(0, 0, w, 0, _products(X, w, cov))
 
     def steps(idx, t0, v, scale):
         return _steps_k1(X.data, idx, a, eu, 0.0, v, scale, etas=float(
@@ -635,7 +595,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
 
     for t in _segments(_stream(seed), X.n, iters, max(iters // 10, 1), w,
                        "in Oja at", steps):
-        rec.add(1, t, w, t, _apply(X, cov, w))
+        rec.add(1, t, w, t, _products(X, w, cov))
     return rec.trace(w)
 
 
@@ -655,11 +615,11 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
     cov = _dense_covariance(X, reference)
     rec = _Recorder(reference, None)
     w = W0.entries.copy()
-    aw = _apply(X, cov, w)
+    aw = _products(X, w, cov)
     rec.add(0, 0, w, 0, aw)
     for s in range(1, sweeps + 1):
         w = _polar(aw)
-        aw = _apply(X, cov, w)
+        aw = _products(X, w, cov)
         rec.add(s, 0, w, s * X.n, aw)
     return rec.trace(w)
 
@@ -671,7 +631,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     solver, each stage on the data projected off the vectors already found.
 
     Stage j >= 2, with the found vectors B and P = I - B B^T, runs _epochs
-    on a projected copy P X of the data (_deflated), so it solves the
+    on a projected copy P X of the data (_projected), so it solves the
     covariance operator restricted to the orthogonal complement of B. Its
     start, column j of ``W0``, is projected into that complement, and its
     final vector once more against B; in between every sampled column and
@@ -714,7 +674,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
         basis = found if j > 1 else None
         w = W0.entries[:, j - 1:j].copy()
         _project_out(w, basis)
-        Xj, cov_j = _deflated(X, cov, basis)
+        Xj, cov_j = _projected(X, cov, basis)
         stage = _epochs(Xj, w, cfg, None, cov_j, jump=j - 1,
                         final_pass=False)
         del Xj, cov_j  # hold one stage copy at a time
@@ -723,7 +683,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
         found = np.hstack((found, v))
         epoch += stage.records[-1].epoch
         samples += stage.samples
-        aw = _apply(X, cov, found)
+        aw = _products(X, found, cov)
         rec.add(epoch, 0, found, samples, aw)
         estimates.append((v.T @ aw[:, -1:]).item())
         if j >= 2:

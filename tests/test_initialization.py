@@ -114,7 +114,7 @@ class TestPowerWarmStart:
         # both starts refuse it alike, and neither draws nor applies A
         X = DataMatrix(np.random.default_rng(0).standard_normal((3, 8)))
         monkeypatch.setattr(initialization, "_stream", None)
-        monkeypatch.setattr(initialization, "_apply", None)
+        monkeypatch.setattr(initialization, "_products", None)
         with pytest.raises(DimensionMismatchError, match=r"^k=4 exceeds d=3$"):
             init(X, 4)
 
@@ -130,19 +130,20 @@ class TestPowerWarmStart:
             self, monkeypatch, init, k, message):
         X = DataMatrix(np.random.default_rng(0).standard_normal((3, 8)))
         monkeypatch.setattr(initialization, "_stream", None)
-        monkeypatch.setattr(initialization, "_apply", None)
+        monkeypatch.setattr(initialization, "_products", None)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             init(X, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_data_raises_after_one_application(self, monkeypatch, k):
         calls = []
+        products = matrix._products
 
-        def count(X, w):
+        def count(X, w, cov=None, a=None):
             calls.append(w.shape)
-            return covariance_apply(X, w)
+            return products(X, w, cov, a)
 
-        monkeypatch.setattr(matrix, "covariance_apply", count)
+        monkeypatch.setattr(initialization, "_products", count)
         X = DataMatrix(np.zeros((4, 3)))
         with pytest.raises(DegenerateIterateError,
                            match=rf"A G has numerical rank < {k}"):

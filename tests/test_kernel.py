@@ -673,6 +673,17 @@ def test_qr_contract_refused_before_any_lapack_call(monkeypatch, violation):
     assert len(calls) == 4
 
 
+def test_lapack_refusal_names_its_argument():
+    # info comes back through the int64 ctypes passes by reference: an lda
+    # below m is LAPACK's argument 4 of dgeqrf
+    qr = _native._lapack_qr()
+    if qr is None:
+        pytest.skip("numpy.linalg resolves no dgeqrf/dorgqr pair")
+    a = np.asfortranarray(np.ones((5, 3)))
+    with pytest.raises(np.linalg.LinAlgError, match="refused argument 4$"):
+        _native._lapack(qr[0], 5, 3, a, 1, np.empty(3))
+
+
 def _c_kind(decl):
     """"pointer", "int64_t", "double" or "void" for a C declaration."""
     return "pointer" if "*" in decl else decl.split()[0]

@@ -122,6 +122,22 @@ class TestDenseEighVsJacobi:
             assert np.array_equal(spec.eigenvalues, evals[::-1])
             assert np.array_equal(spec.eigenvectors.entries, evecs[:, ::-1])
 
+    def test_peak_beyond_the_memo_within_three_and_a_quarter_squares(self):
+        # eigh's eigenvectors, the frame's column-major copy and its
+        # orthonormality check's W^T W, deviated in place: 3 d x d arrays
+        # (the check's identity and difference made it 4 before)
+        d = 600
+        X = random_covariance_data(d, 700, seed=3)
+        X.covariance()  # the memo is the caller's, formed before
+        dense_eigh(DataMatrix(np.ones((3, 4))))
+        tracemalloc.start()
+        try:
+            dense_eigh(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * d * d, peak / (8 * d * d)
+
     def test_identity_spectrum(self):
         X = DataMatrix(np.eye(4) * 2.0)
         spec = dense_eigh(X)
@@ -346,6 +362,30 @@ def blas_count():
     pair[1](saved)
 
 
+@pytest.fixture
+def fresh_lookups():
+    """Clears _native's cached numpy.linalg lookups before the test and
+    again after it, so that a lookup made under the test's patches, a
+    None among them, never reaches a later test."""
+    def clear():
+        for lookup in (_native._numpy_linalg, _native.blas_threads,
+                       _native._lapack_qr):
+            lookup.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def count_opens(monkeypatch):
+    """The paths ctypes.CDLL opens from now on, as a list."""
+    opened = []
+    cdll = _native.ctypes.CDLL
+    monkeypatch.setattr(_native.ctypes, "CDLL",
+                        lambda path: opened.append(path) or cdll(path))
+    return opened
+
+
 class TestOneBlasThread:
     def test_finds_the_bundled_openblas(self):
         # the speedup and the thread-free bits rest on this lookup; a numpy
@@ -355,25 +395,23 @@ class TestOneBlasThread:
             pytest.skip(f"numpy is built on {blas.get('name')}")
         assert _native.blas_threads() is not None
 
-    def test_lookup_opens_only_numpy_linalg(self, blas_count, monkeypatch):
+    def test_lookup_opens_only_numpy_linalg(self, blas_count, monkeypatch,
+                                            fresh_lookups):
         # the functions come from the handle of the module whose QR the
         # hold is for; no other file is opened
-        opened = []
-        cdll = _native.ctypes.CDLL
-        monkeypatch.setattr(_native.ctypes, "CDLL",
-                            lambda path: opened.append(path) or cdll(path))
-        monkeypatch.setattr(_native, "_blas", None)
+        opened = count_opens(monkeypatch)
         get, _ = _native.blas_threads()
         assert opened == [np.linalg._umath_linalg.__file__]
         assert get() == blas_count[0]()
 
     def test_no_exported_pair_runs_the_body_unheld(self, blas_count,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   fresh_lookups):
         get, set_ = blas_count
         set_(2)
         monkeypatch.setattr(_native, "_BLAS_PAIRS",
                             (("vrpca_no_such_get", "vrpca_no_such_set"),))
-        monkeypatch.setattr(_native, "_blas", None)
+        _native.blas_threads.cache_clear()
         assert _native.blas_threads() is None
         seen = []
         with _native.one_blas_thread():
@@ -463,15 +501,22 @@ def lapack_qr():
 
 
 class TestQrInPlace:
-    def test_lookup_opens_only_numpy_linalg(self, lapack_qr, monkeypatch):
+    def test_lookup_opens_only_numpy_linalg(self, lapack_qr, monkeypatch,
+                                            fresh_lookups):
         # the pair comes from the handle of numpy.linalg's own QR; no other
         # file is opened
-        opened = []
-        cdll = _native.ctypes.CDLL
-        monkeypatch.setattr(_native.ctypes, "CDLL",
-                            lambda path: opened.append(path) or cdll(path))
-        monkeypatch.setattr(_native, "_qr", None)
+        opened = count_opens(monkeypatch)
         assert _native._lapack_qr() is not None
+        assert opened == [np.linalg._umath_linalg.__file__]
+
+    def test_both_lookups_share_one_handle(self, lapack_qr, monkeypatch,
+                                           fresh_lookups):
+        # the thread-count pair and the QR pair come from one handle,
+        # opened once, however often either is asked for
+        opened = count_opens(monkeypatch)
+        for _ in range(2):
+            assert _native.blas_threads() is not None
+            assert _native._lapack_qr() is not None
         assert opened == [np.linalg._umath_linalg.__file__]
 
     @pytest.mark.parametrize("d, n", [(100, 20_000), (300, 3000)])

@@ -3,15 +3,18 @@ follow the partition, never the thread count; they survive a fork and
 concurrent callers; and no pipeline call leaves OpenBLAS's idle worker
 spinning."""
 
+import ctypes
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,7 @@ import pytest
 from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
                    _native, covariance_apply, run_experiment, save_dataset,
                    trace_fingerprint)
-from vrpca.matrix import _add_into, _column_norms
-from vrpca.solvers import _anchor_gradient
+from vrpca.matrix import _add_into, _column_norms, _products
 
 from conftest import spectrum_k1
 
@@ -65,7 +67,8 @@ def passes(arr, w):
     """Every pass over ``arr``: norms, Gram, X^T w, X a and the applied
     covariance of a two-column operand."""
     X = DataMatrix(arr)
-    a, u = _anchor_gradient(X, w, None)
+    a = np.empty((X.n, w.shape[1]))
+    u = _products(X, w, None, a)
     return {"norms": _column_norms(X.data), "r": X.r,
             "gram": X.covariance(), "xtw": a, "xa": u,
             "apply": covariance_apply(X, np.hstack((w, w[::-1])))}
@@ -252,6 +255,64 @@ def test_runs_do_not_follow_the_blas_thread_count(tmp_path):
         assert fp1 == fp2
 
 
+#: OpenBLAS's function naming the CPU kernels it runs
+_CORENAME = "scipy_openblas_get_corename64_"
+
+#: the runs of a config, and the core name read through numpy.linalg's
+#: handle, as one JSON line
+_RUN_ON_CORE = """
+import ctypes, json, sys
+from vrpca import ExperimentConfig, _native, run_experiment
+abi = {sys.argv[2]: (ctypes.c_char_p, ())}
+(core,) = _native._typed(_native._numpy_linalg(), abi, abi)
+reps = run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+print(json.dumps([core().decode(), [r.to_dict() for r in reps]]))
+"""
+
+
+def _cpu_flags():
+    """The CPU's feature flags, from /proc/cpuinfo; empty where there is
+    none."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+def test_samples_do_not_follow_the_openblas_core():
+    # the bits follow OpenBLAS's CPU kernels (README): the default and the
+    # Haswell kernels end the std k=1 runs at the same samples and epochs,
+    # both under epsilon, their potentials apart in the trailing digits
+    abi = {_CORENAME: (ctypes.c_char_p, ())}
+    if _native._typed(_native._numpy_linalg(), abi, abi) is None:
+        pytest.skip("numpy.linalg resolves no OpenBLAS core name")
+    if "avx2" not in _cpu_flags():
+        pytest.skip("the CPU cannot run OpenBLAS's Haswell kernels")
+    eps = 1e-8
+    cfg = dict(spectrum=spectrum_k1(), n=500, synth_seed=1, seeds=[1, 2],
+               epsilon=eps)
+    runs = []
+    for core in (None, "Haswell"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ON_CORE, json.dumps(cfg), _CORENAME],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(proc.stdout))
+    (_, default), (name, haswell) = runs
+    assert name == "Haswell"
+    assert len(default) == len(haswell) == 2
+    for one, two in zip(default, haswell):
+        assert (one["samples"], one["epochs_run"]) == \
+            (two["samples"], two["epochs_run"])
+        assert one["final_potential"] <= eps
+        assert two["final_potential"] <= eps
+
+
 _RANKS = """
 import numpy as np
 from vrpca import DataMatrix, numerical_rank
@@ -369,3 +430,27 @@ def test_a_callers_failing_block_waits_for_the_pass_threads(small_blocks):
     # before the exception reached the caller
     assert begun and counts == [1] * len(begun)
     assert blas_count() == 2
+
+
+def test_column_pass_is_named_only_in_matrix_and_native():
+    # every pass over a data matrix has one owner: matrix.py calls
+    # column_pass, and no other module cuts the data into blocks
+    src = Path(_native.__file__).parent
+    named = sorted(path.name for path in src.glob("*.py")
+                   if re.search(r"\bcolumn_pass\b", path.read_text()))
+    assert named == ["_native.py", "matrix.py"]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_products_write_one_anchor_product_with_and_without_the_memo(k):
+    rng = np.random.default_rng(k)
+    X = DataMatrix(rng.standard_normal((30, 5000)))
+    w = rng.standard_normal((30, k))
+    a_memo, a_streamed = np.empty((X.n, k)), np.empty((X.n, k))
+    u_memo = _products(X, w, X.covariance(), a_memo)
+    u_streamed = _products(X, w, None, a_streamed)
+    assert np.array_equal(a_memo, a_streamed)
+    np.testing.assert_allclose(a_memo, X.data.T @ w, rtol=1e-12)
+    assert np.array_equal(u_memo, X.covariance() @ w)
+    assert np.array_equal(u_streamed, covariance_apply(X, w))
+    np.testing.assert_allclose(u_memo, u_streamed, rtol=1e-12, atol=1e-14)

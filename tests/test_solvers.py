@@ -20,7 +20,8 @@ from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
                    rayleigh_residual,
                    rescale_dataset, select_parameters, synthesize_dataset,
                    tightness_counterexample, vrpca_block, vrpca_vector)
-from vrpca import ExperimentConfig, _native, errors, harness, matrix, solvers
+from vrpca import (ExperimentConfig, _native, errors, harness, initialization,
+                   matrix, solvers)
 from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
 
 from conftest import GramCounter, Instance, counted, spectrum_k1
@@ -551,19 +552,19 @@ class TestSeedStreams:
         X = DataMatrix(np.eye(5))
         drawn = []
 
-        def identity(X, g):
+        def identity(X, g, cov=None):
             drawn.append(g.copy())
             return g
 
-        monkeypatch.setattr(matrix, "covariance_apply", identity)
+        monkeypatch.setattr(initialization, "_products", identity)
         frame = power_warm_start(X, seed=9, k=k).frame
         g = _philox(9).standard_normal((5, k))
         assert len(drawn) == 1 and np.array_equal(drawn[0], g)
         np.testing.assert_array_equal(
             frame.entries, matrix.polar_normalize(g).entries)
         drawn.clear()
-        monkeypatch.setattr(matrix, "covariance_apply",
-                            lambda X, g: drawn.append(g) or 0.0 * g)
+        monkeypatch.setattr(initialization, "_products",
+                            lambda X, g, cov=None: drawn.append(g) or 0.0 * g)
         with pytest.raises(DegenerateIterateError, match="numerical rank"):
             power_warm_start(X, seed=9, k=k)
         assert len(drawn) == 1
@@ -993,7 +994,8 @@ class TestRng:
 
 class _PassCounter(np.ndarray):
     """Data whose X^T W products are counted: each covariance pass of a
-    solver makes one, whether or not it goes through covariance_apply."""
+    solver makes one, and so does each anchor product X^T W~ taken with
+    the covariance memo."""
 
     passes = 0
 
@@ -1012,19 +1014,19 @@ class TestRecorderPasses:
     reference those products come from the covariance memo, so only the
     anchor products X^T W~ read the data."""
 
-    def test_epochs_call_no_covariance_apply(self, monkeypatch, small_k1):
-        def refuse(*args):
-            raise AssertionError("covariance_apply called")
-
-        monkeypatch.setattr(matrix, "covariance_apply", refuse)
-        monkeypatch.setattr(solvers, "covariance_apply", refuse)
-        X = small_k1.Xs
+    def test_epochs_call_no_covariance_apply(self, small_k1):
+        # with a reference every boundary residual comes from the memo:
+        # E epochs read the data E times, for the anchor products X^T W~
+        X = DataMatrix(small_k1.Xs.data)
+        X.data = X.data.view(_PassCounter)
         for solve, k in ((vrpca_vector, 1), (vrpca_block, 1),
                          (vrpca_block, 2)):
+            _PassCounter.passes = 0
             cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=2, seed=3)
             trace = solve(X, gaussian_init(X.d, k, seed=3), cfg,
                           small_k1.reference(k))
             assert trace.boundary_records()[-1].residual is not None
+            assert _PassCounter.passes == 2
 
     @pytest.mark.parametrize("solve, k", [(vrpca_vector, 1),
                                           (vrpca_block, 2)])
@@ -1086,7 +1088,7 @@ class TestRecorderPasses:
             copy.data = copy.data.view(_PassCounter)
             return copy
 
-        monkeypatch.setattr(solvers, "DataMatrix", counted_copy)
+        monkeypatch.setattr(matrix, "DataMatrix", counted_copy)
         X = counted_copy(small_k1.Xs.data)
         epochs, seed = 4, 3
         cfg = SolverConfig(k=k, eta=0.01, m=64, epochs=epochs, seed=seed)
@@ -1104,18 +1106,18 @@ class TestRecorderPasses:
             harness._single_run(X, X.r, 1.0, ref, gap, run_cfg, seed)
             assert _PassCounter.passes == k * epochs + (k - 1) + records
 
-    def test_burn_in_with_reference_makes_no_pass(self, monkeypatch,
-                                                  burn_instance):
-        def refuse(*args):
-            raise AssertionError("covariance_apply called")
-
-        monkeypatch.setattr(matrix, "covariance_apply", refuse)
-        monkeypatch.setattr(solvers, "covariance_apply", refuse)
-        w0 = gaussian_init(burn_instance.Xs.d, 1, seed=11)
-        frame, iters = burn_in(burn_instance.Xs, w0, zeta=1.0 / 30, delta=0.5,
+    def test_burn_in_with_reference_makes_no_pass(self, burn_instance):
+        # no covariance pass: u comes from the memo and every check reads
+        # the potential, so only the anchor product X^T w0 reads the data
+        X = DataMatrix(burn_instance.Xs.data)
+        X.data = X.data.view(_PassCounter)
+        _PassCounter.passes = 0
+        frame, iters = burn_in(X, gaussian_init(X.d, 1, seed=11),
+                               zeta=1.0 / 30, delta=0.5,
                                lambda_hat=burn_instance.gap,
                                reference=burn_instance.reference(1))
         assert iters > 0
+        assert _PassCounter.passes == 1
 
     def test_burn_in_without_reference_makes_one_pass_per_record(
             self, monkeypatch, burn_instance):
@@ -1134,22 +1136,16 @@ class TestRecorderPasses:
         assert iters > 0 and len(records) > 2
         assert _PassCounter.passes == len(records)
 
-    def test_orthogonal_iteration_reuses_its_sweep_product(self, monkeypatch,
-                                                          small_k1):
+    def test_orthogonal_iteration_reuses_its_sweep_product(self, small_k1):
         X = small_k1.Xs
         w0 = gaussian_init(X.d, 2, seed=8)
         frames = [orthogonal_iteration(X, w0, sweeps=s).final_frame
                   for s in range(5)]
-        calls = []
-        real = matrix.covariance_apply
-
-        def count(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(matrix, "covariance_apply", count)
+        X = DataMatrix(X.data)
+        X.data = X.data.view(_PassCounter)
+        _PassCounter.passes = 0
         trace = orthogonal_iteration(X, w0, sweeps=4)
-        assert len(calls) == 4 + 1
+        assert _PassCounter.passes == 4 + 1
         assert [r.residual for r in trace.records] == \
             [rayleigh_residual(X, f) for f in frames]
 
