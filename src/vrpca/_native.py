@@ -33,7 +33,12 @@ fixed column blocks under that hold: block i on thread i mod t of the
 caller and a concurrent.futures executor, t the thread count the hold
 saved. The blocks depend on the shape alone, so the bits do not follow
 the thread count, and no pass hands OpenBLAS threaded work, whose idle
-worker would then spin on a second CPU. The executor, and the import of
+worker would then spin on a second CPU. A summing pass (the memo and
+A W) has each block write into a slot the caller's thread allocated and
+adds the slots in block order, so no pass thread allocates a result:
+glibc serves each thread from an arena of its own and keeps freed memory
+in the arena it came from, where block results allocated on the pass
+threads stayed between calls. The executor, and the import of
 concurrent.futures, come with the first pass of more than one block, not
 at import; a forked child builds its own."""
 
@@ -375,28 +380,43 @@ def _pass_executor():
         return _executor[1]
 
 
-def column_pass(fn, arr, fold=None, work=1):
+def column_pass(fn, arr, work=1, shape=None):
     """fn over the column blocks of the d x n array ``arr`` for a pass of
     ``work`` multiply-adds per entry (column_blocks), with numpy's BLAS
     held at one thread (one_blas_thread): the list of fn(arr[:, cols],
-    cols), cols = slice(lo, hi), in block order, or with ``fold`` its left
-    fold, fold(...fold(r_0, r_1)..., r_last). A pass with one result per
+    cols), cols = slice(lo, hi), in block order. A pass with one result per
     column writes it through ``cols`` into an array of its own, so no
     concatenation follows the pass.
+
+    Given a ``shape``, the pass sums: it returns the sum of the blocks'
+    results, each a float64 array of that shape. fn(arr[:, cols], cols,
+    out) writes block i's result into ``out``, a C-ordered slot, and its
+    return value is ignored. The slots are the sum itself (block 0's) and
+    one array holding the other blocks' parts, both allocated by the
+    caller's thread before any block runs; after the blocks, the parts
+    are added into the sum in block order, np.add(total, part,
+    out=total). A pass thread thus allocates no result: glibc serves each
+    thread from an arena of its own and keeps freed memory in the arena
+    it came from, so a block result allocated on a pass thread and freed
+    by the caller would stay in that thread's arena between calls.
 
     The blocks run on t threads, t the BLAS thread count that the hold
     saved but no more than there are blocks: block i runs on thread
     i mod t, thread 0 the caller and the others the executor's
     (_pass_executor). So OPENBLAS_NUM_THREADS still sets how many CPUs a
     pass uses. With one block, a count of 1, or no thread-count pair, the
-    caller runs them all. The partition and the order of the fold depend
+    caller runs them all. The partition and the order of the sum depend
     on (d, n, work) alone, so the results are the same bits for any
-    number of threads. Every block's result is alive until the fold, at
-    most _MAX_BLOCKS of them. An exception from fn reaches the caller
-    once every block has come back; the hold, too, ends only then. fn
-    must not call column_pass: it could wait on the threads it runs on."""
+    number of threads. A summing pass holds _MAX_BLOCKS slots at most. An
+    exception from fn reaches the caller once every block has come back;
+    the hold, too, ends only then. fn must not call column_pass: it could
+    wait on the threads it runs on."""
     blocks = [(arr[:, lo:hi], slice(lo, hi))
               for lo, hi in column_blocks(*arr.shape, work)]
+    if shape is not None:
+        total = np.empty(shape)
+        slots = [total, *np.empty((len(blocks) - 1, *total.shape))]
+        blocks = [(*block, slot) for block, slot in zip(blocks, slots)]
     out = [None] * len(blocks)
     with one_blas_thread() as saved:
         t = min(saved or 1, len(blocks))
@@ -417,4 +437,8 @@ def column_pass(fn, arr, fold=None, work=1):
                 wait(futures)
             for future in futures:
                 future.result()
-    return out if fold is None else functools.reduce(fold, out)
+    if shape is None:
+        return out
+    for part in slots[1:]:
+        np.add(total, part, out=total)
+    return total

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +247,9 @@ def _write_json(path: Path, obj) -> None:
 def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
     with path.open("w", encoding="ascii") as fh:
         for r in trace.records:
-            fh.write(json.dumps(dict(zip(TRACE_KEYS, astuple(r)))))
+            # a record's __dict__ holds its fields in declaration order;
+            # dataclasses.astuple would deep-copy each of them
+            fh.write(json.dumps(dict(zip(TRACE_KEYS, vars(r).values()))))
             fh.write("\n")
 
 

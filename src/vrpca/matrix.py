@@ -47,11 +47,6 @@ def _column_norms(arr):
     return out
 
 
-def _add_into(acc, part):
-    """acc += part, in place; a column_pass fold."""
-    return np.add(acc, part, out=acc)
-
-
 def _check_dense(d, instead):
     """Refuse to form a d x d matrix past DENSE_GUARD; ``instead`` says
     what to use at that scale."""
@@ -123,8 +118,9 @@ class DataMatrix:
             return self._cov
         with _cov_lock:
             if self._cov is None:
-                cov = _native.column_pass(lambda b, _: b @ b.T, self.data,
-                                          fold=_add_into, work=self.d)
+                cov = _native.column_pass(
+                    lambda b, _, out: np.matmul(b, b.T, out=out), self.data,
+                    work=self.d, shape=(self.d, self.d))
                 cov /= self.n
                 cov.flags.writeable = False
                 self._cov = cov
@@ -312,23 +308,28 @@ def _dense_covariance(X: DataMatrix, reference):
 def _products(X: DataMatrix, w, cov=None, a=None):
     """A w for A = X X^T / n, the uncentered second moment: cov @ w from
     the covariance memo ``cov`` (see _dense_covariance), else
-    (1/n) sum_b X_b (X_b^T w) over the column blocks X_b of one
+    (1/n) sum_b X_b (X_b^T w) over the column blocks X_b of one summing
     _native.column_pass, summed in block order, so the bits do not depend
     on the BLAS thread count. Given an n x k array ``a``, it also writes
     X^T w into it: with the memo in a pass of its own (the anchor
     gradient's a), without it in the same pass, each block read once for
-    both X_b^T w and X_b (X_b^T w)."""
-    def xtw(b, cols):  # X_b^T w, written into a's rows when given
-        return np.matmul(b.T, w, out=None if a is None else a[cols])
+    both X_b^T w and X_b (X_b^T w). Without the memo X^T w goes into
+    ``a`` even when none is given, then allocated here, so that the pass
+    threads allocate nothing."""
+    def xtw(b, cols):  # X_b^T w, written into a's rows
+        return np.matmul(b.T, w, out=a[cols])
 
     if cov is not None:
         if a is not None:
             _native.column_pass(xtw, X.data)
         return cov @ w
+    if a is None:
+        a = np.empty((X.n, *w.shape[1:]))
     # np.dot, not @: numpy's matmul holds the interpreter lock for the
     # transposed block b, so pass threads running it would take turns
-    return _native.column_pass(lambda b, cols: np.dot(b, xtw(b, cols)),
-                               X.data, fold=_add_into) / X.n
+    return _native.column_pass(
+        lambda b, cols, out: np.dot(b, xtw(b, cols), out=out), X.data,
+        shape=w.shape) / X.n
 
 
 def _projected(X: DataMatrix, cov, basis):

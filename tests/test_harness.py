@@ -18,6 +18,7 @@ from vrpca import (ConfigError, DataMatrix, ExperimentConfig, GapWarning,
 from vrpca import cli
 from vrpca.cli import _experiment_config, build_parser
 from vrpca.cli import main as cli_main
+from vrpca.solvers import ConvergenceTrace, TraceRecord
 
 from conftest import GramCounter, counted, spectrum_k1, spectrum_k3
 
@@ -165,6 +166,19 @@ class TestRunExperiment:
         f1 = trace_fingerprint(out1 / "trace_seed1.jsonl")
         f2 = trace_fingerprint(out2 / "trace_seed1.jsonl")
         assert f1 == f2
+
+    def test_a_trace_row_holds_the_records_fields_in_order(self, tmp_path):
+        records = [TraceRecord(0, 0, 0.5, None, 0, 0.0),
+                   TraceRecord(2, 17, 1.25e-9, 3.5e-7, 123_456, 0.75),
+                   TraceRecord(3, 40, None, None, 7, 1e-3)]
+        path = tmp_path / "trace.jsonl"
+        harness._write_trace(path, ConvergenceTrace(records=records))
+        want = [dict(zip(harness.TRACE_KEYS,
+                         (getattr(r, f.name) for f in fields(r))))
+                for r in records]
+        assert read_trace(path) == want
+        assert path.read_text() == "".join(json.dumps(row) + "\n"
+                                           for row in want)
 
     def test_trace_roundtrip_lossless(self, tmp_path):
         out = tmp_path / "run"

@@ -22,7 +22,7 @@ import pytest
 from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
                    _native, covariance_apply, run_experiment, save_dataset,
                    trace_fingerprint)
-from vrpca.matrix import _add_into, _column_norms, _products
+from vrpca.matrix import _column_norms, _products, _projected
 
 from conftest import spectrum_k1
 
@@ -64,14 +64,17 @@ def blas_count():
 
 
 def passes(arr, w):
-    """Every pass over ``arr``: norms, Gram, X^T w, X a and the applied
-    covariance of a two-column operand."""
+    """Every pass over ``arr``: norms, Gram, X^T w, X a, the applied
+    covariance of a two-column operand, and a deflation stage's projected
+    copy and memo for the basis w / ||w||."""
     X = DataMatrix(arr)
     a = np.empty((X.n, w.shape[1]))
     u = _products(X, w, None, a)
+    copy, memo = _projected(X, X.covariance(), w / np.linalg.norm(w))
     return {"norms": _column_norms(X.data), "r": X.r,
             "gram": X.covariance(), "xtw": a, "xa": u,
-            "apply": covariance_apply(X, np.hstack((w, w[::-1])))}
+            "apply": covariance_apply(X, np.hstack((w, w[::-1]))),
+            "copy": copy.data, "projected_memo": memo}
 
 
 @pytest.mark.parametrize("d, n", SHAPES)
@@ -386,17 +389,64 @@ def test_import_starts_no_thread():
     assert out.stdout.split() == ["1", "False"]
 
 
+def block_order_sum(arr):
+    """The row sums of ``arr``'s column blocks, added left to right."""
+    want = np.zeros(arr.shape[0])
+    for lo, hi in _native.column_blocks(*arr.shape):
+        want += arr[:, lo:hi].sum(axis=1)
+    return want
+
+
 def test_fold_keeps_block_order(small_blocks):
     small_blocks(3)
     arr = np.asfortranarray(np.arange(4.0 * 1001).reshape(4, 1001))
     starts = _native.column_pass(lambda b, cols: cols.start, arr)
     assert starts == [lo for lo, _ in _native.column_blocks(4, 1001)]
-    total = _native.column_pass(lambda b, _: b.sum(axis=1), arr,
-                                fold=_add_into)
-    want = np.zeros(4)
-    for lo, hi in _native.column_blocks(4, 1001):
-        want += arr[:, lo:hi].sum(axis=1)
-    assert np.array_equal(total, want)
+    total = _native.column_pass(
+        lambda b, _, out: np.sum(b, axis=1, out=out), arr, shape=(4,))
+    assert np.array_equal(total, block_order_sum(arr))
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+def test_a_summing_pass_writes_each_block_into_the_callers_slot(
+        small_blocks, monkeypatch, threads):
+    small_blocks(threads)
+    # entries spanning 60 binary orders, so that a sum in any other order
+    # than the blocks' reads other bits
+    rng = np.random.default_rng(threads)
+    arr = np.asfortranarray(rng.standard_normal((4, 1001))
+                            * 2.0 ** rng.integers(-30, 30, (4, 1001)))
+    slots, made, empty = {}, [], np.empty
+
+    def fn(b, cols, out):
+        slots[cols.start] = out
+        np.sum(b, axis=1, out=out)
+        return np.full(4, np.nan)  # ignored
+
+    def made_where(*args, **kwargs):  # np.empty, noting thread and time
+        arr = empty(*args, **kwargs)
+        made.append((arr, threading.get_ident(), len(slots)))
+        return arr
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", made_where)
+        total = _native.column_pass(fn, arr, shape=(4,))
+    assert np.array_equal(total, block_order_sum(arr))
+    outs = [slots[lo] for lo, _ in _native.column_blocks(4, 1001)]
+    assert len(outs) == 4
+    assert all(out.flags.writeable and out.shape == (4,) for out in outs)
+    # block 0 writes into the sum itself, the others into views of one
+    # parts array
+    assert outs[0] is total
+    parts = outs[1].base
+    assert parts is not None and parts.shape == (3, 4)
+    assert all(out.base is parts for out in outs[1:])
+    assert not any(np.shares_memory(one, two)
+                   for i, one in enumerate(outs) for two in outs[i + 1:])
+    # both allocated by the caller before any block ran
+    caller = threading.get_ident()
+    assert all(any(arr is mine and (ident, ran) == (caller, 0)
+                   for arr, ident, ran in made) for mine in (total, parts))
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
