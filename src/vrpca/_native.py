@@ -15,14 +15,16 @@ links, through that extension module's own handle, opened once
 (_numpy_linalg). Every function used there has its signature in one
 table, _NUMPY_ABI, as the compiled library's have in _ABI; _typed looks
 them up and types them for both. ``one_blas_thread`` holds OpenBLAS at
-one thread, so that the data passes, the synthesizer's factorizations
-and the oracle's eigh (d <= 512) give the same bits whatever the
-caller's thread count. Where the handle resolves no OpenBLAS
-thread-count functions it does nothing. ``qr_in_place`` calls the LAPACK
-pair numpy.linalg.qr itself calls, dgeqrf and dorgqr, on the caller's
-own column-major buffer: the same bits as numpy.linalg.qr without its
-copies of the operand. Where the handle resolves no such pair it returns
-None and the caller runs numpy.linalg.qr.
+one thread, so that the data passes and every dense d x d call (the
+synthesizer's factorizations and product, the oracle's eigh, the
+covariance memo's products in matrix.py and the certificate's eigh in
+geometry.py) give the same bits whatever the caller's thread count, at
+every d, and leave OpenBLAS's worker idle. Where the handle resolves no
+OpenBLAS thread-count functions it does nothing. ``qr_in_place`` calls
+the LAPACK pair numpy.linalg.qr itself calls, dgeqrf and dorgqr, on the
+caller's own column-major buffer: the same bits as numpy.linalg.qr
+without its copies of the operand. Where the handle resolves no such
+pair it returns None and the caller runs numpy.linalg.qr.
 
 ``column_pass`` runs every pass over a d x n data matrix but one,
 numerical_rank's Gram X^T X for n < d, which is a single product held at

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import (_RANGES, _REAL, ConfigError, DimensionMismatchError,
                      _check, _check_run)
 from .initialization import _stream
@@ -97,10 +98,13 @@ def nonconvexity_certificate(X: DataMatrix, w, psd_tol: float = 1e-10):
     -psd_tol times its largest eigenvalue magnitude (a zero Hessian is
     PSD). Returns (is_psd, witness): when it is not, the minimum
     eigenvalue's eigenvector is returned as a direction of strictly
-    negative curvature, else witness is None.
+    negative curvature, else witness is None. The eigh runs on one BLAS
+    thread (_native.one_blas_thread), so the witness does not depend on
+    the thread count.
     """
     h = rayleigh_hessian(X, w)
-    evals, evecs = np.linalg.eigh(h)
+    with _native.one_blas_thread():
+        evals, evecs = np.linalg.eigh(h)
     is_psd = bool(evals[0] >= -psd_tol * np.abs(evals).max())
     witness = None if is_psd else evecs[:, 0].copy()
     return is_psd, witness

@@ -401,7 +401,9 @@ def compare_baselines(cfg: ExperimentConfig):
         raise ConfigError(f"compare runs one seed, got seeds {cfg.seeds}")
     prep = _prepare(replace(cfg, oracle_check=True))
     if prep[3] is None:  # no reference frame: d is past the dense guard
-        raise ConfigError("baseline comparison is desk-scale only")
+        raise ConfigError(
+            f"baseline comparison is desk-scale only: d={prep[0].d} exceeds "
+            f"the dense guard ({DENSE_GUARD})")
     (seed,) = cfg.seeds
 
     def run(**changes):

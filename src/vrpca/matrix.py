@@ -4,7 +4,8 @@ every solver, and every pass the library makes over a data matrix but
 numerical_rank's Gram for n < d. Each of those passes is one
 _native.column_pass here: the column norms, the covariance memo, the
 products A W and X^T W (_products) and a deflation stage's projected
-copy (_projected)."""
+copy (_projected). The memo's own d x d products, A W and a stage's P A,
+run on one BLAS thread as the passes' blocks do."""
 
 from __future__ import annotations
 
@@ -307,7 +308,8 @@ def _dense_covariance(X: DataMatrix, reference):
 
 def _products(X: DataMatrix, w, cov=None, a=None):
     """A w for A = X X^T / n, the uncentered second moment: cov @ w from
-    the covariance memo ``cov`` (see _dense_covariance), else
+    the covariance memo ``cov`` (see _dense_covariance), on one BLAS
+    thread (_native.one_blas_thread), else
     (1/n) sum_b X_b (X_b^T w) over the column blocks X_b of one summing
     _native.column_pass, summed in block order, so the bits do not depend
     on the BLAS thread count. Given an n x k array ``a``, it also writes
@@ -322,7 +324,8 @@ def _products(X: DataMatrix, w, cov=None, a=None):
     if cov is not None:
         if a is not None:
             _native.column_pass(xtw, X.data)
-        return cov @ w
+        with _native.one_blas_thread():
+            return cov @ w
     if a is None:
         a = np.empty((X.n, *w.shape[1:]))
     # np.dot, not @: numpy's matmul holds the interpreter lock for the
@@ -335,9 +338,10 @@ def _products(X: DataMatrix, w, cov=None, a=None):
 def _projected(X: DataMatrix, cov, basis):
     """A deflation stage's data and memo: with P = I - B B^T for an
     orthonormal ``basis`` B, the copy P X as a new DataMatrix (d x n
-    doubles, built F-ordered) and P A = cov - B (B^T cov), None without
-    the memo ``cov``. For a w~ in the complement of B, (P A) w~ is the
-    copy's covariance applied, P A P w~. (X, cov) itself when B is None.
+    doubles, built F-ordered) and P A = cov - B (B^T cov), formed on one
+    BLAS thread (_native.one_blas_thread), None without the memo ``cov``.
+    For a w~ in the complement of B, (P A) w~ is the copy's covariance
+    applied, P A P w~. (X, cov) itself when B is None.
     The copy is made in one _native.column_pass, each block's rows of
     X^T - (X^T B) B^T written in place into the copy's own storage."""
     if basis is None:
@@ -350,8 +354,10 @@ def _projected(X: DataMatrix, cov, basis):
         np.subtract(b.T, rows, out=rows)
 
     _native.column_pass(block, X.data, work=2 * basis.shape[1])
-    return DataMatrix(copy), (None if cov is None
-                              else cov - basis @ (basis.T @ cov))
+    if cov is not None:
+        with _native.one_blas_thread():
+            cov = cov - basis @ (basis.T @ cov)
+    return DataMatrix(copy), cov
 
 
 def _residual(w, aw):

@@ -4,7 +4,6 @@ extraction, and a controlled-spectrum dataset synthesizer."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -15,10 +14,6 @@ from ._native import _sum8
 from .errors import DimensionMismatchError, _warn_gap
 from .initialization import _stream
 from .matrix import DataMatrix, OrthonormalFrame, _check_dense
-
-#: dense_eigh runs on one BLAS thread up to this dimension, where a second
-#: thread saves no time; past it LAPACK keeps the caller's thread count
-EIGH_ONE_THREAD = 512
 
 
 @dataclass(frozen=True)
@@ -49,18 +44,16 @@ def dense_eigh(X: DataMatrix) -> Spectrum:
     d > DENSE_GUARD (2000). Eigenvalues come back in descending order, each
     eigenvector column matched to its eigenvalue.
 
-    Up to d = EIGH_ONE_THREAD (512) the eigh and the check of its d x d
-    eigenvector frame run with numpy's BLAS held at one thread
-    (_native.one_blas_thread), where a second thread saves next to
-    nothing (README, *Performance*), so the spectrum does not depend on
-    the thread count. Past it LAPACK runs at the caller's count, which
-    pays there, and is then the one place where a run's bits follow the
-    thread count.
+    The eigh and the check of its d x d eigenvector frame run with numpy's
+    BLAS held at one thread (_native.one_blas_thread) at every d, so the
+    spectrum does not depend on the thread count and no OpenBLAS worker
+    is left spinning after the call. A second thread would save time past
+    d = 512 on an idle host and lose it on a busy one (README,
+    *Performance*).
     """
     # guarded here as well, so that the refusal never touches X's data
     _check_dense(X.d, "use the iterative solvers at this scale")
-    with (_native.one_blas_thread() if X.d <= EIGH_ONE_THREAD
-          else contextlib.nullcontext()):
+    with _native.one_blas_thread():
         evals, evecs = np.linalg.eigh(X.covariance())
         return Spectrum(eigenvalues=evals[::-1].copy(),
                         eigenvectors=OrthonormalFrame(evecs[:, ::-1]))

@@ -68,6 +68,17 @@ class TestRayleigh:
         with pytest.raises(ConfigError):
             rayleigh(projector_2d(), np.zeros(2))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda X: rayleigh(X, np.ones(3)), "vector has size 3, expected 2"),
+        (lambda X: rayleigh_hessian(X, np.ones(1)),
+         "vector has size 1, expected 2"),
+        (lambda X: directional_curvature(X, np.ones(2), np.ones(3)),
+         "direction has size 3, expected 2")])
+    def test_operand_of_the_wrong_size_refused(self, call, message):
+        with pytest.raises(DimensionMismatchError) as err:
+            call(projector_2d())
+        assert str(err.value) == message
+
 
 class TestGradient:
     def test_stationary_at_eigenvector(self):
@@ -274,6 +285,15 @@ class TestConvexRegion:
         v2 /= np.linalg.norm(v2)
         curv = directional_curvature(X, v1, v2)
         assert curv >= spec.gap_at(1) - 1e-9
+
+    def test_probe_refuses_data_of_another_dimension(self, gap_instance):
+        X, spec, lam = gap_instance
+        region = build_convex_region(spec, spec.eigenvectors.entries[:, 0])
+        other = DataMatrix(np.ones((X.d + 1, 3)))
+        with pytest.raises(DimensionMismatchError) as err:
+            probe_strong_convexity(region, other, samples=4, seed=0)
+        assert str(err.value) == (
+            f"data dimension {X.d + 1} != region dimension {X.d}")
 
     def test_empty_probe_rejected(self, gap_instance):
         X, spec, lam = gap_instance

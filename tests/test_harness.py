@@ -487,6 +487,17 @@ class TestCompareBaselines:
                            f"or vrpca_block, got solver {changes['solver']}$"):
             compare_baselines(synth_cfg(epochs=2, **changes))
 
+    def test_past_the_dense_guard_refused(self, tmp_path):
+        # no oracle reference past DENSE_GUARD, so no potential to compare
+        path = tmp_path / "wide.vrpc"
+        save_dataset(DataMatrix(np.ones((2001, 1))), path, "f64le")
+        cfg = ExperimentConfig(dataset_path=str(path), dataset_format="f64le",
+                               seeds=(1,))
+        with pytest.raises(ConfigError) as err:
+            compare_baselines(cfg)
+        assert str(err.value) == ("baseline comparison is desk-scale only: "
+                                  "d=2001 exceeds the dense guard (2000)")
+
     def test_init_and_epsilon_reach_compare(self):
         base = compare_baselines(synth_cfg(epochs=4))
         gauss = compare_baselines(synth_cfg(epochs=4, init="gaussian"))

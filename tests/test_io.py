@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vrpca import DataMatrix, DatasetFormatError, load_dataset, save_dataset
+from vrpca import (DataMatrix, DatasetFormatError, DimensionMismatchError,
+                   load_dataset, save_dataset)
 from vrpca.cli import main as cli_main
 from vrpca.io import FORMATS
 
@@ -206,6 +207,18 @@ class TestBinary:
         with pytest.raises(DatasetFormatError,
                            match=rf"truncated header at offset {len(blob)}"):
             load_dataset(p, "f64le")
+
+    @pytest.mark.parametrize("layout", [aligned_bytes, legacy_bytes])
+    @pytest.mark.parametrize("d, n", [(0, 4), (3, 0)])
+    def test_empty_payload_refused_as_an_empty_matrix(self, tmp_path, layout,
+                                                      d, n):
+        # DataMatrix's own refusal passes through: there is no non-finite
+        # value to name an offset for
+        p = tmp_path / "empty.vrpc"
+        p.write_bytes(layout(d, n, []))
+        with pytest.raises(DimensionMismatchError) as err:
+            load_dataset(p, "f64le")
+        assert str(err.value) == f"empty data matrix (shape ({d}, {n}))"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_reports_offset(self, tmp_path, bad):

@@ -55,6 +55,15 @@ class TestDataMatrix:
         with pytest.raises(DimensionMismatchError, match="non-finite"):
             DataMatrix(cols)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 2, 2), "data must be 2-D, got shape (2, 2, 2)"),
+        ((0, 3), "empty data matrix (shape (0, 3))"),
+        ((3, 0), "empty data matrix (shape (3, 0))")])
+    def test_rejects_malformed_shapes(self, shape, message):
+        with pytest.raises(DimensionMismatchError) as err:
+            DataMatrix(np.ones(shape))
+        assert str(err.value) == message
+
     def test_accepts_overflowing_finite_column(self):
         cols = np.ones((3, 4))
         cols[:, 1] = 1e200  # finite entries, squared norm overflows
@@ -137,6 +146,30 @@ class TestCovarianceApply:
         X = DataMatrix(np.eye(3))
         with pytest.raises(DimensionMismatchError):
             covariance_apply(X, np.ones((4, 1)))
+
+    def test_frame_operand_is_its_entries(self):
+        rng = np.random.default_rng(22)
+        X = DataMatrix(rng.standard_normal((5, 9)))
+        W = frame_of(random_orthogonal(5, rng)[:, :2])
+        assert np.array_equal(covariance_apply(X, W),
+                              covariance_apply(X, W.entries))
+
+
+class TestOrthonormalFrame:
+    def test_vector_becomes_one_column(self):
+        W = OrthonormalFrame(np.array([0.6, 0.8]))
+        assert (W.d, W.k) == (2, 1)
+        assert np.array_equal(W.entries, [[0.6], [0.8]])
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.ones((2, 2, 2)), "frame must be 1-D or 2-D, got shape (2, 2, 2)"),
+        (np.eye(2, 3), "frame needs 1 <= k <= d, got d=2, k=3"),
+        (np.ones((2, 1)),
+         "columns are not orthonormal: max |W^T W - I| = 1.000e+00")])
+    def test_rejects_malformed_entries(self, entries, message):
+        with pytest.raises(DimensionMismatchError) as err:
+            OrthonormalFrame(entries)
+        assert str(err.value) == message
 
 
 class TestPolarNormalize:
@@ -313,6 +346,17 @@ class TestProcrustes:
             lhs = np.linalg.norm(c.entries - d_frame.entries @ b) ** 2
             rhs = 2.0 * (k - np.linalg.norm(c.entries.T @ d_frame.entries) ** 2)
             assert lhs <= rhs + 1e-10
+
+
+@pytest.mark.parametrize("compare", [procrustes_rotation, potential])
+@pytest.mark.parametrize("shapes, message", [
+    (((3, 1), (4, 1)), "frames disagree: (3,1) vs (4,1)"),
+    (((3, 1), (3, 2)), "frames disagree: (3,1) vs (3,2)")])
+def test_frames_of_different_shapes_refused(compare, shapes, message):
+    C, D = (frame_of(np.eye(*shape)) for shape in shapes)
+    with pytest.raises(DimensionMismatchError) as err:
+        compare(C, D)
+    assert str(err.value) == message
 
 
 class TestPotential:

@@ -340,6 +340,60 @@ def test_numerical_rank_does_not_follow_the_blas_thread_count():
     assert outs[0] == outs[1]
 
 
+#: the hashes of dense_eigh at d = 600, the certificate's witness there and
+#: a deflation memo P A at d = 1000, and a k = 2 deflation run at d = 1000
+#: with its reference (report and trace fingerprint), as one JSON line
+_DENSE = """
+import hashlib, json, sys
+import numpy as np
+from vrpca import (DataMatrix, ExperimentConfig, dense_eigh, polar_normalize,
+                   run_experiment, trace_fingerprint)
+from vrpca.geometry import nonconvexity_certificate
+from vrpca.matrix import _projected
+
+def sha(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+rng = np.random.default_rng(13)
+X = DataMatrix(rng.standard_normal((600, 700)))
+spec = dense_eigh(X)
+is_psd, witness = nonconvexity_certificate(X, rng.standard_normal(600))
+Y = DataMatrix(rng.standard_normal((1000, 1000)))
+basis = polar_normalize(rng.standard_normal((1000, 2))).entries
+_, memo = _projected(Y, Y.covariance(), basis)
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+rep = run_experiment(cfg)[0].to_dict()
+rep.pop("elapsed_s")
+fp = trace_fingerprint(cfg.out_dir + "/trace_seed1.jsonl").decode()
+print(json.dumps({"eigh": sha(spec.eigenvalues, spec.eigenvectors.entries),
+                  "is_psd": is_psd, "witness": sha(witness),
+                  "projected_memo": sha(memo), "report": rep, "trace": fp}))
+"""
+
+
+def test_dense_calls_do_not_follow_the_blas_thread_count(tmp_path):
+    # past d = 512 OpenBLAS threads a d x d eigh or product, and on two
+    # threads these read other bits than on one before the hold
+    if _native.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    spectrum = [1.0, 0.8, 0.5] + [0.5 * (1.0 / 3.0) ** j
+                                  for j in range(1, 998)]
+    outs = []
+    for threads in ("1", "2"):
+        cfg = dict(spectrum=spectrum, n=1000, synth_seed=1,
+                   solver="deflation", k=2, gap_index=2, m=300, eta=0.05,
+                   epochs=2, seeds=[1], out_dir=str(tmp_path / threads))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", _DENSE,
+                               json.dumps(cfg)], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        outs.append(json.loads(proc.stdout))
+    assert outs[0]["is_psd"] is False
+    assert outs[0]["report"]["d"] == 1000
+    assert outs[0] == outs[1]
+
+
 def _task_ticks():
     """utime + stime, in clock ticks, of each thread of this process."""
     ticks = {}
@@ -359,24 +413,29 @@ def test_no_pipeline_call_leaves_a_blas_worker_spinning(tmp_path):
     if _native.blas_threads() is None:
         pytest.skip("no OpenBLAS thread-count functions found")
     path = tmp_path / "data.vrpc"
-    cfgs = [file_config(path, spiked_file(path), epochs=2),
+    desk = [file_config(path, spiked_file(path), epochs=2),
             ExperimentConfig(spectrum=spectrum_k1(300), n=3000,
                              synth_seed=1, seeds=(1,), epochs=3,
                              epsilon=1e-8)]
-    for cfg in cfgs:  # the kernel build and the pool start
-        run_experiment(cfg)
-    # a worker woken by an earlier test spins about 0.13 s, then sleeps
-    time.sleep(0.3)
-    before = _task_ticks()
-    for _ in range(4):
-        for cfg in cfgs:
+    # past d = 512: the oracle's eigh, its frame check and the memo's
+    # products A w~ would each wake OpenBLAS's worker without the hold
+    wide = [ExperimentConfig(spectrum=spectrum_k1(800), n=1600, synth_seed=1,
+                             seeds=(1,), epochs=2, epsilon=1e-8)]
+    for cfgs, calls in ((desk, 4), (wide, 3)):
+        for cfg in cfgs:  # the kernel build and the pool start
             run_experiment(cfg)
-    after = _task_ticks()
-    ours = {threading.get_native_id()} | {t.native_id
-                                          for t in pass_threads()}
-    others = {tid: n - before.get(tid, 0) for tid, n in after.items()
-              if tid not in ours}
-    assert sum(others.values()) <= 2, others
+        # a worker woken by an earlier call spins about 0.13 s, then sleeps
+        time.sleep(0.3)
+        before = _task_ticks()
+        for _ in range(calls):
+            for cfg in cfgs:
+                run_experiment(cfg)
+        after = _task_ticks()
+        ours = {threading.get_native_id()} | {t.native_id
+                                              for t in pass_threads()}
+        others = {tid: n - before.get(tid, 0) for tid, n in after.items()
+                  if tid not in ours}
+        assert sum(others.values()) <= 2, (len(cfgs[-1].spectrum), others)
 
 
 def test_import_starts_no_thread():

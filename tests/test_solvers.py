@@ -241,6 +241,16 @@ class TestVectorSolver:
         with pytest.raises(ConfigError):
             SolverConfig(k=1, eta=0.0, m=10, epochs=1)
 
+    @pytest.mark.parametrize("w0, k, error, message", [
+        (gaussian_init(4, 1, seed=1), 1, DimensionMismatchError,
+         "start frame has d=4, data has d=3"),
+        (gaussian_init(3, 1, seed=1), 2, ConfigError,
+         "vector solver requires cfg.k == 1, got 2")])
+    def test_mismatched_start_or_k_refused(self, w0, k, error, message):
+        with pytest.raises(error) as err:
+            vrpca_vector(_tiny()[0], w0, _config(k=k))
+        assert str(err.value) == message
+
     def test_tiny_step_keeps_start(self, small_k1):
         # eta -> 0 limit: the iterate stays at the anchor
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=3)
