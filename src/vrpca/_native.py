@@ -16,10 +16,11 @@ links, through that extension module's own handle, opened once
 table, _NUMPY_ABI, as the compiled library's have in _ABI; _typed looks
 them up and types them for both. ``one_blas_thread`` holds OpenBLAS at
 one thread, so that the data passes and every dense d x d call (the
-synthesizer's factorizations and product, the oracle's eigh, the
-covariance memo's products in matrix.py and the certificate's eigh in
-geometry.py) give the same bits whatever the caller's thread count, at
-every d, and leave OpenBLAS's worker idle. Where the handle resolves no
+synthesizer's factorizations and product, the oracle's eigh; in
+matrix.py the covariance memo's products, a frame's check W^T W and
+_polar's products and eigh at k >= 2; in geometry.py the Hessian's
+products and the certificate's eigh) give the same bits whatever the
+caller's thread count, at every d, and leave OpenBLAS's worker idle. Where the handle resolves no
 OpenBLAS thread-count functions it does nothing. ``qr_in_place`` calls
 the LAPACK pair numpy.linalg.qr itself calls, dgeqrf and dorgqr, on the
 caller's own column-major buffer: the same bits as numpy.linalg.qr

@@ -90,6 +90,7 @@ _RANGES = {
     "seed": (lambda v: 0 <= v < 2**64, "lie in [0, 2**64)", _INTEGER),
     "eps": (lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)", _REAL),
 }
+_RANGES["synth_seed"] = _RANGES["seed"]  # the synthesis seed, the same rule
 
 
 def _check(name, value, *rules):

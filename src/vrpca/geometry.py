@@ -49,15 +49,19 @@ def rayleigh_hessian(X: DataMatrix, w) -> np.ndarray:
     M = (I - (4/||w||^2) w w^T)(F(w) I + A); symmetric by construction.
 
     Reads the d x d covariance memo (X.covariance()), so it is guarded at
-    d <= DENSE_GUARD; use directional_curvature for larger problems.
+    d <= DENSE_GUARD; use directional_curvature for larger problems. Its
+    products A w and w^T (F I + A) run on one BLAS thread
+    (_native.one_blas_thread), so the Hessian does not follow the thread
+    count.
     """
     _check_dense(X.d, "use directional_curvature instead")
     arr, nrm2 = _vec(w, X.d)
     a = X.covariance()
-    aw = a @ arr
-    f = -(arr @ aw) / nrm2
-    fia = f * np.eye(X.d) + a
-    m = fia - (4.0 / nrm2) * np.outer(arr, arr @ fia)
+    with _native.one_blas_thread():
+        aw = a @ arr
+        f = -(arr @ aw) / nrm2
+        fia = f * np.eye(X.d) + a
+        m = fia - (4.0 / nrm2) * np.outer(arr, arr @ fia)
     return -(m + m.T) / nrm2
 
 
@@ -98,13 +102,12 @@ def nonconvexity_certificate(X: DataMatrix, w, psd_tol: float = 1e-10):
     -psd_tol times its largest eigenvalue magnitude (a zero Hessian is
     PSD). Returns (is_psd, witness): when it is not, the minimum
     eigenvalue's eigenvector is returned as a direction of strictly
-    negative curvature, else witness is None. The eigh runs on one BLAS
-    thread (_native.one_blas_thread), so the witness does not depend on
-    the thread count.
+    negative curvature, else witness is None. The Hessian and its eigh
+    run on one BLAS thread (_native.one_blas_thread), so the witness does
+    not depend on the thread count.
     """
-    h = rayleigh_hessian(X, w)
     with _native.one_blas_thread():
-        evals, evecs = np.linalg.eigh(h)
+        evals, evecs = np.linalg.eigh(rayleigh_hessian(X, w))
     is_psd = bool(evals[0] >= -psd_tol * np.abs(evals).max())
     witness = None if is_psd else evecs[:, 0].copy()
     return is_psd, witness

@@ -17,8 +17,8 @@ from .errors import (_FLAG, _INTEGER, _RANGES, _REAL, ConfigError,
 from .geometry import (build_convex_region, nonconvexity_certificate,
                        probe_strong_convexity, rayleigh, rayleigh_hessian,
                        tightness_counterexample)
-from .initialization import (_alignment_sq, _check_seed, _stream,
-                             gaussian_init, power_warm_start)
+from .initialization import (_alignment_sq, _stream, gaussian_init,
+                             power_warm_start)
 from .io import FORMATS, load_dataset
 from .matrix import DENSE_GUARD, DataMatrix, OrthonormalFrame, rescale_dataset
 from .oracle import (SpectrumSpec, dense_eigh, leading_subspace,
@@ -54,7 +54,7 @@ _PATH = (lambda v: isinstance(v, (str, os.PathLike)), "be a path")
 _KINDS = {
     **{name: kind for name, (_, _, kind) in _RANGES.items()},
     "dataset_path": _PATH, "out_dir": _PATH, "gap_index": _INTEGER,
-    "n": _INTEGER, "synth_seed": _INTEGER, "use_rotation": _FLAG,
+    "n": _INTEGER, "use_rotation": _FLAG,
     "run_burn_in": _FLAG, "rescale": _FLAG, "oracle_check": _FLAG,
     "dataset_format": (lambda v: v in FORMATS, f"be one of {FORMATS}"),
     "solver": (lambda v: v in SOLVERS, f"be one of {SOLVERS}"),
@@ -72,7 +72,9 @@ class ExperimentConfig:
     """One experiment: a dataset source (file or inline spectrum), a solver,
     its parameters, and the seed list for repetitions. Every field must be
     of its _KINDS kind, and the run parameters within their _RANGES, or
-    construction raises ConfigError before any data is read."""
+    construction raises ConfigError before any data is read. Each field
+    is checked once, in declaration order, its kind then its range; then
+    each seed, then the rules that tie fields together."""
 
     dataset_path: str | None = None
     dataset_format: str = "csv"
@@ -104,29 +106,26 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # a run parameter's range, which the solvers check too, is refused
+        # here before any data is loaded or synthesized
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                _check(f.name, value, _KINDS[f.name])
+                _check(f.name, value, _KINDS[f.name],
+                       *([_RANGES[f.name][:2]] if f.name in _RANGES else []))
+        for seed in self.seeds:
+            _check_run(seed=seed)
         sources = (self.dataset_path is not None) + (self.spectrum is not None)
         if sources != 1:
             raise ConfigError(
                 "exactly one dataset source (dataset_path or spectrum) required")
         if self.spectrum is not None and self.n is None:
             raise ConfigError("synthetic datasets need the column count n")
-        for seed in self.seeds:
-            _check_seed(seed)
-        _check_seed(self.synth_seed, "synth_seed")
         if self.run_burn_in and self.k != 1:
             raise ConfigError(f"burn-in needs k == 1, got k={self.k}")
         if self.solver in ("vrpca_vector", "oja") and self.k != 1:
             raise ConfigError(f"solver {self.solver} needs k == 1, got "
                               f"k={self.k}; vrpca_block solves k >= 2")
-        # the run ranges the solvers check too, refused here before any
-        # data is loaded or synthesized
-        _check_run(**{f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name in _RANGES
-                      and getattr(self, f.name) is not None})
         if self.solver in _EPOCH_SOLVERS:
             _check_epsilon(self.epsilon,
                            deflation=self.solver == "deflation",
@@ -444,7 +443,9 @@ def geometry_report(lam: float, eps: float, out=None, samples: int = 10000,
     as the report draws from seed to seed + 3, and ``samples`` in its
     _RANGES; values outside are refused before any draw."""
     cx = tightness_counterexample(lam, eps)
-    _check_seed(seed, last=3)
+    _check_run(seed=seed)
+    _check("seed", seed, (lambda v: v + 3 < 2**64, "lie in [0, 2**64 - 4], "
+                          "as seed + 3 is drawn from too"))
     _check_run(samples=samples)
     # 2-D instance with covariance diag(1, 0): determinant of the Hessian
     # is -4 w1^2 w2^2 / ||w||^8, nonpositive everywhere

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import (_RANGES, DegenerateIterateError, DimensionMismatchError,
-                     _check, _check_run)
+from .errors import DegenerateIterateError, DimensionMismatchError, _check_run
 from .matrix import (DataMatrix, OrthonormalFrame, _check_dense, _check_r,
                      _dense_covariance, _polar, _products, polar_normalize)
 
@@ -18,22 +17,12 @@ from .matrix import (DataMatrix, OrthonormalFrame, _check_dense, _check_r,
 RUN_STREAM, BURN_IN_STREAM = 0, 1
 
 
-def _check_seed(seed, name="seed", last=0):
-    """Refuse, as ``name``, a seed that is not an integer in [0, 2**64),
-    the range _stream keys on (errors._RANGES["seed"]), or, for a caller
-    that draws from seed to seed + ``last``, one whose seed + last lies
-    outside it."""
-    test, rule, kind = _RANGES["seed"]
-    _check(name, seed, kind, (test, rule),
-           (lambda v: v < 2**64 - last, f"lie in [0, 2**64 - {last + 1}], "
-            f"as {name} + {last} is drawn from too"))
-
-
 def _stream(seed, purpose=RUN_STREAM, jump=0):
     """Generator(Philox(key=(seed, purpose))) jumped ``jump`` times: the
     one source of the library's random draws. ``seed`` must be an integer
     in [0, 2**64), so that the key's two 64-bit words are (seed, purpose);
-    any other is refused with a ConfigError (_check_seed) before the draw.
+    any other is refused with a ConfigError (errors._RANGES["seed"])
+    before the draw.
     So every public call that draws refuses a seed of 1.5, True or "1"
     rather than drawing the stream of another seed.
 
@@ -58,7 +47,7 @@ def _stream(seed, purpose=RUN_STREAM, jump=0):
     workload's data from 0.916 to 0.0068, and raised the samples to
     potential 1e-8 there from 400,000 to 600,000.
     """
-    _check_seed(seed)
+    _check_run(seed=seed)
     gen = np.random.Philox(key=int(seed) + (purpose << 64))
     return np.random.Generator(gen.jumped(jump))
 

@@ -5,7 +5,8 @@ numerical_rank's Gram for n < d. Each of those passes is one
 _native.column_pass here: the column norms, the covariance memo, the
 products A W and X^T W (_products) and a deflation stage's projected
 copy (_projected). The memo's own d x d products, A W and a stage's P A,
-run on one BLAS thread as the passes' blocks do."""
+run on one BLAS thread as the passes' blocks do, and so do a frame's
+check W^T W and _polar's products and eigh at k >= 2."""
 
 from __future__ import annotations
 
@@ -152,7 +153,10 @@ def _deviation(arr):
 
 
 class OrthonormalFrame:
-    """A d x k matrix with orthonormal columns, validated at construction."""
+    """A d x k matrix with orthonormal columns, validated at construction:
+    max |W^T W - I| <= ORTHO_TOL, with W^T W formed on one BLAS thread
+    (_native.one_blas_thread), so that a d x d frame's check neither
+    follows the thread count nor leaves OpenBLAS's worker spinning."""
 
     __slots__ = ("entries", "d", "k")
 
@@ -165,7 +169,8 @@ class OrthonormalFrame:
         # is one syrk, of a strided view (dense_eigh's reversed
         # eigenvectors) a copy of each operand and a full gemm
         arr = arr.copy(order="F")
-        dev = _deviation(arr)
+        with _native.one_blas_thread():
+            dev = _deviation(arr)
         if not dev <= ORTHO_TOL:
             raise DimensionMismatchError(
                 f"columns are not orthonormal: max |W^T W - I| = {dev:.3e}")
@@ -213,7 +218,9 @@ def _polar(arr):
     judged alike. A Gram condition number past 1e3 triggers one refinement
     pass so the output meets the orthonormality invariant. A candidate
     that is tiny but well conditioned passes; the step functions judge
-    collapse on their own, against an absolute norm floor.
+    collapse on their own, against an absolute norm floor. The k >= 2
+    products and eigh run on one BLAS thread (_native.one_blas_thread),
+    so their bits do not follow the thread count.
     """
     k = arr.shape[1]
     if k == 1:
@@ -222,15 +229,16 @@ def _polar(arr):
             raise DegenerateIterateError(
                 f"degenerate iterate: squared norm {nrm2:.3e}")
         return arr / np.sqrt(nrm2)
-    evals, evecs = np.linalg.eigh(arr.T @ arr)
-    if not evals[0] > GRAM_MIN_EIG * evals[-1]:
-        raise DegenerateIterateError(
-            f"degenerate iterate: Gram matrix min eigenvalue {evals[0]:.3e}, "
-            f"max {evals[-1]:.3e}")
-    out = arr @ ((evecs / np.sqrt(evals)) @ evecs.T)
-    if evals[0] < 1e-3 * evals[-1]:
-        evals, evecs = np.linalg.eigh(out.T @ out)
-        out = out @ ((evecs / np.sqrt(evals)) @ evecs.T)
+    with _native.one_blas_thread():
+        evals, evecs = np.linalg.eigh(arr.T @ arr)
+        if not evals[0] > GRAM_MIN_EIG * evals[-1]:
+            raise DegenerateIterateError(
+                "degenerate iterate: Gram matrix min eigenvalue "
+                f"{evals[0]:.3e}, max {evals[-1]:.3e}")
+        out = arr @ ((evecs / np.sqrt(evals)) @ evecs.T)
+        if evals[0] < 1e-3 * evals[-1]:
+            evals, evecs = np.linalg.eigh(out.T @ out)
+            out = out @ ((evecs / np.sqrt(evals)) @ evecs.T)
     return out
 
 

@@ -272,19 +272,20 @@ def _steps_block(xd, idx, a, u, eta, w, anchor=None):
     """
     b = np.eye(w.shape[1])
     ub = eta * u  # valid whenever B = I
-    for t, i in enumerate(idx, 1):
-        if anchor is not None:
-            b = _procrustes(w, anchor)
-            ub = eta * (u @ b)
-        x = xd[:, i]
-        wp = w + np.outer(x, eta * (x @ w - a[i] @ b)) + ub
-        try:
-            if not np.einsum("ij,ij->", wp, wp) >= _NORM_FLOOR**2:
-                raise DegenerateIterateError("collapsed candidate")
-            w[:] = _polar(wp)
-        except DegenerateIterateError:
-            w[:] = wp
-            return t
+    with _native.one_blas_thread():  # once, so _polar's hold just counts
+        for t, i in enumerate(idx, 1):
+            if anchor is not None:
+                b = _procrustes(w, anchor)
+                ub = eta * (u @ b)
+            x = xd[:, i]
+            wp = w + np.outer(x, eta * (x @ w - a[i] @ b)) + ub
+            try:
+                if not np.einsum("ij,ij->", wp, wp) >= _NORM_FLOOR**2:
+                    raise DegenerateIterateError("collapsed candidate")
+                w[:] = _polar(wp)
+            except DegenerateIterateError:
+                w[:] = wp
+                return t
     return 0
 
 
@@ -502,7 +503,8 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     for X^T w0.
 
     The iteration budget is 10x the burn-in horizon
-    T = floor(BURN_C_PRIME log(2/delta) / (eta lambda_hat zeta));
+    T = floor(BURN_C_PRIME log(2/delta) / (eta lambda_hat zeta)), and at
+    least 10 steps, so a horizon under one step still steps;
     exhausting it raises NonConvergenceError carrying the partial trace,
     the last iterate and the iteration count. A horizon that overflows is
     refused before any step, with a ConfigError naming zeta, lambda_hat
@@ -524,7 +526,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     if not np.isfinite(horizon):
         raise ConfigError(f"burn-in horizon overflows at zeta={zeta:.3e}, "
                           f"lambda_hat={lambda_hat:.3e} and eta={eta:.3e}")
-    budget = 10 * int(horizon)
+    budget = 10 * max(int(horizon), 1)
 
     # with a reference the stop rule reads only the potential; without one
     # the proxy rule reads residuals, at one covariance pass per check

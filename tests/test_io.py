@@ -2,6 +2,7 @@
 legacy VRPC)."""
 
 import gc
+import io
 import mmap
 import os
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from vrpca import (DataMatrix, DatasetFormatError, DimensionMismatchError,
                    load_dataset, save_dataset)
 from vrpca.cli import main as cli_main
-from vrpca.io import FORMATS
+from vrpca.io import FORMATS, _read_payload
 
 
 def aligned_bytes(d, n, vals, reserved=0):
@@ -191,6 +192,17 @@ class TestBinary:
                            match=rf"payload ends at offset {end}, expected "
                                  rf"{end + 8} for d=3, n=4$"):
             load_dataset(p, "f64le")
+
+    def test_short_read_names_the_offset(self):
+        # a file that shrinks after its size was checked reads short
+        class Short(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:8])
+
+        with pytest.raises(DatasetFormatError,
+                           match=r"^x\.vrpc: payload ends at offset 24, "
+                                 r"expected 64 for d=2, n=3$"):
+            _read_payload(Short(bytes(64)), "x.vrpc", 16, 2, 3)
 
     def test_bad_reserved_field_reports_offset(self, tmp_path):
         p = tmp_path / "bad.vrpc"

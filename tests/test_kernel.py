@@ -470,6 +470,39 @@ def test_missing_compiler_falls_back_with_a_warning(monkeypatch, small_k1,
     assert trace.samples == 2 * (small_k1.Xs.n + 100)
 
 
+@pytest.mark.parametrize("cc, which", [
+    (None, {"cc"}), ("vrpca-no-such-cc -O2", {"cc"}), (None, set())])
+def test_compiler_falls_back_to_cc(monkeypatch, cc, which):
+    # sysconfig's CC absent or not on PATH: cc, where there is one
+    import shutil
+    import sysconfig
+
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: cc)
+    monkeypatch.setattr(shutil, "which",
+                        lambda name: f"/bin/{name}" if name in which else None)
+    assert _native._compiler() == (["cc"] if which else None)
+
+
+def test_failed_build_leaves_no_temporary(monkeypatch, tmp_path,
+                                          fresh_kernel):
+    monkeypatch.setattr(_native, "_compiler", lambda: ["false"])
+    with pytest.warns(RuntimeWarning, match="using the numpy steps") as seen:
+        assert _native._library() is None
+        assert _native._library() is None  # warned once, not retried
+    assert len(seen) == 1
+    assert fresh_kernel == [tmp_path]
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_cc
+def test_library_without_an_abi_function_refused(monkeypatch, tmp_path,
+                                                 fresh_kernel):
+    monkeypatch.setitem(_native._ABI, "vrpca_no_such_function", (None, ()))
+    with pytest.warns(RuntimeWarning, match="lacks a function of _ABI"):
+        assert _native._library() is None
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+
 @pytest.mark.parametrize("op, message", [
     (lambda: np.float64(1e308) * 10, "overflow"),
     (lambda: np.float64(0.0) / 0.0, "invalid value"),

@@ -172,6 +172,12 @@ class TestOrthonormalFrame:
         assert str(err.value) == message
 
 
+def test_reprs_name_the_shape():
+    assert repr(DataMatrix(np.array([[3.0, 0.0], [4.0, 1.0]]))) == \
+        "DataMatrix(d=2, n=2, r=25)"
+    assert repr(OrthonormalFrame(np.eye(3, 2))) == "OrthonormalFrame(d=3, k=2)"
+
+
 class TestPolarNormalize:
     def test_orthonormal_input_unchanged(self):
         rng = np.random.default_rng(2)

@@ -419,6 +419,22 @@ class TestOneBlasThread:
         assert seen == [2]
         assert get() == 2
 
+    def test_unopenable_numpy_linalg_runs_the_body_unheld(self, blas_count,
+                                                           monkeypatch,
+                                                           fresh_lookups):
+        get, set_ = blas_count
+        set_(2)
+
+        def refuse(path):
+            raise OSError(f"cannot open {path}")
+
+        monkeypatch.setattr(_native.ctypes, "CDLL", refuse)
+        assert _native._numpy_linalg() is None
+        assert _native.blas_threads() is None
+        with _native.one_blas_thread() as saved:
+            assert (saved, get()) == (None, 2)
+        assert get() == 2
+
     @pytest.mark.parametrize("eigs, n, seed", SYNTH_CASES)
     def test_same_bits_at_two_threads_and_one(self, blas_count, eigs, n,
                                               seed, monkeypatch):

@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 from vrpca import (DataMatrix, DegenerateIterateError, ExperimentConfig,
-                   _native, covariance_apply, run_experiment, save_dataset,
+                   OrthonormalFrame, _native, covariance_apply,
+                   polar_normalize, run_experiment, save_dataset,
                    trace_fingerprint)
+from vrpca.geometry import nonconvexity_certificate
 from vrpca.matrix import _column_norms, _products, _projected
 
 from conftest import spectrum_k1
@@ -341,14 +343,16 @@ def test_numerical_rank_does_not_follow_the_blas_thread_count():
 
 
 #: the hashes of dense_eigh at d = 600, the certificate's witness there and
-#: a deflation memo P A at d = 1000, and a k = 2 deflation run at d = 1000
-#: with its reference (report and trace fingerprint), as one JSON line
+#: a deflation memo P A at d = 1000; of the Hessian and the certificate's
+#: witness at d = 1500, a 600-square polar_normalize and a 600 x 300
+#: gaussian_init; and of a k = 2 deflation run at d = 1000 with its
+#: reference (report and trace fingerprint), as one JSON line
 _DENSE = """
 import hashlib, json, sys
 import numpy as np
-from vrpca import (DataMatrix, ExperimentConfig, dense_eigh, polar_normalize,
-                   run_experiment, trace_fingerprint)
-from vrpca.geometry import nonconvexity_certificate
+from vrpca import (DataMatrix, ExperimentConfig, dense_eigh, gaussian_init,
+                   polar_normalize, run_experiment, trace_fingerprint)
+from vrpca.geometry import nonconvexity_certificate, rayleigh_hessian
 from vrpca.matrix import _projected
 
 def sha(*arrays):
@@ -361,19 +365,29 @@ is_psd, witness = nonconvexity_certificate(X, rng.standard_normal(600))
 Y = DataMatrix(rng.standard_normal((1000, 1000)))
 basis = polar_normalize(rng.standard_normal((1000, 2))).entries
 _, memo = _projected(Y, Y.covariance(), basis)
+Z = DataMatrix(rng.standard_normal((1500, 20)))
+z = rng.standard_normal(1500)
+wide_psd, wide_witness = nonconvexity_certificate(Z, z)
+polar = polar_normalize(rng.standard_normal((600, 600)))
 cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 rep = run_experiment(cfg)[0].to_dict()
 rep.pop("elapsed_s")
 fp = trace_fingerprint(cfg.out_dir + "/trace_seed1.jsonl").decode()
 print(json.dumps({"eigh": sha(spec.eigenvalues, spec.eigenvectors.entries),
                   "is_psd": is_psd, "witness": sha(witness),
-                  "projected_memo": sha(memo), "report": rep, "trace": fp}))
+                  "projected_memo": sha(memo),
+                  "hessian": sha(rayleigh_hessian(Z, z)),
+                  "wide_psd": wide_psd, "wide_witness": sha(wide_witness),
+                  "polar": sha(polar.entries),
+                  "init": sha(gaussian_init(600, 300, 1).entries),
+                  "report": rep, "trace": fp}))
 """
 
 
 def test_dense_calls_do_not_follow_the_blas_thread_count(tmp_path):
     # past d = 512 OpenBLAS threads a d x d eigh or product, and on two
-    # threads these read other bits than on one before the hold
+    # threads these read other bits than on one before the hold; the
+    # Hessian's products past d = 1000, and k >= 2 polar's at d = 600
     if _native.blas_threads() is None:
         pytest.skip("no OpenBLAS thread-count functions found")
     spectrum = [1.0, 0.8, 0.5] + [0.5 * (1.0 / 3.0) ** j
@@ -389,7 +403,7 @@ def test_dense_calls_do_not_follow_the_blas_thread_count(tmp_path):
                                json.dumps(cfg)], env=env, check=True,
                               capture_output=True, text=True, timeout=300)
         outs.append(json.loads(proc.stdout))
-    assert outs[0]["is_psd"] is False
+    assert outs[0]["is_psd"] is outs[0]["wide_psd"] is False
     assert outs[0]["report"]["d"] == 1000
     assert outs[0] == outs[1]
 
@@ -424,18 +438,42 @@ def test_no_pipeline_call_leaves_a_blas_worker_spinning(tmp_path):
     for cfgs, calls in ((desk, 4), (wide, 3)):
         for cfg in cfgs:  # the kernel build and the pool start
             run_experiment(cfg)
-        # a worker woken by an earlier call spins about 0.13 s, then sleeps
-        time.sleep(0.3)
-        before = _task_ticks()
-        for _ in range(calls):
-            for cfg in cfgs:
-                run_experiment(cfg)
-        after = _task_ticks()
-        ours = {threading.get_native_id()} | {t.native_id
-                                              for t in pass_threads()}
-        others = {tid: n - before.get(tid, 0) for tid, n in after.items()
-                  if tid not in ours}
+        others = _other_ticks(lambda: [run_experiment(cfg) for cfg in cfgs
+                                       for _ in range(calls)])
         assert sum(others.values()) <= 2, (len(cfgs[-1].spectrum), others)
+
+
+def _other_ticks(run):
+    """The ticks, by thread, that threads other than the caller and the
+    pass threads accrue while ``run()`` runs; a worker woken by an earlier
+    call spins about 0.13 s, then sleeps, so this waits 0.3 s first."""
+    time.sleep(0.3)
+    before = _task_ticks()
+    run()
+    after = _task_ticks()
+    ours = {threading.get_native_id()} | {t.native_id
+                                          for t in pass_threads()}
+    return {tid: n - before.get(tid, 0) for tid, n in after.items()
+            if tid not in ours}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc thread statistics")
+@pytest.mark.parametrize("call", ["certificate", "frame"])
+def test_no_dense_call_leaves_a_blas_worker_spinning(call):
+    # at d = 1000 the Hessian's products and a d x d frame's W^T W each
+    # woke OpenBLAS's worker before the hold
+    if _native.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    rng = np.random.default_rng(14)
+    X = DataMatrix(rng.standard_normal((1000, 20)))
+    w = rng.standard_normal(1000)
+    q = polar_normalize(rng.standard_normal((1000, 1000))).entries
+    run = {"certificate": lambda: nonconvexity_certificate(X, w),
+           "frame": lambda: OrthonormalFrame(q)}[call]
+    run()  # the covariance memo, and the pool start
+    others = _other_ticks(lambda: [run() for _ in range(5)])
+    assert sum(others.values()) <= 2, others
 
 
 def test_import_starts_no_thread():

@@ -109,6 +109,8 @@ RANGE_CASES = {
     "oja_eta0": (0.0, lambda v: _oja(eta_schedule=v)),
     "samples": (0, lambda v: harness.geometry_report(0.3, 0.1, samples=v)),
     "seed": (-1, lambda v: _config(seed=v)),
+    "synth_seed": (-3, lambda v: harness.ExperimentConfig(
+        spectrum=(1.0, 0.5), n=4, synth_seed=v)),
     "eps": (0.5, lambda v: tightness_counterexample(0.3, v)),
 }
 
@@ -487,6 +489,17 @@ class TestBurnIn:
         with pytest.raises(ConfigError, match=r"^burn-in horizon overflows "
                            r"at zeta=\S+, lambda_hat=\S+ and eta=\S+$"):
             _burn(**changes)
+
+    def test_horizon_under_one_step_still_steps(self):
+        # eta = 100 puts the horizon T below one step; a budget of 10 T
+        # then rounded to 0, and burn-in gave up without a step
+        X = synthesize_dataset(SpectrumSpec((1, .5, .1, .05)), 50, 1)
+        with pytest.raises(NonConvergenceError,
+                           match=r"horizon=0\)$") as err:
+            burn_in(X, gaussian_init(4, 1, 3), zeta=1.0, delta=0.25,
+                    lambda_hat=0.5, eta=100.0, seed=1)
+        assert err.value.iterations == 10
+        assert err.value.trace.records[-1].iteration == 10
 
     def test_invalid_zeta(self, burn_instance):
         w0 = gaussian_init(burn_instance.Xs.d, 1, seed=1)
