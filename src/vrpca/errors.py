@@ -3,6 +3,7 @@ of admissible values (_RANGES) through which every module refuses a bad
 parameter with a ConfigError, and the one rule (_warn_gap) by which a gap
 too small to trust raises a GapWarning."""
 
+import math
 import numbers
 import warnings
 
@@ -71,21 +72,24 @@ _REAL = (lambda v: isinstance(v, numbers.Real)
          and not isinstance(v, bool), "be a number")
 _FLAG = (lambda v: isinstance(v, bool), "be true or false")
 
+#: the range of a step-sizing value; an infinite one sizes no step
+_FINITE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+
 #: the admissible range and the kind of every checked parameter, name ->
 #: (test, rule, kind); each test is written so that NaN fails it
 _RANGES = {
     "k": (lambda v: v >= 1, "be >= 1", _INTEGER),
-    "eta": (lambda v: v > 0.0, "be positive", _REAL),
+    "eta": (*_FINITE, _REAL),
     "m": (lambda v: v >= 1, "be >= 1", _INTEGER),
     "epochs": (lambda v: v >= 0, "be >= 0", _INTEGER),
     "delta": (lambda v: 0.0 < v < 1.0, "lie in (0,1)", _REAL),
     "epsilon": (lambda v: v > 0.0, "be positive", _REAL),
     "zeta": (lambda v: 0.0 < v <= 1.0, "lie in (0,1]", _REAL),
-    "lambda_hat": (lambda v: v > 0.0, "be positive", _REAL),
-    "r": (lambda v: v > 0.0, "be positive", _REAL),
+    "lambda_hat": (*_FINITE, _REAL),
+    "r": (*_FINITE, _REAL),
     "sweeps": (lambda v: v >= 0, "be >= 0", _INTEGER),
     "oja_iters": (lambda v: v >= 0, "be >= 0", _INTEGER),
-    "oja_eta0": (lambda v: v > 0.0, "be positive", _REAL),
+    "oja_eta0": (*_FINITE, _REAL),
     "samples": (lambda v: v >= 1, "be >= 1", _INTEGER),
     "seed": (lambda v: 0 <= v < 2**64, "lie in [0, 2**64)", _INTEGER),
     "eps": (lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)", _REAL),

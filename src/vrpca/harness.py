@@ -197,9 +197,9 @@ def runtime_model(d: int, k: int, n: int, r: float, eigengap: float,
                   epsilon: float) -> float:
     """Cost-model prediction d k (n + r^2 k^3 / eigengap^2) log(1/epsilon);
     a pure function of the instance parameters, no timing involved. A
-    nonpositive eigengap or an epsilon outside (0, 1), for which the model
-    predicts nothing (or a nonpositive cost), is refused with a
-    ConfigError."""
+    nonpositive or infinite eigengap (lambda_hat's _RANGES rule) or an
+    epsilon outside (0, 1), for which the model predicts nothing (or a
+    nonpositive cost), is refused with a ConfigError."""
     _check("eigengap", eigengap, _REAL, _RANGES["lambda_hat"][:2])
     _check("epsilon", epsilon, _REAL, _RANGES["delta"][:2])
     return float(d * k * (n + r**2 * k**3 / eigengap**2)
@@ -283,16 +283,22 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     d, n = X.d, X.n
     k = cfg.k
 
+    # burn-in and the selection of (eta, m) read the gap: refuse its
+    # absence before any data pass, naming why the oracle gave none
+    eta, m = cfg.eta, cfg.m
+    if gap is None and (cfg.run_burn_in or cfg._selects_steps and eta is None):
+        why = (f"no oracle ran, as d = {d} exceeds DENSE_GUARD = "
+               f"{DENSE_GUARD}" if cfg.oracle_check else "oracle_check is off")
+        raise ConfigError(
+            f"burn-in needs an eigengap estimate (set lambda_hat): {why}"
+            if cfg.run_burn_in else "set eta and m explicitly, or provide an "
+            f"eigengap estimate (lambda_hat) for parameter selection: {why}")
+
     # (eta, m) only for the solvers that read them; Oja reads m alone,
     # for its default iteration count
-    eta, m = cfg.eta, cfg.m
     if not cfg._selects_steps:
         eta = m = None
     elif eta is None:  # and so is m: the config sets both or neither
-        if gap is None:
-            raise ConfigError(
-                "set eta and m explicitly, or provide an eigengap estimate "
-                "(oracle_check or lambda_hat) for parameter selection")
         eta, m = select_parameters(gap, X.r, k, cfg.delta)
         if m * cfg.epochs > STEP_BUDGET:
             raise ConfigError(
@@ -307,9 +313,6 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
     burn_iters = 0
     burn_ok = True
     if cfg.run_burn_in:
-        if gap is None:
-            raise ConfigError("burn-in needs an eigengap estimate "
-                              "(enable oracle_check or set lambda_hat)")
         zeta = cfg.zeta if cfg.zeta is not None else 1.0 / d
         try:
             frame, burn_iters = burn_in(X, frame, zeta, cfg.delta, gap,
@@ -331,7 +334,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
             k=k, eta=eta, m=m, epochs=cfg.epochs, seed=seed, delta=cfg.delta,
             epsilon=cfg.epsilon, use_rotation=cfg.use_rotation)
         trace = _EPOCH_SOLVERS[cfg.solver](X, frame, solver_cfg, reference)
-    last = trace.boundary_records()[-1]
+    last = trace.records[-1]
 
     # the model predicts nothing for a nonpositive gap or an epsilon >= 1,
     # which a run may still stop on: the potential lies in [0, k]
@@ -346,7 +349,7 @@ def _single_run(X: DataMatrix, original_r: float, scale: float,
         init_alignment_sq=align,
         burn_in_iterations=burn_iters, burn_in_converged=burn_ok,
         eta=eta, m=m,
-        epochs_run=max(r.epoch for r in trace.records),
+        epochs_run=last.epoch,
         epoch_potentials=trace.epoch_potentials(),
         final_potential=last.potential,
         final_residual=last.residual,

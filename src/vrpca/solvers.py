@@ -154,21 +154,20 @@ class TraceRecord:
 class ConvergenceTrace:
     """Per-run record sequence plus the final iterate.
 
-    ``inner_len`` is the epoch length of the run (None for sweep-style
-    baselines where every record is an epoch boundary). All fields except
-    the wall-clock ``elapsed_s`` are bit-reproducible for a fixed
-    (data, start, config, seed).
+    A record is an epoch boundary when its iteration is 0 or it is the
+    last record of its epoch; the records alone say which. So every
+    record of a sweep-style run (orthogonal iteration, deflation) is a
+    boundary, and a burn-in trace, all of epoch 0, has two: its first and
+    last records. All fields except the wall-clock ``elapsed_s`` are
+    bit-reproducible for a fixed (data, start, config, seed).
     """
 
     records: list = field(default_factory=list)
     final_frame: OrthonormalFrame | None = None
-    inner_len: int | None = None
 
     def boundary_records(self):
-        if self.inner_len is None:
-            return list(self.records)
-        return [r for r in self.records
-                if r.iteration == 0 or r.iteration == self.inner_len]
+        return [r for r, nxt in zip(self.records, self.records[1:] + [None])
+                if r.iteration == 0 or nxt is None or nxt.epoch != r.epoch]
 
     def epoch_potentials(self):
         return [r.potential for r in self.boundary_records()]
@@ -185,15 +184,16 @@ def select_parameters(lambda_hat: float, r: float, k: int, delta: float):
     a = min(c, c''/(4 delta^2 c k L), (1/(4 delta^2 c)) (c''/(k L))^2),
     L = log(2/delta), and m = ceil(c' L / (eta lambda_hat)), with c, c',
     c'' the module constants C, C_PRIME, C_DPRIME. r, k and delta must lie
-    in their _RANGES; a nonpositive gap, or one so small that m is not a
-    finite number, is refused with a ConfigError naming the gap.
+    in their _RANGES, and so must a positive gap (it must be finite, as r
+    must); a nonpositive gap, or one so small that m is not a finite
+    number, is refused with a ConfigError naming the gap.
     """
     _check("lambda_hat", lambda_hat, _REAL)
     if not lambda_hat > 0.0:
         raise ConfigError(
             "nonpositive eigengap estimate; run burn_in first and estimate "
             "the gap from the oracle spectrum")
-    _check_run(r=r, k=k, delta=delta)
+    _check_run(lambda_hat=lambda_hat, r=r, k=k, delta=delta)
     big_l = float(np.log(2.0 / delta))
     a = min(C,
             C_DPRIME / (4.0 * delta**2 * C * k * big_l),
@@ -211,17 +211,18 @@ def select_parameters(lambda_hat: float, r: float, k: int, delta: float):
 
 
 class _Recorder:
-    """Builds the trace. The potential is recorded only when a reference
-    frame is available (desk scale). The Rayleigh residual
+    """Builds the trace from the records its solver adds; which of them
+    are epoch boundaries their (epoch, iteration) alone says
+    (ConvergenceTrace.boundary_records). The potential is recorded only
+    when a reference frame is available (desk scale). The Rayleigh residual
     ||A W - W (W^T A W)|| is recorded only when the caller hands in the
     product A W it computed anyway (add's ``aw``, or settle for the last
     record), else None: the recorder makes no data pass of its own."""
 
-    def __init__(self, reference, inner_len):
+    def __init__(self, reference):
         self.ref = reference.entries if reference is not None else None
         self.records = []
         self.t0 = time.perf_counter()
-        self.inner_len = inner_len
 
     def add(self, epoch, iteration, w, samples, aw=None):
         pot = None if self.ref is None else _potential(self.ref, w)
@@ -236,8 +237,7 @@ class _Recorder:
 
     def trace(self, final):
         return ConvergenceTrace(records=self.records,
-                                final_frame=OrthonormalFrame(final),
-                                inner_len=self.inner_len)
+                                final_frame=OrthonormalFrame(final))
 
 
 def _check_frame(X, w0, k):
@@ -386,7 +386,7 @@ def _epochs(X, w_start, cfg, reference, cov, jump=0, rotate=False,
     _check_epsilon(cfg.epsilon, reference=reference is not None)
     m = cfg.m
     rng = _stream(cfg.seed, jump=jump)
-    rec = _Recorder(reference, m)
+    rec = _Recorder(reference)
 
     wt = w_start.copy()
     samples = 0
@@ -434,10 +434,13 @@ def vrpca_vector(X: DataMatrix, w0: OrthonormalFrame, cfg: SolverConfig,
     for the products X^T w~ the steps need. Without one, u = X (X^T w~) / n
     and the run makes E + 1 covariance passes. The two runs agree to
     rounding and draw the same samples. Without one, cfg.epsilon is refused.
+
+    A cfg.k other than 1 is refused with a ConfigError naming cfg.k, before
+    the start frame is checked against it.
     """
-    _check_frame(X, w0, 1)
     if cfg.k != 1:
         raise ConfigError(f"vector solver requires cfg.k == 1, got {cfg.k}")
+    _check_frame(X, w0, 1)
     return _epochs(X, w0.entries, cfg, reference,
                    _dense_covariance(X, reference))
 
@@ -480,8 +483,9 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     potential <= 1/2, after which the geometric-convergence parameter
     regime applies.
 
-    zeta, delta, lambda_hat, the seed and an ``eta`` override must lie in
-    their errors._RANGES, or ConfigError is raised before any pass. Runs
+    zeta, delta, lambda_hat, the data's r (so a zero or overflowing column
+    norm), the seed and an ``eta`` override must lie in their
+    errors._RANGES, or ConfigError is raised before any pass. Runs
     stochastic steps against the fixed anchor w0, set up as one solver
     epoch is (_anchored_steps), with the burn-in step size
     eta = BURN_C * delta^2 * lambda_hat * zeta^3 / (r^2 log^2(2/delta))
@@ -506,14 +510,16 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     T = floor(BURN_C_PRIME log(2/delta) / (eta lambda_hat zeta)), and at
     least 10 steps, so a horizon under one step still steps;
     exhausting it raises NonConvergenceError carrying the partial trace,
-    the last iterate and the iteration count. A horizon that overflows is
-    refused before any step, with a ConfigError naming zeta, lambda_hat
-    and eta.
+    the last iterate and the iteration count. That trace is all epoch 0,
+    so its boundary records are its first and last. A horizon that
+    overflows is refused before any step, with a ConfigError naming zeta,
+    lambda_hat and eta.
 
     Returns (frame, iterations_performed).
     """
     _check_frame(X, w0, 1)
-    _check_run(zeta=zeta, delta=delta, lambda_hat=lambda_hat, seed=seed)
+    _check_run(zeta=zeta, delta=delta, lambda_hat=lambda_hat, r=X.r,
+               seed=seed)
     if eta is not None:
         _check_run(eta=eta)
     big_l = float(np.log(2.0 / delta))
@@ -531,7 +537,7 @@ def burn_in(X: DataMatrix, w0: OrthonormalFrame, zeta: float, delta: float,
     # with a reference the stop rule reads only the potential; without one
     # the proxy rule reads residuals, at one covariance pass per check
     proxy = reference is None
-    rec = _Recorder(reference, None)
+    rec = _Recorder(reference)
     wt = w0.entries.copy()
     rec.add(0, 0, wt, 0)
     if not proxy and rec.records[0].potential <= 0.5:
@@ -587,7 +593,7 @@ def oja_baseline(X: DataMatrix, w0: OrthonormalFrame, eta_schedule, iters: int,
     _check_run(oja_iters=iters, oja_eta0=eta_schedule, seed=seed)
     cov = _dense_covariance(X, reference)
     a, eu = np.zeros(X.n), np.zeros(X.d)
-    rec = _Recorder(reference, iters if iters > 0 else None)
+    rec = _Recorder(reference)
     w = w0.entries.copy()
     rec.add(0, 0, w, 0, _products(X, w, cov))
 
@@ -615,7 +621,7 @@ def orthogonal_iteration(X: DataMatrix, W0: OrthonormalFrame, sweeps: int,
     _check_frame(X, W0, W0.k)
     _check_run(sweeps=sweeps)
     cov = _dense_covariance(X, reference)
-    rec = _Recorder(reference, None)
+    rec = _Recorder(reference)
     w = W0.entries.copy()
     aw = _products(X, w, cov)
     rec.add(0, 0, w, 0, aw)
@@ -668,7 +674,7 @@ def deflation_solve(X: DataMatrix, W0: OrthonormalFrame, cfg: SolverConfig,
     _check_epsilon(cfg.epsilon, deflation=True)
     _check_frame(X, W0, cfg.k)
     cov = _dense_covariance(X, reference)
-    rec = _Recorder(reference, None)
+    rec = _Recorder(reference)
     found = np.empty((X.d, 0))
     estimates = []
     epoch = samples = 0

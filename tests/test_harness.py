@@ -35,9 +35,10 @@ def synth_cfg(**kw):
 BAD_BASELINE_VALUES = [
     ("oja_iters", -5, r"oja_iters must be >= 0, got -5"),
     ("sweeps", -3, r"sweeps must be >= 0, got -3"),
-    ("oja_eta0", -1.0, r"oja_eta0 must be positive, got -1.0"),
-    ("oja_eta0", 0.0, r"oja_eta0 must be positive, got 0.0"),
-    ("oja_eta0", float("nan"), r"oja_eta0 must be positive, got nan"),
+    ("oja_eta0", -1.0, r"oja_eta0 must be positive and finite, got -1.0"),
+    ("oja_eta0", 0.0, r"oja_eta0 must be positive and finite, got 0.0"),
+    ("oja_eta0", float("nan"),
+     r"oja_eta0 must be positive and finite, got nan"),
 ]
 
 
@@ -288,6 +289,32 @@ class TestRunExperiment:
                            match="burn-in needs an eigengap estimate"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({}, "set eta and m explicitly, or provide an eigengap estimate "
+         "(lambda_hat) for parameter selection: no oracle ran, as d = 2001 "
+         "exceeds DENSE_GUARD = 2000"),
+        ({"eta": 0.1, "m": 5, "run_burn_in": True},
+         "burn-in needs an eigengap estimate (set lambda_hat): no oracle "
+         "ran, as d = 2001 exceeds DENSE_GUARD = 2000"),
+        ({"eta": 0.1, "m": 5, "run_burn_in": True, "oracle_check": False},
+         "burn-in needs an eigengap estimate (set lambda_hat): "
+         "oracle_check is off")])
+    def test_missing_gap_names_its_cause_before_any_pass(
+            self, tmp_path, monkeypatch, changes, message):
+        # the oracle is on by default but cannot run past DENSE_GUARD: the
+        # refusal says so, and comes before the warm start reads the data
+        def refuse(*args, **kwargs):
+            raise AssertionError("power_warm_start called")
+
+        monkeypatch.setattr(harness, "power_warm_start", refuse)
+        path = tmp_path / "wide.vrpa"
+        save_dataset(DataMatrix(np.ones((2001, 3))), path, "f64le")
+        cfg = ExperimentConfig(dataset_path=str(path), dataset_format="f64le",
+                               **changes)
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == message
+
     def test_no_oracle_requires_gap_or_params(self):
         cfg = synth_cfg(oracle_check=False)
         with pytest.raises(ConfigError):
@@ -410,9 +437,10 @@ class TestRuntimeModel:
                                  rep.eigengap, 1e-6)
         assert rep.runtime_model == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("gap", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("gap", [0.0, -0.1, float("nan"), float("inf")])
     def test_nonpositive_gap_refused(self, gap):
-        with pytest.raises(ConfigError, match="eigengap must be positive"):
+        with pytest.raises(ConfigError,
+                           match="^eigengap must be positive and finite, "):
             runtime_model(50, 1, 500, 2.0, gap, 1e-6)
 
     @pytest.mark.parametrize("epsilon", [1.0, 2.0, 0.0, -0.5, float("nan")])
@@ -716,12 +744,14 @@ class TestCli:
         (["--delta", "2"], "delta must lie in (0,1), got 2.0"),
         (["--epochs", "-1"], "epochs must be >= 0, got -1"),
         (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
-        (["--eta", "-1", "--m", "5"], "eta must be positive, got -1.0"),
+        (["--eta", "-1", "--m", "5"],
+         "eta must be positive and finite, got -1.0"),
         (["--eta", "0.1", "--m", "0"], "m must be >= 1, got 0"),
         (["--burn-in", "--zeta", "5"], "zeta must lie in (0,1], got 5.0"),
         (["--no-oracle-check", "--lambda-hat", "-1"],
-         "lambda_hat must be positive, got -1.0"),
-        (["--lambda-hat", "nan"], "lambda_hat must be positive, got nan"),
+         "lambda_hat must be positive and finite, got -1.0"),
+        (["--lambda-hat", "nan"],
+         "lambda_hat must be positive and finite, got nan"),
         (["--solver", "deflation", "--k", "2", "--epsilon", "1e-3"],
          "epsilon=0.001: deflation runs every epoch of every stage and "
          "cannot stop on it; vrpca_block stops on epsilon"),
@@ -990,7 +1020,20 @@ class TestCli:
                        "--oja-eta0", "-1", "--seeds", "1"])
         assert rc == 1
         assert capsys.readouterr().err == \
-            "error: oja_eta0 must be positive, got -1.0\n"
+            "error: oja_eta0 must be positive and finite, got -1.0\n"
+
+    def test_burn_in_on_zero_data_refused_by_r(self, tmp_path, capsys):
+        # all-zero columns give r = 0, which sized burn-in's step by a
+        # division by zero
+        path = tmp_path / "zeros.vrpa"
+        save_dataset(DataMatrix(np.zeros((3, 5))), path, "f64le")
+        rc = cli_main(["solve", "--dataset", str(path), "--format", "f64le",
+                       "--no-rescale", "--no-oracle-check", "--lambda-hat",
+                       "0.1", "--burn-in", "--eta", "0.1", "--m", "3",
+                       "--init", "gaussian"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: r must be positive and finite, got 0.0\n"
 
     def test_compare_verb_picks_the_solver_from_k(self, capsys):
         # compare runs vrpca_block at k >= 2; without --solver the config

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
                    DimensionMismatchError,
@@ -23,6 +25,7 @@ from vrpca import (ConfigError, DataMatrix, DegenerateIterateError,
 from vrpca import (ExperimentConfig, _native, errors, harness, initialization,
                    matrix, solvers)
 from vrpca.initialization import BURN_IN_STREAM, RUN_STREAM, _stream
+from vrpca.solvers import ConvergenceTrace, TraceRecord
 
 from conftest import GramCounter, Instance, counted, spectrum_k1
 
@@ -60,6 +63,13 @@ class TestSelectParameters:
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(ConfigError, match="burn_in"):
             select_parameters(0.0, 1.0, 1, 0.25)
+
+    def test_infinite_gap_refused(self):
+        # an infinite gap selected (inf, 0): no step size and no epoch
+        with pytest.raises(ConfigError) as err:
+            select_parameters(float("inf"), 1.0, 1, 0.25)
+        assert str(err.value) == \
+            "lambda_hat must be positive and finite, got inf"
 
     @pytest.mark.parametrize("gap", [1e-200, 1e-160])
     def test_tiny_gap_refused(self, gap):
@@ -122,7 +132,10 @@ class TestRunRanges:
     @pytest.mark.parametrize("name, value", [
         *((name, bad) for name, (bad, _) in RANGE_CASES.items()),
         *((name, float("nan")) for name, (bad, _) in RANGE_CASES.items()
-          if isinstance(bad, float))])
+          if isinstance(bad, float)),
+        # a step-sizing value must be finite too
+        *((name, float("inf")) for name in ("eta", "lambda_hat", "r",
+                                            "oja_eta0"))])
     def test_entry_point_refuses_out_of_range(self, name, value):
         rule = errors._RANGES[name][1]
         with pytest.raises(ConfigError) as err:
@@ -168,7 +181,8 @@ class TestRunRanges:
 
         monkeypatch.setattr(solvers, "_steps_k1", refuse)
         with pytest.raises(ConfigError,
-                           match=rf"^eta must be positive, got {eta}$"):
+                           match=rf"^eta must be positive and finite, "
+                           rf"got {eta}$"):
             _burn(eta=eta)
 
     def test_every_range_refusal_goes_through_the_table(self):
@@ -247,7 +261,10 @@ class TestVectorSolver:
         (gaussian_init(4, 1, seed=1), 1, DimensionMismatchError,
          "start frame has d=4, data has d=3"),
         (gaussian_init(3, 1, seed=1), 2, ConfigError,
-         "vector solver requires cfg.k == 1, got 2")])
+         "vector solver requires cfg.k == 1, got 2"),
+        # a start of the config's k: the config is at fault, not the start
+        (gaussian_init(3, 3, seed=1), 3, ConfigError,
+         "vector solver requires cfg.k == 1, got 3")])
     def test_mismatched_start_or_k_refused(self, w0, k, error, message):
         with pytest.raises(error) as err:
             vrpca_vector(_tiny()[0], w0, _config(k=k))
@@ -508,6 +525,69 @@ class TestBurnIn:
                     lambda_hat=0.3)
 
 
+class TestBoundaryRecords:
+    """A record is an epoch boundary when its iteration is 0 or it is the
+    last record of its epoch: each solver's boundaries follow from its own
+    m or iteration count, read off the records alone."""
+
+    @staticmethod
+    def _marks(trace):
+        return [(r.epoch, r.iteration) for r in trace.boundary_records()]
+
+    @pytest.mark.parametrize("solve, k", [
+        (vrpca_vector, 1), (vrpca_block, 1), (vrpca_block, 3),
+        (deflation_solve, 1), (deflation_solve, 3)])
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_epoch_solvers(self, solve, k, epochs, small_k1):
+        X, m = small_k1.Xs, 64
+        cfg = SolverConfig(k=k, eta=0.01, m=m, epochs=epochs, seed=1)
+        with warnings.catch_warnings():
+            # unconverged stages may order their eigenvalue estimates wrongly
+            warnings.simplefilter("ignore", GapWarning)
+            trace = solve(X, gaussian_init(X.d, k, seed=3), cfg,
+                          small_k1.reference(k))
+        if solve is deflation_solve:  # one record per stage
+            expect = [(epochs * j, 0) for j in range(1, k + 1)]
+        else:
+            expect = [(0, 0)] + [(s, m) for s in range(1, epochs + 1)]
+        assert self._marks(trace) == expect
+        assert trace.boundary_records()[-1] is trace.records[-1]
+
+    @pytest.mark.parametrize("iters, expect", [
+        (333, [(0, 0), (1, 333)]), (0, [(0, 0)])])
+    def test_oja(self, iters, expect, small_k1):
+        X = small_k1.Xs
+        trace = oja_baseline(X, gaussian_init(X.d, 1, seed=9), 1.0, iters)
+        assert self._marks(trace) == expect
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_orthogonal_iteration_every_sweep(self, k, small_k1):
+        X = small_k1.Xs
+        trace = orthogonal_iteration(X, gaussian_init(X.d, k, seed=8), 4)
+        assert self._marks(trace) == [(s, 0) for s in range(5)]
+
+    def test_one_epoch_trace_has_its_first_and_last_records(self):
+        # a burn-in trace is all epoch 0: its boundaries are its start and
+        # its last check, not every check
+        recs = [TraceRecord(epoch=0, iteration=t, potential=None,
+                            residual=None, samples=t, elapsed_s=0.0)
+                for t in (0, 64, 128, 192)]
+        trace = ConvergenceTrace(records=recs)
+        assert trace.boundary_records() == [recs[0], recs[-1]]
+        assert ConvergenceTrace().boundary_records() == []
+
+    def test_exhausted_burn_in_trace(self, small_k1, monkeypatch):
+        X = small_k1.Xs
+        monkeypatch.setattr(solvers, "BURN_C_PRIME", 0.008)
+        with pytest.raises(NonConvergenceError) as err:
+            burn_in(X, gaussian_init(X.d, 1, seed=4), zeta=1.0 / X.d,
+                    delta=0.5, lambda_hat=small_k1.gap,
+                    reference=small_k1.reference(1), eta=0.02)
+        recs = err.value.trace.records
+        assert len(recs) >= 3
+        assert err.value.trace.boundary_records() == [recs[0], recs[-1]]
+
+
 def _philox(key, jump=0):
     return np.random.Generator(np.random.Philox(key=key).jumped(jump))
 
@@ -654,8 +734,8 @@ class TestOja:
 
     @pytest.mark.parametrize("schedule, iters, message", [
         (0.5, -5, r"oja_iters must be >= 0, got -5"),
-        (-1.0, 10, r"oja_eta0 must be positive, got -1.0"),
-        (0.0, 10, r"oja_eta0 must be positive, got 0.0"),
+        (-1.0, 10, r"oja_eta0 must be positive and finite, got -1.0"),
+        (0.0, 10, r"oja_eta0 must be positive and finite, got 0.0"),
         (lambda t: 0.5, 10, r"oja_eta0 must be a number, got <function")])
     def test_bad_arguments_refused(self, small_k1, schedule, iters, message):
         w0 = gaussian_init(small_k1.Xs.d, 1, seed=2)
@@ -785,7 +865,6 @@ class TestDeflation:
         ref = small_k1.reference(k)
         cfg = SolverConfig(k=k, eta=0.1, m=m, epochs=epochs, seed=4)
         trace = deflation_solve(X, gaussian_init(X.d, k, seed=4), cfg, ref)
-        assert trace.inner_len is None
         assert [r.epoch for r in trace.records] == [epochs * j
                                                     for j in (1, 2, 3)]
         assert [r.samples for r in trace.records] == [
@@ -1095,7 +1174,7 @@ class TestRecorderPasses:
             rayleigh_residual(X, short.final_frame), rel=0, abs=1e-12)
         for trace in runs:
             for r in trace.records:
-                boundary = r.iteration in (0, trace.inner_len)
+                boundary = r.iteration in (0, 100)
                 assert (r.residual is not None) == boundary
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -1237,6 +1316,44 @@ class TestCovarianceMemo:
             assert samples_ref == samples, (name, k)
             diff = np.max(np.abs(with_ref.entries - without.entries))
             assert diff <= 1e-12, (name, k, diff)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(st.data())
+    def test_memo_and_streamed_solves_agree(self, data):
+        # random desk instances: the memo path (a reference at d <=
+        # DENSE_GUARD) and the streamed path (none) draw the same samples
+        # and end on the same frame to rounding
+        d = data.draw(st.integers(2, 40), "d")
+        n = data.draw(st.integers(d, 400), "n")
+        solver, rotate = data.draw(st.sampled_from([
+            (vrpca_vector, True), (vrpca_block, True), (vrpca_block, False),
+            (deflation_solve, True)]), "solver")
+        k = 1 if solver is vrpca_vector else data.draw(
+            st.integers(1, min(3, d - 1)), "k")
+        gap = data.draw(st.floats(0.02, 0.9), "relative gap at k")
+        power = data.draw(st.booleans(), "power start")
+        epochs = data.draw(st.integers(2, 3), "epochs")
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        top = [1.0 - 0.1 * i for i in range(k)]
+        eigs = top + [top[-1] * (1.0 - gap) * 0.5**j for j in range(d - k)]
+        X, _ = rescale_dataset(synthesize_dataset(SpectrumSpec(eigs, k=k), n,
+                                                  seed))
+        ref = leading_subspace(dense_eigh(X), k)
+        cfg = SolverConfig(k=k, eta=1.0 / np.sqrt(n), m=n, epochs=epochs,
+                           seed=seed, use_rotation=rotate)
+        runs = []
+        with warnings.catch_warnings():
+            # deflation's estimates of close eigenvalues need not converge
+            warnings.simplefilter("ignore", GapWarning)
+            for reference in (ref, None):
+                w0 = (power_warm_start(X, seed, k=k, reference=reference)
+                      .frame if power else gaussian_init(d, k, seed=seed))
+                runs.append(solver(X, w0, cfg, reference))
+        memo, streamed = runs
+        assert memo.samples == streamed.samples
+        diff = np.max(np.abs(memo.final_frame.entries
+                             - streamed.final_frame.entries))
+        assert diff <= 1e-12
 
     def test_reference_free_calls_form_no_memo(self, small_k1):
         for name, k, run in self._runs(small_k1):
